@@ -13,14 +13,13 @@ from .bogus import (
     indegree_obfuscate,
     make_opaque_predicate,
 )
-from .cfg import Cfg, Edge, build_cfg, in_degree_gap
+from .cfg import Cfg, Edge, build_cfg, export_dot, in_degree_gap
 from .corpus import CorpusEntry, default_corpus_dir, load_corpus
 from .flatten import DispatchPlan, JunkOpRecipe, PassParameterError, flatten, nested_switch
 from .interp import ExecutionResult, run, timed_run
 from .ir import (
     IrFunction,
     IrModule,
-    export_dot,
     instruction_count,
     mangle,
     print_module,
@@ -29,7 +28,6 @@ from .metrics import (
     OverheadReport,
     SimilarityReport,
     canonical_block_hash,
-    corpus_report,
     overhead,
     similarity,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "build_cfg",
     "canonical_block_hash",
     "collect_custom_identifiers",
-    "corpus_report",
     "default_corpus_dir",
     "export_dot",
     "flatten",

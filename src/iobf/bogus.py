@@ -9,7 +9,6 @@ defeating the "bogus blocks have fewer xrefs" heuristic.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, replace
 
@@ -143,9 +142,11 @@ def predicate_sources(fn: IrFunction, global_names, rng) -> tuple[Operand, Opera
 # Clone mutation (shared with nested-switch decoys and overload bodies)
 
 def mutate_instructions(insts: list, rng) -> tuple[list, list[dict]]:
-    """Deep-copy a block body, swap one binop opcode and bump one integer
-    literal by one. Returns (new instructions, mutation descriptions)."""
-    out = copy.deepcopy(insts)
+    """A new block body with one binop opcode swapped and one integer
+    literal bumped by one; `insts` is left as it was. Instructions are
+    frozen, so the mutated ones are rebuilt and the rest are shared.
+    Returns (new instructions, mutation descriptions)."""
+    out = list(insts)
     mutations: list[dict] = []
 
     binop_at = [i for i, ins in enumerate(out) if isinstance(ins, BinOp)]
@@ -162,7 +163,7 @@ def mutate_instructions(insts: list, rng) -> tuple[list, list[dict]]:
         i, attr = rng.choice(spots)
         old_val = getattr(out[i], attr)
         new_val = wrap64(old_val + 1)
-        setattr(out[i], attr, new_val)
+        out[i] = replace(out[i], **{attr: new_val})
         mutations.append({"kind": "constant", "index": i,
                           "from": old_val, "to": new_val})
     return out, mutations
@@ -449,7 +450,8 @@ class _EdgeState:
 
     def _extend_switch(self, label: str, bogus_label: str, need: int):
         block = self.f.block(label)
-        taken = [lit for lit, _ in block.term.cases]
-        block.term.cases.extend(
-            (lit, bogus_label) for lit in self._dead_literals(need, taken))
+        term = block.term
+        taken = [lit for lit, _ in term.cases]
+        extra = [(lit, bogus_label) for lit in self._dead_literals(need, taken)]
+        block.term = Switch(term.scrutinee, term.cases + extra, term.default)
         self.edges_added += need

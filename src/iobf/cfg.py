@@ -1,4 +1,4 @@
-"""Per-function control-flow graphs and in-degree statistics.
+"""Per-function control-flow graphs, in-degree statistics and DOT export.
 
 Edges mirror terminators exactly; parallel edges (two switch cases
 reaching one target) are counted separately, matching what a
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import Br, Cbr, IrFunction, Ret, Switch
+from .ir import Br, Cbr, IrFunction, Ret, Switch, _escape
 
 
 @dataclass(frozen=True)
@@ -77,3 +77,26 @@ def in_degree_gap(cfg: Cfg) -> tuple[int, int | None]:
     max_real = max(real) if real else 0
     min_bogus = min(bogus) if bogus else None
     return max_real, min_bogus
+
+
+def export_dot(fn: IrFunction) -> str:
+    """Graphviz digraph of a function's CFG.
+
+    One node per block, one edge per `build_cfg` edge (parallel edges
+    repeated). Blocks with the bogus role are filled grey; switch edges are
+    labelled with their case literal or `default`.
+    """
+    lines = [f'digraph "{_escape(fn.mangled_name)}" {{', "  node [shape=box];"]
+    for b in fn.blocks:
+        attr = ' [style=filled, fillcolor=grey]' if b.role == "bogus" else ""
+        lines.append(f'  "{b.label}"{attr};')
+    for e in build_cfg(fn).edges:
+        if e.kind == "switch_case":
+            attr = f' [label="{e.case_value}"]'
+        elif e.kind == "switch_default":
+            attr = ' [label="default"]'
+        else:
+            attr = ""
+        lines.append(f'  "{e.src}" -> "{e.dst}"{attr};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 """Pipeline driver: parse, apply passes in order, print and report.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 bad parameter,
-4 semantics-oracle failure in batch mode.
+4 semantics-oracle failure in batch mode, 5 a pass could not transform
+the input (single-file mode; batch mode records it as a failed row).
 """
 
 from __future__ import annotations
@@ -11,14 +12,15 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bogus import bogus_control_flow, indegree_obfuscate
+from .cfg import export_dot
 from .corpus import load_corpus
 from .flatten import PassParameterError, flatten, nested_switch
 from .interp import run
-from .ir import IrModule, clone_module, export_dot, instruction_count, print_module
+from .ir import IrModule, instruction_count, print_module
 from .metrics import aggregate_rows, overhead, render_table, similarity
 from .parser import IrError, parse_module
 from .rename import (
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PARAMETER = 3
 EXIT_ORACLE = 4
+EXIT_PASS = 5
 
 
 @dataclass
@@ -64,18 +67,16 @@ def fork_seed(seed: int, *parts: str) -> int:
 
 
 def _per_function(module: IrModule, cfg: PipelineConfig, name: str, transform):
-    out = clone_module(module)
     reports = []
     result = []
-    for fn in out.functions:
+    for fn in module.functions:
         if cfg.funcs and fn.base_name not in cfg.funcs:
             result.append(fn)
             continue
         new_fn, report = transform(fn, fork_seed(cfg.seed, name, fn.mangled_name))
         result.append(new_fn)
         reports.append(report)
-    out.functions = result
-    return out, reports
+    return replace(module, functions=result), reports
 
 
 def _apply_flatten(module, cfg):
@@ -163,37 +164,27 @@ def validate_config(cfg: PipelineConfig):
         raise PassParameterError("--decoys must be at least 1")
 
 
-def run_pipeline(cfg: PipelineConfig, text: str) -> PipelineResult:
-    """Parse, transform with each configured pass in order, and reprint.
+def transform_module(cfg: PipelineConfig,
+                     module: IrModule) -> tuple[IrModule, list[dict]]:
+    """Apply each configured pass in order to an already-parsed module.
 
     Identifier passes always act module-wide (a partial rename would leave
     dangling call targets); the function filter applies to the
-    control-flow passes only.
+    control-flow passes only. Returns the result and the pass reports.
     """
-    validate_config(cfg)
-    module = parse_module(text)
-    original = module
     reports: list[dict] = []
     for name in cfg.passes:
         module, step_reports = PASS_APPLIERS[name](module, cfg)
         reports.extend(step_reports)
+    return module, reports
+
+
+def run_pipeline(cfg: PipelineConfig, text: str) -> PipelineResult:
+    """Parse, transform with each configured pass in order, and reprint."""
+    validate_config(cfg)
+    original = parse_module(text)
+    module, reports = transform_module(cfg, original)
     return PipelineResult(original, module, print_module(module), reports)
-
-
-def transform_module(cfg: PipelineConfig, module: IrModule,
-                     seed: int | None = None) -> IrModule:
-    """Apply the configured passes to an already-parsed module."""
-    local_cfg = cfg if seed is None else _with_seed(cfg, seed)
-    out = module
-    for name in local_cfg.passes:
-        out, _ = PASS_APPLIERS[name](out, local_cfg)
-    return out
-
-
-def _with_seed(cfg: PipelineConfig, seed: int) -> PipelineConfig:
-    return PipelineConfig(cfg.passes, seed, cfg.funcs, cfg.bogus_count,
-                          cfg.indeg_margin, cfg.prob, cfg.dict_path,
-                          cfg.decoys_per_fn)
 
 
 def oracle_mismatches(orig: IrModule, obf: IrModule, entry: str,
@@ -228,7 +219,7 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
             rows.append(row)
             continue
         try:
-            obf = transform_module(cfg, entry.module)
+            obf, _ = transform_module(cfg, entry.module)
             problems = oracle_mismatches(entry.module, obf, entry.entry,
                                          entry.inputs, entry.fuel)
             checked += len(entry.inputs)
@@ -367,6 +358,9 @@ def main(argv=None) -> int:
     except (PassParameterError, DictionaryExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PASS
     except IrError as exc:
         for diag in exc.diagnostics:
             print(f"error: {diag}", file=sys.stderr)

@@ -35,12 +35,6 @@ class CorpusEntry:
     module: IrModule | None = None
     problems: list[str] = field(default_factory=list)
 
-    def require_module(self) -> IrModule:
-        if self.module is None:
-            raise RuntimeError(f"corpus entry {self.name} failed to load: "
-                               f"{'; '.join(self.problems)}")
-        return self.module
-
 
 def default_corpus_dir() -> Path:
     return Path(__file__).parent / "data" / "corpus"

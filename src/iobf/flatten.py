@@ -11,7 +11,6 @@ blocks that can never be selected.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import asdict, dataclass, field
 
@@ -227,7 +226,8 @@ def nested_switch(fn: IrFunction, seed: int,
     mix_mul = locals_alloc.fresh("disp_m0")
     mix_add = locals_alloc.fresh("disp_m1")
 
-    snapshot = {lab: copy.deepcopy(f.block(lab).insts) for lab in case_labels}
+    # each case's body before this loop swaps it for the mixing code
+    bodies = {lab: f.block(lab).insts for lab in case_labels}
     plan = DispatchPlan(outer, inner, dict(case_of))
     decoy_labels: dict[str, list[str]] = {}
     real_labels: dict[str, str] = {}
@@ -253,7 +253,7 @@ def nested_switch(fn: IrFunction, seed: int,
         lits: list[int] = []
         for _ in range(decoys_per_case):
             junk = _sample_junk(outer, rng)
-            body, _muts = mutate_instructions(snapshot[rng.choice(case_labels)],
+            body, _muts = mutate_instructions(bodies[rng.choice(case_labels)],
                                               rng)
             decoys.append(BasicBlock(
                 labels_alloc.fresh(f"{lab}_alt"),

@@ -8,9 +8,9 @@ Registers read before their first assignment hold the zero of their type;
 
 Modules are compiled once to a flat tuple form (blocks resolved to object
 references, globals folded, operands pre-dispatched) and the result is
-cached by module identity. Modules are immutable once constructed — the
-package's concurrency model — so the cache needs no invalidation; passes
-always return freshly built modules.
+cached by module identity. The cache needs no invalidation because no
+pass edits a module it was given: instructions and terminators are
+frozen, and passes edit only blocks they created, returning a new module.
 """
 
 from __future__ import annotations

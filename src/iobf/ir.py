@@ -5,15 +5,20 @@ functions. Functions hold ordered basic blocks over named mutable
 registers (non-SSA: reassignment is permitted). Values are signed 64-bit
 integers with wrapping arithmetic, plus booleans produced by comparisons.
 
-This file owns the in-memory types, canonical text printing, the
-simulated name-mangling scheme, and DOT export of a function's control
-flow graph. Parsing lives in `parser`, semantic checking in `validate`.
+Instructions and terminators are frozen and shared between modules: a
+pass that changes one builds a new one, and never mutates the `args` or
+`cases` list inside one. Blocks, functions and modules stay mutable, but
+a pass edits only those it created itself (`clone_function` gives it
+private blocks), so a pass never changes the module it was given.
+
+This file owns the in-memory types, canonical text printing and the
+simulated name-mangling scheme. Parsing lives in `parser`, semantic
+checking in `validate`.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 INT_BITS = 64
 INT_MASK = (1 << INT_BITS) - 1
@@ -62,13 +67,13 @@ def operand_type(op: Operand) -> str | None:
 # ---------------------------------------------------------------------------
 # Instructions
 
-@dataclass
+@dataclass(frozen=True)
 class Const:
     dst: str
     value: int | bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinOp:
     dst: str
     op: str
@@ -76,7 +81,7 @@ class BinOp:
     b: Operand
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cmp:
     dst: str
     rel: str
@@ -84,13 +89,13 @@ class Cmp:
     b: Operand
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assign:
     dst: str
     src: Operand
 
 
-@dataclass
+@dataclass(frozen=True)
 class Call:
     dst: str | None
     callee: str
@@ -103,26 +108,26 @@ Instruction = Const | BinOp | Cmp | Assign | Call
 # ---------------------------------------------------------------------------
 # Terminators
 
-@dataclass
+@dataclass(frozen=True)
 class Br:
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cbr:
     cond: str
     then_label: str
     else_label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Switch:
     scrutinee: str
     cases: list[tuple[int, str]]
     default: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ret:
     value: Operand | None = None
 
@@ -215,14 +220,6 @@ class IrModule:
     globals: list[tuple[str, int]] = field(default_factory=list)
     externs: list[ExternDecl] = field(default_factory=list)
 
-    @property
-    def source_names(self) -> dict[str, tuple[str, list[str]]]:
-        """Mangled name -> (source base name, parameter types)."""
-        return {
-            f.mangled_name: (f.base_name, [t for _, t in f.params])
-            for f in self.functions
-        }
-
     def function(self, mangled: str) -> IrFunction | None:
         for f in self.functions:
             if f.mangled_name == mangled:
@@ -250,11 +247,10 @@ class IrModule:
 
 
 def clone_function(fn: IrFunction) -> IrFunction:
-    return copy.deepcopy(fn)
-
-
-def clone_module(m: IrModule) -> IrModule:
-    return copy.deepcopy(m)
+    """A copy with new blocks and instruction lists that a pass may edit;
+    the frozen instructions and terminators are shared with `fn`."""
+    return replace(fn, blocks=[replace(b, insts=list(b.insts))
+                               for b in fn.blocks])
 
 
 class NameAllocator:
@@ -363,35 +359,6 @@ def print_module(m: IrModule) -> str:
     for fn in m.functions:
         parts.append(print_function(fn))
     return "\n\n".join(parts) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-
-def export_dot(fn: IrFunction) -> str:
-    """Graphviz digraph of a function's CFG.
-
-    One node per block, one edge per terminator successor (parallel edges
-    repeated). Blocks with the bogus role are filled grey; switch edges are
-    labelled with their case literal or `default`.
-    """
-    lines = [f'digraph "{_escape(fn.mangled_name)}" {{', "  node [shape=box];"]
-    for b in fn.blocks:
-        attr = ' [style=filled, fillcolor=grey]' if b.role == "bogus" else ""
-        lines.append(f'  "{b.label}"{attr};')
-    for b in fn.blocks:
-        t = b.term
-        if isinstance(t, Br):
-            lines.append(f'  "{b.label}" -> "{t.label}";')
-        elif isinstance(t, Cbr):
-            lines.append(f'  "{b.label}" -> "{t.then_label}";')
-            lines.append(f'  "{b.label}" -> "{t.else_label}";')
-        elif isinstance(t, Switch):
-            for lit, lab in t.cases:
-                lines.append(f'  "{b.label}" -> "{lab}" [label="{lit}"];')
-            lines.append(f'  "{b.label}" -> "{t.default}" [label="default"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def instruction_count(m: IrModule) -> int:

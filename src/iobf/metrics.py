@@ -191,33 +191,6 @@ INDICATORS = ("bb_sim", "ji_sim", "fn_sim", "prog_sim",
               "space_ratio", "time_ratio")
 
 
-def corpus_report(entries, pipeline, seeds, label: str = "pipeline",
-                  reps: int = 0) -> dict:
-    """Run a pipeline over corpus entries for each seed and tabulate.
-
-    `pipeline` is a callable (module, seed) -> module. Per-entry failures
-    become rows with an `error` field; aggregation skips them and keeps
-    going. Aggregates carry mean/min/max/stddev (population) per
-    indicator.
-    """
-    rows: list[dict] = []
-    for entry in entries:
-        for seed in seeds:
-            row = {"file": entry.name, "pass": label, "seed": seed}
-            try:
-                orig = entry.require_module()
-                obf = pipeline(orig, seed)
-                sim = similarity(orig, obf)
-                over = overhead(orig, obf, entry.entry, entry.inputs,
-                                reps, entry.fuel)
-                row.update(sim.to_dict())
-                row.update(over.to_dict())
-            except Exception as exc:  # pragma: no cover - exercised via CLI
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-    return {"rows": rows, "aggregates": aggregate_rows(rows)}
-
-
 def aggregate_rows(rows: list[dict]) -> list[dict]:
     out = []
     for key in INDICATORS:

@@ -9,10 +9,9 @@ but carry fabricated parameter lists, giving distinct mangled symbols.
 
 from __future__ import annotations
 
-import copy
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bogus import mutate_instructions
@@ -22,7 +21,6 @@ from .ir import (
     Const,
     IrFunction,
     IrModule,
-    clone_module,
     mangle,
 )
 
@@ -71,15 +69,18 @@ def collect_custom_identifiers(m: IrModule) -> list[str]:
 
 def apply_rename(m: IrModule, mapping: dict[str, str]) -> IrModule:
     """Rewrite function symbols and call sites consistently."""
-    out = clone_module(m)
-    for fn in out.functions:
-        if fn.mangled_name in mapping:
-            fn.mangled_name = mapping[fn.mangled_name]
-        for b in fn.blocks:
-            for ins in b.insts:
-                if isinstance(ins, Call) and ins.callee in mapping:
-                    ins.callee = mapping[ins.callee]
-    return out
+    def rewrite(ins):
+        if isinstance(ins, Call) and ins.callee in mapping:
+            return replace(ins, callee=mapping[ins.callee])
+        return ins
+
+    return replace(m, functions=[
+        replace(fn,
+                mangled_name=mapping.get(fn.mangled_name, fn.mangled_name),
+                blocks=[replace(b, insts=[rewrite(ins) for ins in b.insts])
+                        for b in fn.blocks])
+        for fn in m.functions
+    ])
 
 
 def load_dictionary(path: str | Path | None = None) -> list[str]:
@@ -181,14 +182,14 @@ def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
     if decoys_per_fn < 1:
         raise ValueError("decoys_per_fn must be at least 1")
     rng = random.Random(seed)
-    out = clone_module(m)
-    existing = out.all_names()
+    functions = list(m.functions)
+    existing = m.all_names()
     arities: dict[str, set[int]] = {}
-    for fn in out.functions:
+    for fn in m.functions:
         arities.setdefault(fn.base_name, set()).add(len(fn.params))
 
     added: list[str] = []
-    for original in list(out.functions):
+    for original in m.functions:
         base = original.base_name
         if base_names is not None:
             base = base_names.get(original.mangled_name, base)
@@ -203,11 +204,11 @@ def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
             else:
                 raise RuntimeError("could not fabricate a legal overload")
             decoy = _decoy_function(original, name, base, types, rng)
-            out.functions.append(decoy)
+            functions.append(decoy)
             existing.add(name)
             arities[base].add(arity)
             added.append(name)
-    return out, {
+    return replace(m, functions=functions), {
         "pass": "ident-overload",
         "seed": seed,
         "decoys_per_fn": decoys_per_fn,
@@ -221,8 +222,7 @@ def _decoy_function(original: IrFunction, mangled: str, base: str,
     blocks: list[BasicBlock] = []
     for b in original.blocks:
         body, _ = mutate_instructions(b.insts, rng)
-        blocks.append(BasicBlock(b.label, body, copy.deepcopy(b.term),
-                                 role="real"))
+        blocks.append(BasicBlock(b.label, body, b.term, role="real"))
     # original parameter names may be read by the cloned body; bind any
     # that the fabricated signature dropped
     decoy_params = {n for n, _ in params}

@@ -80,7 +80,7 @@ def test_criterion_1_semantics_oracle(corpus, original_results):
             assert len(entry.inputs) >= 3
             for label, passes in PIPELINES.items():
                 for seed in SEEDS:
-                    obf = transform_module(_cfg(passes, seed), entry.module)
+                    obf, _ = transform_module(_cfg(passes, seed), entry.module)
                     for args, want in zip(entry.inputs,
                                           original_results[entry.name]):
                         got = run(obf, entry.entry, args, entry.fuel)
@@ -95,7 +95,7 @@ def test_criterion_2_in_degree_dominance(corpus):
     def check():
         for entry in corpus:
             for seed in SEEDS:
-                obf = transform_module(_cfg(["indeg"], seed), entry.module)
+                obf, _ = transform_module(_cfg(["indeg"], seed), entry.module)
                 for fn in obf.functions:
                     orig_fn = entry.module.function(fn.mangled_name)
                     if orig_fn is not None and len(orig_fn.blocks) < 2:
@@ -213,10 +213,10 @@ def test_criterion_5_overhead_directional(corpus):
         for entry in corpus:
             base = instruction_count(entry.module)
             flat = instruction_count(
-                transform_module(_cfg(["flatten"], seed), entry.module))
+                transform_module(_cfg(["flatten"], seed), entry.module)[0])
             heavy = instruction_count(
                 transform_module(_cfg(["nested", "indeg"], seed),
-                                 entry.module))
+                                 entry.module)[0])
             assert heavy / base > flat / base, entry.name
 
         # advisory wall-clock ratio, corpus median per pass; warm both
@@ -229,7 +229,7 @@ def test_criterion_5_overhead_directional(corpus):
                 continue
             ratios = []
             for entry in corpus:
-                obf = transform_module(_cfg(passes, seed), entry.module)
+                obf, _ = transform_module(_cfg(passes, seed), entry.module)
                 for args in entry.inputs:
                     run(entry.module, entry.entry, args, entry.fuel)
                     run(obf, entry.entry, args, entry.fuel)
@@ -254,9 +254,9 @@ def test_criterion_6_similarity_directional(corpus):
         flat_rows = []
         heavy_rows = []
         for entry in corpus:
-            flat = transform_module(_cfg(["flatten"], seed), entry.module)
-            heavy = transform_module(_cfg(["nested", "indeg"], seed),
-                                     entry.module)
+            flat, _ = transform_module(_cfg(["flatten"], seed), entry.module)
+            heavy, _ = transform_module(_cfg(["nested", "indeg"], seed),
+                                        entry.module)
             flat_rows.append(similarity(entry.module, flat))
             heavy_rows.append(similarity(entry.module, heavy))
 
@@ -288,8 +288,8 @@ def test_criterion_7_replacement_rate(corpus):
                 assert len(set(values)) == len(values), entry.name
                 assert validate(renamed) == [], entry.name
             # the default composition substitutes everything too
-            combined = transform_module(_cfg(["ident-default"], seed),
-                                        entry.module)
+            combined, _ = transform_module(_cfg(["ident-default"], seed),
+                                           entry.module)
             assert validate(combined) == []
             surviving = {f.mangled_name for f in combined.functions}
             assert surviving.isdisjoint(names), entry.name

@@ -1,13 +1,16 @@
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
-from iobf import parse_module, run, validate
+from iobf import parse_module, print_module, run, validate
 from iobf.cli import (
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_PARAMETER,
     EXIT_PARSE,
+    EXIT_PASS,
     PASS_APPLIERS,
     PipelineConfig,
     batch,
@@ -17,7 +20,8 @@ from iobf.cli import (
 )
 from iobf.corpus import default_corpus_dir
 from iobf.flatten import PassParameterError
-from iobf.ir import Ret, clone_module
+from iobf.ir import Ret
+from iobf.metrics import render_table
 
 from conftest import GCD_TEXT
 
@@ -147,6 +151,22 @@ def test_batch_over_bundled_corpus(tmp_path):
     assert {"bb_sim", "ji_sim", "fn_sim", "prog_sim", "space_ratio"} <= indicators
 
 
+@pytest.mark.parametrize("name", ALL_PASS_NAMES)
+def test_pass_leaves_its_input_intact(name, corpus):
+    cfg = cfg_of([name], seed=11)
+    for entry in corpus:
+        module = parse_module(entry.ir_path.read_text(encoding="utf-8"))
+        text = print_module(module)
+        PASS_APPLIERS[name](module, cfg)
+        assert print_module(module) == text, entry.name
+        # `module` is first run (and compiled) after the pass, so an edit
+        # to it would change what it computes
+        for args in entry.inputs:
+            after = run(module, entry.entry, args, entry.fuel)
+            before = run(entry.module, entry.entry, args, entry.fuel)
+            assert after.observable() == before.observable(), entry.name
+
+
 def test_batch_empty_directory(tmp_path):
     report, code = batch(tmp_path, cfg_of(["flatten"]))
     assert code == EXIT_OK
@@ -169,13 +189,15 @@ def test_batch_reports_unloadable_entries(tmp_path):
 
 
 def test_batch_detects_broken_pass(monkeypatch, tmp_path):
+    def poisoned(block):
+        if isinstance(block.term, Ret) and block.term.value is not None:
+            return replace(block, term=Ret(12345))
+        return block
+
     def evil(module, cfg):
-        out = clone_module(module)
-        for fn in out.functions:
-            for block in fn.blocks:
-                if isinstance(block.term, Ret) and block.term.value is not None:
-                    block.term = Ret(12345)
-        return out, [{"pass": "evil"}]
+        functions = [replace(fn, blocks=[poisoned(b) for b in fn.blocks])
+                     for fn in module.functions]
+        return replace(module, functions=functions), [{"pass": "evil"}]
 
     monkeypatch.setitem(PASS_APPLIERS, "evil", evil)
     report, code = batch(default_corpus_dir(), cfg_of(["evil"]))
@@ -198,6 +220,37 @@ def test_batch_isolates_per_file_failures(monkeypatch, tmp_path):
     assert len(errors) == 1
     assert code == EXIT_ORACLE
     assert calls["n"] >= 2  # later files still processed
+
+
+def _one_entry_corpus(tmp_path):
+    for suffix in ("ir", "json"):
+        shutil.copy(default_corpus_dir() / f"gcd.{suffix}", tmp_path)
+    return tmp_path
+
+
+def test_batch_single_entry_report(tmp_path):
+    report, code = batch(_one_entry_corpus(tmp_path), cfg_of(["flatten"], seed=3))
+    assert code == EXIT_OK
+    assert len(report["rows"]) == 1
+    row = report["rows"][0]
+    assert {"file", "pass", "seed", "bb_sim", "ji_sim", "fn_sim", "prog_sim",
+            "time_ratio", "space_ratio"} <= set(row)
+    assert report["aggregates"]
+    for agg in report["aggregates"]:
+        assert agg["mean"] == agg["min"] == agg["max"]
+        assert agg["stddev"] == 0.0
+
+
+def test_batch_error_row_shown_in_table(monkeypatch, tmp_path):
+    def broken(module, cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(PASS_APPLIERS, "bad", broken)
+    report, code = batch(_one_entry_corpus(tmp_path), cfg_of(["bad"], seed=1))
+    assert code == EXIT_ORACLE
+    assert "error" in report["rows"][0]
+    assert report["aggregates"] == []
+    assert "boom" in render_table(report)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +296,15 @@ def test_main_parameter_failure_exit_code(tmp_path):
     src = tmp_path / "in.ir"
     src.write_text(GCD_TEXT, encoding="utf-8")
     assert main([str(src), "--passes", "nope"]) == EXIT_PARAMETER
+
+
+def test_main_pass_failure_exit_code(capsys):
+    gcd = default_corpus_dir() / "gcd.ir"
+    code = main([str(gcd), "--passes", "ident-overload", "--decoys", "40"])
+    assert code == EXIT_PASS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: could not fabricate a legal overload\n"
 
 
 def test_main_missing_input_is_parameter_error(capsys):

@@ -17,8 +17,6 @@ from iobf.bogus import mutate_instructions
 from iobf.metrics import (
     aggregate_rows,
     canonical_block_text,
-    corpus_report,
-    render_table,
     terminator_shape,
 )
 from iobf.ir import BasicBlock, BinOp, Const, Local, Ret
@@ -124,43 +122,14 @@ def test_substitution_space_ratio_exactly_one(gcd_module):
     assert overhead(gcd_module, with_dict, "gcd", [], 0).space_ratio == 1.0
 
 
-def test_corpus_report_single_entry(corpus):
-    entry = next(e for e in corpus if e.name == "gcd")
-
-    def pipeline(module, seed):
-        fn, _ = flatten(module.functions[0], seed)
-        return single_function_module(module, fn)
-
-    report = corpus_report([entry], pipeline, seeds=[3], label="flatten")
-    assert len(report["rows"]) == 1
-    row = report["rows"][0]
-    assert {"file", "pass", "seed", "bb_sim", "ji_sim", "fn_sim", "prog_sim",
-            "time_ratio", "space_ratio"} <= set(row)
-    for agg in report["aggregates"]:
-        assert agg["mean"] == agg["min"] == agg["max"]
-        assert agg["stddev"] == 0.0
-
-
-def test_corpus_report_isolates_failures(corpus):
-    entry = next(e for e in corpus if e.name == "gcd")
-
-    def broken(module, seed):
-        raise RuntimeError("boom")
-
-    report = corpus_report([entry], broken, seeds=[1], label="bad")
-    assert "error" in report["rows"][0]
-    assert report["aggregates"] == []
-    assert "boom" in render_table(report)
-
-
 def test_heavier_pipeline_scores_below_flattening_per_file(corpus):
     from iobf.cli import PipelineConfig, transform_module
 
     strictly_lower = 0
     for entry in corpus:
-        flat = transform_module(
+        flat, _ = transform_module(
             PipelineConfig(passes=["flatten"], seed=3), entry.module)
-        heavy = transform_module(
+        heavy, _ = transform_module(
             PipelineConfig(passes=["nested", "indeg"], seed=3), entry.module)
         if (similarity(entry.module, heavy).prog_sim
                 < similarity(entry.module, flat).prog_sim):
