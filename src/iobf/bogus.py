@@ -428,7 +428,8 @@ class _EdgeState:
     def _br_to_switch(self, src: BasicBlock, bogus_label: str, need: int):
         old_target = src.term.label
         sel = self._scrutinee(src)
-        cases = [(lit, bogus_label) for lit in self._dead_literals(need, ())]
+        cases = tuple((lit, bogus_label)
+                      for lit in self._dead_literals(need, ()))
         src.term = Switch(sel, cases, old_target)
         self.rewritten.add(src.label)
         self.pass_switches.append(src.label)
@@ -443,7 +444,7 @@ class _EdgeState:
         cases = [(0, arm_label), (1, arm_label)]
         cases += [(lit, bogus_label)
                   for lit in self._dead_literals(need - 1, (0, 1))]
-        src.term = Switch(sel, cases, bogus_label)
+        src.term = Switch(sel, tuple(cases), bogus_label)
         self.rewritten.add(src.label)
         self.pass_switches.append(src.label)
         self.edges_added += need
@@ -452,6 +453,7 @@ class _EdgeState:
         block = self.f.block(label)
         term = block.term
         taken = [lit for lit, _ in term.cases]
-        extra = [(lit, bogus_label) for lit in self._dead_literals(need, taken)]
+        extra = tuple((lit, bogus_label)
+                      for lit in self._dead_literals(need, taken))
         block.term = Switch(term.scrutinee, term.cases + extra, term.default)
         self.edges_added += need

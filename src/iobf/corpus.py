@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .interp import RETURNED, run
+from .interp import RETURNED, EntryError, run
 from .ir import IrModule
 from .parser import IrError, parse_module
 
@@ -43,9 +43,10 @@ def default_corpus_dir() -> Path:
 def load_corpus(directory: str | Path | None = None) -> list[CorpusEntry]:
     """Load every manifest in a directory, sorted by file name.
 
-    Defects (malformed manifest, unparsable IR, output drift, fuel
-    exhaustion) are collected per entry in `problems` rather than raised,
-    so one bad file never hides the rest.
+    Defects (malformed manifest or values in it, unparsable IR, unknown
+    entry name or arity, output drift, fuel exhaustion) are collected per
+    entry in `problems` rather than raised, so one bad file never hides
+    the rest.
     """
     directory = Path(directory) if directory is not None else default_corpus_dir()
     if not directory.is_dir():
@@ -65,17 +66,33 @@ def _load_entry(directory: Path, manifest_path: Path) -> CorpusEntry:
         entry.problems.append(f"manifest unreadable: {exc}")
         return entry
 
+    if not isinstance(manifest, dict):
+        entry.problems.append("manifest is not a JSON object")
+        return entry
     for key in ("ir", "entry", "inputs", "expected"):
         if key not in manifest:
             entry.problems.append(f"manifest missing {key!r}")
     if entry.problems:
         return entry
 
+    if not (isinstance(manifest["ir"], str)
+            and isinstance(manifest["entry"], str)):
+        entry.problems.append("'ir' and 'entry' must be strings")
+    if not (_int_vectors(manifest["inputs"])
+            and _int_vectors(manifest["expected"])):
+        entry.problems.append(
+            "'inputs' and 'expected' must be lists of integer lists")
+    fuel = manifest.get("fuel", DEFAULT_FUEL)
+    if type(fuel) is not int or fuel <= 0:
+        entry.problems.append(f"fuel must be a positive integer, got {fuel!r}")
+    if entry.problems:
+        return entry
+
     entry.ir_path = directory / manifest["ir"]
     entry.entry = manifest["entry"]
-    entry.inputs = [list(v) for v in manifest["inputs"]]
-    entry.expected = [list(v) for v in manifest["expected"]]
-    entry.fuel = int(manifest.get("fuel", DEFAULT_FUEL))
+    entry.inputs = manifest["inputs"]
+    entry.expected = manifest["expected"]
+    entry.fuel = fuel
     if len(entry.inputs) != len(entry.expected):
         entry.problems.append("inputs and expected differ in length")
         return entry
@@ -90,7 +107,11 @@ def _load_entry(directory: Path, manifest_path: Path) -> CorpusEntry:
         return entry
 
     for args, want in zip(entry.inputs, entry.expected):
-        result = run(entry.module, entry.entry, args, entry.fuel)
+        try:
+            result = run(entry.module, entry.entry, args, entry.fuel)
+        except EntryError as exc:
+            entry.problems.append(f"run({args}) rejected: {exc}")
+            continue
         if result.status != RETURNED:
             entry.problems.append(
                 f"run({args}) did not return: {result.status} {result.reason or ''}")
@@ -98,3 +119,9 @@ def _load_entry(directory: Path, manifest_path: Path) -> CorpusEntry:
             entry.problems.append(
                 f"run({args}) printed {result.output}, pinned {want}")
     return entry
+
+
+def _int_vectors(value) -> bool:
+    """A JSON list of lists of integers (booleans excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(v, list) and all(type(x) is int for x in v) for v in value)

@@ -15,6 +15,7 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from .bogus import mutate_instructions
+from .cfg import build_cfg
 from .ir import (
     BasicBlock,
     BinOp,
@@ -28,7 +29,6 @@ from .ir import (
     Switch,
     clone_function,
     retarget,
-    successors,
 )
 
 
@@ -110,7 +110,7 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
     # case), so the entry body moves to its own block and every back edge
     # retargets the moved body.
     entry_label = f.blocks[0].label
-    if any(entry_label in successors(b.term) for b in f.blocks):
+    if build_cfg(f).indeg[entry_label] > 0:
         body_label = labels_alloc.fresh(f"{entry_label}_body")
         old_entry = f.blocks[0]
         body = BasicBlock(body_label, old_entry.insts, old_entry.term,
@@ -165,7 +165,7 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
 
             block.term = Switch(
                 t.scrutinee,
-                [(lit, sel(lab)) for lit, lab in t.cases],
+                tuple((lit, sel(lab)) for lit, lab in t.cases),
                 sel(t.default),
             )
         elif isinstance(t, Ret):
@@ -174,7 +174,7 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
     dispatcher = BasicBlock(
         dispatch_label,
         [],
-        Switch(outer, [(case_of[b.label], b.label) for b in originals],
+        Switch(outer, tuple((case_of[b.label], b.label) for b in originals),
                end_label),
         role="dispatcher",
     )
@@ -272,7 +272,7 @@ def nested_switch(fn: IrFunction, seed: int,
             BinOp(mix_add, "add", Local(mix_mul), b_off),
             BinOp(inner, "and", Local(mix_add), m - 1),
         ]
-        block.term = Switch(inner, cases, decoys[0].label)
+        block.term = Switch(inner, tuple(cases), decoys[0].label)
 
         at = f.blocks.index(block)
         f.blocks[at + 1:at + 1] = [real_block] + decoys

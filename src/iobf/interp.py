@@ -1,16 +1,25 @@
 """Reference interpreter: the semantics oracle for every pass.
 
-Execution is big-step over the block graph with wrapping signed 64-bit
-arithmetic. A fuel budget bounds the number of executed instructions and
-terminators, so equivalence checks are deterministic and loop-proof.
-Registers read before their first assignment hold the zero of their type;
-`validate` guarantees every register name that appears is declared.
+Execution runs over the block graph with wrapping signed 64-bit
+arithmetic. Registers read before their first assignment hold the zero of
+their type; `validate` guarantees every register name that appears is
+declared.
 
 Modules are compiled once to a flat tuple form (blocks resolved to object
 references, globals folded, operands pre-dispatched) and the result is
 cached by module identity. The cache needs no invalidation because no
 pass edits a module it was given: instructions and terminators are
 frozen, and passes edit only blocks they created, returning a new module.
+Compilation splits every block after each call to a defined function, so
+the call ends its part of the block and a run of ops never stops midway.
+
+One loop executes every function on an explicit frame stack (caller
+env, part to resume, destination register): an IR call pushes a frame
+instead of recursing in Python. More than `MAX_CALL_DEPTH` active frames
+trap with "call depth exceeded". Fuel counts every executed instruction
+and terminator in execution order, so a run that exhausts a budget of
+`fuel` steps has printed exactly what its first `fuel` steps print, and
+equivalence checks stay deterministic and loop-proof.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .ir import (
 from .validate import infer_local_types
 
 DEFAULT_FUEL = 1_000_000
+MAX_CALL_DEPTH = 10_000  # active frames, the entry function's included
 
 RETURNED = "returned"
 TRAPPED = "trapped"
@@ -65,10 +75,6 @@ class EntryError(ValueError):
 class _Trap(Exception):
     def __init__(self, reason: str):
         self.reason = reason
-
-
-class _OutOfFuel(Exception):
-    pass
 
 
 def resolve_entry(m: IrModule, base_name: str, arity: int) -> IrFunction:
@@ -156,36 +162,50 @@ _REL_FUNCS = {
 # op tags
 _SET = 0      # (_SET, dst, value)            constant store
 _COPY = 1     # (_COPY, dst, src_name)        register copy
-_BIN = 2      # (_BIN, dst, fn, af, av, bf, bv)
-_CMP = 3      # (_CMP, dst, fn, af, av, bf, bv)
-_CALL = 4     # (_CALL, dst, callee_name, [(flag, value), ...])
-_PRINT = 5    # (_PRINT, (flag, value))
+_BIN = 2      # (_BIN, dst, fn, af, av, bf, bv)   binary op or comparison
+_PRINT = 3    # (_PRINT, (flag, value))
 
 # terminator tags
-_T_BR = 0     # (_T_BR, block)
-_T_CBR = 1    # (_T_CBR, cond_name, then_block, else_block)
-_T_SW = 2     # (_T_SW, scrut_name, {lit: block}, default_block)
-_T_RET = 3    # (_T_RET, None | (flag, value))
+_T_BR = 0     # (_T_BR, part)
+_T_CBR = 1    # (_T_CBR, cond_name, then_part, else_part)
+_T_SW = 2     # (_T_SW, scrut_name, {lit: part}, default_part)
+_T_CALL = 3   # (_T_CALL, callee_name, ((flag, value), ...), dst, next_part)
+_T_RET = 4    # (_T_RET, None | (flag, value))
+_T_STOP = 5   # (_T_STOP,) stands in for the terminator that fuel cannot reach
+
+_STOP = (_T_STOP,)
 
 
-class _CompiledBlock:
-    __slots__ = ("label", "ops", "term", "cost")
+class _Part:
+    """A run of ops that ends in a terminator or a call: blocks are split
+    after every call, so a call always ends its part."""
 
-    def __init__(self, label):
-        self.label = label
+    __slots__ = ("trace", "ops", "term", "cost")
+
+    def __init__(self, trace):
+        self.trace = trace  # (function, label) for block_tracer; None after a call
         self.ops = []
         self.term = None
         self.cost = 0
 
+    def end(self, term):
+        self.term = term
+        self.cost = len(self.ops) + 1
+
 
 class _CompiledFunction:
-    __slots__ = ("name", "params", "entry", "init_env")
+    __slots__ = ("params", "entry", "init_env")
 
-    def __init__(self, name, params, entry, init_env):
-        self.name = name
+    def __init__(self, params, entry, init_env):
         self.params = params  # [(name, is_bool)]
         self.entry = entry
         self.init_env = init_env
+
+    def frame_env(self, args):
+        env = dict(self.init_env)
+        for (pname, is_bool), arg in zip(self.params, args):
+            env[pname] = bool(arg) if is_bool else wrap64(int(arg))
+        return env
 
 
 def _operand(op, globals_map):
@@ -198,63 +218,64 @@ def _operand(op, globals_map):
     return (False, op)
 
 
-def _compile_function(fn: IrFunction, module: IrModule,
-                      globals_map) -> _CompiledFunction:
+def _compile_function(fn: IrFunction, module: IrModule, globals_map,
+                      builtin_print: bool) -> _CompiledFunction:
     types = infer_local_types(fn, module)
     init_env = {
         name: False if types.get(name) == "bool" else 0
         for name in fn.local_names()
     }
-    blocks = {b.label: _CompiledBlock(b.label) for b in fn.blocks}
+    parts = {b.label: _Part((fn.mangled_name, b.label)) for b in fn.blocks}
     for b in fn.blocks:
-        cb = blocks[b.label]
+        part = parts[b.label]
         for ins in b.insts:
             if isinstance(ins, BinOp):
                 af, av = _operand(ins.a, globals_map)
                 bf, bv = _operand(ins.b, globals_map)
-                cb.ops.append((_BIN, ins.dst, _OP_FUNCS[ins.op], af, av, bf, bv))
+                part.ops.append((_BIN, ins.dst, _OP_FUNCS[ins.op], af, av, bf, bv))
             elif isinstance(ins, Cmp):
                 af, av = _operand(ins.a, globals_map)
                 bf, bv = _operand(ins.b, globals_map)
-                cb.ops.append((_CMP, ins.dst, _REL_FUNCS[ins.rel], af, av, bf, bv))
+                part.ops.append((_BIN, ins.dst, _REL_FUNCS[ins.rel], af, av, bf, bv))
             elif isinstance(ins, Const):
-                cb.ops.append((_SET, ins.dst, ins.value))
+                part.ops.append((_SET, ins.dst, ins.value))
             elif isinstance(ins, Assign):
                 flag, val = _operand(ins.src, globals_map)
-                if flag:
-                    cb.ops.append((_COPY, ins.dst, val))
-                else:
-                    cb.ops.append((_SET, ins.dst, val))
+                part.ops.append((_COPY, ins.dst, val) if flag
+                                else (_SET, ins.dst, val))
             elif isinstance(ins, Call):
-                if ins.callee == "print_int" and module.function("print_int") is None:
-                    cb.ops.append((_PRINT, _operand(ins.args[0], globals_map)))
+                if ins.callee == "print_int" and builtin_print:
+                    part.ops.append((_PRINT, _operand(ins.args[0], globals_map)))
                 else:
-                    args = [_operand(a, globals_map) for a in ins.args]
-                    cb.ops.append((_CALL, ins.dst, ins.callee, args))
+                    args = tuple(_operand(a, globals_map) for a in ins.args)
+                    rest = _Part(None)
+                    part.end((_T_CALL, ins.callee, args, ins.dst, rest))
+                    part = rest
             else:
                 raise TypeError(f"unknown instruction {ins!r}")
         t = b.term
         if isinstance(t, Br):
-            cb.term = (_T_BR, blocks[t.label])
+            part.end((_T_BR, parts[t.label]))
         elif isinstance(t, Cbr):
-            cb.term = (_T_CBR, t.cond, blocks[t.then_label], blocks[t.else_label])
+            part.end((_T_CBR, t.cond, parts[t.then_label], parts[t.else_label]))
         elif isinstance(t, Switch):
-            table = {lit: blocks[lab] for lit, lab in t.cases}
-            cb.term = (_T_SW, t.scrutinee, table, blocks[t.default])
+            table = {lit: parts[lab] for lit, lab in t.cases}
+            part.end((_T_SW, t.scrutinee, table, parts[t.default]))
         elif isinstance(t, Ret):
-            cb.term = (_T_RET, None if t.value is None
-                       else _operand(t.value, globals_map))
+            part.end((_T_RET, None if t.value is None
+                      else _operand(t.value, globals_map)))
         else:
             raise ValueError(f"block {b.label} has no terminator")
-        cb.cost = len(cb.ops) + 1
     params = [(name, ty == "bool") for name, ty in fn.params]
-    return _CompiledFunction(fn.mangled_name, params, blocks[fn.entry], init_env)
+    return _CompiledFunction(params, parts[fn.entry], init_env)
 
 
 def _compile_module(module: IrModule) -> dict[str, _CompiledFunction]:
     globals_map = dict(module.globals)
+    builtin_print = module.function("print_int") is None
     return {
-        fn.mangled_name: _compile_function(fn, module, globals_map)
+        fn.mangled_name: _compile_function(fn, module, globals_map,
+                                           builtin_print)
         for fn in module.functions
     }
 
@@ -279,108 +300,75 @@ def _compiled(module: IrModule) -> dict[str, _CompiledFunction]:
 # ---------------------------------------------------------------------------
 # Execution
 
-class _Machine:
-    def __init__(self, table, fuel: int, block_tracer=None):
-        self.table = table
-        self.fuel = fuel
-        self.output: list[int] = []
-        self.block_tracer = block_tracer
-
-    def call(self, cfn: _CompiledFunction, args):
-        env = dict(cfn.init_env)
-        for (pname, is_bool), arg in zip(cfn.params, args):
-            env[pname] = bool(arg) if is_bool else wrap64(int(arg))
-        block = cfn.entry
-        tracer = self.block_tracer
-        fuel = self.fuel
-        try:
-            while True:
-                if tracer is not None:
-                    tracer(cfn.name, block.label)
-                fuel -= block.cost
-                if fuel < 0:
-                    # the block does not fit the remaining budget: execute
-                    # the ops that still fit one by one, then stop
-                    fuel += block.cost
-                    for op in block.ops:
-                        if fuel == 0:
-                            raise _OutOfFuel()
-                        fuel -= 1
-                        if op[0] == _CALL:
-                            self.fuel = fuel
-                            self._do_call(op, env)
-                            fuel = self.fuel
-                        else:
-                            self._exec_op(op, env)
-                    fuel = 0
-                    raise _OutOfFuel()  # the terminator cannot fit
+def _execute(table, cfn: _CompiledFunction, args, fuel: int,
+             tracer) -> ExecutionResult:
+    budget = fuel
+    output: list[int] = []
+    frames = []  # (caller env, part to resume, dst register)
+    env = cfn.frame_env(args)
+    part = cfn.entry
+    try:
+        while True:
+            if tracer is not None and part.trace is not None:
+                tracer(*part.trace)
+            ops = part.ops
+            fuel -= part.cost
+            if fuel < 0:
+                # run the ops that still fit, then stop
+                ops = ops[:fuel + part.cost]
+                term = _STOP
+            else:
+                term = part.term
+            for op in ops:
+                tag = op[0]
+                if tag == _BIN:
+                    _, dst, fn, af, av, bf, bv = op
+                    env[dst] = fn(env[av] if af else av,
+                                  env[bv] if bf else bv)
+                elif tag == _SET:
+                    env[op[1]] = op[2]
+                elif tag == _COPY:
+                    env[op[1]] = env[op[2]]
                 else:
-                    for op in block.ops:
-                        tag = op[0]
-                        if tag == _BIN:
-                            _, dst, fn, af, av, bf, bv = op
-                            env[dst] = fn(env[av] if af else av,
-                                          env[bv] if bf else bv)
-                        elif tag == _SET:
-                            env[op[1]] = op[2]
-                        elif tag == _COPY:
-                            env[op[1]] = env[op[2]]
-                        elif tag == _CMP:
-                            _, dst, fn, af, av, bf, bv = op
-                            env[dst] = fn(env[av] if af else av,
-                                          env[bv] if bf else bv)
-                        elif tag == _PRINT:
-                            flag, val = op[1]
-                            self.output.append(int(env[val] if flag else val))
-                        else:
-                            self.fuel = fuel
-                            self._do_call(op, env)
-                            fuel = self.fuel
+                    flag, val = op[1]
+                    output.append(int(env[val] if flag else val))
 
-                term = block.term
-                tag = term[0]
-                if tag == _T_BR:
-                    block = term[1]
-                elif tag == _T_CBR:
-                    block = term[2] if env[term[1]] else term[3]
-                elif tag == _T_SW:
-                    block = term[2].get(env[term[1]], term[3])
-                else:
-                    value = term[1]
-                    if value is None:
-                        return None
+            tag = term[0]
+            if tag == _T_BR:
+                part = term[1]
+            elif tag == _T_CBR:
+                part = term[2] if env[term[1]] else term[3]
+            elif tag == _T_SW:
+                part = term[2].get(env[term[1]], term[3])
+            elif tag == _T_CALL:
+                _, callee, arg_enc, dst, rest = term
+                callee_fn = table.get(callee)
+                if callee_fn is None:
+                    raise _Trap(f"unresolved extern @{callee}")
+                if len(frames) + 1 >= MAX_CALL_DEPTH:
+                    raise _Trap("call depth exceeded")
+                frames.append((env, rest, dst))
+                env = callee_fn.frame_env(
+                    [env[v] if f else v for f, v in arg_enc])
+                part = callee_fn.entry
+            elif tag == _T_RET:
+                value = term[1]
+                if value is not None:
                     flag, val = value
-                    return env[val] if flag else val
-        finally:
-            # An exception that crossed a nested call leaves the local
-            # counter stale (higher than the callee's write-back); never
-            # let fuel increase.
-            if 0 <= fuel < self.fuel:
-                self.fuel = fuel
-
-    def _exec_op(self, op, env):
-        # slow path used only on the final partially-funded block
-        tag = op[0]
-        if tag == _BIN or tag == _CMP:
-            _, dst, fn, af, av, bf, bv = op
-            env[dst] = fn(env[av] if af else av, env[bv] if bf else bv)
-        elif tag == _SET:
-            env[op[1]] = op[2]
-        elif tag == _COPY:
-            env[op[1]] = env[op[2]]
-        elif tag == _PRINT:
-            flag, val = op[1]
-            self.output.append(int(env[val] if flag else val))
-
-    def _do_call(self, op, env):
-        _, dst, callee, arg_enc = op
-        args = [env[v] if f else v for f, v in arg_enc]
-        cfn = self.table.get(callee)
-        if cfn is None:
-            raise _Trap(f"unresolved extern @{callee}")
-        result = self.call(cfn, args)
-        if dst is not None:
-            env[dst] = result
+                    value = env[val] if flag else val
+                if not frames:
+                    return ExecutionResult(RETURNED, value=value, output=output,
+                                           steps=budget - fuel)
+                env, part, dst = frames.pop()
+                if dst is not None:
+                    env[dst] = value
+            else:
+                return ExecutionResult(FUEL_EXHAUSTED, output=output,
+                                       steps=budget)
+    except _Trap as t:
+        # a trap charges the whole part it happened in, within the budget
+        return ExecutionResult(TRAPPED, reason=t.reason, output=output,
+                               steps=budget - max(fuel, 0))
 
 
 def run(
@@ -400,19 +388,7 @@ def run(
         raise ValueError("fuel must be positive")
     fn = resolve_entry(m, entry_fn, len(args))
     table = _compiled(m)
-    machine = _Machine(table, fuel, block_tracer)
-    try:
-        value = machine.call(table[fn.mangled_name], list(args))
-        result = ExecutionResult(RETURNED, value=value)
-        result.steps = fuel - machine.fuel
-    except _Trap as t:
-        result = ExecutionResult(TRAPPED, reason=t.reason)
-        result.steps = fuel - max(machine.fuel, 0)
-    except _OutOfFuel:
-        result = ExecutionResult(FUEL_EXHAUSTED)
-        result.steps = fuel
-    result.output = machine.output
-    return result
+    return _execute(table, table[fn.mangled_name], args, fuel, block_tracer)
 
 
 def timed_run(

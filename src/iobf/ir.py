@@ -6,10 +6,11 @@ registers (non-SSA: reassignment is permitted). Values are signed 64-bit
 integers with wrapping arithmetic, plus booleans produced by comparisons.
 
 Instructions and terminators are frozen and shared between modules: a
-pass that changes one builds a new one, and never mutates the `args` or
-`cases` list inside one. Blocks, functions and modules stay mutable, but
-a pass edits only those it created itself (`clone_function` gives it
-private blocks), so a pass never changes the module it was given.
+pass that changes one builds a new one (`Call.args` and `Switch.cases`
+are tuples, so a shared one cannot be edited in place). Blocks,
+functions and modules stay mutable, but a pass edits only those it
+created itself (`clone_function` gives it private blocks), so a pass
+never changes the module it was given.
 
 This file owns the in-memory types, canonical text printing and the
 simulated name-mangling scheme. Parsing lives in `parser`, semantic
@@ -99,7 +100,7 @@ class Assign:
 class Call:
     dst: str | None
     callee: str
-    args: list[Operand]
+    args: tuple[Operand, ...]
 
 
 Instruction = Const | BinOp | Cmp | Assign | Call
@@ -123,7 +124,7 @@ class Cbr:
 @dataclass(frozen=True)
 class Switch:
     scrutinee: str
-    cases: list[tuple[int, str]]
+    cases: tuple[tuple[int, str], ...]
     default: str
 
 
@@ -133,17 +134,6 @@ class Ret:
 
 
 Terminator = Br | Cbr | Switch | Ret
-
-
-def successors(term: Terminator | None) -> list[str]:
-    """Successor labels in edge order; parallel edges are repeated."""
-    if isinstance(term, Br):
-        return [term.label]
-    if isinstance(term, Cbr):
-        return [term.then_label, term.else_label]
-    if isinstance(term, Switch):
-        return [label for _, label in term.cases] + [term.default]
-    return []
 
 
 def retarget(term: Terminator, old: str, new: str) -> Terminator:
@@ -159,7 +149,7 @@ def retarget(term: Terminator, old: str, new: str) -> Terminator:
     if isinstance(term, Switch):
         return Switch(
             term.scrutinee,
-            [(lit, new if lab == old else lab) for lit, lab in term.cases],
+            tuple((lit, new if lab == old else lab) for lit, lab in term.cases),
             new if term.default == old else term.default,
         )
     return term

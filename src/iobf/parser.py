@@ -345,7 +345,7 @@ class _Parser:
                 if self.accept_punct(")"):
                     break
                 self.expect_punct(",")
-        return Call(dst, callee, args)
+        return Call(dst, callee, tuple(args))
 
     def terminator(self):
         kw = self.expect_ident()
@@ -372,7 +372,7 @@ class _Parser:
                         break
                     self.expect_punct(",")
             self.expect_ident("default")
-            return Switch(scrut, cases, self.expect_ident())
+            return Switch(scrut, tuple(cases), self.expect_ident())
         if kw == "ret":
             t = self.peek()
             if (t.kind == "punct" and t.text in ("%", "@")) or t.kind == "int" or (

@@ -343,3 +343,20 @@ def test_main_batch_deterministic_reports(tmp_path):
     assert ra.read_bytes() == rb.read_bytes()
     for f in sorted(da.glob("*.ir")):
         assert f.read_bytes() == (db / f.name).read_bytes()
+
+
+def test_main_batch_reports_bad_run_parameters(tmp_path, capsys):
+    corpus = _one_entry_corpus(tmp_path)
+    manifest = json.loads((corpus / "gcd.json").read_text(encoding="utf-8"))
+    for name, override in (("bad_entry", {"entry": "nope"}),
+                           ("bad_fuel", {"fuel": 0})):
+        (corpus / f"{name}.json").write_text(
+            json.dumps({**manifest, **override}), encoding="utf-8")
+    out_dir = tmp_path / "obf"
+    code = main(["--batch", str(corpus), "--passes", "flatten",
+                 "--out-dir", str(out_dir)])
+    assert code == EXIT_PARSE
+    out = capsys.readouterr().out
+    assert "error: bad_entry " in out
+    assert "error: bad_fuel " in out
+    assert [p.name for p in out_dir.glob("*.ir")] == ["gcd.ir"]

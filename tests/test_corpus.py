@@ -101,3 +101,37 @@ def test_unparsable_ir_reported(tmp_path):
     }), encoding="utf-8")
     entries = load_corpus(tmp_path)
     assert any("invalid" in p for p in entries[0].problems)
+
+
+def test_bad_manifest_values_reported(tmp_path):
+    """Bad entry names, arities, fuel values and value shapes become
+    problems of their own entry; the other entries still load."""
+    (tmp_path / "p.ir").write_text(
+        'func @f src "f" (%x: int) -> int { entry: ret %x }\n',
+        encoding="utf-8")
+    good = {"ir": "p.ir", "entry": "f", "inputs": [[1]], "expected": [[]]}
+    bad = {
+        "a_name": {"entry": "nope"},
+        "b_arity": {"inputs": [[1, 2]]},
+        "c_fuel_zero": {"fuel": 0},
+        "d_fuel_text": {"fuel": "lots"},
+        "e_nested_arg": {"inputs": [[[1]]]},
+        "f_inputs_scalar": {"inputs": 5},
+        "g_ir_number": {"ir": 5},
+    }
+    (tmp_path / "z_good.json").write_text(json.dumps(good), encoding="utf-8")
+    for name, override in bad.items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({**good, **override}), encoding="utf-8")
+    entries = {e.name: e for e in load_corpus(tmp_path)}
+    assert entries["z_good"].problems == []
+    assert any("no function named 'nope'" in p
+               for p in entries["a_name"].problems)
+    assert any("taking 2 args" in p for p in entries["b_arity"].problems)
+    for name in ("c_fuel_zero", "d_fuel_text"):
+        assert any("fuel must be a positive integer" in p
+                   for p in entries[name].problems), name
+    for name in ("e_nested_arg", "f_inputs_scalar"):
+        assert any("lists of integer lists" in p
+                   for p in entries[name].problems), name
+    assert any("must be strings" in p for p in entries["g_ir_number"].problems)

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iobf import parse_module, run, timed_run
-from iobf.interp import EntryError, FUEL_EXHAUSTED, RETURNED, TRAPPED
+from iobf.interp import (
+    EntryError,
+    FUEL_EXHAUSTED,
+    MAX_CALL_DEPTH,
+    RETURNED,
+    TRAPPED,
+)
 from iobf.ir import wrap64
 
 from conftest import GCD_TEXT
@@ -153,6 +159,37 @@ def test_recursion():
     assert run(m, "f", [10]).value == 3628800
 
 
+COUNT_DOWN = (
+    'func @f src "f" (%n: int) -> int {\n'
+    "entry:\n"
+    "  %c = cmp le %n, 0\n"
+    "  cbr %c, base, rec\n"
+    "base:\n  ret 0\n"
+    "rec:\n"
+    "  %n1 = sub %n, 1\n"
+    "  %r = call @f(%n1)\n"
+    "  %out = add %r, 1\n"
+    "  ret %out\n}\n")
+
+
+def test_deep_recursion_returns():
+    r = run(parse_module(COUNT_DOWN), "f", [5000], fuel=10**7)
+    assert r.status == RETURNED
+    assert r.value == 5000
+
+
+def test_call_depth_limit_traps():
+    m = parse_module(COUNT_DOWN)
+    # f(n) keeps n + 1 frames active at its deepest point
+    deepest = run(m, "f", [MAX_CALL_DEPTH - 1], fuel=10**7)
+    assert deepest.status == RETURNED
+    assert deepest.value == MAX_CALL_DEPTH - 1
+    r = run(m, "f", [MAX_CALL_DEPTH], fuel=10**7)
+    assert r.status == TRAPPED
+    assert r.reason == "call depth exceeded"
+    assert r.steps < deepest.steps
+
+
 def test_timed_run_positive_and_validated():
     m = parse_module('func @main src "main" () -> int { entry: ret 7 }')
     assert timed_run(m, "main", [], repetitions=5) > 0
@@ -180,18 +217,47 @@ done:
 """
 
 
-def test_fuel_sweep_outputs_are_prefixes():
+# the caller's ops after the call must not be charged before the callee runs
+CALL_THEN_PRINT = """\
+extern @print_int(int) -> void
+
+func @g src "g" () -> void {
+entry:
+  call @print_int(1)
+  call @print_int(2)
+  call @print_int(3)
+  ret
+}
+
+func @f src "f" () -> int {
+entry:
+  call @g()
+  %a = 1
+  %b = add %a, 1
+  %c = add %b, 1
+  %d = add %c, 1
+  call @print_int(9)
+  ret %d
+}
+"""
+
+
+@pytest.mark.parametrize("text, args, printed", [
+    (PRINT_LOOP, [5], [0, 1, 2, 3, 4]),
+    (CALL_THEN_PRINT, [], [1, 2, 3, 9]),
+], ids=["print_loop", "call_then_print"])
+def test_fuel_sweep_outputs_are_prefixes(text, args, printed):
     """Every fuel value from 1 to the full step count yields a
     deterministic result whose output is a prefix of the full run's,
     growing monotonically with the budget."""
-    m = parse_module(PRINT_LOOP)
-    full = run(m, "f", [5])
+    m = parse_module(text)
+    full = run(m, "f", args)
     assert full.status == RETURNED
-    assert full.output == [0, 1, 2, 3, 4]
+    assert full.output == printed
     previous = -1
     for fuel in range(1, full.steps + 1):
-        r = run(m, "f", [5], fuel=fuel)
-        again = run(m, "f", [5], fuel=fuel)
+        r = run(m, "f", args, fuel=fuel)
+        again = run(m, "f", args, fuel=fuel)
         assert r.observable() == again.observable()
         assert r.steps == again.steps <= fuel
         assert r.output == full.output[:len(r.output)]
@@ -200,7 +266,15 @@ def test_fuel_sweep_outputs_are_prefixes():
         if r.status == RETURNED:
             assert fuel >= full.steps
             assert r.value == full.value
-    assert run(m, "f", [5], fuel=full.steps).status == RETURNED
+    assert run(m, "f", args, fuel=full.steps).status == RETURNED
+
+
+def test_fuel_exhaustion_prints_first_steps_only():
+    m = parse_module(CALL_THEN_PRINT)
+    # call @g, then g's three prints: the caller's later ops are not charged
+    assert run(m, "f", [], fuel=4).output == [1, 2, 3]
+    assert run(m, "f", [], fuel=7).output == [1, 2, 3]
+    assert run(m, "f", [], fuel=10).output == [1, 2, 3, 9]
 
 
 def test_fuel_accounting_through_nested_calls():
@@ -233,3 +307,11 @@ def test_block_tracer_sees_executed_blocks():
     run(m, "gcd", [48, 36], block_tracer=lambda fn, label: seen.append(label))
     assert seen[0] == "entry"
     assert "done" in seen
+
+
+def test_block_tracer_reports_each_block_entry_once():
+    m = parse_module(CALL_THEN_PRINT)
+    seen = []
+    run(m, "f", [], block_tracer=lambda fn, label: seen.append((fn, label)))
+    # resuming the caller after the call is not a new block entry
+    assert seen == [("f", "entry"), ("g", "entry")]

@@ -133,7 +133,7 @@ def test_switch_with_no_cases():
         "out:\n  ret 0\n}\n"
     )
     term = m.functions[0].blocks[0].term
-    assert term.cases == []
+    assert term.cases == ()
 
 
 # ---------------------------------------------------------------------------
