@@ -1,8 +1,10 @@
 """Pipeline driver: parse, apply passes in order, print and report.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 bad parameter,
-4 semantics-oracle failure in batch mode, 5 a pass could not transform
-the input (single-file mode; batch mode records it as a failed row).
+Exit codes: 0 success, 2 parse/validation failure (also an input file
+that is not UTF-8), 3 bad parameter (also an unreadable or non-UTF-8
+`--dict` file), 4 semantics-oracle failure in batch mode, 5 a pass could
+not transform the input (single-file mode; batch mode records it as a
+failed row).
 """
 
 from __future__ import annotations
@@ -333,7 +335,11 @@ def main(argv=None) -> int:
             print("error: an input file is required unless --batch is used",
                   file=sys.stderr)
             return EXIT_PARAMETER
-        text = Path(args.input).read_text(encoding="utf-8")
+        try:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            print(f"error: {args.input} is not UTF-8: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         result = run_pipeline(cfg, text)
         if args.output:
             Path(args.output).write_text(result.text, encoding="utf-8")
@@ -365,7 +371,7 @@ def main(argv=None) -> int:
         for diag in exc.diagnostics:
             print(f"error: {diag}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # e.g. an unusable --dict
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
 

@@ -43,10 +43,10 @@ def default_corpus_dir() -> Path:
 def load_corpus(directory: str | Path | None = None) -> list[CorpusEntry]:
     """Load every manifest in a directory, sorted by file name.
 
-    Defects (malformed manifest or values in it, unparsable IR, unknown
-    entry name or arity, output drift, fuel exhaustion) are collected per
-    entry in `problems` rather than raised, so one bad file never hides
-    the rest.
+    Defects (an unreadable or non-UTF-8 manifest or IR file, malformed
+    manifest values, unparsable IR, unknown entry name or arity, output
+    drift, fuel exhaustion) are collected per entry in `problems` rather
+    than raised, so one bad file never hides the rest.
     """
     directory = Path(directory) if directory is not None else default_corpus_dir()
     if not directory.is_dir():
@@ -62,7 +62,7 @@ def _load_entry(directory: Path, manifest_path: Path) -> CorpusEntry:
     entry = CorpusEntry(name, directory / f"{name}.ir", "", [], [])
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         entry.problems.append(f"manifest unreadable: {exc}")
         return entry
 
@@ -99,7 +99,7 @@ def _load_entry(directory: Path, manifest_path: Path) -> CorpusEntry:
 
     try:
         entry.module = parse_module(entry.ir_path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         entry.problems.append(f"ir unreadable: {exc}")
         return entry
     except IrError as exc:

@@ -204,14 +204,13 @@ def nested_switch(fn: IrFunction, seed: int,
     if bogus_count is not None and bogus_count < 1:
         raise PassParameterError("bogus_count must be at least 1")
 
-    p1, frep = flatten(fn, seed)
+    f, frep = flatten(fn, seed)
     report: dict = {"pass": "nested", "function": fn.mangled_name, "seed": seed}
     if frep.get("skipped"):
         report.update(skipped=True, reason=frep["reason"])
-        return p1, report
+        return f, report
     report["skipped"] = False
 
-    f = p1
     rng = random.Random(seed ^ 0x5DEECE66D)
     labels_alloc = NameAllocator(f.labels())
     locals_alloc = NameAllocator(f.local_names())
@@ -221,22 +220,26 @@ def nested_switch(fn: IrFunction, seed: int,
     case_of: dict[str, int] = frep["outer_cases"]
     case_labels = list(case_of)
     decoys_per_case = bogus_count if bogus_count is not None else len(case_labels)
+    m = 1 << decoys_per_case.bit_length()  # least power of two above it
 
     inner = locals_alloc.fresh("disp_sub")
     mix_mul = locals_alloc.fresh("disp_m0")
     mix_add = locals_alloc.fresh("disp_m1")
 
-    # each case's body before this loop swaps it for the mixing code
-    bodies = {lab: f.block(lab).insts for lab in case_labels}
+    # each case's body before the loop below swaps it for the mixing code
+    bodies = {b.label: b.insts for b in f.blocks if b.label in case_of}
     plan = DispatchPlan(outer, inner, dict(case_of))
     decoy_labels: dict[str, list[str]] = {}
     real_labels: dict[str, str] = {}
 
-    for lab in case_labels:
+    # one forward pass meets the cases in `case_of` order, as the RNG expects
+    blocks: list[BasicBlock] = []
+    for block in f.blocks:
+        blocks.append(block)
+        lab = block.label
+        if lab not in case_of:
+            continue
         key = case_of[lab]
-        m = 1
-        while m < decoys_per_case + 1:
-            m *= 2
         a = rng.randrange(0, 1 << 14) * 2 + 1
         b_off = rng.randrange(0, 1 << 15)
         real_lit = (a * key + b_off) & (m - 1)
@@ -244,13 +247,12 @@ def nested_switch(fn: IrFunction, seed: int,
         plan.real_inner_case[lab] = real_lit
 
         used = {real_lit}
-        block = f.block(lab)
         real_block = BasicBlock(labels_alloc.fresh(f"{lab}_main"),
                                 block.insts, block.term)
         real_labels[lab] = real_block.label
 
+        cases = [(real_lit, real_block.label)]
         decoys: list[BasicBlock] = []
-        lits: list[int] = []
         for _ in range(decoys_per_case):
             junk = _sample_junk(outer, rng)
             body, _muts = mutate_instructions(bodies[rng.choice(case_labels)],
@@ -261,11 +263,9 @@ def nested_switch(fn: IrFunction, seed: int,
                 Br(dispatch),
                 role="bogus",
             ))
-            lits.append(_fresh_literal(rng, used))
+            cases.append((_fresh_literal(rng, used), decoys[-1].label))
         decoy_labels[lab] = [d.label for d in decoys]
 
-        cases = [(real_lit, real_block.label)]
-        cases += [(lit, d.label) for lit, d in zip(lits, decoys)]
         rng.shuffle(cases)
         block.insts = [
             BinOp(mix_mul, "mul", Local(outer), a),
@@ -273,9 +273,8 @@ def nested_switch(fn: IrFunction, seed: int,
             BinOp(inner, "and", Local(mix_add), m - 1),
         ]
         block.term = Switch(inner, tuple(cases), decoys[0].label)
-
-        at = f.blocks.index(block)
-        f.blocks[at + 1:at + 1] = [real_block] + decoys
+        blocks += [real_block] + decoys
+    f.blocks = blocks
 
     report.update(
         outer_var=outer,

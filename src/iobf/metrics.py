@@ -161,13 +161,10 @@ def similarity(orig: IrModule, obf: IrModule) -> SimilarityReport:
         [terminator_shape(b) for b in _all_blocks(orig)],
         [terminator_shape(b) for b in _all_blocks(obf)],
     )
-    if not orig.functions and not obf.functions:
-        fn = 100.0
-    else:
-        co = Counter((f.base_name, len(f.params)) for f in orig.functions)
-        cb = Counter((f.base_name, len(f.params)) for f in obf.functions)
-        matched = sum(min(n, cb[k]) for k, n in co.items())
-        fn = 100.0 * matched / max(len(orig.functions), len(obf.functions))
+    fn = _multiset_similarity(
+        [(f.base_name, len(f.params)) for f in orig.functions],
+        [(f.base_name, len(f.params)) for f in obf.functions],
+    )
     prog = 0.5 * bb / 100 + 0.3 * ji / 100 + 0.2 * fn / 100
     return SimilarityReport(bb, ji, fn, prog)
 

@@ -24,12 +24,18 @@ Grammar (UTF-8; `;` starts a comment running to end of line):
 
 Identifiers are a Unicode letter or `_` followed by letters, digits or
 `_` (Greek letters are valid, which homoglyph renaming relies on).
-Integers are decimal, wrapped to signed 64 bits. `parse_module` validates
-the result and raises on any diagnostic, so a returned module is valid.
+Integers are an optional `-` and Unicode decimal digits (exactly what
+`\\d` and `int()` accept, so `²` is not one), wrapped to signed 64 bits;
+a literal longer than Python's int-string limit (4,300 digits by
+default) is a syntax error at the literal. Strings take `\\` escapes of
+any character. Errors carry the line and column of the offending token.
+`parse_module` validates the result and raises on any diagnostic, so a
+returned module is valid.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ir import (
@@ -82,91 +88,59 @@ class ValidationError(IrError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
-    kind: str  # ident | int | string | punct
+    kind: str  # punct | int | string | ident | eof
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the first character (a string's opening quote)
 
 
-_PUNCT2 = ("->",)
-_PUNCT1 = "@%=,(){}[]:"
+# Each match skips blanks and comments, then takes exactly one token.
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]+|;[^\n]*)*
+    (?:(?P<punct>->|[@%=,(){}\[\]:])
+      |(?P<int>-?\d+)
+      |(?P<string>"(?:\\.|[^"\\])*")
+      |(?P<ident>\w+)
+      |(?P<bad>.)
+      |(?P<eof>\Z))
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+# a `"` that starts no string has no closing quote; a `-` that starts no
+# integer and no `->` stands alone
+_BAD_START = {'"': "unterminated string", "-": "stray '-'"}
+
+
+def _error(text: str, pos: int, message: str) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c == "-" or c.isdigit():
-            start = i
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            lit = text[i:j]
-            if lit == "-":
-                raise ParseError("stray '-'", line, col)
-            toks.append(Token("int", lit, line, col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, col)
-            toks.append(Token("string", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT1:
-            toks.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        lit = m[kind]
+        pos = m.start(kind)
+        # `\w` also matches digit-like characters such as `²`, which may
+        # continue an identifier but not start one
+        if kind == "bad" or kind == "ident" and not (
+                lit[0].isalpha() or lit[0] == "_"):
+            c = lit[0]
+            raise _error(text, pos,
+                         _BAD_START.get(c, f"unexpected character {c!r}"))
+        if kind == "string":
+            lit = _ESCAPE.sub(r"\1", lit[1:-1])
+        toks.append(Token(kind, lit, pos))
+        if kind == "eof":  # finditer would add a second, empty one
+            break
     return toks
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
@@ -178,22 +152,24 @@ class _Parser:
             self.pos += 1
         return t
 
+    def error(self, t: Token, message: str) -> ParseError:
+        return _error(self.text, t.pos, message)
+
     def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+        raise self.error(self.peek(), message)
 
     def expect_punct(self, text: str) -> Token:
         t = self.next()
         if t.kind != "punct" or t.text != text:
-            raise ParseError(f"expected {text!r}, got {t.text!r}", t.line, t.col)
+            raise self.error(t, f"expected {text!r}, got {t.text!r}")
         return t
 
     def expect_ident(self, expected: str | None = None) -> str:
         t = self.next()
         if t.kind != "ident":
-            raise ParseError(f"expected identifier, got {t.text!r}", t.line, t.col)
+            raise self.error(t, f"expected identifier, got {t.text!r}")
         if expected is not None and t.text != expected:
-            raise ParseError(f"expected {expected!r}, got {t.text!r}", t.line, t.col)
+            raise self.error(t, f"expected {expected!r}, got {t.text!r}")
         return t.text
 
     def accept_punct(self, text: str) -> bool:
@@ -206,8 +182,12 @@ class _Parser:
     def expect_int(self) -> int:
         t = self.next()
         if t.kind != "int":
-            raise ParseError(f"expected integer, got {t.text!r}", t.line, t.col)
-        return wrap64(int(t.text))
+            raise self.error(t, f"expected integer, got {t.text!r}")
+        try:
+            return wrap64(int(t.text))
+        except ValueError:  # longer than Python's int-string digit limit
+            raise self.error(t, f"integer literal of {len(t.text)} characters "
+                                "is too long") from None
 
     # ---- module level -----------------------------------------------------
 
@@ -264,7 +244,7 @@ class _Parser:
         self.expect_ident("src")
         t = self.next()
         if t.kind != "string":
-            raise ParseError("expected source name string", t.line, t.col)
+            raise self.error(t, "expected source name string")
         base = t.text
         self.expect_punct("(")
         params: list[tuple[str, str]] = []
@@ -399,7 +379,7 @@ class _Parser:
 
 def parse_module(text: str) -> IrModule:
     """Parse and validate; raises ParseError or ValidationError."""
-    module = _Parser(_tokenize(text)).module()
+    module = _Parser(text).module()
     diags = validate(module)
     if diags:
         raise ValidationError(diags)

@@ -292,6 +292,51 @@ def test_main_parse_failure_exit_code(tmp_path):
     assert main([str(src), "--passes", "flatten"]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("literal", ["²", "7" * 5000],
+                         ids=["digit_like", "too_long"])
+def test_main_bad_literal_exit_code(tmp_path, capsys, literal):
+    src = tmp_path / "bad.ir"
+    src.write_text(f"global @g = {literal}\n", encoding="utf-8")
+    assert main([str(src), "--passes", "flatten"]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: Syntax: ")
+
+
+@pytest.mark.parametrize("bad, want", [
+    ("input", EXIT_PARSE),
+    ("dict", EXIT_PARAMETER),
+    ("bad.ir", EXIT_PARSE),
+    ("bad.json", EXIT_PARSE),
+])
+def test_main_non_utf8_file(tmp_path, capsys, bad, want):
+    """A file that is not UTF-8 gets a documented exit code; in a corpus
+    it is a problem of its own entry and the other entries still run."""
+    not_utf8 = b"\xff\xfe not UTF-8\n"
+    corpus = _one_entry_corpus(tmp_path)
+    gcd = str(corpus / "gcd.ir")
+    if bad == "input":
+        (tmp_path / "in.ir").write_bytes(not_utf8)
+        argv = [str(tmp_path / "in.ir"), "--passes", "flatten"]
+    elif bad == "dict":
+        (tmp_path / "words.txt").write_bytes(not_utf8)
+        argv = [gcd, "--passes", "ident-dict", "--dict",
+                str(tmp_path / "words.txt")]
+    else:
+        manifest = json.loads((corpus / "gcd.json").read_text(encoding="utf-8"))
+        (corpus / "bad.json").write_text(
+            json.dumps({**manifest, "ir": "bad.ir"}), encoding="utf-8")
+        (corpus / bad).write_bytes(not_utf8)
+        argv = ["--batch", str(corpus), "--passes", "flatten",
+                "--out-dir", str(tmp_path / "obf")]
+    assert main(argv) == want
+    captured = capsys.readouterr()
+    if bad.startswith("bad."):
+        problem = "ir" if bad == "bad.ir" else "manifest"
+        assert f"error: bad seed=0: {problem} unreadable: " in captured.out
+        assert [p.name for p in (tmp_path / "obf").glob("*.ir")] == ["gcd.ir"]
+    else:
+        assert captured.err.startswith("error: ")
+
+
 def test_main_parameter_failure_exit_code(tmp_path):
     src = tmp_path / "in.ir"
     src.write_text(GCD_TEXT, encoding="utf-8")

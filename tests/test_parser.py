@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iobf import parse_module, print_module, validate
 from iobf.parser import ParseError, ValidationError
@@ -62,10 +65,35 @@ def test_duplicate_case_rejected():
 
 
 def test_syntax_error_carries_location():
+    # a newline inside a string moves the lines after it; a string token
+    # is located at its opening quote
+    for text, line, col in [
+        ('func @f src "f" () -> int {\nentry:\n  %x = $\n  ret 0\n}', 3, 8),
+        ('func @f src "a\nb" () -> int {\nentry:\n  %x = $\n  ret 0\n}', 4, 8),
+        ('func @f "f" () -> int { entry: ret 0 }', 1, 9),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_module(text)
+        assert (err.value.line, err.value.col) == (line, col), text
+        assert err.value.codes == ["Syntax"]
+
+
+@pytest.mark.parametrize("literal, col, message", [
+    ("²", 13, "unexpected character '²'"),
+    ("3²", 14, "unexpected character '²'"),
+    ("-²", 13, "stray '-'"),
+    ("7" * 5000, 13, "integer literal of 5000 characters is too long"),
+], ids=["digit_like", "int_then_digit_like", "minus_digit_like", "too_long"])
+def test_bad_integer_literal_is_syntax_error(literal, col, message):
     with pytest.raises(ParseError) as err:
-        parse_module('func @f src "f" () -> int {\nentry:\n  %x = $\n  ret 0\n}')
-    assert err.value.line == 3
-    assert err.value.codes == ["Syntax"]
+        parse_module(f"global @g = {literal}\n")
+    assert (err.value.line, err.value.col) == (1, col)
+    assert message in str(err.value)
+
+
+def test_integers_are_unicode_decimal_digits():
+    m = parse_module("global @g = -\u0664\u0662\n")  # Arabic-Indic 42
+    assert m.globals == [("g", -42)]
 
 
 def test_missing_terminator_is_syntax_error():
@@ -144,3 +172,22 @@ def test_switch_with_no_cases():
 def test_roundtrip_property(m):
     assert validate(m) == []
     assert parse_module(print_module(m)) == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_modules(), st.text("ab\n", min_size=1, max_size=4), st.data())
+def test_syntax_error_location_property(m, base_name, data):
+    """`$` inserted anywhere outside the source-name string and not right
+    after a `-` is reported at its own line and column."""
+    fn = dataclasses.replace(m.functions[0], base_name=base_name)
+    text = print_module(dataclasses.replace(m, functions=[fn]))
+    quote = text.index('"')
+    at = data.draw(st.integers(0, len(text)))
+    assume(not quote < at <= quote + len(base_name) + 1)
+    assume(text[at - 1:at] != "-")
+    before = text[:at]
+    with pytest.raises(ParseError) as err:
+        parse_module(before + "$" + text[at:])
+    lines = before.split("\n")
+    assert (err.value.line, err.value.col) == (len(lines), len(lines[-1]) + 1)
+    assert "unexpected character '$'" in str(err.value)
