@@ -7,7 +7,6 @@ oracle, and similarity/overhead metrics.
 """
 
 from .bogus import (
-    BogusBlockRecord,
     OpaquePredicate,
     bogus_control_flow,
     indegree_obfuscate,
@@ -48,7 +47,6 @@ from .validate import Diagnostic, validate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BogusBlockRecord",
     "Cfg",
     "CorpusEntry",
     "Diagnostic",

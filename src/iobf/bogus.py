@@ -197,49 +197,41 @@ def _int_literal(v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Records and guarded clone insertion
+# Guarded clone insertion
 
-@dataclass
-class BogusBlockRecord:
-    label: str
-    cloned_from: str
-    mutations: list[dict]
-    guard: str
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "cloned_from": self.cloned_from,
-            "mutations": self.mutations,
-            "guard": self.guard,
-        }
-
-
-def _insert_guarded_clone(f: IrFunction, label: str, rng, global_names,
-                          labels_alloc, locals_alloc) -> BogusBlockRecord:
-    """Put an always-true guard in front of `label` whose false arm reaches
-    a mutated clone; the clone branches back to the real block."""
-    orig = f.block(label)
-    guard_label = labels_alloc.fresh(f"{label}_pre")
-    clone_label = labels_alloc.fresh(f"{label}_twin")
-
+def _insert_guarded_clones(f: IrFunction, labels, rng, global_names,
+                           labels_alloc, locals_alloc) -> list[dict]:
+    """Put an always-true guard in front of each block named in `labels`
+    whose false arm reaches a mutated clone; the clone branches back to
+    the real block, and every other edge into the block enters its guard.
+    Returns one record per clone."""
+    wanted = set(labels)
+    guard_of: dict[str, str] = {}
+    records: list[dict] = []
+    blocks: list[BasicBlock] = []
+    for orig in f.blocks:
+        if orig.label not in wanted:
+            blocks.append(orig)
+            continue
+        label = orig.label
+        guard_label = labels_alloc.fresh(f"{label}_pre")
+        clone_label = labels_alloc.fresh(f"{label}_twin")
+        guard_of[label] = guard_label
+        pred = make_opaque_predicate(rng.randrange(1 << 32), truth=True)
+        pinsts, presult = pred.instructions(
+            locals_alloc, predicate_sources(f, global_names, rng))
+        cloned, mutations = mutate_instructions(orig.insts, rng)
+        blocks += [BasicBlock(guard_label, pinsts,
+                              Cbr(presult, label, clone_label)),
+                   orig,
+                   BasicBlock(clone_label, cloned, Br(label), role="bogus")]
+        records.append({"label": clone_label, "cloned_from": label,
+                        "mutations": mutations,
+                        "guard": f"{pred.family}:always_true"})
     for b in f.blocks:
-        if b.term is not None:
-            b.term = retarget(b.term, label, guard_label)
-
-    pred = make_opaque_predicate(rng.randrange(1 << 32), truth=True)
-    pinsts, presult = pred.instructions(locals_alloc,
-                                        predicate_sources(f, global_names, rng))
-    guard = BasicBlock(guard_label, pinsts,
-                       Cbr(presult, label, clone_label), role="real")
-    cloned, mutations = mutate_instructions(orig.insts, rng)
-    twin = BasicBlock(clone_label, cloned, Br(label), role="bogus")
-
-    idx = f.blocks.index(orig)
-    f.blocks.insert(idx, guard)
-    f.blocks.insert(idx + 2, twin)
-    return BogusBlockRecord(clone_label, label, mutations,
-                            f"{pred.family}:always_true")
+        b.term = retarget(b.term, guard_of)
+    f.blocks = blocks
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +257,9 @@ def bogus_control_flow(fn: IrFunction, seed: int, prob: float,
     }
     if not selected:
         return fn, report
-    labels_alloc = NameAllocator(f.labels())
-    locals_alloc = NameAllocator(f.local_names())
-    for label in selected:
-        rec = _insert_guarded_clone(f, label, rng, global_names,
-                                    labels_alloc, locals_alloc)
-        report["records"].append(rec.to_dict())
+    report["records"] = _insert_guarded_clones(
+        f, selected, rng, global_names, NameAllocator(f.labels()),
+        NameAllocator(f.local_names()))
     return f, report
 
 
@@ -312,9 +301,9 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
             report["skipped"] = True
             report["reason"] = "no non-entry real block to clone"
             return fn, report
-        rec = _insert_guarded_clone(f, rng.choice(candidates), rng,
-                                    global_names, labels_alloc, locals_alloc)
-        report["injected"].append(rec.to_dict())
+        report["injected"] = _insert_guarded_clones(
+            f, [rng.choice(candidates)], rng, global_names, labels_alloc,
+            locals_alloc)
 
     state = _EdgeState(f, rng, global_names, labels_alloc, locals_alloc)
     for _ in range(64):
@@ -322,14 +311,14 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
         max_real, _ = in_degree_gap(cfg)
         target = max_real + margin
         deficits = [
-            (b.label, target - cfg.indeg[b.label])
+            (b, target - cfg.indeg[b.label])
             for b in f.blocks
             if b.role == "bogus" and cfg.indeg[b.label] < target
         ]
         if not deficits:
             break
-        for bogus_label, need in deficits:
-            state.add_edges(bogus_label, need)
+        for bogus, need in deficits:
+            state.add_edges(bogus, need)
     else:
         raise RuntimeError("in-degree obfuscation did not converge")
 
@@ -349,52 +338,41 @@ class _EdgeState:
         self.labels_alloc = labels_alloc
         self.locals_alloc = locals_alloc
         self.rewritten: set[str] = set()
-        self.pass_switches: list[str] = []
+        self.switch: BasicBlock | None = None
         self.sel_local: str | None = None
         self.edges_added = 0
 
-    def add_edges(self, bogus_label: str, need: int):
+    def add_edges(self, bogus: BasicBlock, need: int):
         # Once a pass-owned switch exists, extending it is free (dead case
         # literals only); creating guards for every needy block would pile
         # executed predicate code onto real paths instead.
-        if self.pass_switches:
-            self._extend_switch(self.pass_switches[0], bogus_label, need)
-            return
-        src = self._pick_source(bogus_label)
-        if src is None:
-            raise RuntimeError("no real block can donate a never-taken edge")
-        if isinstance(src.term, Br):
-            if need == 1 and self.edges_added == 0:
-                self._guard_br(src, bogus_label)
-            else:
-                self._br_to_switch(src, bogus_label, need)
+        if self.switch is not None:
+            self._extend_switch(bogus.label, need)
         else:
-            self._cbr_to_switch(src, bogus_label, need)
+            src = self._pick_source(bogus)
+            if src is None:
+                raise RuntimeError("no real block can donate a never-taken edge")
+            if isinstance(src.term, Cbr):
+                self._cbr_to_switch(src, bogus.label, need)
+                self.switch = src
+            elif need == 1 and self.edges_added == 0:
+                self._guard_br(src, bogus.label)
+            else:
+                self._br_to_switch(src, bogus.label, need)
+                self.switch = src
+            self.rewritten.add(src.label)
+        self.edges_added += need
 
-    def _pick_source(self, bogus_label: str) -> BasicBlock | None:
-        bogus = self.f.block(bogus_label)
-        preferred: list[str] = []
-        # the clone's jump back to its origin makes that origin the most
-        # natural block to link forward, mirroring a mutual pair
-        if isinstance(bogus.term, Br):
-            preferred.append(bogus.term.label)
-        seen: set[str] = set()
-        ordered: list[BasicBlock] = []
-
-        def consider(b: BasicBlock, want_br: bool):
-            if (b.role == "real" and b.label not in self.rewritten
-                    and b.label not in seen
-                    and isinstance(b.term, (Br, Cbr))
-                    and isinstance(b.term, Br) == want_br):
-                seen.add(b.label)
-                ordered.append(b)
-
-        for want_br in (True, False):
-            for label in preferred:
-                consider(self.f.block(label), want_br)
-            for b in self.f.blocks:
-                consider(b, want_br)
-        return ordered[0] if ordered else None
+    def _pick_source(self, bogus: BasicBlock) -> BasicBlock | None:
+        # the first untouched real block ending in `br`, else in `cbr`; the
+        # clone's origin first, since the clone's jump back makes it the
+        # most natural block to link forward, mirroring a mutual pair
+        origin = bogus.term.label if isinstance(bogus.term, Br) else None
+        return min((b for b in self.f.blocks
+                    if b.role == "real" and b.label not in self.rewritten
+                    and isinstance(b.term, (Br, Cbr))),
+                   key=lambda b: (isinstance(b.term, Cbr), b.label != origin),
+                   default=None)
 
     def _scrutinee(self, block: BasicBlock) -> str:
         """Append `sel = x & 1`; the result is provably 0 or 1, so any case
@@ -422,8 +400,6 @@ class _EdgeState:
             predicate_sources(self.f, self.global_names, self.rng))
         src.insts.extend(pinsts)
         src.term = Cbr(presult, src.term.label, bogus_label)
-        self.rewritten.add(src.label)
-        self.edges_added += 1
 
     def _br_to_switch(self, src: BasicBlock, bogus_label: str, need: int):
         old_target = src.term.label
@@ -431,29 +407,21 @@ class _EdgeState:
         cases = tuple((lit, bogus_label)
                       for lit in self._dead_literals(need, ()))
         src.term = Switch(sel, cases, old_target)
-        self.rewritten.add(src.label)
-        self.pass_switches.append(src.label)
-        self.edges_added += need
 
     def _cbr_to_switch(self, src: BasicBlock, bogus_label: str, need: int):
         arm_label = self.labels_alloc.fresh(f"{src.label}_arm")
         arm = BasicBlock(arm_label, [], src.term, role="real")
-        idx = self.f.blocks.index(src)
-        self.f.blocks.insert(idx + 1, arm)
+        self.f.blocks.insert(self.f.blocks.index(src) + 1, arm)
         sel = self._scrutinee(src)
         cases = [(0, arm_label), (1, arm_label)]
         cases += [(lit, bogus_label)
                   for lit in self._dead_literals(need - 1, (0, 1))]
         src.term = Switch(sel, tuple(cases), bogus_label)
-        self.rewritten.add(src.label)
-        self.pass_switches.append(src.label)
-        self.edges_added += need
 
-    def _extend_switch(self, label: str, bogus_label: str, need: int):
-        block = self.f.block(label)
-        term = block.term
+    def _extend_switch(self, bogus_label: str, need: int):
+        term = self.switch.term
         taken = [lit for lit, _ in term.cases]
         extra = tuple((lit, bogus_label)
                       for lit in self._dead_literals(need, taken))
-        block.term = Switch(term.scrutinee, term.cases + extra, term.default)
-        self.edges_added += need
+        self.switch.term = Switch(term.scrutinee, term.cases + extra,
+                                  term.default)

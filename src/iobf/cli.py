@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 2 parse/validation failure (also an input file
 that is not UTF-8), 3 bad parameter (also an unreadable or non-UTF-8
-`--dict` file), 4 semantics-oracle failure in batch mode, 5 a pass could
-not transform the input (single-file mode; batch mode records it as a
-failed row).
+`--dict` file, or a `--time-reps` of 1, 2 or below 0), 4 semantics-oracle
+failure in batch mode, 5 a pass could not transform the input
+(single-file mode; batch mode records it as a failed row).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -22,8 +23,9 @@ from .cfg import export_dot
 from .corpus import load_corpus
 from .flatten import PassParameterError, flatten, nested_switch
 from .interp import run
-from .ir import IrModule, instruction_count, print_module
-from .metrics import aggregate_rows, overhead, render_table, similarity
+from .ir import IrModule, print_module
+from .metrics import (aggregate_rows, overhead, render_table, similarity,
+                      space_ratio)
 from .parser import IrError, parse_module
 from .rename import (
     DictionaryExhausted,
@@ -110,9 +112,15 @@ def _apply_ident_random(module, cfg):
     return out, [{"pass": "ident-random", "rename_map": rmap.to_dict()}]
 
 
+@functools.lru_cache(maxsize=1)
+def _dictionary(path: str | None) -> list[str]:
+    """The words of `path`, or of the bundled list for None; the bundled
+    list is read once, a `--dict` file once per `validate_config` call."""
+    return load_dictionary(path)
+
+
 def _apply_ident_dict(module, cfg):
-    words = load_dictionary(cfg.dict_path)
-    out, rmap = rename_dictionary(module, words,
+    out, rmap = rename_dictionary(module, _dictionary(cfg.dict_path),
                                   fork_seed(cfg.seed, "ident-dict"))
     return out, [{"pass": "ident-dict", "rename_map": rmap.to_dict()}]
 
@@ -129,9 +137,9 @@ def _apply_ident_overload(module, cfg):
 
 
 def _apply_ident_default(module, cfg):
-    words = load_dictionary(cfg.dict_path) if cfg.dict_path else None
     out, report = obfuscate_identifiers_default(
-        module, fork_seed(cfg.seed, "ident-default"), words, cfg.decoys_per_fn)
+        module, fork_seed(cfg.seed, "ident-default"),
+        _dictionary(cfg.dict_path), cfg.decoys_per_fn)
     return out, [report]
 
 
@@ -164,6 +172,9 @@ def validate_config(cfg: PipelineConfig):
         raise PassParameterError("--indeg-margin must be at least 1")
     if cfg.decoys_per_fn < 1:
         raise PassParameterError("--decoys must be at least 1")
+    if cfg.dict_path:  # reread, and fail here before the first module
+        _dictionary.cache_clear()
+        _dictionary(cfg.dict_path)
 
 
 def transform_module(cfg: PipelineConfig,
@@ -206,6 +217,8 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
           time_reps: int = 0) -> tuple[dict, int]:
     """Per-file pipeline + oracle + metrics over a corpus directory."""
     validate_config(cfg)
+    if time_reps < 3 and time_reps != 0:
+        raise PassParameterError("--time-reps must be 0 or at least 3")
     entries = load_corpus(corpus_dir)
     rows: list[dict] = []
     oracle_failures: list[str] = []
@@ -295,8 +308,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                    help="run over a corpus directory with manifests")
     p.add_argument("--out-dir", help="batch: write obfuscated IR files here")
     p.add_argument("--time-reps", type=int, default=0,
-                   help="timing repetitions for the overhead report "
-                        "(0 keeps reports deterministic)")
+                   help="batch: timing repetitions for the overhead report, "
+                        "0 or at least 3 (0 keeps reports deterministic)")
     return p
 
 
@@ -354,8 +367,7 @@ def main(argv=None) -> int:
                 "seed": cfg.seed,
                 "pass_reports": result.reports,
                 "similarity": similarity(result.original, result.module).to_dict(),
-                "space_ratio": (instruction_count(result.module)
-                                / instruction_count(result.original)),
+                "space_ratio": space_ratio(result.original, result.module),
             }
             Path(args.report).write_text(
                 json.dumps(report, indent=2, ensure_ascii=False) + "\n",

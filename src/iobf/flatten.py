@@ -15,12 +15,10 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from .bogus import mutate_instructions
-from .cfg import build_cfg
 from .ir import (
     BasicBlock,
     BinOp,
     Br,
-    Cbr,
     Const,
     IrFunction,
     Local,
@@ -29,6 +27,7 @@ from .ir import (
     Switch,
     clone_function,
     retarget,
+    targets,
 )
 
 
@@ -92,8 +91,9 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
 
     Functions with fewer than two non-entry blocks are returned unchanged
     with a skip note in the report. Unconditional branches become a case
-    key store plus a jump to the dispatcher; conditional branches select
-    between two tiny key-store blocks; returns are untouched.
+    key store plus a jump to the dispatcher; conditional branches and
+    switches reach each distinct target through one tiny key-store block;
+    returns are untouched.
     """
     report: dict = {"pass": "flatten", "function": fn.mangled_name, "seed": seed}
     if len(fn.blocks) - 1 < 2:
@@ -110,7 +110,7 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
     # case), so the entry body moves to its own block and every back edge
     # retargets the moved body.
     entry_label = f.blocks[0].label
-    if build_cfg(f).indeg[entry_label] > 0:
+    if any(entry_label in targets(b.term) for b in f.blocks):
         body_label = labels_alloc.fresh(f"{entry_label}_body")
         old_entry = f.blocks[0]
         body = BasicBlock(body_label, old_entry.insts, old_entry.term,
@@ -118,8 +118,7 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
         f.blocks[0] = BasicBlock(entry_label, [], Br(body_label))
         f.blocks.insert(1, body)
         for block in f.blocks[1:]:
-            if block.term is not None:
-                block.term = retarget(block.term, entry_label, body_label)
+            block.term = retarget(block.term, {entry_label: body_label})
 
     originals = list(f.blocks[1:])
     outer = locals_alloc.fresh("disp_key")
@@ -149,27 +148,10 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
         if isinstance(t, Br):
             block.insts.append(Const(outer, case_of[t.label]))
             block.term = Br(dispatch_label)
-        elif isinstance(t, Cbr):
-            block.term = Cbr(
-                t.cond,
-                key_store_block(block.label, t.then_label),
-                key_store_block(block.label, t.else_label),
-            )
-        elif isinstance(t, Switch):
-            taken: dict[str, str] = {}
-
-            def sel(target: str) -> str:
-                if target not in taken:
-                    taken[target] = key_store_block(block.label, target)
-                return taken[target]
-
-            block.term = Switch(
-                t.scrutinee,
-                tuple((lit, sel(lab)) for lit, lab in t.cases),
-                sel(t.default),
-            )
-        elif isinstance(t, Ret):
-            pass
+        elif not isinstance(t, Ret):
+            block.term = retarget(t, {
+                lab: key_store_block(block.label, lab)
+                for lab in dict.fromkeys(targets(t))})
 
     dispatcher = BasicBlock(
         dispatch_label,

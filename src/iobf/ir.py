@@ -136,23 +136,34 @@ class Ret:
 Terminator = Br | Cbr | Switch | Ret
 
 
-def retarget(term: Terminator, old: str, new: str) -> Terminator:
-    """Return a terminator with every edge to `old` redirected to `new`."""
+def targets(term: Terminator) -> tuple[str, ...]:
+    """The labels a terminator branches to, in printed order (switch cases,
+    then the default); parallel edges repeat and `ret` has none."""
     if isinstance(term, Br):
-        return Br(new) if term.label == old else term
+        return (term.label,)
     if isinstance(term, Cbr):
-        return Cbr(
-            term.cond,
-            new if term.then_label == old else term.then_label,
-            new if term.else_label == old else term.else_label,
-        )
+        return (term.then_label, term.else_label)
     if isinstance(term, Switch):
-        return Switch(
-            term.scrutinee,
-            tuple((lit, new if lab == old else lab) for lit, lab in term.cases),
-            new if term.default == old else term.default,
-        )
-    return term
+        return tuple(lab for _, lab in term.cases) + (term.default,)
+    return ()
+
+
+def retarget(term: Terminator, mapping: dict[str, str]) -> Terminator:
+    """The terminator with every edge to a key of `mapping` redirected to
+    its value; `term` itself when it names no key."""
+    if not any(lab in mapping for lab in targets(term)):
+        return term
+
+    def new(lab: str) -> str:
+        return mapping.get(lab, lab)
+
+    if isinstance(term, Br):
+        return Br(new(term.label))
+    if isinstance(term, Cbr):
+        return Cbr(term.cond, new(term.then_label), new(term.else_label))
+    return Switch(term.scrutinee,
+                  tuple((lit, new(lab)) for lit, lab in term.cases),
+                  new(term.default))
 
 
 # ---------------------------------------------------------------------------

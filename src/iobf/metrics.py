@@ -169,19 +169,25 @@ def similarity(orig: IrModule, obf: IrModule) -> SimilarityReport:
     return SimilarityReport(bb, ji, fn, prog)
 
 
+def space_ratio(orig: IrModule, obf: IrModule) -> float:
+    """Instructions plus terminators of `obf` over those of `orig`; 1.0 when
+    `orig` has none, since no pass adds any to a module without functions."""
+    before = instruction_count(orig)
+    return instruction_count(obf) / before if before else 1.0
+
+
 def overhead(orig: IrModule, obf: IrModule, entry: str,
              inputs: list[list[int]], reps: int = 0,
              fuel: int = 1_000_000) -> OverheadReport:
-    """Space ratio is exact (instruction count including terminators);
-    time ratio is the advisory quotient of summed median wall times and is
-    only measured when reps > 0."""
-    space = instruction_count(obf) / instruction_count(orig)
+    """Space ratio is exact (`space_ratio`); time ratio is the advisory
+    quotient of summed median wall times and is only measured when
+    reps > 0."""
     time_ratio = None
     if reps > 0:
         t_orig = sum(timed_run(orig, entry, args, reps, fuel) for args in inputs)
         t_obf = sum(timed_run(obf, entry, args, reps, fuel) for args in inputs)
         time_ratio = t_obf / t_orig
-    return OverheadReport(time_ratio, space)
+    return OverheadReport(time_ratio, space_ratio(orig, obf))
 
 
 INDICATORS = ("bb_sim", "ji_sim", "fn_sim", "prog_sim",

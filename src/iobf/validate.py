@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .ir import (
     Assign,
     BinOp,
-    Br,
     Call,
     Cbr,
     Cmp,
@@ -26,6 +25,7 @@ from .ir import (
     Ret,
     Switch,
     operand_type,
+    targets,
 )
 
 
@@ -218,23 +218,17 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
             diags.append(Diagnostic("MissingTerminator",
                                     "block has no terminator", name, b.label))
             continue
-        if isinstance(t, Br):
-            _check_label(t.label, labels, diags, name, b.label)
-        elif isinstance(t, Cbr):
+        if isinstance(t, Cbr):
             use(Local(t.cond), b.label, "bool")
-            _check_label(t.then_label, labels, diags, name, b.label)
-            _check_label(t.else_label, labels, diags, name, b.label)
         elif isinstance(t, Switch):
             use(Local(t.scrutinee), b.label, "int")
             lits = set()
-            for lit, lab in t.cases:
+            for lit, _ in t.cases:
                 if lit in lits:
                     diags.append(Diagnostic("DuplicateCase",
                                             f"case literal {lit} repeated",
                                             name, b.label))
                 lits.add(lit)
-                _check_label(lab, labels, diags, name, b.label)
-            _check_label(t.default, labels, diags, name, b.label)
         elif isinstance(t, Ret):
             if fn.ret_type == "void":
                 if t.value is not None:
@@ -248,11 +242,9 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                             name, b.label))
                 else:
                     use(t.value, b.label, fn.ret_type)
+        for lab in targets(t):
+            if lab not in labels:
+                diags.append(Diagnostic("UndefinedLabel",
+                                        f"no block named {lab}", name, b.label))
 
     return diags
-
-
-def _check_label(label: str, labels: set[str], diags, fn_name: str, block: str):
-    if label not in labels:
-        diags.append(Diagnostic("UndefinedLabel",
-                                f"no block named {label}", fn_name, block))

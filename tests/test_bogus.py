@@ -15,7 +15,7 @@ from iobf import (
     validate,
 )
 from iobf.bogus import MASK16, OpaquePredicate, mutate_instructions
-from iobf.ir import BasicBlock, BinOp, Br, Const, IrFunction, IrModule, Local, NameAllocator, Ret
+from iobf.ir import BasicBlock, BinOp, Br, Cbr, Const, IrFunction, IrModule, Local, NameAllocator, Ret
 
 from conftest import assert_equivalent, single_function_module
 
@@ -159,6 +159,38 @@ def test_bcf_preserves_semantics(fig3a_module):
                     block_tracer=lambda f, label: executed.add(label))
         assert before.observable() == after.observable()
     assert executed & bogus == set()
+
+
+def test_bcf_guards_every_edge_into_a_self_loop():
+    m = parse_module(
+        'func @f src "f" (%n: int) -> int {\n'
+        "entry:\n  %i = 0\n  br loop\n"
+        "loop:\n  %i = add %i, 1\n  %c = cmp lt %i, %n\n  cbr %c, loop, out\n"
+        "out:\n  ret %i\n}\n")
+    fn, report = bogus_control_flow(m.functions[0], seed=3, prob=1.0)
+    assert report["selected"] == ["loop", "out"]
+    guard_of, twin_of = {}, {}
+    for rec in report["records"]:
+        origin, twin = rec["cloned_from"], rec["label"]
+        guard = next(b for b in fn.blocks if isinstance(b.term, Cbr)
+                     and b.term.else_label == twin)
+        # the guard's then-arm and the twin's branch reach the block itself
+        assert guard.term.then_label == origin
+        assert fn.block(twin).term == Br(origin)
+        guard_of[origin], twin_of[origin] = guard.label, twin
+    # every other edge, the loop's own back edge included, enters the guard
+    assert fn.block("entry").term == Br(guard_of["loop"])
+    loop_term = fn.block("loop").term
+    assert (loop_term.then_label, loop_term.else_label) == (
+        guard_of["loop"], guard_of["out"])
+    into_loop = sorted(e.src for e in build_cfg(fn).edges if e.dst == "loop")
+    assert into_loop == sorted([guard_of["loop"], twin_of["loop"]])
+    labels = [b.label for b in fn.blocks]
+    assert labels == ["entry", guard_of["loop"], "loop", twin_of["loop"],
+                      guard_of["out"], "out", twin_of["out"]]
+    obf = single_function_module(m, fn)
+    assert validate(obf) == []
+    assert_equivalent(m, obf, "f", [[0], [1], [7]])
 
 
 def test_bcf_every_bogus_block_has_one_record(fig3a_module):

@@ -1,5 +1,10 @@
+from collections import defaultdict
+
+import pytest
+
 from iobf import build_cfg, in_degree_gap, parse_module
-from iobf.ir import Cbr
+from iobf.cli import PipelineConfig, transform_module
+from iobf.ir import Cbr, targets
 
 
 def test_straight_line_shape(fig3a_module):
@@ -62,3 +67,19 @@ def test_cbr_edge_kinds(gcd_module):
     cfg = build_cfg(gcd_module.functions[0])
     entry_edges = [e for e in cfg.edges if e.src == "entry"]
     assert [e.kind for e in entry_edges] == ["cbr_then", "cbr_else"]
+
+
+@pytest.mark.parametrize("passes, prob", [
+    ([], 0.3), (["nested", "indeg"], 0.3), (["bcf"], 1.0),
+], ids=["input", "nested_indeg", "bcf"])
+def test_cfg_edges_are_terminator_targets(corpus, passes, prob):
+    for entry in corpus:
+        module, _ = transform_module(PipelineConfig(passes, seed=5, prob=prob),
+                                     entry.module)
+        for fn in module.functions:
+            dsts = defaultdict(list)
+            for e in build_cfg(fn).edges:
+                dsts[e.src].append(e.dst)
+            for b in fn.blocks:
+                assert tuple(dsts[b.label]) == targets(b.term), (
+                    entry.name, fn.mangled_name, b.label)

@@ -22,6 +22,7 @@ from iobf.corpus import default_corpus_dir
 from iobf.flatten import PassParameterError
 from iobf.ir import Ret
 from iobf.metrics import render_table
+from iobf.rename import load_dictionary
 
 from conftest import GCD_TEXT
 
@@ -335,6 +336,80 @@ def test_main_non_utf8_file(tmp_path, capsys, bad, want):
         assert [p.name for p in (tmp_path / "obf").glob("*.ir")] == ["gcd.ir"]
     else:
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", ["missing", "not_utf8"])
+def test_main_batch_bad_dict_is_one_parameter_error(tmp_path, capsys, bad):
+    """An unusable --dict stops a batch before its first module, with one
+    error line and the exit code of single-file mode."""
+    words = tmp_path / "words.txt"
+    if bad == "not_utf8":
+        words.write_bytes(b"\xff\xfe not UTF-8\n")
+    corpus = _one_entry_corpus(tmp_path)
+    assert main(["--batch", str(corpus), "--passes", "ident-dict",
+                 "--dict", str(words), "--out-dir",
+                 str(tmp_path / "obf")]) == EXIT_PARAMETER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "obf").exists()
+
+
+@pytest.mark.parametrize("dict_path", [None, "words"])
+def test_dictionary_read_once_per_call(monkeypatch, tmp_path, dict_path):
+    import iobf.cli
+    import iobf.rename
+
+    reads = []
+
+    def counting(path=None):
+        reads.append(path)
+        return load_dictionary(path)
+
+    monkeypatch.setattr(iobf.cli, "load_dictionary", counting)
+    monkeypatch.setattr(iobf.rename, "load_dictionary", counting)
+    if dict_path is not None:
+        dict_path = str(tmp_path / "words.txt")
+        shutil.copy(default_corpus_dir().parent / "dictionary.txt", dict_path)
+    # a --dict file is read once per call, the bundled list at most once
+    want = [[dict_path]] if dict_path else [[], [None]]
+    passes = ["ident-dict", "ident-default"]
+    for seed in (2, 3):
+        report, code = batch(default_corpus_dir(),
+                             cfg_of(passes, seed=seed, dict_path=dict_path))
+        assert code == EXIT_OK
+        assert reads in want
+        reads.clear()
+        run_pipeline(cfg_of(passes, seed=seed, dict_path=dict_path), GCD_TEXT)
+        assert reads in want
+        reads.clear()
+
+
+@pytest.mark.parametrize("reps, want", [
+    (-1, EXIT_PARAMETER), (1, EXIT_PARAMETER), (2, EXIT_PARAMETER),
+    (3, EXIT_OK),
+])
+def test_main_batch_time_reps(tmp_path, capsys, reps, want):
+    corpus = _one_entry_corpus(tmp_path)
+    code = main(["--batch", str(corpus), "--passes", "flatten",
+                 "--time-reps", str(reps)])
+    assert code == want
+    captured = capsys.readouterr()
+    if want == EXIT_PARAMETER:
+        assert captured.out == ""
+        assert captured.err == "error: --time-reps must be 0 or at least 3\n"
+
+
+def test_main_report_on_module_without_functions(tmp_path):
+    src = tmp_path / "empty.ir"
+    src.write_text("global @g = 1\n", encoding="utf-8")
+    out, rep = tmp_path / "out.ir", tmp_path / "r.json"
+    code = main([str(src), "--passes", "flatten", "-o", str(out),
+                 "--report", str(rep)])
+    assert code == EXIT_OK
+    assert out.read_text(encoding="utf-8") == "global @g = 1\n"
+    assert json.loads(rep.read_text(encoding="utf-8"))["space_ratio"] == 1.0
 
 
 def test_main_parameter_failure_exit_code(tmp_path):

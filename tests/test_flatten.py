@@ -271,3 +271,21 @@ def test_nested_handles_entry_back_edge():
     obf = single_function_module(m, fn)
     assert validate(obf) == []
     assert_equivalent(m, obf, "f", [[1], [4], [9]])
+
+
+@pytest.mark.parametrize("transform", [flatten, nested_switch])
+def test_cbr_with_equal_arms_gets_one_key_store(transform):
+    m = parse_module(
+        'func @f src "f" (%x: int) -> int {\n'
+        "entry:\n  %c = cmp lt %x, 5\n  cbr %c, both, both\n"
+        "both:\n  %x = add %x, 1\n  br out\n"
+        "out:\n  ret %x\n}\n")
+    fn, report = transform(m.functions[0], seed=4)
+    assert report["skipped"] is False
+    term = fn.blocks[0].term
+    assert isinstance(term, Cbr) and term.then_label == term.else_label
+    key_stores = [b.label for b in fn.blocks if b.label.startswith("entry_go")]
+    assert key_stores == [term.then_label]
+    obf = single_function_module(m, fn)
+    assert validate(obf) == []
+    assert_equivalent(m, obf, "f", [[0], [5], [9]])

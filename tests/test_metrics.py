@@ -146,3 +146,8 @@ def test_aggregate_rows_skip_missing_time():
     aggs = {a["indicator"] for a in aggregate_rows(rows)}
     assert "time_ratio" not in aggs
     assert "bb_sim" in aggs
+
+
+def test_space_ratio_of_module_without_instructions():
+    m = parse_module("global @g = 1\n")
+    assert overhead(m, m, "f", []).space_ratio == 1.0
