@@ -174,7 +174,16 @@ def validate_config(cfg: PipelineConfig):
         raise PassParameterError("--decoys must be at least 1")
     if cfg.dict_path:  # reread, and fail here before the first module
         _dictionary.cache_clear()
-        _dictionary(cfg.dict_path)
+        try:
+            _dictionary(cfg.dict_path)
+        except UnicodeDecodeError as exc:
+            raise PassParameterError(f"{cfg.dict_path} is not UTF-8: {exc}") from None
+
+
+def _check_time_reps(time_reps: int):
+    """Reject a `--time-reps` that is neither 0 (no timing) nor at least 3."""
+    if time_reps < 3 and time_reps != 0:
+        raise PassParameterError("--time-reps must be 0 or at least 3")
 
 
 def transform_module(cfg: PipelineConfig,
@@ -217,8 +226,7 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
           time_reps: int = 0) -> tuple[dict, int]:
     """Per-file pipeline + oracle + metrics over a corpus directory."""
     validate_config(cfg)
-    if time_reps < 3 and time_reps != 0:
-        raise PassParameterError("--time-reps must be 0 or at least 3")
+    _check_time_reps(time_reps)
     entries = load_corpus(corpus_dir)
     rows: list[dict] = []
     oracle_failures: list[str] = []
@@ -348,6 +356,7 @@ def main(argv=None) -> int:
             print("error: an input file is required unless --batch is used",
                   file=sys.stderr)
             return EXIT_PARAMETER
+        _check_time_reps(args.time_reps)
         try:
             text = Path(args.input).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the textual IR.
+"""Parser for the textual IR: one grammar, matched a statement at a time.
 
 Grammar (UTF-8; `;` starts a comment running to end of line):
 
@@ -28,38 +28,31 @@ Integers are an optional `-` and Unicode decimal digits (exactly what
 `\\d` and `int()` accept, so `²` is not one), wrapped to signed 64 bits;
 a literal longer than Python's int-string limit (4,300 digits by
 default) is a syntax error at the literal. Strings take `\\` escapes of
-any character. Errors carry the line and column of the offending token.
-`parse_module` validates the result and raises on any diagnostic, so a
-returned module is valid.
+any character.
+
+The grammar is written once, below, as statement forms (a header up to
+its first list item, a block label, an instruction, a terminator, a list
+item with its separator): token sequences with blanks and comments
+allowed between any two. The forms that may stand at one place compile
+to one regular expression, so a statement costs one match; when none
+matches, the same sequences, walked a token at a time, find the error.
+There is no other parser. Errors carry the line and column of a token:
+the text's first lexical error (unterminated string, stray `-`,
+unexpected character), else the first token that does not fit, with the
+token found there (`got ''` is the end of the text; an unknown type or
+comparison is reported at the token after it). `parse_module` validates
+the result and raises on any diagnostic, so a returned module is valid.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
 
 from .ir import (
-    Assign,
-    BasicBlock,
-    BinOp,
-    BINOPS,
-    Br,
-    Call,
-    Cbr,
-    Cmp,
-    CMP_RELS,
-    Const,
-    ExternDecl,
-    GlobalRef,
-    IrFunction,
-    IrModule,
-    Local,
-    RET_TYPES,
-    Ret,
-    ROLES,
-    Switch,
-    VALUE_TYPES,
-    wrap64,
+    Assign, BasicBlock, BinOp, BINOPS, Br, Call, Cbr, Cmp, CMP_RELS, Const,
+    ExternDecl, GlobalRef, IrFunction, IrModule, Local, RET_TYPES, Ret, ROLES,
+    Switch, VALUE_TYPES, wrap64,
 )
 from .validate import Diagnostic, validate
 
@@ -88,16 +81,14 @@ class ValidationError(IrError):
     pass
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # punct | int | string | ident | eof
-    text: str
-    pos: int  # offset of the first character (a string's opening quote)
+# ---- tokens ---------------------------------------------------------------
 
-
+# Blanks and comments. Each piece of the grammar's patterns matches in one
+# way only (a comment runs to the end of its line, a word or an integer
+# takes all its characters), so backtracking never re-reads the text.
+_BLANKS = r"[ \t\r\n]*(?:;[^\n]*(?![^\n])[ \t\r\n]*)*"
 # Each match skips blanks and comments, then takes exactly one token.
-_TOKEN = re.compile(r"""
-    (?:[ \t\r\n]+|;[^\n]*)*
+_TOKEN = re.compile(_BLANKS + r"""
     (?:(?P<punct>->|[@%=,(){}\[\]:])
       |(?P<int>-?\d+)
       |(?P<string>"(?:\\.|[^"\\])*")
@@ -116,271 +107,278 @@ def _error(text: str, pos: int, message: str) -> ParseError:
     return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-def _tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
+def _token_at(text: str, pos: int) -> tuple[str, str, int, int]:
+    """Kind, text (a string's unquoted and unescaped), start and end of the
+    token after the blanks at `pos`, in a text without lexical errors."""
+    m = _TOKEN.match(text, pos)
+    kind = m.lastgroup
+    lit = _ESCAPE.sub(r"\1", m[kind][1:-1]) if kind == "string" else m[kind]
+    return kind, lit, m.start(kind), m.end()
+
+
+def _lexical_error(text: str) -> ParseError | None:
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        lit = m[kind]
-        pos = m.start(kind)
-        # `\w` also matches digit-like characters such as `²`, which may
-        # continue an identifier but not start one
-        if kind == "bad" or kind == "ident" and not (
-                lit[0].isalpha() or lit[0] == "_"):
-            c = lit[0]
-            raise _error(text, pos,
-                         _BAD_START.get(c, f"unexpected character {c!r}"))
-        if kind == "string":
-            lit = _ESCAPE.sub(r"\1", lit[1:-1])
-        toks.append(Token(kind, lit, pos))
-        if kind == "eof":  # finditer would add a second, empty one
-            break
-    return toks
+        if kind == "eof":
+            return None
+        c = m[kind][0]
+        # `\w` also takes digit-like characters (`²`), which start no identifier
+        if kind == "bad" or kind == "ident" and not (c.isalpha() or c == "_"):
+            return _error(text, m.start(kind),
+                          _BAD_START.get(c, f"unexpected character {c!r}"))
+
+
+# ---- grammar nodes, the parts of a statement form: `tail` is a node's
+# pattern after the blanks before it; `first` matches, without captures,
+# the tokens that decide that it is there; `walk` matches it a token at a
+# time and raises the error for the first token that does not fit.
+
+def _starts(node, text: str, pos: int):
+    return re.compile(_BLANKS + node.first).match(text, pos)
+
+
+class _Tok:
+    def __init__(self, first: str, error=None, capture: bool = False):
+        self.first, self.error = f"(?:{first})", error
+        self.tail = f"({first})" if capture else self.first
+        self.groups = int(capture)
+
+    def walk(self, text, pos):
+        m = _starts(self, text, pos)
+        kind, lit, start, end = _token_at(text, pos)
+        if m is None:
+            raise self.error(text, kind, lit, start, end)
+        if kind == "int" and m.end() == end:  # it took an integer literal
+            try:
+                int(lit)
+            except ValueError:  # longer than Python's int-string digit limit
+                raise _error(text, start, f"integer literal of {len(lit)} "
+                                          "characters is too long") from None
+        return m.end()
+
+
+class _Seq:
+    def __init__(self, *parts, decide: int = 1):
+        self.parts = parts
+        self.first = _BLANKS.join(p.first for p in parts[:decide])
+        self.tail = _BLANKS.join(p.tail for p in parts)
+        self.groups = sum(p.groups for p in parts)
+
+    def walk(self, text, pos):
+        for p in self.parts:
+            pos = p.walk(text, pos)
+        return pos
+
+
+class _Alt:
+    """Alternatives told apart by their first tokens. With no `error`, a
+    token that starts none of them is the last one's error."""
+
+    def __init__(self, *alts, error=None, capture: bool = False):
+        self.alts, self.error = alts, error
+        self.first = "(?:%s)" % "|".join(a.first for a in alts)
+        self.tail = ("(%s)" if capture else "(?:%s)") % "|".join(a.tail for a in alts)
+        self.groups = 1 if capture else sum(a.groups for a in alts)
+
+    def walk(self, text, pos):
+        for a in self.alts:
+            if _starts(a, text, pos):
+                return a.walk(text, pos)
+        if self.error is None:
+            return self.alts[-1].walk(text, pos)
+        raise self.error(text, *_token_at(text, pos))
+
+
+class _Choice(_Alt):
+    """The (form, build) pairs that may stand at one place, compiled to one
+    pattern. The form that matched is the last group its match closes;
+    `build(parser, *captures)` makes the statement's value."""
+
+    def __init__(self, *forms, error=None):
+        super().__init__(*(node for node, _ in forms), error=error)
+        self.regex = re.compile(_BLANKS + "(?:%s)" % "|".join(
+            f"({node.tail})" for node, _ in forms))
+        self.builds, n = {}, 1
+        for node, build in forms:
+            self.builds[n] = (build, slice(n, n + node.groups))  # into m.groups()
+            n += 1 + node.groups
+
+
+def _expected(what: str, word: str | None = None):
+    """The error for a token that is not `what` (not `word`, if a word)."""
+    def error(text, kind, lit, start, end):
+        found = word if word is not None and kind == "ident" else what
+        return _error(text, start, f"expected {found}, got {lit!r}")
+    return error
+
+
+def _unknown(what: str):
+    # a word from a fixed set is checked after it is read
+    def error(text, kind, lit, start, end):
+        if kind != "ident":
+            return _expected("identifier")(text, kind, lit, start, end)
+        return _error(text, _token_at(text, end)[2], f"unknown {what} {lit!r}")
+    return error
+
+
+def _message(message: str):
+    return lambda text, kind, lit, start, end: _error(text, start, message)
+
+
+def _opt(part):
+    """`part`, or nothing where its first token is not."""
+    return _Alt(part, _Tok(f"(?!{_BLANKS}{part.first})"))
+
+
+def _p(punct: str, capture: bool = False) -> _Tok:
+    return _Tok(re.escape(punct), _expected(repr(punct)), capture)
+
+
+def _kw(word: str) -> _Tok:
+    return _Tok(word + r"(?!\w)", _expected("identifier", repr(word)))
+
+
+def _one_of(words, error=None, lookahead: str = "") -> _Tok:
+    return _Tok("(?:%s)(?!\\w)%s" % ("|".join(words), lookahead), error, True)
+
+
+_WORD = r"[^\W\d]\w*(?!\w)"
+_IDENT = _Tok(_WORD, _expected("identifier"), True)
+_INT = _Tok(r"-?\d+(?!\d)", _expected("integer"), True)
+_STRING = _Tok(r'"(?:\\(?s:.)|[^"\\])*"', _message("expected source name string"), True)
+_VALUE_TYPE = _one_of(VALUE_TYPES, _unknown("type"))
+_RET_TYPE = _one_of(RET_TYPES, _unknown("return type"))
+# an operand is one capture, read by `_operand`
+_NAME = _Tok(_WORD, _expected("identifier"))
+_OPERAND = _Alt(_Seq(_p("%"), _NAME), _Seq(_p("@"), _NAME), _Tok(
+    r"-?\d+(?!\d)|(?:true|false)(?!\w)"), error=_expected("operand"), capture=True)
+# a list item's separator captures the closing `)`, or None
+_SEP = _Alt(_p(","), _p(")", capture=True), error=_expected("','"))
+_EMPTY = _opt(_p(")", capture=True))
+# a role mark is a role word followed by the label
+_ROLE = _one_of([r for r in ROLES if r != "real"], lookahead=rf"(?={_BLANKS}[^\W\d])")
+_HEAD = (_opt(_ROLE), _IDENT, _p(":"))
+_ASSIGN = (_p("%"), _IDENT, _p("="))
+_CALL = (_kw("call"), _p("@"), _IDENT, _p("("), _EMPTY)
 
 
 class _Parser:
+    """Takes the statements of one text in order."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.text, self.pos = text, 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def take(self, choice: _Choice):
+        """Match one of `choice`'s forms at the current place and build it."""
+        text, start = self.text, self.pos
+        m = choice.regex.match(text, start)
+        if m is not None:
+            self.pos = m.end()
+            build, captures = choice.builds[m.lastindex]
+            try:
+                return build(self, *m.groups()[captures])
+            except ValueError:  # an integer too long for int(): the walk finds it
+                pass
+        # the walk raises the error for the token that does not fit
+        raise _lexical_error(text) or choice.walk(text, start)
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def error(self, t: Token, message: str) -> ParseError:
-        return _error(self.text, t.pos, message)
-
-    def fail(self, message: str):
-        raise self.error(self.peek(), message)
-
-    def expect_punct(self, text: str) -> Token:
-        t = self.next()
-        if t.kind != "punct" or t.text != text:
-            raise self.error(t, f"expected {text!r}, got {t.text!r}")
-        return t
-
-    def expect_ident(self, expected: str | None = None) -> str:
-        t = self.next()
-        if t.kind != "ident":
-            raise self.error(t, f"expected identifier, got {t.text!r}")
-        if expected is not None and t.text != expected:
-            raise self.error(t, f"expected {expected!r}, got {t.text!r}")
-        return t.text
-
-    def accept_punct(self, text: str) -> bool:
-        t = self.peek()
-        if t.kind == "punct" and t.text == text:
-            self.next()
-            return True
-        return False
-
-    def expect_int(self) -> int:
-        t = self.next()
-        if t.kind != "int":
-            raise self.error(t, f"expected integer, got {t.text!r}")
-        try:
-            return wrap64(int(t.text))
-        except ValueError:  # longer than Python's int-string digit limit
-            raise self.error(t, f"integer literal of {len(t.text)} characters "
-                                "is too long") from None
-
-    # ---- module level -----------------------------------------------------
+    def items(self, element: _Choice, end):
+        """Take list items, each with its separator, while `end` is None."""
+        out = []
+        while end is None:
+            item, end = self.take(element)
+            out.append(item)
+        return tuple(out), end
 
     def module(self) -> IrModule:
         m = IrModule()
-        while True:
-            t = self.peek()
-            if t.kind == "eof":
-                break
-            if t.kind != "ident":
-                self.fail(f"expected top-level declaration, got {t.text!r}")
-            if t.text == "global":
-                self.next()
-                self.expect_punct("@")
-                name = self.expect_ident()
-                self.expect_punct("=")
-                m.globals.append((name, self.expect_int()))
-            elif t.text == "extern":
-                self.next()
-                self.expect_punct("@")
-                name = self.expect_ident()
-                self.expect_punct("(")
-                tys: list[str] = []
-                if not self.accept_punct(")"):
-                    while True:
-                        tys.append(self.value_type())
-                        if self.accept_punct(")"):
-                            break
-                        self.expect_punct(",")
-                self.expect_punct("->")
-                m.externs.append(ExternDecl(name, tys, self.ret_type()))
-            elif t.text == "func":
-                m.functions.append(self.function())
-            else:
-                self.fail(f"expected 'global', 'extern' or 'func', got {t.text!r}")
+        lists = {tuple: m.globals, ExternDecl: m.externs, IrFunction: m.functions}
+        while (item := self.take(_TOP)) is not None:
+            lists[type(item)].append(item)
         return m
 
-    def value_type(self) -> str:
-        t = self.expect_ident()
-        if t not in VALUE_TYPES:
-            self.fail(f"unknown type {t!r}")
-        return t
+    def function(self, name, base, end):
+        params, _ = self.items(_PARAM, end)
+        ret_type, head = self.take(_FUNC_OPEN)
+        blocks = []
+        while head is not None:
+            role, label = head
+            insts = []
+            while type(stmt := self.take(_BODY)) not in _TERMINATORS:
+                insts.append(stmt)
+            blocks.append(BasicBlock(label, insts, stmt, role or "real"))
+            head = self.take(_NEXT_BLOCK)
+        return IrFunction(name, _ESCAPE.sub(r"\1", base[1:-1]), list(params),
+                          ret_type, blocks)
 
-    def ret_type(self) -> str:
-        t = self.expect_ident()
-        if t not in RET_TYPES:
-            self.fail(f"unknown return type {t!r}")
-        return t
 
-    def function(self) -> IrFunction:
-        self.expect_ident("func")
-        self.expect_punct("@")
-        mangled = self.expect_ident()
-        self.expect_ident("src")
-        t = self.next()
-        if t.kind != "string":
-            raise self.error(t, "expected source name string")
-        base = t.text
-        self.expect_punct("(")
-        params: list[tuple[str, str]] = []
-        if not self.accept_punct(")"):
-            while True:
-                self.expect_punct("%")
-                pname = self.expect_ident()
-                self.expect_punct(":")
-                params.append((pname, self.value_type()))
-                if self.accept_punct(")"):
-                    break
-                self.expect_punct(",")
-        self.expect_punct("->")
-        rty = self.ret_type()
-        self.expect_punct("{")
-        blocks = [self.block()]
-        while not self.accept_punct("}"):
-            blocks.append(self.block())
-        return IrFunction(mangled, base, params, rty, blocks)
+_LITERALS = {"true": True, "false": False}
+_TERMINATORS = (Br, Cbr, Switch, Ret)
 
-    # ---- blocks -----------------------------------------------------------
 
-    def block(self) -> BasicBlock:
-        role = "real"
-        t = self.peek()
-        if t.kind == "ident" and t.text in ROLES and t.text != "real":
-            nxt = self.peek(1)
-            if nxt.kind == "ident":  # role mark followed by the label
-                role = self.next().text
-        label = self.expect_ident()
-        self.expect_punct(":")
-        insts = []
-        while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text == "%":
-                insts.append(self.instruction())
-            elif t.kind == "ident" and t.text == "call":
-                insts.append(self.call_inst(None))
-            elif t.kind == "ident" and t.text in ("br", "cbr", "switch", "ret"):
-                return BasicBlock(label, insts, self.terminator(), role)
-            else:
-                self.fail("block is missing a terminator")
+@functools.lru_cache(maxsize=4096)  # operands are immutable, so shared
+def _operand(text):
+    if text[0] in "%@":  # the name is the word that ends the operand
+        name = re.search(r"\w+\Z", text)[0]
+        return Local(name) if text[0] == "%" else GlobalRef(name)
+    return _LITERALS[text] if text in _LITERALS else wrap64(int(text))
 
-    def instruction(self):
-        self.expect_punct("%")
-        dst = self.expect_ident()
-        self.expect_punct("=")
-        t = self.peek()
-        if t.kind == "ident" and t.text in BINOPS:
-            op = self.next().text
-            a = self.operand()
-            self.expect_punct(",")
-            return BinOp(dst, op, a, self.operand())
-        if t.kind == "ident" and t.text == "cmp":
-            self.next()
-            rel = self.expect_ident()
-            if rel not in CMP_RELS:
-                self.fail(f"unknown comparison {rel!r}")
-            a = self.operand()
-            self.expect_punct(",")
-            return Cmp(dst, rel, a, self.operand())
-        if t.kind == "ident" and t.text == "call":
-            return self.call_inst(dst)
-        op = self.operand()
-        if isinstance(op, (Local, GlobalRef)):
-            return Assign(dst, op)
-        return Const(dst, op)
 
-    def call_inst(self, dst: str | None) -> Call:
-        self.expect_ident("call")
-        self.expect_punct("@")
-        callee = self.expect_ident()
-        self.expect_punct("(")
-        args = []
-        if not self.accept_punct(")"):
-            while True:
-                args.append(self.operand())
-                if self.accept_punct(")"):
-                    break
-                self.expect_punct(",")
-        return Call(dst, callee, tuple(args))
+def _binary(cls):
+    return lambda p, dst, op, a, b: cls(dst, op, _operand(a), _operand(b))
 
-    def terminator(self):
-        kw = self.expect_ident()
-        if kw == "br":
-            return Br(self.expect_ident())
-        if kw == "cbr":
-            self.expect_punct("%")
-            cond = self.expect_ident()
-            self.expect_punct(",")
-            then_l = self.expect_ident()
-            self.expect_punct(",")
-            return Cbr(cond, then_l, self.expect_ident())
-        if kw == "switch":
-            self.expect_punct("%")
-            scrut = self.expect_ident()
-            self.expect_punct("[")
-            cases: list[tuple[int, str]] = []
-            if not self.accept_punct("]"):
-                while True:
-                    lit = self.expect_int()
-                    self.expect_punct("->")
-                    cases.append((lit, self.expect_ident()))
-                    if self.accept_punct("]"):
-                        break
-                    self.expect_punct(",")
-            self.expect_ident("default")
-            return Switch(scrut, tuple(cases), self.expect_ident())
-        if kw == "ret":
-            t = self.peek()
-            if (t.kind == "punct" and t.text in ("%", "@")) or t.kind == "int" or (
-                t.kind == "ident" and t.text in ("true", "false")
-            ):
-                return Ret(self.operand())
-            return Ret(None)
-        self.fail(f"expected terminator, got {kw!r}")
 
-    def operand(self):
-        t = self.peek()
-        if t.kind == "punct" and t.text == "%":
-            self.next()
-            return Local(self.expect_ident())
-        if t.kind == "punct" and t.text == "@":
-            self.next()
-            return GlobalRef(self.expect_ident())
-        if t.kind == "int":
-            return self.expect_int()
-        if t.kind == "ident" and t.text in ("true", "false"):
-            return self.next().text == "true"
-        self.fail(f"expected operand, got {t.text!r}")
+_TOP = _Choice(
+    (_Tok(r"\Z"), lambda p: None),
+    (_Seq(_kw("global"), _p("@"), _IDENT, _p("="), _INT),
+     lambda p, name, lit: (name, wrap64(int(lit)))),
+    (_Seq(_kw("extern"), _p("@"), _IDENT, _p("("), _EMPTY), lambda p, name, end:
+     ExternDecl(name, list(p.items(_TYPE_ITEM, end)[0]), p.take(_RETURNS))),
+    (_Seq(_kw("func"), _p("@"), _IDENT, _kw("src"), _STRING, _p("("), _EMPTY),
+     _Parser.function),
+    error=_expected("top-level declaration", "'global', 'extern' or 'func'"))
+_TYPE_ITEM = _Choice((_Seq(_VALUE_TYPE, _SEP), lambda p, ty, end: (ty, end)))
+_PARAM = _Choice((_Seq(_p("%"), _IDENT, _p(":"), _VALUE_TYPE, _SEP),
+                  lambda p, name, ty, end: ((name, ty), end)))
+_RETURNS = _Choice((_Seq(_p("->"), _RET_TYPE), lambda p, ty: ty))
+# a function's blocks start with a head: the role mark, if any, and label
+_FUNC_OPEN = _Choice((_Seq(_p("->"), _RET_TYPE, _p("{"), *_HEAD),
+                      lambda p, ty, *head: (ty, head)))
+_NEXT_BLOCK = _Choice((_p("}"), lambda p: None),
+                      (_Seq(*_HEAD), lambda p, *head: head))
+_BODY = _Choice(
+    # an assignment's form is decided by the word after its `=`
+    (_Seq(*_ASSIGN, _one_of(BINOPS), _OPERAND, _p(","), _OPERAND, decide=4),
+     _binary(BinOp)),
+    (_Seq(*_ASSIGN, _kw("cmp"), _one_of(CMP_RELS, _unknown("comparison")),
+          _OPERAND, _p(","), _OPERAND, decide=4), _binary(Cmp)),
+    (_Seq(*_ASSIGN, *_CALL, decide=4),
+     lambda p, dst, callee, end: Call(dst, callee, p.items(_ARG, end)[0])),
+    (_Seq(*_ASSIGN, _OPERAND),
+     lambda p, dst, src: (Assign if src[0] in "%@" else Const)(dst, _operand(src))),
+    (_Seq(*_CALL), lambda p, callee, end: Call(None, callee, p.items(_ARG, end)[0])),
+    (_Seq(_kw("br"), _IDENT), lambda p, label: Br(label)),
+    (_Seq(_kw("cbr"), _p("%"), _IDENT, _p(","), _IDENT, _p(","), _IDENT),
+     lambda p, *names: Cbr(*names)),
+    (_Seq(_kw("switch"), _p("%"), _IDENT, _p("["),
+          _opt(_Seq(_p("]"), _kw("default"), _IDENT))),
+     lambda p, scrutinee, default: Switch(scrutinee, *p.items(_CASE, default))),
+    (_Seq(_kw("ret"), _opt(_OPERAND)), lambda p, value: Ret(value and _operand(value))),
+    error=_message("block is missing a terminator"))
+_ARG = _Choice((_Seq(_OPERAND, _SEP), lambda p, arg, end: (_operand(arg), end)))
+# a case's separator captures the default label after the closing `]`
+_CASE = _Choice((_Seq(_INT, _p("->"), _IDENT, _Alt(
+    _p(","), _Seq(_p("]"), _kw("default"), _IDENT), error=_expected("','"))),
+    lambda p, lit, label, default: ((wrap64(int(lit)), label), default)))
 
 
 def parse_module(text: str) -> IrModule:
     """Parse and validate; raises ParseError or ValidationError."""
     module = _Parser(text).module()
-    diags = validate(module)
-    if diags:
+    # the grammar's identifiers may start with a digit-like character
+    # such as `²`, which only a non-ASCII text can hold
+    if not text.isascii() and (lexical := _lexical_error(text)):
+        raise lexical
+    if diags := validate(module):
         raise ValidationError(diags)
     return module

@@ -401,6 +401,32 @@ def test_main_batch_time_reps(tmp_path, capsys, reps, want):
         assert captured.err == "error: --time-reps must be 0 or at least 3\n"
 
 
+@pytest.mark.parametrize("reps, want", [
+    (-5, EXIT_PARAMETER), (1, EXIT_PARAMETER), (2, EXIT_PARAMETER),
+    (0, EXIT_OK), (3, EXIT_OK),
+])
+def test_main_single_file_time_reps(tmp_path, capsys, reps, want):
+    """Single-file mode rejects the `--time-reps` values batch mode does."""
+    code = main([str(_one_entry_corpus(tmp_path) / "gcd.ir"), "--passes",
+                 "flatten", "-o", str(tmp_path / "out.ir"), "--time-reps", str(reps)])
+    assert code == want
+    if want == EXIT_PARAMETER:
+        assert capsys.readouterr().err == "error: --time-reps must be 0 or at least 3\n"
+        assert not (tmp_path / "out.ir").exists()
+
+
+@pytest.mark.parametrize("batch_mode", [False, True], ids=["single_file", "batch"])
+def test_main_non_utf8_dict_names_the_file(tmp_path, capsys, batch_mode):
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"\xff\xfe not UTF-8\n")
+    corpus = _one_entry_corpus(tmp_path)
+    source = ["--batch", str(corpus)] if batch_mode else [str(corpus / "gcd.ir")]
+    assert main([*source, "--passes", "ident-dict", "--dict", str(words)]) == EXIT_PARAMETER
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {words} is not UTF-8: ")
+    assert err.count("\n") == 1
+
+
 def test_main_report_on_module_without_functions(tmp_path):
     src = tmp_path / "empty.ir"
     src.write_text("global @g = 1\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -89,6 +90,84 @@ def test_bad_integer_literal_is_syntax_error(literal, col, message):
         parse_module(f"global @g = {literal}\n")
     assert (err.value.line, err.value.col) == (1, col)
     assert message in str(err.value)
+
+
+_F = 'func @f src "f" () -> int {\n'
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("@g", "expected top-level declaration, got '@'", 1, 1),
+    ("global @g = 1\nfunction @f",
+     "expected 'global', 'extern' or 'func', got 'function'", 2, 1),
+    # a type is checked after it is read, so the error sits on the next token
+    ("extern @e(int, long) -> int", "unknown type 'long'", 1, 20),
+    ('func @f src "f" (%x: long) -> int { entry: ret 0 }',
+     "unknown type 'long'", 1, 26),
+    ("extern @e() -> long\nglobal @g = 1", "unknown return type 'long'", 2, 1),
+    ('func @f src "f" () -> long { entry: ret 0 }',
+     "unknown return type 'long'", 1, 28),
+    ("func @f src f () -> int { entry: ret 0 }",
+     "expected source name string", 1, 13),
+    ("global @3 = 1", "expected identifier, got '3'", 1, 9),
+    ('func @f "f" () -> int { entry: ret 0 }',
+     "expected identifier, got 'f'", 1, 9),
+    ('func @f source "f" () -> int { entry: ret 0 }',
+     "expected 'src', got 'source'", 1, 9),
+    (_F + "entry:\n  switch %x [1 -> a] otherwise a\n}",
+     "expected 'default', got 'otherwise'", 3, 22),
+    ("global @g := 1", "expected '=', got ':'", 1, 11),
+    (_F + "entry:\n  %x = add 1 2\n  ret %x\n}", "expected ',', got '2'", 3, 14),
+    ("extern @e(int", "expected ',', got ''", 1, 14),
+    ('global "g" = 1', "expected '@', got 'g'", 1, 8),
+    ("global @g = true", "expected integer, got 'true'", 1, 13),
+    (_F + "entry:\n  switch %x [a -> b] default b\n}",
+     "expected integer, got 'a'", 3, 14),
+    (_F + "entry:\n  %x = add 1, ret\n}", "expected operand, got 'ret'", 3, 15),
+    (_F + "entry:\n  %x = foo\n  ret %x\n}", "expected operand, got 'foo'", 3, 8),
+    (_F + "entry:\n  ret % 3\n}", "expected identifier, got '3'", 3, 9),
+    (_F + "entry:\n  %c = cmp lte 1, 2\n  ret 0\n}",
+     "unknown comparison 'lte'", 3, 16),
+    (_F + "entry:\n  %x = 1\n}", "block is missing a terminator", 4, 1),
+    (_F + "entry:\n  ret " + "9" * 4301 + "\n}",
+     "integer literal of 4301 characters is too long", 3, 7),
+    ('func @f src "f () -> int { entry: ret 0 }', "unterminated string", 1, 13),
+    ("global @g = - 1", "stray '-'", 1, 13),
+    ("global @g = 1 # one", "unexpected character '#'", 1, 15),
+    ("global @²g = 1", "unexpected character '²'", 1, 9),
+], ids=[
+    "top_level_punct", "top_level_word", "extern_type", "param_type",
+    "extern_return_type", "func_return_type", "source_name", "identifier",
+    "keyword_not_identifier", "keyword_src", "keyword_default", "punct",
+    "comma", "end_of_text", "string_got", "integer", "case_integer",
+    "operand", "operand_word", "operand_identifier", "unknown_comparison",
+    "missing_terminator", "too_long", "unterminated_string", "stray_minus",
+    "unexpected_character", "digit_like_start",
+])
+def test_every_parse_error_form(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_module(text)
+    assert str(err.value) == f"Syntax: {message} (line {line}, col {col})"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_lexical_error_reported_before_earlier_grammar_error():
+    with pytest.raises(ParseError) as err:
+        parse_module('global @g = true\nfunc @f src "f () -> int { entry: ret 0 }')
+    assert str(err.value) == "Syntax: unterminated string (line 2, col 13)"
+
+
+def test_long_integer_where_no_integer_fits():
+    """Only a literal the grammar takes is converted, so one that stands
+    where a label belongs is an unexpected token, not a long literal."""
+    long = "9" * 4400
+    with pytest.raises(ParseError) as err:
+        parse_module(_F + f"entry:\n  ret 0\n{long}:\n  ret 1\n}}")
+    assert str(err.value) == f"Syntax: expected identifier, got '{long}' (line 4, col 1)"
+
+
+def test_string_escapes_any_character():
+    m = parse_module('func @f src "a\\\nb\\\\c\\"d" () -> int { entry: ret 0 }')
+    assert m.functions[0].base_name == 'a\nb\\c"d'
 
 
 def test_integers_are_unicode_decimal_digits():
@@ -191,3 +270,38 @@ def test_syntax_error_location_property(m, base_name, data):
     lines = before.split("\n")
     assert (err.value.line, err.value.col) == (len(lines), len(lines[-1]) + 1)
     assert "unexpected character '$'" in str(err.value)
+
+
+# Every statement form the grammar has, beside what random_modules() draws
+_ALL_FORMS = """\
+global @g = -7
+extern @e(int, bool) -> void
+extern @n() -> int
+func @_O1hv src "h\\"q" (%p: int, %q: bool) -> bool {
+entry:
+  %a = @g
+  %b = true
+  %c = cmp le %p, @g
+  %d = call @n()
+  call @e(%d, false)
+  switch %p [0 -> done, -3 -> fake] default done
+bogus fake:
+  cbr %q, done, fake
+dispatcher done:
+  ret %c
+}
+func @_O1kv src "k" () -> void { entry: ret }
+"""
+_TOKENS = re.compile(r'"(?:\\.|[^"\\])*"|->|-?\d+|\w+|\S')
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_modules(), st.data())
+def test_layout_property(m, data):
+    """Blanks, newlines and comments between any two tokens change nothing."""
+    text = print_module(m) + _ALL_FORMS
+    seps = st.sampled_from([" ", "\n", "\t", "\r\n", " ; note\n", ";\n  "])
+    reflowed = "".join(tok + data.draw(seps) for tok in _TOKENS.findall(text))
+    expected = parse_module(text)
+    assert expected.functions[0] == m.functions[0]
+    assert parse_module(reflowed) == expected
