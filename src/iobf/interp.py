@@ -6,15 +6,25 @@ their type; `validate` guarantees every register name that appears is
 declared.
 
 Modules are compiled once to a flat tuple form (blocks resolved to object
-references, globals folded, operands pre-dispatched) and the result is
-cached by module identity. The cache needs no invalidation because no
-pass edits a module it was given: instructions and terminators are
-frozen, and passes edit only blocks they created, returning a new module.
-Compilation splits every block after each call to a defined function, so
-the call ends its part of the block and a run of ops never stops midway.
+references) and the result is cached by module identity. The cache needs
+no invalidation because no pass edits a module it was given: instructions
+and terminators are frozen, and passes edit only blocks they created,
+returning a new module. Compilation splits every block after each call to
+a defined function, so the call ends its part of the block and a run of
+ops never stops midway.
+
+A frame's registers are one list, and every operand is an index into it.
+Compilation gives each register a slot, and each literal and folded
+global (globals are immutable integers) a slot that the frame starts
+with its value in; literals are keyed by type and value, so `true` and
+`1` never share one. A binary op is one call of an `operator` function
+(or of a small one for the trapping divisions and the masked shifts) on
+unbounded ints; the loop keeps a result that is already in the signed
+64-bit range and calls `wrap64` only on the rest, which is exactly
+`wrap64` for every int and leaves comparison booleans as they are.
 
 One loop executes every function on an explicit frame stack (caller
-env, part to resume, destination register): an IR call pushes a frame
+registers, part to resume, destination slot): an IR call pushes a frame
 instead of recursing in Python. More than `MAX_CALL_DEPTH` active frames
 trap with "call depth exceeded". Fuel counts every executed instruction
 and terminator in execution order, so a run that exhausts a budget of
@@ -24,6 +34,7 @@ equivalence checks stay deterministic and loop-proof.
 
 from __future__ import annotations
 
+import operator
 import statistics
 import time
 import weakref
@@ -98,79 +109,48 @@ def resolve_entry(m: IrModule, base_name: str, arity: int) -> IrFunction:
 # ---------------------------------------------------------------------------
 # Compilation to tuple form
 
-def _op_add(a, b):
-    return wrap64(a + b)
-
-
-def _op_sub(a, b):
-    return wrap64(a - b)
-
-
-def _op_mul(a, b):
-    return wrap64(a * b)
-
-
-def _op_sdiv(a, b):
+def _sdiv(a, b):
     if b == 0:
         raise _Trap("sdiv by zero")
     q = abs(a) // abs(b)
-    return wrap64(-q if (a < 0) != (b < 0) else q)
+    return -q if (a < 0) != (b < 0) else q
 
 
-def _op_srem(a, b):
+def _srem(a, b):
     if b == 0:
         raise _Trap("srem by zero")
     r = abs(a) % abs(b)
-    return wrap64(-r if a < 0 else r)
+    return -r if a < 0 else r
 
 
-def _op_and(a, b):
-    return wrap64(a & b)
+def _shl(a, b):
+    return a << (b & 63)
 
 
-def _op_or(a, b):
-    return wrap64(a | b)
-
-
-def _op_xor(a, b):
-    return wrap64(a ^ b)
-
-
-def _op_shl(a, b):
-    return wrap64(a << (b & 63))
-
-
-def _op_shr(a, b):
+def _shr(a, b):
     return a >> (b & 63)  # arithmetic: Python >> keeps the sign
 
 
-_OP_FUNCS = {
-    "add": _op_add, "sub": _op_sub, "mul": _op_mul, "sdiv": _op_sdiv,
-    "srem": _op_srem, "and": _op_and, "or": _op_or, "xor": _op_xor,
-    "shl": _op_shl, "shr": _op_shr,
+# binary ops and comparisons over unbounded ints; the loop wraps results
+_FUNCS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "sdiv": _sdiv, "srem": _srem, "and": operator.and_, "or": operator.or_,
+    "xor": operator.xor, "shl": _shl, "shr": _shr,
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
 }
 
-_REL_FUNCS = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
-
-# op tags
-_SET = 0      # (_SET, dst, value)            constant store
-_COPY = 1     # (_COPY, dst, src_name)        register copy
-_BIN = 2      # (_BIN, dst, fn, af, av, bf, bv)   binary op or comparison
-_PRINT = 3    # (_PRINT, (flag, value))
+# op tags; every operand and destination is a slot of the frame's list
+_BIN = 0      # (_BIN, dst, fn, a, b)          binary op or comparison
+_COPY = 1     # (_COPY, dst, src)              constant store or copy
+_PRINT = 2    # (_PRINT, src)
 
 # terminator tags
 _T_BR = 0     # (_T_BR, part)
-_T_CBR = 1    # (_T_CBR, cond_name, then_part, else_part)
-_T_SW = 2     # (_T_SW, scrut_name, {lit: part}, default_part)
-_T_CALL = 3   # (_T_CALL, callee_name, ((flag, value), ...), dst, next_part)
-_T_RET = 4    # (_T_RET, None | (flag, value))
+_T_CBR = 1    # (_T_CBR, cond, then_part, else_part)
+_T_SW = 2     # (_T_SW, scrutinee, {lit: part}, default_part)
+_T_CALL = 3   # (_T_CALL, callee_name, (arg, ...), dst | None, next_part)
+_T_RET = 4    # (_T_RET, None | value)
 _T_STOP = 5   # (_T_STOP,) stands in for the terminator that fuel cannot reach
 
 _STOP = (_T_STOP,)
@@ -197,59 +177,70 @@ class _CompiledFunction:
     __slots__ = ("params", "entry", "init_env")
 
     def __init__(self, params, entry, init_env):
-        self.params = params  # [(name, is_bool)]
+        self.params = params  # [(slot, is_bool)]
         self.entry = entry
-        self.init_env = init_env
+        self.init_env = init_env  # registers at their type's zero, literals
 
     def frame_env(self, args):
-        env = dict(self.init_env)
-        for (pname, is_bool), arg in zip(self.params, args):
-            env[pname] = bool(arg) if is_bool else wrap64(int(arg))
+        env = self.init_env.copy()
+        for (slot, is_bool), arg in zip(self.params, args):
+            env[slot] = bool(arg) if is_bool else wrap64(int(arg))
         return env
 
 
-def _operand(op, globals_map):
-    """Encode an operand as (is_register, payload); globals fold to their
-    initializer (they are immutable integers)."""
-    if isinstance(op, Local):
-        return (True, op.name)
-    if isinstance(op, GlobalRef):
-        return (False, globals_map[op.name])
-    return (False, op)
+class _Slots(dict):
+    """Register name, or (type, value) of a literal, -> slot in the frame's
+    list. A key gets the next slot when first looked up; `init` holds each
+    slot's start value: a register's type's zero, a literal's value."""
+
+    def __init__(self, types):
+        super().__init__()
+        self.types = types
+        self.init = []
+
+    def __missing__(self, key):
+        index = self[key] = len(self.init)
+        if isinstance(key, str):
+            self.init.append(False if self.types.get(key) == "bool" else 0)
+        else:
+            self.init.append(key[1])
+        return index
 
 
 def _compile_function(fn: IrFunction, module: IrModule, globals_map,
                       builtin_print: bool) -> _CompiledFunction:
-    types = infer_local_types(fn, module)
-    init_env = {
-        name: False if types.get(name) == "bool" else 0
-        for name in fn.local_names()
-    }
+    slots = _Slots(infer_local_types(fn, module))
+
+    def operand(op):
+        if isinstance(op, Local):
+            return slots[op.name]
+        if isinstance(op, GlobalRef):
+            op = globals_map[op.name]  # globals are immutable integers
+        return slots[type(op), op]  # `true` and `1` stay apart
+
+    params = [(slots[name], ty == "bool") for name, ty in fn.params]
     parts = {b.label: _Part((fn.mangled_name, b.label)) for b in fn.blocks}
     for b in fn.blocks:
         part = parts[b.label]
         for ins in b.insts:
             if isinstance(ins, BinOp):
-                af, av = _operand(ins.a, globals_map)
-                bf, bv = _operand(ins.b, globals_map)
-                part.ops.append((_BIN, ins.dst, _OP_FUNCS[ins.op], af, av, bf, bv))
+                part.ops.append((_BIN, slots[ins.dst], _FUNCS[ins.op],
+                                 operand(ins.a), operand(ins.b)))
             elif isinstance(ins, Cmp):
-                af, av = _operand(ins.a, globals_map)
-                bf, bv = _operand(ins.b, globals_map)
-                part.ops.append((_BIN, ins.dst, _REL_FUNCS[ins.rel], af, av, bf, bv))
+                part.ops.append((_BIN, slots[ins.dst], _FUNCS[ins.rel],
+                                 operand(ins.a), operand(ins.b)))
             elif isinstance(ins, Const):
-                part.ops.append((_SET, ins.dst, ins.value))
+                part.ops.append((_COPY, slots[ins.dst], operand(ins.value)))
             elif isinstance(ins, Assign):
-                flag, val = _operand(ins.src, globals_map)
-                part.ops.append((_COPY, ins.dst, val) if flag
-                                else (_SET, ins.dst, val))
+                part.ops.append((_COPY, slots[ins.dst], operand(ins.src)))
             elif isinstance(ins, Call):
                 if ins.callee == "print_int" and builtin_print:
-                    part.ops.append((_PRINT, _operand(ins.args[0], globals_map)))
+                    part.ops.append((_PRINT, operand(ins.args[0])))
                 else:
-                    args = tuple(_operand(a, globals_map) for a in ins.args)
+                    args = tuple(operand(a) for a in ins.args)
+                    dst = None if ins.dst is None else slots[ins.dst]
                     rest = _Part(None)
-                    part.end((_T_CALL, ins.callee, args, ins.dst, rest))
+                    part.end((_T_CALL, ins.callee, args, dst, rest))
                     part = rest
             else:
                 raise TypeError(f"unknown instruction {ins!r}")
@@ -257,17 +248,16 @@ def _compile_function(fn: IrFunction, module: IrModule, globals_map,
         if isinstance(t, Br):
             part.end((_T_BR, parts[t.label]))
         elif isinstance(t, Cbr):
-            part.end((_T_CBR, t.cond, parts[t.then_label], parts[t.else_label]))
+            part.end((_T_CBR, slots[t.cond], parts[t.then_label],
+                      parts[t.else_label]))
         elif isinstance(t, Switch):
             table = {lit: parts[lab] for lit, lab in t.cases}
-            part.end((_T_SW, t.scrutinee, table, parts[t.default]))
+            part.end((_T_SW, slots[t.scrutinee], table, parts[t.default]))
         elif isinstance(t, Ret):
-            part.end((_T_RET, None if t.value is None
-                      else _operand(t.value, globals_map)))
+            part.end((_T_RET, None if t.value is None else operand(t.value)))
         else:
             raise ValueError(f"block {b.label} has no terminator")
-    params = [(name, ty == "bool") for name, ty in fn.params]
-    return _CompiledFunction(params, parts[fn.entry], init_env)
+    return _CompiledFunction(params, parts[fn.entry], slots.init)
 
 
 def _compile_module(module: IrModule) -> dict[str, _CompiledFunction]:
@@ -304,7 +294,7 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
              tracer) -> ExecutionResult:
     budget = fuel
     output: list[int] = []
-    frames = []  # (caller env, part to resume, dst register)
+    frames = []  # (caller env, part to resume, dst slot)
     env = cfn.frame_env(args)
     part = cfn.entry
     try:
@@ -322,16 +312,14 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
             for op in ops:
                 tag = op[0]
                 if tag == _BIN:
-                    _, dst, fn, af, av, bf, bv = op
-                    env[dst] = fn(env[av] if af else av,
-                                  env[bv] if bf else bv)
-                elif tag == _SET:
-                    env[op[1]] = op[2]
+                    _, dst, fn, a, b = op
+                    r = fn(env[a], env[b])
+                    # exactly wrap64(r); comparison booleans pass unchanged
+                    env[dst] = r if -2**63 <= r < 2**63 else wrap64(r)
                 elif tag == _COPY:
                     env[op[1]] = env[op[2]]
                 else:
-                    flag, val = op[1]
-                    output.append(int(env[val] if flag else val))
+                    output.append(int(env[op[1]]))
 
             tag = term[0]
             if tag == _T_BR:
@@ -341,21 +329,19 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
             elif tag == _T_SW:
                 part = term[2].get(env[term[1]], term[3])
             elif tag == _T_CALL:
-                _, callee, arg_enc, dst, rest = term
+                _, callee, arg_slots, dst, rest = term
                 callee_fn = table.get(callee)
                 if callee_fn is None:
                     raise _Trap(f"unresolved extern @{callee}")
                 if len(frames) + 1 >= MAX_CALL_DEPTH:
                     raise _Trap("call depth exceeded")
                 frames.append((env, rest, dst))
-                env = callee_fn.frame_env(
-                    [env[v] if f else v for f, v in arg_enc])
+                env = callee_fn.frame_env([env[a] for a in arg_slots])
                 part = callee_fn.entry
             elif tag == _T_RET:
                 value = term[1]
                 if value is not None:
-                    flag, val = value
-                    value = env[val] if flag else val
+                    value = env[value]
                 if not frames:
                     return ExecutionResult(RETURNED, value=value, output=output,
                                            steps=budget - fuel)

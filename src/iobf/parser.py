@@ -97,6 +97,7 @@ _TOKEN = re.compile(_BLANKS + r"""
       |(?P<eof>\Z))
 """, re.VERBOSE | re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 # a `"` that starts no string has no closing quote; a `-` that starts no
 # integer and no `->` stands alone
 _BAD_START = {'"': "unterminated string", "-": "stray '-'"}
@@ -375,10 +376,14 @@ _CASE = _Choice((_Seq(_INT, _p("->"), _IDENT, _Alt(
 def parse_module(text: str) -> IrModule:
     """Parse and validate; raises ParseError or ValidationError."""
     module = _Parser(text).module()
-    # the grammar's identifiers may start with a digit-like character
-    # such as `²`, which only a non-ASCII text can hold
-    if not text.isascii() and (lexical := _lexical_error(text)):
-        raise lexical
+    # `\w` in the grammar's identifiers also takes characters that are
+    # neither letters nor decimal digits (`²`, `Ⅻ`) and start no identifier;
+    # only the lexer rejects them, so it runs only when one is there
+    if not text.isascii() and any(
+            c.isalnum() and not (c.isalpha() or c.isdecimal())
+            for c in set(_NON_ASCII.findall(text))):
+        if lexical := _lexical_error(text):
+            raise lexical
     if diags := validate(module):
         raise ValidationError(diags)
     return module

@@ -48,38 +48,42 @@ class Diagnostic:
 def infer_local_types(fn: IrFunction, module: IrModule) -> dict[str, str]:
     """Register name -> type, from parameter declarations and assignments.
 
-    Runs a small fixpoint so copy chains (`%a = %b`) resolve regardless of
-    textual order. Registers whose type cannot be determined are omitted.
+    The first assignment in text order that has a type gives it. Copies
+    whose source is still untyped then run to a fixpoint, in text order,
+    so copy chains (`%a = %b`) resolve regardless of textual order.
+    Registers whose type cannot be determined are omitted.
     """
     types: dict[str, str] = dict(fn.params)
+    copies = []  # copies whose source had no type when they were reached
+    for b in fn.blocks:
+        for ins in b.insts:
+            if ins.dst is None or ins.dst in types:
+                continue
+            if isinstance(ins, BinOp):
+                ty = "int"
+            elif isinstance(ins, Cmp):
+                ty = "bool"
+            elif isinstance(ins, Const):
+                ty = operand_type(ins.value)
+            elif isinstance(ins, Assign):
+                ty = _operand_ty(ins.src, types, module)
+                if ty is None:
+                    copies.append(ins)
+            else:
+                sig = _callee_signature(ins.callee, module)
+                ty = sig[1] if sig else None
+            if ty is not None:
+                types[ins.dst] = ty
     pending = True
     while pending:
         pending = False
-        for b in fn.blocks:
-            for ins in b.insts:
-                dst, ty = _dst_and_type(ins, types, module)
-                if dst is not None and ty is not None and types.get(dst) != ty:
-                    if dst not in types:
-                        types[dst] = ty
-                        pending = True
+        for ins in copies:
+            if ins.dst not in types:
+                ty = _operand_ty(ins.src, types, module)
+                if ty is not None:
+                    types[ins.dst] = ty
+                    pending = True
     return types
-
-
-def _dst_and_type(ins, types: dict[str, str], module: IrModule):
-    if isinstance(ins, Const):
-        return ins.dst, operand_type(ins.value)
-    if isinstance(ins, BinOp):
-        return ins.dst, "int"
-    if isinstance(ins, Cmp):
-        return ins.dst, "bool"
-    if isinstance(ins, Assign):
-        return ins.dst, _operand_ty(ins.src, types, module)
-    if isinstance(ins, Call):
-        if ins.dst is None:
-            return None, None
-        sig = _callee_signature(ins.callee, module)
-        return ins.dst, (sig[1] if sig else None)
-    return None, None
 
 
 def _operand_ty(op: Operand, types: dict[str, str], module: IrModule) -> str | None:

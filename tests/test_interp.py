@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iobf import parse_module, run, timed_run
 from iobf.interp import (
@@ -9,7 +9,8 @@ from iobf.interp import (
     RETURNED,
     TRAPPED,
 )
-from iobf.ir import wrap64
+from iobf.ir import INT_MAX, INT_MIN, wrap64
+from iobf.parser import ValidationError
 
 from conftest import GCD_TEXT
 
@@ -102,15 +103,50 @@ def test_fuel_monotonicity(fuel):
         assert bigger.steps == r.steps
 
 
-_I64 = st.integers(-(1 << 63), (1 << 63) - 1)
+_I64 = st.integers(INT_MIN, INT_MAX)
+_OPS = ("add", "sub", "mul", "and", "or", "xor", "sdiv", "srem", "shl", "shr")
+_BOUNDARY = (INT_MIN, INT_MIN + 1, -1, 0, 1, INT_MAX)
 
 
-@settings(max_examples=120, deadline=None)
-@given(_I64, _I64, st.sampled_from(
-    ["add", "sub", "mul", "and", "or", "xor", "sdiv", "srem", "shl", "shr"]))
-def test_wrapping_arithmetic_matches_bigint_model(a, b, op):
+def _with_boundary_examples(test):
+    """Every op on every pair of boundary values, and shifts by 63 and 64."""
+    for op in _OPS:
+        for a in _BOUNDARY:
+            for b in _BOUNDARY + (63, 64):
+                test = example(a, b, op)(test)
+    return test
+
+
+def _bigint_model(op, a, b):
     """Oracle: compute with unbounded Python integers, wrap at the end
     (shifts mask their amount; division truncates toward zero)."""
+    if op == "add":
+        return wrap64(a + b)
+    if op == "sub":
+        return wrap64(a - b)
+    if op == "mul":
+        return wrap64(a * b)
+    if op == "and":
+        return wrap64(a & b)
+    if op == "or":
+        return wrap64(a | b)
+    if op == "xor":
+        return wrap64(a ^ b)
+    if op == "shl":
+        return wrap64(a << (b & 63))
+    if op == "shr":
+        return a >> (b & 63)
+    if op == "sdiv":
+        q = abs(a) // abs(b)
+        return wrap64(-q if (a < 0) != (b < 0) else q)
+    rem = abs(a) % abs(b)
+    return wrap64(-rem if a < 0 else rem)
+
+
+@_with_boundary_examples
+@settings(max_examples=120, deadline=None)
+@given(_I64, _I64, st.sampled_from(_OPS))
+def test_wrapping_arithmetic_matches_bigint_model(a, b, op):
     m = parse_module(
         f'func @f src "f" (%a: int, %b: int) -> int {{\n'
         f"entry:\n  %r = {op} %a, %b\n  ret %r\n}}\n")
@@ -118,30 +154,81 @@ def test_wrapping_arithmetic_matches_bigint_model(a, b, op):
     if op in ("sdiv", "srem") and b == 0:
         assert r.status == TRAPPED
         return
-    if op == "add":
-        want = wrap64(a + b)
-    elif op == "sub":
-        want = wrap64(a - b)
-    elif op == "mul":
-        want = wrap64(a * b)
-    elif op == "and":
-        want = wrap64(a & b)
-    elif op == "or":
-        want = wrap64(a | b)
-    elif op == "xor":
-        want = wrap64(a ^ b)
-    elif op == "shl":
-        want = wrap64(a << (b & 63))
-    elif op == "shr":
-        want = a >> (b & 63)
-    elif op == "sdiv":
-        q = abs(a) // abs(b)
-        want = wrap64(-q if (a < 0) != (b < 0) else q)
-    else:
-        rem = abs(a) % abs(b)
-        want = wrap64(-rem if a < 0 else rem)
     assert r.status == RETURNED
-    assert r.value == want
+    assert r.value == _bigint_model(op, a, b)
+    assert type(r.value) is int
+
+
+@_with_boundary_examples
+@settings(max_examples=120, deadline=None)
+@given(_I64, _I64, st.sampled_from(_OPS))
+def test_wrapping_arithmetic_on_literals_matches_bigint_model(a, b, op):
+    text = (f'func @f src "f" () -> int {{\n'
+            f"entry:\n  %r = {op} {a}, {b}\n  ret %r\n}}\n")
+    if op in ("sdiv", "srem") and b == 0:
+        with pytest.raises(ValidationError) as err:
+            parse_module(text)
+        assert err.value.codes == ["DivByZeroConst"]
+        return
+    r = run(parse_module(text), "f", [])
+    assert r.status == RETURNED
+    assert r.value == _bigint_model(op, a, b)
+    assert type(r.value) is int
+
+
+def test_boolean_and_integer_literals_keep_their_types():
+    m = parse_module("""\
+extern @print_int(int) -> void
+
+func @ints_first src "ints_first" (%k: int) -> bool {
+entry:
+  %one = 1
+  call @print_int(%one)
+  call @print_int(0)
+  %c = cmp eq %k, 1
+  cbr %c, yes, no
+yes:
+  ret true
+no:
+  %f = false
+  ret %f
+}
+
+func @bools_first src "bools_first" (%k: int) -> int {
+entry:
+  %t = true
+  %c = cmp eq %k, 1
+  %d = cmp eq %c, %t
+  %f = cmp eq %c, false
+  cbr %d, one, zero
+one:
+  ret 1
+zero:
+  %z = 0
+  ret %z
+}
+""")
+    yes = run(m, "ints_first", [1])
+    assert yes.value is True
+    assert yes.output == [1, 0]
+    assert [type(v) for v in yes.output] == [int, int]
+    assert run(m, "ints_first", [0]).value is False
+    one = run(m, "bools_first", [1])
+    assert one.value == 1 and type(one.value) is int
+    zero = run(m, "bools_first", [0])
+    assert zero.value == 0 and type(zero.value) is int
+
+
+def test_unassigned_bool_register_reads_false():
+    m = parse_module(
+        'func @f src "f" (%x: int) -> bool {\n'
+        "entry:\n"
+        "  %c = cmp gt %x, 0\n"
+        "  cbr %c, set, out\n"
+        "set:\n  %b = cmp eq %x, %x\n  br out\n"
+        "out:\n  ret %b\n}\n")
+    assert run(m, "f", [1]).value is True
+    assert run(m, "f", [-1]).value is False
 
 
 def test_recursion():

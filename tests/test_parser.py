@@ -227,6 +227,20 @@ def test_greek_identifiers_parse():
     assert parse_module(print_module(m)) == m
 
 
+def test_digit_like_character_in_string_or_comment_is_accepted():
+    m = parse_module('func @f src "x²" () -> int {\n'
+                     "entry: ; x² is not an identifier\n  ret 0\n}\n")
+    assert m.functions[0].base_name == "x²"
+
+
+def test_digit_like_identifier_start_after_greek_identifiers():
+    text = ('func @φ src "f" (%α: int) -> int {\n'
+            "entry:\n  %β = add %α, 1\n  %²γ = add %β, 1\n  ret %β\n}\n")
+    with pytest.raises(ParseError) as err:
+        parse_module(text)
+    assert str(err.value) == "Syntax: unexpected character '²' (line 4, col 4)"
+
+
 def test_int_literals_wrap_to_64_bit():
     m = parse_module(
         'func @f src "f" () -> int { entry: %x = 18446744073709551617 ret %x }')

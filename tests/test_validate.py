@@ -1,4 +1,7 @@
+from hypothesis import given, settings
+
 from iobf import validate
+from iobf.cli import PipelineConfig, run_pipeline
 from iobf.ir import (
     Assign,
     BasicBlock,
@@ -6,6 +9,7 @@ from iobf.ir import (
     Br,
     Call,
     Cbr,
+    Cmp,
     Const,
     ExternDecl,
     GlobalRef,
@@ -14,7 +18,11 @@ from iobf.ir import (
     Local,
     Ret,
     Switch,
+    operand_type,
 )
+from iobf.validate import infer_local_types
+
+from conftest import random_modules
 
 
 def codes(m):
@@ -139,3 +147,88 @@ def test_duplicate_parameter_names():
 def test_validation_soundness_on_corpus(corpus):
     for entry in corpus:
         assert validate(entry.module) == [], entry.name
+
+
+def _reference_local_types(fn, module):
+    """The earlier inference, kept as the reference: whole-function rounds
+    in text order until none adds a type; the first type found wins."""
+
+    def operand_ty(op, types):
+        if isinstance(op, Local):
+            return types.get(op.name)
+        if isinstance(op, GlobalRef):
+            return "int" if module.global_value(op.name) is not None else None
+        return operand_type(op)
+
+    def returns(name):
+        callee = module.function(name) or module.extern(name)
+        return None if callee is None else callee.ret_type
+
+    types = dict(fn.params)
+    pending = True
+    while pending:
+        pending = False
+        for b in fn.blocks:
+            for ins in b.insts:
+                if isinstance(ins, Const):
+                    ty = operand_type(ins.value)
+                elif isinstance(ins, BinOp):
+                    ty = "int"
+                elif isinstance(ins, Cmp):
+                    ty = "bool"
+                elif isinstance(ins, Assign):
+                    ty = operand_ty(ins.src, types)
+                else:
+                    ty = None if ins.dst is None else returns(ins.callee)
+                if ty is not None and ins.dst not in types:
+                    types[ins.dst] = ty
+                    pending = True
+    return types
+
+
+def _assert_inference_matches_reference(m):
+    for fn in m.functions:
+        assert infer_local_types(fn, m) == _reference_local_types(fn, m), fn.mangled_name
+
+
+def test_inference_matches_reference_on_corpus_and_outputs(corpus):
+    for entry in corpus:
+        _assert_inference_matches_reference(entry.module)
+        text = entry.ir_path.read_text(encoding="utf-8")
+        for seed in range(2):
+            cfg = PipelineConfig(["nested", "indeg", "ident-default"], seed=seed)
+            _assert_inference_matches_reference(run_pipeline(cfg, text).module)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_modules())
+def test_inference_matches_reference_on_random_modules(m):
+    _assert_inference_matches_reference(m)
+
+
+def test_inference_resolves_out_of_order_copy_chain():
+    # %a <- %b <- %c <- %d, written before %d gets its type; %x is typed by
+    # its later constant before its copy's source is known; %u and %v only
+    # copy each other and stay untyped
+    m = IrModule(
+        functions=[fn_of([
+            BasicBlock("entry", [
+                Assign("a", Local("b")),
+                Assign("x", Local("b")),
+                Assign("u", Local("v")),
+                Assign("b", Local("c")),
+                Const("x", 1),
+                Assign("c", Local("d")),
+                Assign("v", Local("u")),
+                Cmp("d", "eq", Local("p"), 0),
+                Assign("g", GlobalRef("k")),
+                Call("r", "ext", (Local("p"),)),
+            ], Ret(0)),
+        ], params=[("p", "int")])],
+        externs=[ExternDecl("ext", ["int"], "bool")],
+        globals=[("k", 3)],
+    )
+    want = {"p": "int", "a": "bool", "b": "bool", "c": "bool", "d": "bool",
+            "x": "int", "g": "int", "r": "bool"}
+    fn = m.functions[0]
+    assert infer_local_types(fn, m) == want == _reference_local_types(fn, m)
