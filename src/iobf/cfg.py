@@ -28,9 +28,6 @@ class Cfg:
     indeg: dict[str, int] = field(default_factory=dict)
     outdeg: dict[str, int] = field(default_factory=dict)
 
-    def nodes(self) -> list[str]:
-        return list(self.roles)
-
 
 def build_cfg(fn: IrFunction) -> Cfg:
     cfg = Cfg(

@@ -5,13 +5,17 @@ arithmetic. Registers read before their first assignment hold the zero of
 their type; `validate` guarantees every register name that appears is
 declared.
 
-Modules are compiled once to a flat tuple form (blocks resolved to object
-references) and the result is cached by module identity. The cache needs
-no invalidation because no pass edits a module it was given: instructions
-and terminators are frozen, and passes edit only blocks they created,
-returning a new module. Compilation splits every block after each call to
-a defined function, so the call ends its part of the block and a run of
-ops never stops midway.
+Each function is compiled to a flat tuple form (blocks resolved to object
+references) at its first call: `run` compiles the entry, and a call
+compiles its callee when the loop first reaches it, so functions that
+never run (the decoy overloads of `ident-overload`, code that is dead by
+design) are never compiled. A module's table of compiled functions is
+cached by module identity and holds the module only weakly, so the entry
+goes when the module does. The cache needs no invalidation because no
+pass edits a module it was given: instructions and terminators are
+frozen, and passes edit only blocks they created, returning a new module.
+Compilation splits every block after each call to a defined function, so
+the call ends its part of the block and a run of ops never stops midway.
 
 A frame's registers are one list, and every operand is an index into it.
 Compilation gives each register a slot, and each literal and folded
@@ -260,30 +264,37 @@ def _compile_function(fn: IrFunction, module: IrModule, globals_map,
     return _CompiledFunction(params, parts[fn.entry], slots.init)
 
 
-def _compile_module(module: IrModule) -> dict[str, _CompiledFunction]:
-    globals_map = dict(module.globals)
-    builtin_print = module.function("print_int") is None
-    return {
-        fn.mangled_name: _compile_function(fn, module, globals_map,
-                                           builtin_print)
-        for fn in module.functions
-    }
+class _Table(dict):
+    """Mangled name -> _CompiledFunction, compiled at its first lookup; a
+    name the module does not define traps as an unresolved extern. The
+    module is held weakly, and its death drops the table from the cache;
+    lookups happen only while `run` holds the module."""
+
+    def __init__(self, module: IrModule):
+        super().__init__()
+        key = id(module)
+        self.module = weakref.ref(
+            module, lambda _ref: _module_cache.pop(key, None))
+        self.functions = {fn.mangled_name: fn for fn in module.functions}
+        self.globals_map = dict(module.globals)
+        self.builtin_print = "print_int" not in self.functions
+
+    def __missing__(self, name):
+        fn = self.functions.get(name)
+        if fn is None:
+            raise _Trap(f"unresolved extern @{name}")
+        cfn = self[name] = _compile_function(fn, self.module(), self.globals_map,
+                                             self.builtin_print)
+        return cfn
 
 
-_module_cache: dict[int, tuple] = {}
+_module_cache: dict[int, _Table] = {}
 
 
-def _compiled(module: IrModule) -> dict[str, _CompiledFunction]:
-    key = id(module)
-    hit = _module_cache.get(key)
-    if hit is not None and hit[0]() is module:
-        return hit[1]
-    table = _compile_module(module)
-
-    def _drop(_ref, _key=key):
-        _module_cache.pop(_key, None)
-
-    _module_cache[key] = (weakref.ref(module, _drop), table)
+def _compiled(module: IrModule) -> _Table:
+    table = _module_cache.get(id(module))
+    if table is None or table.module() is not module:
+        table = _module_cache[id(module)] = _Table(module)
     return table
 
 
@@ -330,9 +341,7 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
                 part = term[2].get(env[term[1]], term[3])
             elif tag == _T_CALL:
                 _, callee, arg_slots, dst, rest = term
-                callee_fn = table.get(callee)
-                if callee_fn is None:
-                    raise _Trap(f"unresolved extern @{callee}")
+                callee_fn = table[callee]  # compiles at the first call
                 if len(frames) + 1 >= MAX_CALL_DEPTH:
                     raise _Trap("call depth exceeded")
                 frames.append((env, rest, dst))
@@ -369,6 +378,10 @@ def run(
     Pure in (module, entry, args, fuel): the result is always the same.
     `block_tracer`, if given, is called as tracer(mangled_name, label) on
     every block entry; it exists for never-executes checks in tests.
+
+    Only functions that are called get compiled, so a malformed function
+    (one that `validate` rejects, e.g. a block without a terminator) raises
+    only when this run calls it; one that is never called goes unnoticed.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")

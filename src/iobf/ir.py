@@ -196,12 +196,6 @@ class IrFunction:
     def entry(self) -> str:
         return self.blocks[0].label if self.blocks else ""
 
-    def block(self, label: str) -> BasicBlock:
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
     def labels(self) -> list[str]:
         return [b.label for b in self.blocks]
 

@@ -174,7 +174,9 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
 
     for b in fn.blocks:
         for ins in b.insts:
+            ty = None  # the type the instruction assigns to its destination
             if isinstance(ins, BinOp):
+                ty = "int"
                 use(ins.a, b.label, "int")
                 use(ins.b, b.label, "int")
                 if ins.op in ("sdiv", "srem") and ins.b == 0 and not isinstance(ins.b, bool):
@@ -182,6 +184,7 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                             f"{ins.op} by constant zero",
                                             name, b.label))
             elif isinstance(ins, Cmp):
+                ty = "bool"
                 if ins.rel in ("lt", "le", "gt", "ge"):
                     use(ins.a, b.label, "int")
                     use(ins.b, b.label, "int")
@@ -193,9 +196,9 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                                 f"cmp {ins.rel} on {ta} vs {tb}",
                                                 name, b.label))
             elif isinstance(ins, Assign):
-                use(ins.src, b.label)
+                ty = use(ins.src, b.label)
             elif isinstance(ins, Const):
-                pass
+                ty = operand_type(ins.value)
             elif isinstance(ins, Call):
                 sig = _callee_signature(ins.callee, m)
                 if sig is None:
@@ -216,6 +219,13 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                         diags.append(Diagnostic("TypeMismatch",
                                                 f"void call to @{ins.callee} has a result",
                                                 name, b.label))
+                    elif ins.dst is not None:
+                        ty = rty
+            # the register's type is its first typed assignment's
+            if ty is not None and types.get(ins.dst, ty) != ty:
+                diags.append(Diagnostic("TypeMismatch",
+                                        f"%{ins.dst} is {types[ins.dst]}, assigned {ty}",
+                                        name, b.label))
 
         t = b.term
         if t is None:

@@ -109,6 +109,14 @@ def single_function_module(template, fn):
     return dataclasses.replace(template, functions=[fn])
 
 
+def block_of(fn, label):
+    """The first block of `fn` labelled `label`."""
+    for b in fn.blocks:
+        if b.label == label:
+            return b
+    raise KeyError(label)
+
+
 def assert_equivalent(orig, obf, entry, inputs, fuel=200_000):
     for args in inputs:
         before = run(orig, entry, args, fuel)

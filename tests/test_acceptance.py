@@ -29,6 +29,8 @@ from iobf.corpus import default_corpus_dir
 from iobf.ir import BinOp, Switch
 from iobf.rename import collect_custom_identifiers
 
+from conftest import block_of
+
 SEEDS = [101, 202, 303, 404, 505]
 
 PIPELINES = {
@@ -137,12 +139,12 @@ def test_criterion_3_nested_switch_shape(corpus, original_results):
                     fn = obf.function(rep["function"])
                     outer = rep["outer_var"]
                     for case_label in rep["outer_cases"]:
-                        block = fn.block(case_label)
+                        block = block_of(fn, case_label)
                         assert isinstance(block.term, Switch), (
                             entry.name, case_label)
                         clean = []
                         for _, target in block.term.cases:
-                            b = fn.block(target)
+                            b = block_of(fn, target)
                             junky = any(
                                 isinstance(i, BinOp) and i.dst == outer
                                 for i in b.insts)

@@ -17,7 +17,7 @@ from iobf import (
 from iobf.bogus import MASK16, OpaquePredicate, mutate_instructions
 from iobf.ir import BasicBlock, BinOp, Br, Cbr, Const, IrFunction, IrModule, Local, NameAllocator, Ret
 
-from conftest import assert_equivalent, single_function_module
+from conftest import assert_equivalent, block_of, single_function_module
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +130,10 @@ def test_bcf_builds_guarded_twins(fig3a_module):
     cfg = build_cfg(fn)
     rec = next(r for r in report["records"] if r["cloned_from"] == "middle")
     twin = rec["label"]
-    assert fn.block(twin).role == "bogus"
+    assert block_of(fn, twin).role == "bogus"
     # the twin jumps back to the real block
-    assert isinstance(fn.block(twin).term, Br)
-    assert fn.block(twin).term.label == "middle"
+    assert isinstance(block_of(fn, twin).term, Br)
+    assert block_of(fn, twin).term.label == "middle"
     # guard edge + twin edge land on the real block
     assert cfg.indeg["middle"] == 2
     assert cfg.indeg[twin] == 1
@@ -176,11 +176,11 @@ def test_bcf_guards_every_edge_into_a_self_loop():
                      and b.term.else_label == twin)
         # the guard's then-arm and the twin's branch reach the block itself
         assert guard.term.then_label == origin
-        assert fn.block(twin).term == Br(origin)
+        assert block_of(fn, twin).term == Br(origin)
         guard_of[origin], twin_of[origin] = guard.label, twin
     # every other edge, the loop's own back edge included, enters the guard
-    assert fn.block("entry").term == Br(guard_of["loop"])
-    loop_term = fn.block("loop").term
+    assert block_of(fn, "entry").term == Br(guard_of["loop"])
+    loop_term = block_of(fn, "loop").term
     assert (loop_term.then_label, loop_term.else_label) == (
         guard_of["loop"], guard_of["out"])
     into_loop = sorted(e.src for e in build_cfg(fn).edges if e.dst == "loop")

@@ -6,10 +6,12 @@ from iobf import build_cfg, in_degree_gap, parse_module
 from iobf.cli import PipelineConfig, transform_module
 from iobf.ir import Cbr, targets
 
+from conftest import block_of
+
 
 def test_straight_line_shape(fig3a_module):
     cfg = build_cfg(fig3a_module.functions[0])
-    assert len(cfg.nodes()) == 3
+    assert len(cfg.roles) == 3
     assert [(e.src, e.dst) for e in cfg.edges] == [
         ("entry", "middle"), ("middle", "final")]
     assert cfg.indeg["middle"] == 1
@@ -58,7 +60,7 @@ def test_adding_edge_to_bogus_raises_minimum(fig3b_module):
     fn = fig3b_module.functions[0]
     before = in_degree_gap(build_cfg(fn))
     # mirror the in-degree pass: a second edge into the twin
-    fn.block("middle").term = Cbr("p", "final", "twin")
+    block_of(fn, "middle").term = Cbr("p", "final", "twin")
     after = in_degree_gap(build_cfg(fn))
     assert after[1] == before[1] + 1
 

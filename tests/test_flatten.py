@@ -4,7 +4,7 @@ from iobf import build_cfg, flatten, nested_switch, parse_module, print_module, 
 from iobf.flatten import PassParameterError
 from iobf.ir import BinOp, Br, Cbr, Ret, Switch
 
-from conftest import GCD_TEXT, assert_equivalent, single_function_module
+from conftest import GCD_TEXT, assert_equivalent, block_of, single_function_module
 
 
 def test_skip_too_few_blocks():
@@ -20,7 +20,7 @@ def test_dispatcher_shape(gcd_module):
     fn = gcd_module.functions[0]
     flat, report = flatten(fn, seed=5)
     assert report["skipped"] is False
-    dispatcher = flat.block(report["dispatch"])
+    dispatcher = block_of(flat, report["dispatch"])
     assert dispatcher.role == "dispatcher"
     assert isinstance(dispatcher.term, Switch)
     # one case per original non-entry block
@@ -106,7 +106,7 @@ def test_kth_smallest_flattens_to_single_level(corpus):
     entry = next(e for e in corpus if e.name == "kth_smallest")
     fn = entry.module.functions[0]
     flat, report = flatten(fn, seed=1)
-    dispatcher = flat.block(report["dispatch"])
+    dispatcher = block_of(flat, report["dispatch"])
     # one dispatcher case per original non-entry block: the old hierarchy
     # now hangs off a single level
     assert len(dispatcher.term.cases) == len(fn.blocks) - 1
@@ -146,11 +146,11 @@ def test_nested_every_case_has_inner_switch_and_one_clean_case():
     fn = obf.functions[0]
     outer = report["outer_var"]
     for case_label in report["outer_cases"]:
-        block = fn.block(case_label)
+        block = block_of(fn, case_label)
         assert isinstance(block.term, Switch)
         clean = []
         for _, target in block.term.cases:
-            b = fn.block(target)
+            b = block_of(fn, target)
             junk = any(isinstance(i, BinOp) and i.dst == outer for i in b.insts)
             if not junk:
                 clean.append(target)
@@ -200,7 +200,7 @@ def test_nested_decoy_blocks_marked_bogus():
     fn = obf.functions[0]
     for decoys in report["decoy_labels"].values():
         for label in decoys:
-            assert fn.block(label).role == "bogus"
+            assert block_of(fn, label).role == "bogus"
 
 
 def test_nested_skip_passthrough():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,9 +11,12 @@ from iobf.interp import (
     MAX_CALL_DEPTH,
     RETURNED,
     TRAPPED,
+    _compiled,
+    _module_cache,
 )
-from iobf.ir import INT_MAX, INT_MIN, wrap64
+from iobf.ir import BasicBlock, Const, INT_MAX, INT_MIN, IrFunction, IrModule, Ret, wrap64
 from iobf.parser import ValidationError
+from iobf.rename import obfuscate_identifiers_default
 
 from conftest import GCD_TEXT
 
@@ -70,10 +76,14 @@ def test_unassigned_registers_read_zero():
 
 def test_unresolved_extern_traps_at_call():
     m = parse_module(
-        "extern @mystery() -> void\n"
-        'func @f src "f" () -> int { entry: call @mystery() ret 0 }')
-    r = run(m, "f", [])
-    assert r.status == TRAPPED
+        "extern @mystery(int) -> int\n"
+        'func @f src "f" () -> int { entry: %a = 1 %b = add %a, 2 '
+        "%r = call @mystery(%b) ret %r }")
+    for _ in range(2):  # the trap is not cached as a compiled function
+        r = run(m, "f", [])
+        assert (r.status, r.reason, r.steps) == (
+            TRAPPED, "unresolved extern @mystery", 3)
+    assert set(_compiled(m)) == {"f"}
 
 
 def test_determinism():
@@ -402,3 +412,36 @@ def test_block_tracer_reports_each_block_entry_once():
     run(m, "f", [], block_tracer=lambda fn, label: seen.append((fn, label)))
     # resuming the caller after the call is not a new block entry
     assert seen == [("f", "entry"), ("g", "entry")]
+
+
+def test_only_called_functions_are_compiled(corpus):
+    for entry in corpus:
+        obf, report = obfuscate_identifiers_default(entry.module, seed=1)
+        called = set()
+        for args in entry.inputs:
+            run(obf, entry.entry, args, entry.fuel,
+                block_tracer=lambda fn, label: called.add(fn))
+        compiled = set(_compiled(obf))
+        assert compiled == called, entry.name
+        assert not compiled & set(report["overloads"]["added"]), entry.name
+
+
+def test_cache_entry_goes_with_its_module():
+    m = parse_module(GCD_TEXT)
+    run(m, "gcd", [48, 36])
+    key, ref = id(m), weakref.ref(m)
+    assert key in _module_cache
+    del m
+    gc.collect()
+    assert ref() is None
+    assert key not in _module_cache
+
+
+def test_malformed_function_raises_only_when_called():
+    good = IrFunction("good", "good", [], "int", [BasicBlock("entry", [], Ret(1))])
+    bad = IrFunction("bad", "bad", [], "int", [BasicBlock("entry", [Const("x", 1)], None)])
+    m = IrModule(functions=[good, bad])
+    assert run(m, "good", []).value == 1
+    with pytest.raises(ValueError, match="no terminator"):
+        run(m, "bad", [])
+    assert set(_compiled(m)) == {"good"}

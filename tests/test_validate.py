@@ -1,6 +1,7 @@
+import pytest
 from hypothesis import given, settings
 
-from iobf import validate
+from iobf import parse_module, validate
 from iobf.cli import PipelineConfig, run_pipeline
 from iobf.ir import (
     Assign,
@@ -20,6 +21,7 @@ from iobf.ir import (
     Switch,
     operand_type,
 )
+from iobf.parser import ValidationError
 from iobf.validate import infer_local_types
 
 from conftest import random_modules
@@ -232,3 +234,31 @@ def test_inference_resolves_out_of_order_copy_chain():
             "x": "int", "g": "int", "r": "bool"}
     fn = m.functions[0]
     assert infer_local_types(fn, m) == want == _reference_local_types(fn, m)
+
+
+@pytest.mark.parametrize("params, body, message", [
+    # `and` reads %x as the int it was first assigned
+    ("", "%x = 1 %x = true %y = and %x, %x ret %y", "%x is int, assigned bool"),
+    ("", "%x = 1 %x = true ret %x", "%x is int, assigned bool"),
+    ("", "%x = 1 %b = cmp eq 1, 1 %x = %b ret %x", "%x is int, assigned bool"),
+    ("", "%b = cmp eq 1, 1 %b = add 1, 2 ret 0", "%b is bool, assigned int"),
+    ("%p: bool", "%p = 1 ret 0", "%p is bool, assigned int"),
+], ids=["and", "ret", "copy", "cmp_then_binop", "param"])
+def test_register_assigned_two_types_is_rejected(params, body, message):
+    text = f'func @f src "f" ({params}) -> int {{ entry: {body} }}'
+    with pytest.raises(ValidationError) as err:
+        parse_module(text)
+    assert [(d.code, d.message, d.block) for d in err.value.diagnostics] == [
+        ("TypeMismatch", message, "entry")]
+
+
+def test_call_result_assigned_to_register_of_other_type():
+    m = IrModule(
+        functions=[fn_of([
+            BasicBlock("entry", [Const("x", 1), Call("x", "ext", ())],
+                       Ret(Local("x"))),
+        ])],
+        externs=[ExternDecl("ext", [], "bool")],
+    )
+    assert [(d.code, d.message) for d in validate(m)] == [
+        ("TypeMismatch", "%x is int, assigned bool")]
