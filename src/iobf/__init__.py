@@ -14,7 +14,7 @@ from .bogus import (
 )
 from .cfg import Cfg, Edge, build_cfg, export_dot, in_degree_gap
 from .corpus import CorpusEntry, default_corpus_dir, load_corpus
-from .flatten import DispatchPlan, JunkOpRecipe, PassParameterError, flatten, nested_switch
+from .flatten import PassParameterError, flatten, nested_switch
 from .interp import ExecutionResult, run, timed_run
 from .ir import (
     IrFunction,
@@ -51,13 +51,11 @@ __all__ = [
     "CorpusEntry",
     "Diagnostic",
     "DictionaryExhausted",
-    "DispatchPlan",
     "Edge",
     "ExecutionResult",
     "IrError",
     "IrFunction",
     "IrModule",
-    "JunkOpRecipe",
     "OpaquePredicate",
     "OverheadReport",
     "ParseError",

@@ -27,7 +27,6 @@ from .ir import (
     NameAllocator,
     Operand,
     Switch,
-    clone_function,
     retarget,
     wrap64,
 )
@@ -102,25 +101,8 @@ class OpaquePredicate:
         if not self.truth:
             q = locals_alloc.fresh("opq_n")
             ins.append(Cmp(q, "eq", Local(p), False))
-            return ins, q
-        return ins, p
-
-    def evaluate(self, x: int = 0, y: int = 0) -> bool:
-        """Direct evaluation mirroring interpreter semantics exactly."""
-        x = wrap64(x)
-        y = wrap64(y)
-        if self.family == "square_mod4":
-            t1 = wrap64(x * x)
-            t2 = wrap64(x + 1)
-            t3 = wrap64(t2 * t2)
-            t4 = wrap64(t1 * t3)
-            r = -(abs(t4) % 4) if t4 < 0 else abs(t4) % 4
-            base = r == 0
-        else:
-            x16 = x & MASK16
-            y16 = y & MASK16
-            base = wrap64(wrap64(7 * wrap64(y16 * y16)) - 1) != wrap64(x16 * x16)
-        return base if self.truth else not base
+            p = q
+        return tuple(ins), p
 
 
 def make_opaque_predicate(seed: int, truth: bool = True) -> OpaquePredicate:
@@ -141,7 +123,7 @@ def predicate_sources(fn: IrFunction, global_names, rng) -> tuple[Operand, Opera
 # ---------------------------------------------------------------------------
 # Clone mutation (shared with nested-switch decoys and overload bodies)
 
-def mutate_instructions(insts: list, rng) -> tuple[list, list[dict]]:
+def mutate_instructions(insts, rng) -> tuple[tuple, list[dict]]:
     """A new block body with one binop opcode swapped and one integer
     literal bumped by one; `insts` is left as it was. Instructions are
     frozen, so the mutated ones are rebuilt and the rest are shared.
@@ -166,7 +148,7 @@ def mutate_instructions(insts: list, rng) -> tuple[list, list[dict]]:
         out[i] = replace(out[i], **{attr: new_val})
         mutations.append({"kind": "constant", "index": i,
                           "from": old_val, "to": new_val})
-    return out, mutations
+    return tuple(out), mutations
 
 
 def _literal_spots(insts) -> list[tuple[int, str]]:
@@ -200,23 +182,25 @@ def _int_literal(v) -> bool:
 # Guarded clone insertion
 
 def _insert_guarded_clones(f: IrFunction, labels, rng, global_names,
-                           labels_alloc, locals_alloc) -> list[dict]:
+                           labels_alloc, locals_alloc
+                           ) -> tuple[IrFunction, list[dict]]:
     """Put an always-true guard in front of each block named in `labels`
-    whose false arm reaches a mutated clone; the clone branches back to
-    the real block, and every other edge into the block enters its guard.
-    Returns one record per clone."""
-    wanted = set(labels)
-    guard_of: dict[str, str] = {}
+    (in block order) whose false arm reaches a mutated clone; the clone
+    branches back to the real block, and every other edge into the block
+    enters its guard. Returns the new function and one record per clone."""
+    # (guard, clone) labels first: an edge may reach a guard built later
+    names = {label: (labels_alloc.fresh(f"{label}_pre"),
+                     labels_alloc.fresh(f"{label}_twin")) for label in labels}
+    guard_of = {label: guard for label, (guard, _) in names.items()}
     records: list[dict] = []
     blocks: list[BasicBlock] = []
     for orig in f.blocks:
-        if orig.label not in wanted:
+        orig = replace(orig, term=retarget(orig.term, guard_of))
+        if orig.label not in names:
             blocks.append(orig)
             continue
         label = orig.label
-        guard_label = labels_alloc.fresh(f"{label}_pre")
-        clone_label = labels_alloc.fresh(f"{label}_twin")
-        guard_of[label] = guard_label
+        guard_label, clone_label = names[label]
         pred = make_opaque_predicate(rng.randrange(1 << 32), truth=True)
         pinsts, presult = pred.instructions(
             locals_alloc, predicate_sources(f, global_names, rng))
@@ -228,10 +212,7 @@ def _insert_guarded_clones(f: IrFunction, labels, rng, global_names,
         records.append({"label": clone_label, "cloned_from": label,
                         "mutations": mutations,
                         "guard": f"{pred.family}:always_true"})
-    for b in f.blocks:
-        b.term = retarget(b.term, guard_of)
-    f.blocks = blocks
-    return records
+    return replace(f, blocks=tuple(blocks)), records
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +223,8 @@ def bogus_control_flow(fn: IrFunction, seed: int, prob: float,
     """Guard each selected non-entry real block with an opaque predicate
     branching to either the block or its mutated clone."""
     rng = random.Random(seed)
-    f = clone_function(fn)
     selected = [
-        b.label for b in f.blocks[1:]
+        b.label for b in fn.blocks[1:]
         if b.role == "real" and rng.random() < prob
     ]
     report = {
@@ -257,9 +237,9 @@ def bogus_control_flow(fn: IrFunction, seed: int, prob: float,
     }
     if not selected:
         return fn, report
-    report["records"] = _insert_guarded_clones(
-        f, selected, rng, global_names, NameAllocator(f.labels()),
-        NameAllocator(f.local_names()))
+    f, report["records"] = _insert_guarded_clones(
+        fn, selected, rng, global_names, NameAllocator(fn.labels()),
+        NameAllocator(fn.local_names()))
     return f, report
 
 
@@ -282,7 +262,6 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
     same construction bogus_control_flow uses) on a random real block.
     """
     rng = random.Random(seed)
-    f = clone_function(fn)
     report = {
         "pass": "indeg",
         "function": fn.mangled_name,
@@ -292,21 +271,23 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
         "injected": [],
         "edges_added": 0,
     }
-    labels_alloc = NameAllocator(f.labels())
-    locals_alloc = NameAllocator(f.local_names())
+    labels_alloc = NameAllocator(fn.labels())
+    locals_alloc = NameAllocator(fn.local_names())
 
+    f = fn
     if not any(b.role == "bogus" for b in f.blocks):
         candidates = [b.label for b in f.blocks[1:] if b.role == "real"]
         if not candidates:
             report["skipped"] = True
             report["reason"] = "no non-entry real block to clone"
             return fn, report
-        report["injected"] = _insert_guarded_clones(
+        f, report["injected"] = _insert_guarded_clones(
             f, [rng.choice(candidates)], rng, global_names, labels_alloc,
             locals_alloc)
 
     state = _EdgeState(f, rng, global_names, labels_alloc, locals_alloc)
     for _ in range(64):
+        f = replace(f, blocks=tuple(state.blocks))
         cfg = build_cfg(f)
         max_real, _ = in_degree_gap(cfg)
         target = max_real + margin
@@ -328,19 +309,27 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
 
 
 class _EdgeState:
-    """Bookkeeping for never-taken edge insertion within one function."""
+    """Bookkeeping for never-taken edge insertion within one function: the
+    current blocks, where each rewrite replaces a block."""
 
     def __init__(self, f: IrFunction, rng, global_names, labels_alloc,
                  locals_alloc):
         self.f = f
+        self.blocks = list(f.blocks)
         self.rng = rng
         self.global_names = global_names
         self.labels_alloc = labels_alloc
         self.locals_alloc = locals_alloc
         self.rewritten: set[str] = set()
-        self.switch: BasicBlock | None = None
+        self.switch: int | None = None  # its index; no block moves after
         self.sel_local: str | None = None
         self.edges_added = 0
+
+    def _rewrite(self, src: BasicBlock, insts: tuple, term) -> int:
+        """Swap `src` for a copy with `insts` appended and `term`; its index."""
+        i = self.blocks.index(src)
+        self.blocks[i] = replace(src, insts=src.insts + insts, term=term)
+        return i
 
     def add_edges(self, bogus: BasicBlock, need: int):
         # Once a pass-owned switch exists, extending it is free (dead case
@@ -353,13 +342,11 @@ class _EdgeState:
             if src is None:
                 raise RuntimeError("no real block can donate a never-taken edge")
             if isinstance(src.term, Cbr):
-                self._cbr_to_switch(src, bogus.label, need)
-                self.switch = src
+                self.switch = self._cbr_to_switch(src, bogus.label, need)
             elif need == 1 and self.edges_added == 0:
                 self._guard_br(src, bogus.label)
             else:
-                self._br_to_switch(src, bogus.label, need)
-                self.switch = src
+                self.switch = self._br_to_switch(src, bogus.label, need)
             self.rewritten.add(src.label)
         self.edges_added += need
 
@@ -368,20 +355,19 @@ class _EdgeState:
         # clone's origin first, since the clone's jump back makes it the
         # most natural block to link forward, mirroring a mutual pair
         origin = bogus.term.label if isinstance(bogus.term, Br) else None
-        return min((b for b in self.f.blocks
+        return min((b for b in self.blocks
                     if b.role == "real" and b.label not in self.rewritten
                     and isinstance(b.term, (Br, Cbr))),
                    key=lambda b: (isinstance(b.term, Cbr), b.label != origin),
                    default=None)
 
-    def _scrutinee(self, block: BasicBlock) -> str:
-        """Append `sel = x & 1`; the result is provably 0 or 1, so any case
+    def _scrutinee(self) -> BinOp:
+        """`sel = x & 1`; the result is provably 0 or 1, so any case
         literal >= 2 can never match."""
         if self.sel_local is None:
             self.sel_local = self.locals_alloc.fresh("opq_sel")
         x_src, _ = predicate_sources(self.f, self.global_names, self.rng)
-        block.insts.append(BinOp(self.sel_local, "and", x_src, 1))
-        return self.sel_local
+        return BinOp(self.sel_local, "and", x_src, 1)
 
     def _dead_literals(self, count: int, taken) -> list[int]:
         lits: set[int] = set(taken)
@@ -398,30 +384,30 @@ class _EdgeState:
         pinsts, presult = pred.instructions(
             self.locals_alloc,
             predicate_sources(self.f, self.global_names, self.rng))
-        src.insts.extend(pinsts)
-        src.term = Cbr(presult, src.term.label, bogus_label)
+        self._rewrite(src, pinsts, Cbr(presult, src.term.label, bogus_label))
 
     def _br_to_switch(self, src: BasicBlock, bogus_label: str, need: int):
-        old_target = src.term.label
-        sel = self._scrutinee(src)
+        sel = self._scrutinee()
         cases = tuple((lit, bogus_label)
                       for lit in self._dead_literals(need, ()))
-        src.term = Switch(sel, cases, old_target)
+        return self._rewrite(src, (sel,), Switch(sel.dst, cases, src.term.label))
 
     def _cbr_to_switch(self, src: BasicBlock, bogus_label: str, need: int):
         arm_label = self.labels_alloc.fresh(f"{src.label}_arm")
-        arm = BasicBlock(arm_label, [], src.term, role="real")
-        self.f.blocks.insert(self.f.blocks.index(src) + 1, arm)
-        sel = self._scrutinee(src)
+        self.blocks.insert(self.blocks.index(src) + 1,
+                           BasicBlock(arm_label, (), src.term, role="real"))
+        sel = self._scrutinee()
         cases = [(0, arm_label), (1, arm_label)]
         cases += [(lit, bogus_label)
                   for lit in self._dead_literals(need - 1, (0, 1))]
-        src.term = Switch(sel, tuple(cases), bogus_label)
+        return self._rewrite(src, (sel,),
+                             Switch(sel.dst, tuple(cases), bogus_label))
 
     def _extend_switch(self, bogus_label: str, need: int):
-        term = self.switch.term
+        src = self.blocks[self.switch]
+        term = src.term
         taken = [lit for lit, _ in term.cases]
         extra = tuple((lit, bogus_label)
                       for lit in self._dead_literals(need, taken))
-        self.switch.term = Switch(term.scrutinee, term.cases + extra,
-                                  term.default)
+        self.blocks[self.switch] = replace(src, term=Switch(
+            term.scrutinee, term.cases + extra, term.default))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import Br, Cbr, IrFunction, Ret, Switch, _escape
+from .ir import Br, Cbr, IrFunction, Switch, _escape
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,6 @@ def build_cfg(fn: IrFunction) -> Cfg:
             for lit, lab in t.cases:
                 _add(cfg, Edge(b.label, lab, "switch_case", lit))
             _add(cfg, Edge(b.label, t.default, "switch_default"))
-        elif isinstance(t, Ret) or t is None:
-            pass
     return cfg
 
 

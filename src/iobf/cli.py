@@ -1,10 +1,11 @@
 """Pipeline driver: parse, apply passes in order, print and report.
 
 Exit codes: 0 success, 2 parse/validation failure (also an input file
-that is not UTF-8), 3 bad parameter (also an unreadable or non-UTF-8
-`--dict` file, or a `--time-reps` of 1, 2 or below 0), 4 semantics-oracle
-failure in batch mode, 5 a pass could not transform the input
-(single-file mode; batch mode records it as a failed row).
+that is not UTF-8), 3 bad parameter (also a `--dict` file that is
+unreadable, not UTF-8 or holds a word that is not an identifier, or a
+`--time-reps` of 1, 2 or below 0), 4 semantics-oracle failure in batch
+mode, 5 a pass could not transform the input (single-file mode; batch
+mode records it as a failed row).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _per_function(module: IrModule, cfg: PipelineConfig, name: str, transform):
         new_fn, report = transform(fn, fork_seed(cfg.seed, name, fn.mangled_name))
         result.append(new_fn)
         reports.append(report)
-    return replace(module, functions=result), reports
+    return replace(module, functions=tuple(result)), reports
 
 
 def _apply_flatten(module, cfg):
@@ -178,6 +179,8 @@ def validate_config(cfg: PipelineConfig):
             _dictionary(cfg.dict_path)
         except UnicodeDecodeError as exc:
             raise PassParameterError(f"{cfg.dict_path} is not UTF-8: {exc}") from None
+        except ValueError as exc:  # a word that is not an identifier
+            raise PassParameterError(str(exc)) from None
 
 
 def _check_time_reps(time_reps: int):

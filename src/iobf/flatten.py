@@ -12,7 +12,7 @@ blocks that can never be selected.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import replace
 
 from .bogus import mutate_instructions
 from .ir import (
@@ -25,7 +25,6 @@ from .ir import (
     NameAllocator,
     Ret,
     Switch,
-    clone_function,
     retarget,
     targets,
 )
@@ -35,45 +34,21 @@ class PassParameterError(ValueError):
     """A pass was invoked with an out-of-range parameter."""
 
 
-@dataclass
-class DispatchPlan:
-    """Routing data for one nested-switch transformation."""
-
-    outer_var: str
-    inner_var: str
-    outer_cases: dict[str, int] = field(default_factory=dict)
-    inner_map: dict[str, tuple[int, int, int]] = field(default_factory=dict)
-    real_inner_case: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class JunkOpRecipe:
-    """1-4 arithmetic/boolean ops applied to the routing register inside a
-    decoy block. Decoys never run, so the register is untouched in any
-    real execution."""
-
-    target_var: str
-    ops: list[tuple[str, int]]
-
-    def instructions(self) -> list[BinOp]:
-        return [
-            BinOp(self.target_var, op, Local(self.target_var), const)
-            for op, const in self.ops
-        ]
-
-
 _JUNK_FAMILIES = ("add", "xor", "mul", "and", "or")
 
 
-def _sample_junk(var: str, rng: random.Random) -> JunkOpRecipe:
+def _sample_junk(var: str, rng: random.Random) -> tuple[BinOp, ...]:
+    """1-4 arithmetic/boolean ops on the routing register for a decoy
+    block. Decoys never run, so the register is untouched in any real
+    execution."""
     ops = []
     for _ in range(rng.randrange(1, 5)):
         op = rng.choice(_JUNK_FAMILIES)
         const = rng.randrange(1, 1 << 31)
         if op == "mul":
             const |= 1
-        ops.append((op, const))
-    return JunkOpRecipe(var, ops)
+        ops.append(BinOp(var, op, Local(var), const))
+    return tuple(ops)
 
 
 def _fresh_literal(rng: random.Random, used: set[int]) -> int:
@@ -101,26 +76,21 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
         return fn, report
     report["skipped"] = False
 
-    f = clone_function(fn)
     rng = random.Random(seed)
-    labels_alloc = NameAllocator(f.labels())
-    locals_alloc = NameAllocator(f.local_names())
+    labels_alloc = NameAllocator(fn.labels())
+    locals_alloc = NameAllocator(fn.local_names())
 
     # A branch back to the entry cannot be dispatched (the entry is not a
     # case), so the entry body moves to its own block and every back edge
     # retargets the moved body.
-    entry_label = f.blocks[0].label
-    if any(entry_label in targets(b.term) for b in f.blocks):
-        body_label = labels_alloc.fresh(f"{entry_label}_body")
-        old_entry = f.blocks[0]
-        body = BasicBlock(body_label, old_entry.insts, old_entry.term,
-                          role=old_entry.role)
-        f.blocks[0] = BasicBlock(entry_label, [], Br(body_label))
-        f.blocks.insert(1, body)
-        for block in f.blocks[1:]:
-            block.term = retarget(block.term, {entry_label: body_label})
+    entry, *originals = fn.blocks
+    if any(entry.label in targets(b.term) for b in fn.blocks):
+        body_label = labels_alloc.fresh(f"{entry.label}_body")
+        back = {entry.label: body_label}
+        originals = [replace(b, term=retarget(b.term, back))
+                     for b in [replace(entry, label=body_label), *originals]]
+        entry = BasicBlock(entry.label, (), Br(body_label))
 
-    originals = list(f.blocks[1:])
     outer = locals_alloc.fresh("disp_key")
     dispatch_label = labels_alloc.fresh("dispatch")
     end_label = labels_alloc.fresh("dispatch_end")
@@ -129,7 +99,8 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
     # unconditional init: keeps the routing register a defined name even
     # when every original terminator is a return, and blends in with the
     # case keys
-    f.blocks[0].insts.insert(0, Const(outer, _fresh_literal(rng, used_lits)))
+    entry = replace(entry, insts=(Const(outer, _fresh_literal(rng, used_lits)),
+                                  *entry.insts))
     case_of = {b.label: _fresh_literal(rng, used_lits) for b in originals}
 
     sel_blocks: list[BasicBlock] = []
@@ -138,30 +109,34 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
         label = labels_alloc.fresh(f"{src_label}_go")
         sel_blocks.append(BasicBlock(
             label,
-            [Const(outer, case_of[target_label])],
+            (Const(outer, case_of[target_label]),),
             Br(dispatch_label),
         ))
         return label
 
-    for block in [f.blocks[0]] + originals:
+    def routed(block: BasicBlock) -> BasicBlock:
         t = block.term
         if isinstance(t, Br):
-            block.insts.append(Const(outer, case_of[t.label]))
-            block.term = Br(dispatch_label)
-        elif not isinstance(t, Ret):
-            block.term = retarget(t, {
-                lab: key_store_block(block.label, lab)
-                for lab in dict.fromkeys(targets(t))})
+            return replace(block,
+                           insts=(*block.insts, Const(outer, case_of[t.label])),
+                           term=Br(dispatch_label))
+        if isinstance(t, Ret):
+            return block
+        return replace(block, term=retarget(t, {
+            lab: key_store_block(block.label, lab)
+            for lab in dict.fromkeys(targets(t))}))
 
+    entry, *routed_originals = [routed(b) for b in [entry, *originals]]
     dispatcher = BasicBlock(
         dispatch_label,
-        [],
+        (),
         Switch(outer, tuple((case_of[b.label], b.label) for b in originals),
                end_label),
         role="dispatcher",
     )
-    end_block = BasicBlock(end_label, [], Br(dispatch_label), role="dispatcher")
-    f.blocks = [f.blocks[0], dispatcher, end_block] + originals + sel_blocks
+    end_block = BasicBlock(end_label, (), Br(dispatch_label), role="dispatcher")
+    f = replace(fn, blocks=(entry, dispatcher, end_block, *routed_originals,
+                            *sel_blocks))
 
     report.update(
         outer_var=outer,
@@ -208,25 +183,26 @@ def nested_switch(fn: IrFunction, seed: int,
     mix_mul = locals_alloc.fresh("disp_m0")
     mix_add = locals_alloc.fresh("disp_m1")
 
-    # each case's body before the loop below swaps it for the mixing code
+    # each case's body, which decoys clone
     bodies = {b.label: b.insts for b in f.blocks if b.label in case_of}
-    plan = DispatchPlan(outer, inner, dict(case_of))
+    inner_map: dict[str, tuple[int, int, int]] = {}
+    real_inner: dict[str, int] = {}
     decoy_labels: dict[str, list[str]] = {}
     real_labels: dict[str, str] = {}
 
     # one forward pass meets the cases in `case_of` order, as the RNG expects
     blocks: list[BasicBlock] = []
     for block in f.blocks:
-        blocks.append(block)
         lab = block.label
         if lab not in case_of:
+            blocks.append(block)
             continue
         key = case_of[lab]
         a = rng.randrange(0, 1 << 14) * 2 + 1
         b_off = rng.randrange(0, 1 << 15)
         real_lit = (a * key + b_off) & (m - 1)
-        plan.inner_map[lab] = (a, b_off, m)
-        plan.real_inner_case[lab] = real_lit
+        inner_map[lab] = (a, b_off, m)
+        real_inner[lab] = real_lit
 
         used = {real_lit}
         real_block = BasicBlock(labels_alloc.fresh(f"{lab}_main"),
@@ -241,7 +217,7 @@ def nested_switch(fn: IrFunction, seed: int,
                                               rng)
             decoys.append(BasicBlock(
                 labels_alloc.fresh(f"{lab}_alt"),
-                junk.instructions() + body,
+                junk + body,
                 Br(dispatch),
                 role="bogus",
             ))
@@ -249,14 +225,14 @@ def nested_switch(fn: IrFunction, seed: int,
         decoy_labels[lab] = [d.label for d in decoys]
 
         rng.shuffle(cases)
-        block.insts = [
+        mixing = (
             BinOp(mix_mul, "mul", Local(outer), a),
             BinOp(mix_add, "add", Local(mix_mul), b_off),
             BinOp(inner, "and", Local(mix_add), m - 1),
-        ]
-        block.term = Switch(inner, tuple(cases), decoys[0].label)
-        blocks += [real_block] + decoys
-    f.blocks = blocks
+        )
+        blocks += [replace(block, insts=mixing,
+                           term=Switch(inner, tuple(cases), decoys[0].label)),
+                   real_block, *decoys]
 
     report.update(
         outer_var=outer,
@@ -266,9 +242,9 @@ def nested_switch(fn: IrFunction, seed: int,
         case_count=len(case_labels),
         decoys_per_case=decoys_per_case,
         decoys_added=decoys_per_case * len(case_labels),
-        real_inner=dict(plan.real_inner_case),
+        real_inner=real_inner,
         real_labels=real_labels,
         decoy_labels=decoy_labels,
-        plan=asdict(plan),
+        inner_map=inner_map,
     )
-    return f, report
+    return replace(f, blocks=tuple(blocks)), report

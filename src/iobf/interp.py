@@ -11,9 +11,8 @@ compiles its callee when the loop first reaches it, so functions that
 never run (the decoy overloads of `ident-overload`, code that is dead by
 design) are never compiled. A module's table of compiled functions is
 cached by module identity and holds the module only weakly, so the entry
-goes when the module does. The cache needs no invalidation because no
-pass edits a module it was given: instructions and terminators are
-frozen, and passes edit only blocks they created, returning a new module.
+goes when the module does. The cache needs no invalidation because every
+IR node is frozen, so a module never changes once built.
 Compilation splits every block after each call to a defined function, so
 the call ends its part of the block and a run of ops never stops midway.
 

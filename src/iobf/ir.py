@@ -1,16 +1,15 @@
 """Core IR data model.
 
-A module is a flat list of integer globals, extern declarations, and
+A module holds integer globals, extern declarations, and
 functions. Functions hold ordered basic blocks over named mutable
 registers (non-SSA: reassignment is permitted). Values are signed 64-bit
 integers with wrapping arithmetic, plus booleans produced by comparisons.
 
-Instructions and terminators are frozen and shared between modules: a
-pass that changes one builds a new one (`Call.args` and `Switch.cases`
-are tuples, so a shared one cannot be edited in place). Blocks,
-functions and modules stay mutable, but a pass edits only those it
-created itself (`clone_function` gives it private blocks), so a pass
-never changes the module it was given.
+Every node is frozen and every sequence in one is a tuple. Nodes are
+shared between modules, a pass cannot change the module it was given (it
+builds new blocks with `dataclasses.replace` and returns a new function
+or module), and the interpreter's per-module compile cache needs no
+invalidation.
 
 This file owns the in-memory types, canonical text printing and the
 simulated name-mangling scheme. Parsing lives in `parser`, semantic
@@ -19,7 +18,7 @@ checking in `validate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 INT_BITS = 64
 INT_MASK = (1 << INT_BITS) - 1
@@ -169,28 +168,28 @@ def retarget(term: Terminator, mapping: dict[str, str]) -> Terminator:
 # ---------------------------------------------------------------------------
 # Blocks, functions, modules
 
-@dataclass
+@dataclass(frozen=True)
 class BasicBlock:
     label: str
-    insts: list[Instruction] = field(default_factory=list)
+    insts: tuple[Instruction, ...] = ()
     term: Terminator | None = None
     role: str = "real"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExternDecl:
     name: str
-    param_types: list[str]
+    param_types: tuple[str, ...]
     ret_type: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrFunction:
     mangled_name: str
     base_name: str
-    params: list[tuple[str, str]]  # (name, type)
+    params: tuple[tuple[str, str], ...]  # (name, type)
     ret_type: str
-    blocks: list[BasicBlock]
+    blocks: tuple[BasicBlock, ...]
 
     @property
     def entry(self) -> str:
@@ -209,11 +208,11 @@ class IrFunction:
         return names
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrModule:
-    functions: list[IrFunction] = field(default_factory=list)
-    globals: list[tuple[str, int]] = field(default_factory=list)
-    externs: list[ExternDecl] = field(default_factory=list)
+    functions: tuple[IrFunction, ...] = ()
+    globals: tuple[tuple[str, int], ...] = ()
+    externs: tuple[ExternDecl, ...] = ()
 
     def function(self, mangled: str) -> IrFunction | None:
         for f in self.functions:
@@ -239,13 +238,6 @@ class IrModule:
         names.update(e.name for e in self.externs)
         names.update(g for g, _ in self.globals)
         return names
-
-
-def clone_function(fn: IrFunction) -> IrFunction:
-    """A copy with new blocks and instruction lists that a pass may edit;
-    the frozen instructions and terminators are shared with `fn`."""
-    return replace(fn, blocks=[replace(b, insts=list(b.insts))
-                               for b in fn.blocks])
 
 
 class NameAllocator:

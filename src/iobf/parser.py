@@ -292,11 +292,10 @@ class _Parser:
         return tuple(out), end
 
     def module(self) -> IrModule:
-        m = IrModule()
-        lists = {tuple: m.globals, ExternDecl: m.externs, IrFunction: m.functions}
+        lists = {IrFunction: [], tuple: [], ExternDecl: []}  # IrModule's order
         while (item := self.take(_TOP)) is not None:
             lists[type(item)].append(item)
-        return m
+        return IrModule(*map(tuple, lists.values()))
 
     def function(self, name, base, end):
         params, _ = self.items(_PARAM, end)
@@ -307,10 +306,10 @@ class _Parser:
             insts = []
             while type(stmt := self.take(_BODY)) not in _TERMINATORS:
                 insts.append(stmt)
-            blocks.append(BasicBlock(label, insts, stmt, role or "real"))
+            blocks.append(BasicBlock(label, tuple(insts), stmt, role or "real"))
             head = self.take(_NEXT_BLOCK)
-        return IrFunction(name, _ESCAPE.sub(r"\1", base[1:-1]), list(params),
-                          ret_type, blocks)
+        return IrFunction(name, _ESCAPE.sub(r"\1", base[1:-1]), params,
+                          ret_type, tuple(blocks))
 
 
 _LITERALS = {"true": True, "false": False}
@@ -334,7 +333,7 @@ _TOP = _Choice(
     (_Seq(_kw("global"), _p("@"), _IDENT, _p("="), _INT),
      lambda p, name, lit: (name, wrap64(int(lit)))),
     (_Seq(_kw("extern"), _p("@"), _IDENT, _p("("), _EMPTY), lambda p, name, end:
-     ExternDecl(name, list(p.items(_TYPE_ITEM, end)[0]), p.take(_RETURNS))),
+     ExternDecl(name, p.items(_TYPE_ITEM, end)[0], p.take(_RETURNS))),
     (_Seq(_kw("func"), _p("@"), _IDENT, _kw("src"), _STRING, _p("("), _EMPTY),
      _Parser.function),
     error=_expected("top-level declaration", "'global', 'extern' or 'func'"))
@@ -371,6 +370,14 @@ _ARG = _Choice((_Seq(_OPERAND, _SEP), lambda p, arg, end: (_operand(arg), end)))
 _CASE = _Choice((_Seq(_INT, _p("->"), _IDENT, _Alt(
     _p(","), _Seq(_p("]"), _kw("default"), _IDENT), error=_expected("','"))),
     lambda p, lit, label, default: ((wrap64(int(lit)), label), default)))
+
+
+def is_identifier(word: str) -> bool:
+    """Whether `word` reads as one identifier: a letter or `_`, then
+    letters, digits or `_` (the lexer rejects other `\\w` characters, such
+    as `²`, at a word's start)."""
+    return re.fullmatch(_WORD, word) is not None and (
+        word[0].isalpha() or word[0] == "_")
 
 
 def parse_module(text: str) -> IrModule:

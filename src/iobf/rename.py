@@ -21,8 +21,10 @@ from .ir import (
     Const,
     IrFunction,
     IrModule,
+    NameAllocator,
     mangle,
 )
+from .parser import is_identifier
 
 # Normative Latin -> Greek lookalike table (lowercase only; everything
 # else passes through unchanged).
@@ -68,28 +70,30 @@ def collect_custom_identifiers(m: IrModule) -> list[str]:
 
 
 def apply_rename(m: IrModule, mapping: dict[str, str]) -> IrModule:
-    """Rewrite function symbols and call sites consistently."""
-    def rewrite(ins):
-        if isinstance(ins, Call) and ins.callee in mapping:
-            return replace(ins, callee=mapping[ins.callee])
-        return ins
+    """Rewrite function symbols and call sites consistently; a block that
+    calls no renamed function is shared with `m`."""
+    def rewrite(b):
+        insts = tuple(replace(ins, callee=mapping[ins.callee])
+                      if isinstance(ins, Call) and ins.callee in mapping else ins
+                      for ins in b.insts)
+        return b if insts == b.insts else replace(b, insts=insts)
 
-    return replace(m, functions=[
-        replace(fn,
-                mangled_name=mapping.get(fn.mangled_name, fn.mangled_name),
-                blocks=[replace(b, insts=[rewrite(ins) for ins in b.insts])
-                        for b in fn.blocks])
-        for fn in m.functions
-    ])
+    return replace(m, functions=tuple(
+        replace(fn, mangled_name=mapping.get(fn.mangled_name, fn.mangled_name),
+                blocks=tuple(map(rewrite, fn.blocks)))
+        for fn in m.functions))
 
 
 def load_dictionary(path: str | Path | None = None) -> list[str]:
-    """Identifier list, one per line; `#` starts a comment."""
+    """Identifier list, one per line; `#` starts a comment. A word that is
+    not an IR identifier raises ValueError naming it and its line."""
     if path is None:
         path = Path(__file__).parent / "data" / "dictionary.txt"
     entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         word = line.split("#", 1)[0].strip()
+        if word and not is_identifier(word):
+            raise ValueError(f"{path} line {n}: {word!r} is not an identifier")
         if word:
             entries.append(word)
     return entries
@@ -194,6 +198,7 @@ def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
         if base_names is not None:
             base = base_names.get(original.mangled_name, base)
         arities.setdefault(base, set())
+        registers = original.local_names()
         for _ in range(decoys_per_fn):
             for attempt in range(256):
                 arity = rng.randrange(0, 5 + attempt // 16)
@@ -203,12 +208,12 @@ def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
                     break
             else:
                 raise RuntimeError("could not fabricate a legal overload")
-            decoy = _decoy_function(original, name, base, types, rng)
+            decoy = _decoy_function(original, name, base, types, registers, rng)
             functions.append(decoy)
             existing.add(name)
             arities[base].add(arity)
             added.append(name)
-    return replace(m, functions=functions), {
+    return replace(m, functions=tuple(functions)), {
         "pass": "ident-overload",
         "seed": seed,
         "decoys_per_fn": decoys_per_fn,
@@ -217,22 +222,19 @@ def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
 
 
 def _decoy_function(original: IrFunction, mangled: str, base: str,
-                    param_types: list[str], rng: random.Random) -> IrFunction:
-    params = [(f"p{i}", t) for i, t in enumerate(param_types)]
-    blocks: list[BasicBlock] = []
-    for b in original.blocks:
-        body, _ = mutate_instructions(b.insts, rng)
-        blocks.append(BasicBlock(b.label, body, b.term, role="real"))
-    # original parameter names may be read by the cloned body; bind any
-    # that the fabricated signature dropped
-    decoy_params = {n for n, _ in params}
-    binders = [
-        Const(n, False if t == "bool" else 0)
-        for n, t in original.params
-        if n not in decoy_params
-    ]
-    blocks[0].insts[:0] = binders
-    return IrFunction(mangled, base, params, original.ret_type, blocks)
+                    param_types: list[str], registers: set[str],
+                    rng: random.Random) -> IrFunction:
+    # fresh names: a fabricated parameter must not retype one of the
+    # original's `registers` that the cloned body uses
+    names = NameAllocator(registers)
+    params = tuple((names.fresh(f"p{i}"), t) for i, t in enumerate(param_types))
+    bodies = [mutate_instructions(b.insts, rng)[0] for b in original.blocks]
+    # the cloned body may read the original parameters; bind them all
+    bodies[0] = tuple(Const(n, False if t == "bool" else 0)
+                      for n, t in original.params) + bodies[0]
+    return IrFunction(mangled, base, params, original.ret_type, tuple(
+        BasicBlock(b.label, body, b.term)
+        for b, body in zip(original.blocks, bodies)))
 
 
 def obfuscate_identifiers_default(m: IrModule, seed: int,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from iobf import load_corpus, parse_module, run
+from iobf.bogus import OpaquePredicate
 from iobf.ir import (
     BasicBlock,
     BinOp,
@@ -14,6 +15,7 @@ from iobf.ir import (
     IrFunction,
     IrModule,
     Local,
+    NameAllocator,
     Ret,
 )
 
@@ -106,7 +108,7 @@ def fig3b_module():
 
 def single_function_module(template, fn):
     """Swap the sole function of a module for a transformed version."""
-    return dataclasses.replace(template, functions=[fn])
+    return dataclasses.replace(template, functions=(fn,))
 
 
 def block_of(fn, label):
@@ -115,6 +117,21 @@ def block_of(fn, label):
         if b.label == label:
             return b
     raise KeyError(label)
+
+
+def predicate_module(family, truth):
+    """A module whose function `p(x, y)` returns the result of the
+    instructions an opaque predicate emits over its two parameters."""
+    insts, result = OpaquePredicate(family, truth).instructions(
+        NameAllocator({"x", "y"}), (Local("x"), Local("y")))
+    fn = IrFunction("_O1pii", "p", (("x", "int"), ("y", "int")), "bool",
+                    (BasicBlock("entry", insts, Ret(Local(result))),))
+    return IrModule(functions=(fn,))
+
+
+def predicate_value(m, x, y=0):
+    """What `predicate_module`'s `p(x, y)` returns in the interpreter."""
+    return run(m, "p", [x, y]).value
 
 
 def assert_equivalent(orig, obf, entry, inputs, fuel=200_000):
@@ -164,6 +181,6 @@ def random_modules(draw):
                        draw(st.sampled_from(labels)))
         else:
             term = Ret(Local("x"))
-        blocks.append(BasicBlock(label, insts, term))
-    fn = IrFunction("_O1fi", "f", [("x", "int")], "int", blocks)
-    return IrModule(functions=[fn])
+        blocks.append(BasicBlock(label, tuple(insts), term))
+    fn = IrFunction("_O1fi", "f", (("x", "int"),), "int", tuple(blocks))
+    return IrModule(functions=(fn,))

@@ -23,13 +23,12 @@ from iobf import (
     timed_run,
     validate,
 )
-from iobf.bogus import OpaquePredicate
 from iobf.cli import PipelineConfig, fork_seed, main, transform_module
 from iobf.corpus import default_corpus_dir
 from iobf.ir import BinOp, Switch
 from iobf.rename import collect_custom_identifiers
 
-from conftest import block_of
+from conftest import block_of, predicate_module, predicate_value
 
 SEEDS = [101, 202, 303, 404, 505]
 
@@ -176,9 +175,9 @@ def test_criterion_4_opaque_predicate_soundness():
     def check():
         start = time.perf_counter()
         for truth in (True, False):
-            pred = OpaquePredicate("square_mod4", truth)
+            m = predicate_module("square_mod4", truth)
             for x in range(1 << 16):
-                assert pred.evaluate(x - (1 << 15)) is truth
+                assert predicate_value(m, x - (1 << 15)) is truth
 
         # seven_square over all 2^32 masked pairs, as value-set
         # disjointness: a counterexample needs some 7*y*y - 1 to equal
@@ -187,11 +186,11 @@ def test_criterion_4_opaque_predicate_soundness():
         sevens = {7 * y * y - 1 for y in range(1 << 16)}
         assert squares.isdisjoint(sevens)
         for truth in (True, False):
-            pred = OpaquePredicate("seven_square", truth)
+            m = predicate_module("seven_square", truth)
             probe = [0, 1, 2, 3, 255, 4096, 65535, -1, -65536, 1 << 62]
             for x in probe:
                 for y in probe:
-                    assert pred.evaluate(x, y) is truth
+                    assert predicate_value(m, x, y) is truth
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"predicate sweep took {elapsed:.1f}s"
 

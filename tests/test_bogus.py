@@ -14,32 +14,33 @@ from iobf import (
     run,
     validate,
 )
-from iobf.bogus import MASK16, OpaquePredicate, mutate_instructions
-from iobf.ir import BasicBlock, BinOp, Br, Cbr, Const, IrFunction, IrModule, Local, NameAllocator, Ret
+from iobf.bogus import MASK16, mutate_instructions
+from iobf.ir import BinOp, Br, Cbr, Const, Local
 
-from conftest import assert_equivalent, block_of, single_function_module
+from conftest import (assert_equivalent, block_of, predicate_module,
+                      predicate_value, single_function_module)
 
 
 # ---------------------------------------------------------------------------
 # Opaque predicates
 
 def test_square_mod4_sample_value():
-    pred = OpaquePredicate("square_mod4", True)
+    m = predicate_module("square_mod4", True)
     # x = 3: (9 * 16) mod 4 == 0
-    assert pred.evaluate(3) is True
+    assert predicate_value(m, 3) is True
 
 
 def test_square_mod4_exhaustive_16_bit():
-    pred = OpaquePredicate("square_mod4", True)
+    m = predicate_module("square_mod4", True)
     for x in range(1 << 16):
-        assert pred.evaluate(x - (1 << 15))
+        assert predicate_value(m, x - (1 << 15))
 
 
 def test_square_mod4_random_64_bit():
-    pred = OpaquePredicate("square_mod4", True)
+    m = predicate_module("square_mod4", True)
     rng = random.Random(0)
     for _ in range(2000):
-        assert pred.evaluate(rng.randrange(-(1 << 63), 1 << 63))
+        assert predicate_value(m, rng.randrange(-(1 << 63), 1 << 63))
 
 
 def test_seven_square_exhaustive_masked_domain():
@@ -50,18 +51,18 @@ def test_seven_square_exhaustive_masked_domain():
     squares = {x * x for x in range(1 << 16)}
     sevens = {7 * y * y - 1 for y in range(1 << 16)}
     assert squares.isdisjoint(sevens)
-    pred = OpaquePredicate("seven_square", True)
+    m = predicate_module("seven_square", True)
     rng = random.Random(1)
     for _ in range(2000):
         x = rng.randrange(-(1 << 63), 1 << 63)
         y = rng.randrange(-(1 << 63), 1 << 63)
-        assert pred.evaluate(x, y)
+        assert predicate_value(m, x, y)
 
 
 def test_negated_predicate_is_always_false():
-    pred = OpaquePredicate("square_mod4", False)
+    m = predicate_module("square_mod4", False)
     for x in range(-500, 500):
-        assert pred.evaluate(x) is False
+        assert predicate_value(m, x) is False
 
 
 def test_make_opaque_predicate_seed_choice():
@@ -72,19 +73,15 @@ def test_make_opaque_predicate_seed_choice():
 @pytest.mark.parametrize("family", ["square_mod4", "seven_square"])
 @pytest.mark.parametrize("truth", [True, False])
 def test_emitted_instructions_match_evaluate(family, truth):
-    pred = OpaquePredicate(family, truth)
-    alloc = NameAllocator({"x", "y"})
-    insts, result = pred.instructions(alloc, (Local("x"), Local("y")))
-    fn = IrFunction("_O1pib" if truth else "_O1p2ib", "p",
-                    [("x", "int"), ("y", "int")], "bool",
-                    [BasicBlock("entry", insts, Ret(Local(result)))])
-    m = IrModule(functions=[fn])
+    """The emitted instructions validate, and the interpreter evaluates
+    them to the predicate's truth value on random 64-bit inputs."""
+    m = predicate_module(family, truth)
     assert validate(m) == []
     rng = random.Random(7)
     for _ in range(200):
         x = rng.randrange(-(1 << 63), 1 << 63)
         y = rng.randrange(-(1 << 63), 1 << 63)
-        assert run(m, "p", [x, y]).value == pred.evaluate(x, y) == truth
+        assert predicate_value(m, x, y) is truth
 
 
 def test_mask16_is_16_bits():
@@ -115,7 +112,7 @@ def test_mutation_never_creates_zero_divisor():
 
 
 def test_mutation_of_unmutable_block_is_identity():
-    insts = [Const("a", True)]
+    insts = (Const("a", True),)
     mutated, muts = mutate_instructions(insts, random.Random(3))
     assert mutated == insts
     assert muts == []

@@ -1,4 +1,5 @@
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
@@ -6,7 +7,6 @@ from iobf import build_cfg, in_degree_gap, parse_module
 from iobf.cli import PipelineConfig, transform_module
 from iobf.ir import Cbr, targets
 
-from conftest import block_of
 
 
 def test_straight_line_shape(fig3a_module):
@@ -60,7 +60,9 @@ def test_adding_edge_to_bogus_raises_minimum(fig3b_module):
     fn = fig3b_module.functions[0]
     before = in_degree_gap(build_cfg(fn))
     # mirror the in-degree pass: a second edge into the twin
-    block_of(fn, "middle").term = Cbr("p", "final", "twin")
+    fn = replace(fn, blocks=tuple(
+        replace(b, term=Cbr("p", "final", "twin")) if b.label == "middle" else b
+        for b in fn.blocks))
     after = in_degree_gap(build_cfg(fn))
     assert after[1] == before[1] + 1
 

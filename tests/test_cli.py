@@ -1,6 +1,6 @@
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -166,6 +166,24 @@ def test_pass_leaves_its_input_intact(name, corpus):
             after = run(module, entry.entry, args, entry.fuel)
             before = run(entry.module, entry.entry, args, entry.fuel)
             assert after.observable() == before.observable(), entry.name
+
+
+@pytest.mark.parametrize("name", ALL_PASS_NAMES)
+def test_pass_output_is_frozen(name, corpus):
+    """Every node of a pass's output is frozen and its sequences are
+    tuples, so no later pass or cached compile can see it change."""
+    cfg = cfg_of([name], seed=11)
+    for entry in corpus:
+        out, _ = PASS_APPLIERS[name](entry.module, cfg)
+        sequences = [out.functions, out.globals, out.externs]
+        sequences += [e.param_types for e in out.externs]
+        for fn in out.functions:
+            sequences += [fn.params, fn.blocks]
+            sequences += [b.insts for b in fn.blocks]
+        assert all(type(s) is tuple for s in sequences), entry.name
+        block = out.functions[0].blocks[0]
+        with pytest.raises(FrozenInstanceError):
+            block.term = Ret()
 
 
 def test_batch_empty_directory(tmp_path):
@@ -425,6 +443,36 @@ def test_main_non_utf8_dict_names_the_file(tmp_path, capsys, batch_mode):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {words} is not UTF-8: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("word", ["foo bar", "1abc", "a-b", "²x"])
+@pytest.mark.parametrize("batch_mode", [False, True], ids=["single_file", "batch"])
+def test_main_dict_word_that_is_no_identifier(tmp_path, capsys, word, batch_mode):
+    """A --dict word that would not parse as an identifier stops either
+    mode before its first module, naming the word and its line."""
+    words = tmp_path / "words.txt"
+    words.write_text(f"# names\nzeta\n{word}  # odd\n", encoding="utf-8")
+    corpus = _one_entry_corpus(tmp_path)
+    out = tmp_path / "obf"
+    source = (["--batch", str(corpus), "--out-dir", str(out)] if batch_mode
+              else [str(corpus / "gcd.ir"), "-o", str(out)])
+    assert main([*source, "--passes", "ident-dict", "--dict", str(words)]) == EXIT_PARAMETER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {words} line 3: {word!r} is not an identifier\n"
+    assert not out.exists()
+
+
+def test_main_dict_words_that_parse_are_used(tmp_path):
+    """`²` may follow the first character of an identifier."""
+    words = tmp_path / "words.txt"
+    words.write_text("x²\n", encoding="utf-8")
+    out = tmp_path / "out.ir"
+    assert main([str(_one_entry_corpus(tmp_path) / "gcd.ir"), "--passes",
+                 "ident-dict", "--dict", str(words), "-o", str(out)]) == EXIT_OK
+    text = out.read_text(encoding="utf-8")
+    assert "func @x² " in text
+    assert print_module(parse_module(text)) == text
 
 
 def test_main_report_on_module_without_functions(tmp_path):

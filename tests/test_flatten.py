@@ -159,12 +159,11 @@ def test_nested_every_case_has_inner_switch_and_one_clean_case():
 
 def test_nested_inner_case_math():
     _, _, report = _nested_gcd()
-    plan = report["plan"]
     for label, key in report["outer_cases"].items():
-        a, b, m = plan["inner_map"][label]
+        a, b, m = report["inner_map"][label]
         assert a % 2 == 1
         assert m & (m - 1) == 0  # power of two
-        assert plan["real_inner_case"][label] == (a * key + b) % m
+        assert report["real_inner"][label] == (a * key + b) % m
 
 
 def test_nested_semantics_and_decoys_never_execute():

@@ -48,7 +48,7 @@ def test_comments_and_negative_literals():
         "  ret %y\n"
         "}\n"
     )
-    assert m.globals == [("g", -5)]
+    assert m.globals == (("g", -5),)
 
 
 def test_duplicate_case_rejected():
@@ -172,7 +172,7 @@ def test_string_escapes_any_character():
 
 def test_integers_are_unicode_decimal_digits():
     m = parse_module("global @g = -\u0664\u0662\n")  # Arabic-Indic 42
-    assert m.globals == [("g", -42)]
+    assert m.globals == (("g", -42),)
 
 
 def test_missing_terminator_is_syntax_error():

@@ -204,6 +204,29 @@ def test_add_overloads_increases_instruction_count(two_fn_module):
     assert instruction_count(out) > instruction_count(two_fn_module)
 
 
+# registers named like the decoys' fabricated parameters: an int
+# parameter `p0` and a bool local `p1`
+P_REGISTERS_TEXT = """\
+func @_O3inci src "inc" (%p0: int) -> int {
+entry:
+  %p1 = cmp gt %p0, 0
+  %y = add %p0, 1
+  ret %y
+}
+"""
+
+
+@pytest.mark.parametrize("apply", [add_overloads, obfuscate_identifiers_default],
+                         ids=["overload", "default"])
+def test_decoy_parameters_never_reuse_a_register(apply):
+    m = parse_module(P_REGISTERS_TEXT)
+    for seed in range(50):
+        out, _ = apply(m, seed)
+        assert validate(out) == [], seed
+        assert parse_module(print_module(out)) == out, seed
+        assert run(out, "inc", [4]).value == 5
+
+
 def test_default_composition_modes_cover_all():
     modes = set()
     m = parse_module(TWO_FN_TEXT)

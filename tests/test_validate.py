@@ -32,7 +32,7 @@ def codes(m):
 
 
 def fn_of(blocks, params=(), ret="int"):
-    return IrFunction("_O1fi", "f", list(params), ret, blocks)
+    return IrFunction("_O1fi", "f", tuple(params), ret, tuple(blocks))
 
 
 def test_valid_module_is_clean(gcd_module):
