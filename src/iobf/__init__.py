@@ -33,7 +33,6 @@ from .metrics import (
 from .parser import IrError, ParseError, ValidationError, parse_module
 from .rename import (
     DictionaryExhausted,
-    RenameMap,
     add_overloads,
     collect_custom_identifiers,
     load_dictionary,
@@ -60,7 +59,6 @@ __all__ = [
     "OverheadReport",
     "ParseError",
     "PassParameterError",
-    "RenameMap",
     "SimilarityReport",
     "ValidationError",
     "add_overloads",

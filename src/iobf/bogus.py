@@ -178,6 +178,16 @@ def _int_literal(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def fresh_literal(rng, used: set[int], low: int = 1) -> int:
+    """A random 31-bit case literal >= `low` not in `used`, which it joins;
+    sequential case keys are a known deobfuscation fingerprint."""
+    while True:
+        lit = rng.randrange(low, 1 << 31)
+        if lit not in used:
+            used.add(lit)
+            return lit
+
+
 # ---------------------------------------------------------------------------
 # Guarded clone insertion
 
@@ -370,14 +380,8 @@ class _EdgeState:
         return BinOp(self.sel_local, "and", x_src, 1)
 
     def _dead_literals(self, count: int, taken) -> list[int]:
-        lits: set[int] = set(taken)
-        out = []
-        while len(out) < count:
-            lit = self.rng.randrange(2, 1 << 31)
-            if lit not in lits:
-                lits.add(lit)
-                out.append(lit)
-        return out
+        used = set(taken)
+        return [fresh_literal(self.rng, used, 2) for _ in range(count)]
 
     def _guard_br(self, src: BasicBlock, bogus_label: str):
         pred = make_opaque_predicate(self.rng.randrange(1 << 32), truth=True)

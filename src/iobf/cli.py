@@ -71,46 +71,27 @@ def fork_seed(seed: int, *parts: str) -> int:
     return int.from_bytes(hashlib.sha256(material.encode()).digest()[:8], "big")
 
 
-def _per_function(module: IrModule, cfg: PipelineConfig, name: str, transform):
-    reports = []
-    result = []
-    for fn in module.functions:
-        if cfg.funcs and fn.base_name not in cfg.funcs:
-            result.append(fn)
-            continue
-        new_fn, report = transform(fn, fork_seed(cfg.seed, name, fn.mangled_name))
-        result.append(new_fn)
-        reports.append(report)
-    return replace(module, functions=tuple(result)), reports
+def _per_function(name: str, transform):
+    """An applier that runs `transform(fn, seed, cfg, global_names)` on
+    each function `cfg.funcs` selects, with a seed forked per function."""
+    def apply(module: IrModule, cfg: PipelineConfig):
+        global_names = [g for g, _ in module.globals]
+        functions, reports = list(module.functions), []
+        for i, fn in enumerate(functions):
+            if not cfg.funcs or fn.base_name in cfg.funcs:
+                functions[i], report = transform(
+                    fn, fork_seed(cfg.seed, name, fn.mangled_name), cfg, global_names)
+                reports.append(report)
+        return replace(module, functions=tuple(functions)), reports
+    return apply
 
 
-def _apply_flatten(module, cfg):
-    return _per_function(module, cfg, "flatten", flatten)
-
-
-def _apply_nested(module, cfg):
-    return _per_function(
-        module, cfg, "nested",
-        lambda fn, s: nested_switch(fn, s, cfg.bogus_count))
-
-
-def _apply_bcf(module, cfg):
-    globals_ = [g for g, _ in module.globals]
-    return _per_function(
-        module, cfg, "bcf",
-        lambda fn, s: bogus_control_flow(fn, s, cfg.prob, globals_))
-
-
-def _apply_indeg(module, cfg):
-    globals_ = [g for g, _ in module.globals]
-    return _per_function(
-        module, cfg, "indeg",
-        lambda fn, s: indegree_obfuscate(fn, s, cfg.indeg_margin, globals_))
-
-
-def _apply_ident_random(module, cfg):
-    out, rmap = rename_random(module, fork_seed(cfg.seed, "ident-random"))
-    return out, [{"pass": "ident-random", "rename_map": rmap.to_dict()}]
+def _substitution(name: str, mode: str, rename):
+    """An applier that reports the mapping `rename(module, cfg)` made."""
+    def apply(module: IrModule, cfg: PipelineConfig):
+        out, mapping = rename(module, cfg)
+        return out, [{"pass": name, "rename_map": {"mode": mode, "entries": mapping}}]
+    return apply
 
 
 @functools.lru_cache(maxsize=1)
@@ -118,17 +99,6 @@ def _dictionary(path: str | None) -> list[str]:
     """The words of `path`, or of the bundled list for None; the bundled
     list is read once, a `--dict` file once per `validate_config` call."""
     return load_dictionary(path)
-
-
-def _apply_ident_dict(module, cfg):
-    out, rmap = rename_dictionary(module, _dictionary(cfg.dict_path),
-                                  fork_seed(cfg.seed, "ident-dict"))
-    return out, [{"pass": "ident-dict", "rename_map": rmap.to_dict()}]
-
-
-def _apply_ident_illegal(module, cfg):
-    out, rmap = rename_homoglyph(module)
-    return out, [{"pass": "ident-illegal", "rename_map": rmap.to_dict()}]
 
 
 def _apply_ident_overload(module, cfg):
@@ -144,14 +114,25 @@ def _apply_ident_default(module, cfg):
     return out, [report]
 
 
+# The lambdas look each pass up by name when they run, so a wrapper put in
+# this module's namespace (as bench/tracing.py does) sees every call.
 PASS_APPLIERS = {
-    "flatten": _apply_flatten,
-    "nested": _apply_nested,
-    "bcf": _apply_bcf,
-    "indeg": _apply_indeg,
-    "ident-random": _apply_ident_random,
-    "ident-dict": _apply_ident_dict,
-    "ident-illegal": _apply_ident_illegal,
+    "flatten": _per_function("flatten", lambda fn, s, cfg, g: flatten(fn, s)),
+    "nested": _per_function(
+        "nested", lambda fn, s, cfg, g: nested_switch(fn, s, cfg.bogus_count)),
+    "bcf": _per_function(
+        "bcf", lambda fn, s, cfg, g: bogus_control_flow(fn, s, cfg.prob, g)),
+    "indeg": _per_function("indeg", lambda fn, s, cfg, g: indegree_obfuscate(
+        fn, s, cfg.indeg_margin, g)),
+    "ident-random": _substitution(
+        "ident-random", "random",
+        lambda m, cfg: rename_random(m, fork_seed(cfg.seed, "ident-random"))),
+    "ident-dict": _substitution(
+        "ident-dict", "directory",
+        lambda m, cfg: rename_dictionary(m, _dictionary(cfg.dict_path),
+                                         fork_seed(cfg.seed, "ident-dict"))),
+    "ident-illegal": _substitution(
+        "ident-illegal", "illegal", lambda m, cfg: rename_homoglyph(m)),
     "ident-overload": _apply_ident_overload,
     "ident-default": _apply_ident_default,
 }
@@ -324,12 +305,17 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _names(option: str | None) -> list[str]:
+    """The comma-separated names of an option, without blanks around them."""
+    return [s.strip() for s in (option or "").split(",") if s.strip()]
+
+
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     cfg = PipelineConfig(
-        passes=[s for s in args.passes.split(",") if s],
+        passes=_names(args.passes),
         seed=args.seed,
-        funcs=args.funcs.split(",") if args.funcs else None,
+        funcs=_names(args.funcs) or None,
         bogus_count=args.bogus_count,
         indeg_margin=args.indeg_margin,
         prob=args.prob,

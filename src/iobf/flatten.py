@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from .bogus import mutate_instructions
+from .bogus import fresh_literal, mutate_instructions
 from .ir import (
     BasicBlock,
     BinOp,
@@ -49,16 +49,6 @@ def _sample_junk(var: str, rng: random.Random) -> tuple[BinOp, ...]:
             const |= 1
         ops.append(BinOp(var, op, Local(var), const))
     return tuple(ops)
-
-
-def _fresh_literal(rng: random.Random, used: set[int]) -> int:
-    # random 31-bit positive case keys; sequential keys are a known
-    # deobfuscation fingerprint
-    while True:
-        lit = rng.randrange(1, 1 << 31)
-        if lit not in used:
-            used.add(lit)
-            return lit
 
 
 def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
@@ -99,9 +89,9 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
     # unconditional init: keeps the routing register a defined name even
     # when every original terminator is a return, and blends in with the
     # case keys
-    entry = replace(entry, insts=(Const(outer, _fresh_literal(rng, used_lits)),
+    entry = replace(entry, insts=(Const(outer, fresh_literal(rng, used_lits)),
                                   *entry.insts))
-    case_of = {b.label: _fresh_literal(rng, used_lits) for b in originals}
+    case_of = {b.label: fresh_literal(rng, used_lits) for b in originals}
 
     sel_blocks: list[BasicBlock] = []
 
@@ -221,7 +211,7 @@ def nested_switch(fn: IrFunction, seed: int,
                 Br(dispatch),
                 role="bogus",
             ))
-            cases.append((_fresh_literal(rng, used), decoys[-1].label))
+            cases.append((fresh_literal(rng, used), decoys[-1].label))
         decoy_labels[lab] = [d.label for d in decoys]
 
         rng.shuffle(cases)

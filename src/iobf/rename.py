@@ -1,17 +1,19 @@
 """Identifier obfuscation: three substitution schemes plus overloading.
 
 All four operate on defined function symbols only; externs stay untouched
-so third-party linkage is never broken. Substitution rewrites a symbol
-globally (definition, every call site, and the recorded source-name
-entry); overloading adds never-called functions that share a base name
-but carry fabricated parameter lists, giving distinct mangled symbols.
+so third-party linkage is never broken. The substitution schemes differ
+only in the names they propose: one loop, `_substitute`, gives each
+symbol its first proposed name that is still free, and rewrites it
+globally (definition and every call site). Overloading adds
+never-called functions that share a base name but carry fabricated
+parameter lists, giving distinct mangled symbols.
 """
 
 from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .bogus import mutate_instructions
@@ -55,15 +57,6 @@ class DictionaryExhausted(RuntimeError):
     """The replacement dictionary has fewer usable entries than needed."""
 
 
-@dataclass
-class RenameMap:
-    entries: dict[str, str] = field(default_factory=dict)
-    mode: str = "random"
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "entries": dict(self.entries)}
-
-
 def collect_custom_identifiers(m: IrModule) -> list[str]:
     """Defined (non-extern) function symbols, in module order."""
     return [f.mangled_name for f in m.functions]
@@ -105,70 +98,64 @@ def _random_identifier(rng: random.Random) -> str:
     return head + tail
 
 
-def rename_random(m: IrModule, seed: int) -> tuple[IrModule, RenameMap]:
-    """Replace every collected symbol with a fresh 11-character identifier
-    (letter or underscore first, then letters/digits/underscores)."""
-    rng = random.Random(seed)
+def _substitute(m: IrModule, candidates) -> tuple[IrModule, dict[str, str]]:
+    """Give each defined symbol the first of `candidates(old)` that names
+    no function, extern or global and no earlier choice; returns the
+    renamed module and the old -> new mapping."""
     taken = m.all_names()
     mapping: dict[str, str] = {}
     for old in collect_custom_identifiers(m):
-        new = _random_identifier(rng)
-        while new in taken:
-            new = _random_identifier(rng)
+        new = next(c for c in candidates(old) if c not in taken)
         taken.add(new)
         mapping[old] = new
-    return apply_rename(m, mapping), RenameMap(mapping, "random")
+    return apply_rename(m, mapping), mapping
+
+
+def rename_random(m: IrModule, seed: int) -> tuple[IrModule, dict[str, str]]:
+    """Replace every collected symbol with a fresh 11-character identifier
+    (letter or underscore first, then letters/digits/underscores)."""
+    rng = random.Random(seed)
+    return _substitute(m, lambda old: iter(lambda: _random_identifier(rng), None))
 
 
 def rename_dictionary(m: IrModule, dictionary: list[str],
-                      seed: int) -> tuple[IrModule, RenameMap]:
+                      seed: int) -> tuple[IrModule, dict[str, str]]:
     """Replace symbols by sampling the dictionary without replacement."""
-    names = collect_custom_identifiers(m)
-    if len(dictionary) < len(names):
-        raise DictionaryExhausted(
-            f"{len(names)} identifiers to rename, dictionary has "
-            f"{len(dictionary)} entries")
-    rng = random.Random(seed)
+    count = len(collect_custom_identifiers(m))
+    if len(dictionary) < count:
+        raise DictionaryExhausted(f"{count} identifiers to rename, dictionary "
+                                  f"has {len(dictionary)} entries")
     pool = list(dictionary)
-    rng.shuffle(pool)
-    taken = m.all_names()
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-    for old in names:
+    random.Random(seed).shuffle(pool)
+
+    def draw(old):
         while pool:
-            cand = pool.pop()
-            if cand not in taken and cand not in used:
-                mapping[old] = cand
-                used.add(cand)
-                break
-        else:
-            raise DictionaryExhausted(
-                f"ran out of usable dictionary entries at {old!r}")
-    return apply_rename(m, mapping), RenameMap(mapping, "directory")
+            yield pool.pop()
+        raise DictionaryExhausted(
+            f"ran out of usable dictionary entries at {old!r}")
+
+    return _substitute(m, draw)
 
 
 def homoglyph_name(name: str) -> str:
     return "".join(HOMOGLYPHS.get(ch, ch) for ch in name)
 
 
-def rename_homoglyph(m: IrModule) -> tuple[IrModule, RenameMap]:
+def rename_homoglyph(m: IrModule) -> tuple[IrModule, dict[str, str]]:
     """Swap Latin letters for Greek lookalikes in every symbol.
 
     Names with nothing to map get one Greek character appended so the
     rename always changes the symbol; collisions grow further suffixes.
     """
-    taken = m.all_names()
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-    for old in collect_custom_identifiers(m):
+    def lookalikes(old):
         new = homoglyph_name(old)
         if new == old:
             new += GREEK_SUFFIX
-        while new in used or (new in taken and new != old):
+        while True:
+            yield new
             new += GREEK_SUFFIX
-        mapping[old] = new
-        used.add(new)
-    return apply_rename(m, mapping), RenameMap(mapping, "illegal")
+
+    return _substitute(m, lookalikes)
 
 
 def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
@@ -246,19 +233,19 @@ def obfuscate_identifiers_default(m: IrModule, seed: int,
     rng = random.Random(seed)
     mode = rng.choice(["random", "directory", "illegal"])
     if mode == "random":
-        renamed, rmap = rename_random(m, seed ^ 0x9E3779B9)
+        renamed, mapping = rename_random(m, seed ^ 0x9E3779B9)
     elif mode == "directory":
         words = dictionary if dictionary is not None else load_dictionary()
-        renamed, rmap = rename_dictionary(m, words, seed ^ 0x9E3779B9)
+        renamed, mapping = rename_dictionary(m, words, seed ^ 0x9E3779B9)
     else:
-        renamed, rmap = rename_homoglyph(m)
-    reuse = {new: new for new in rmap.entries.values()}
+        renamed, mapping = rename_homoglyph(m)
+    reuse = {new: new for new in mapping.values()}
     out, overload_report = add_overloads(renamed, seed ^ 0x51ED2701,
                                          decoys_per_fn, base_names=reuse)
     return out, {
         "pass": "ident-default",
         "seed": seed,
         "mode": mode,
-        "rename_map": rmap.to_dict(),
+        "rename_map": {"mode": mode, "entries": mapping},
         "overloads": overload_report,
     }

@@ -278,14 +278,14 @@ def test_criterion_7_replacement_rate(corpus):
         seed = SEEDS[0]
         for entry in corpus:
             names = collect_custom_identifiers(entry.module)
-            for renamed, rmap in (
+            for renamed, mapping in (
                 rename_random(entry.module, seed),
                 rename_dictionary(entry.module, load_dictionary(), seed),
                 rename_homoglyph(entry.module),
             ):
-                assert set(rmap.entries) == set(names), entry.name
-                assert all(new != old for old, new in rmap.entries.items())
-                values = list(rmap.entries.values())
+                assert set(mapping) == set(names), entry.name
+                assert all(new != old for old, new in mapping.items())
+                values = list(mapping.values())
                 assert len(set(values)) == len(values), entry.name
                 assert validate(renamed) == [], entry.name
             # the default composition substitutes everything too

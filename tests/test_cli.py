@@ -22,7 +22,7 @@ from iobf.corpus import default_corpus_dir
 from iobf.flatten import PassParameterError
 from iobf.ir import Ret
 from iobf.metrics import render_table
-from iobf.rename import load_dictionary
+from iobf.rename import collect_custom_identifiers, load_dictionary
 
 from conftest import GCD_TEXT
 
@@ -166,6 +166,26 @@ def test_pass_leaves_its_input_intact(name, corpus):
             after = run(module, entry.entry, args, entry.fuel)
             before = run(entry.module, entry.entry, args, entry.fuel)
             assert after.observable() == before.observable(), entry.name
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("ident-random", "random"),
+    ("ident-dict", "directory"),
+    ("ident-illegal", "illegal"),
+])
+def test_substitution_report_shape(name, mode, corpus):
+    """One report, `pass` then `rename_map`, whose entries map every
+    defined symbol, in module order, to its name in the output."""
+    for entry in corpus:
+        out, reports = PASS_APPLIERS[name](entry.module, cfg_of([name], seed=11))
+        [report] = reports
+        assert list(report) == ["pass", "rename_map"]
+        assert report["pass"] == name
+        assert list(report["rename_map"]) == ["mode", "entries"]
+        assert report["rename_map"]["mode"] == mode
+        entries = report["rename_map"]["entries"]
+        assert list(entries) == collect_custom_identifiers(entry.module)
+        assert list(entries.values()) == [f.mangled_name for f in out.functions]
 
 
 @pytest.mark.parametrize("name", ALL_PASS_NAMES)
@@ -499,6 +519,27 @@ def test_main_pass_failure_exit_code(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: could not fabricate a legal overload\n"
+
+
+@pytest.mark.parametrize("passes, funcs, want", [
+    ("flatten", " gcdHelper", [("flatten", "_O9gcdHelperii")]),
+    ("flatten", "gcdHelper, lcm",
+     [("flatten", "_O9gcdHelperii"), ("flatten", "_O3lcmii")]),
+    ("flatten, nested", "gcdHelper ",
+     [("flatten", "_O9gcdHelperii"), ("nested", "_O9gcdHelperii")]),
+])
+def test_main_strips_blanks_around_listed_names(tmp_path, passes, funcs, want):
+    """A blank next to a comma neither drops a function nor names an
+    unknown pass."""
+    report_path = tmp_path / "r.json"
+    code = main([str(default_corpus_dir() / "lcm.ir"), "--passes", passes,
+                 "--funcs", funcs, "-o", str(tmp_path / "out.ir"),
+                 "--report", str(report_path)])
+    assert code == EXIT_OK
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["passes"] == [p.strip() for p in passes.split(",")]
+    assert [(r["pass"], r["function"])
+            for r in report["pass_reports"]] == want
 
 
 def test_main_missing_input_is_parameter_error(capsys):

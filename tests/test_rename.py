@@ -73,12 +73,11 @@ def _check_behaviour(orig, renamed):
 
 
 def test_rename_random_shape_and_behaviour(two_fn_module):
-    renamed, rmap = rename_random(two_fn_module, seed=11)
-    assert rmap.mode == "random"
-    assert len(rmap.entries) == 2
-    for new in rmap.entries.values():
+    renamed, mapping = rename_random(two_fn_module, seed=11)
+    assert len(mapping) == 2
+    for new in mapping.values():
         assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]{10}", new)
-    assert len(set(rmap.entries.values())) == 2
+    assert len(set(mapping.values())) == 2
     # call sites rewritten: no call still names the old helper
     callees = {
         ins.callee
@@ -88,7 +87,7 @@ def test_rename_random_shape_and_behaviour(two_fn_module):
         if isinstance(ins, Call)
     }
     assert "_O9gcdHelperii" not in callees
-    assert rmap.entries["_O9gcdHelperii"] in callees
+    assert mapping["_O9gcdHelperii"] in callees
     _check_behaviour(two_fn_module, renamed)
 
 
@@ -96,7 +95,7 @@ def test_rename_random_deterministic(two_fn_module):
     a, ma = rename_random(two_fn_module, seed=3)
     b, mb = rename_random(two_fn_module, seed=3)
     assert print_module(a) == print_module(b)
-    assert ma.entries == mb.entries
+    assert ma == mb
 
 
 def test_rename_random_preserves_base_names(two_fn_module):
@@ -106,21 +105,26 @@ def test_rename_random_preserves_base_names(two_fn_module):
 
 def test_rename_dictionary_single():
     m = parse_module('func @f src "f" () -> int { entry: ret 0 }')
-    renamed, rmap = rename_dictionary(m, ["alpha"], seed=1)
-    assert rmap.entries == {"f": "alpha"}
+    renamed, mapping = rename_dictionary(m, ["alpha"], seed=1)
+    assert mapping == {"f": "alpha"}
     assert renamed.functions[0].mangled_name == "alpha"
 
 
 def test_rename_dictionary_exhausted(two_fn_module):
-    with pytest.raises(DictionaryExhausted):
+    with pytest.raises(DictionaryExhausted,
+                       match="^2 identifiers to rename, dictionary has 1 entries$"):
         rename_dictionary(two_fn_module, ["only_one"], seed=1)
+    # enough words, but the extern's name is taken
+    with pytest.raises(DictionaryExhausted,
+                       match="^ran out of usable dictionary entries at '_O3lcmii'$"):
+        rename_dictionary(two_fn_module, ["print_int", "x"], seed=1)
 
 
 def test_rename_dictionary_uses_bundle(two_fn_module):
     words = load_dictionary()
     assert len(words) >= 200
-    renamed, rmap = rename_dictionary(two_fn_module, words, seed=8)
-    assert set(rmap.entries.values()) <= set(words)
+    renamed, mapping = rename_dictionary(two_fn_module, words, seed=8)
+    assert set(mapping.values()) <= set(words)
     _check_behaviour(two_fn_module, renamed)
 
 
@@ -130,14 +134,14 @@ def test_homoglyph_table_on_count():
 
 def test_homoglyph_unmappable_gets_suffix():
     m = parse_module('func @qqq src "q" () -> int { entry: ret 0 }')
-    renamed, rmap = rename_homoglyph(m)
-    assert rmap.entries["qqq"] == "qqqω"
+    renamed, mapping = rename_homoglyph(m)
+    assert mapping["qqq"] == "qqqω"
 
 
 def test_homoglyph_behaviour_and_roundtrip(two_fn_module):
-    renamed, rmap = rename_homoglyph(two_fn_module)
-    assert len(rmap.entries) == 2
-    assert all(new != old for old, new in rmap.entries.items())
+    renamed, mapping = rename_homoglyph(two_fn_module)
+    assert len(mapping) == 2
+    assert all(new != old for old, new in mapping.items())
     _check_behaviour(two_fn_module, renamed)
     assert parse_module(print_module(renamed)) == renamed
 
@@ -148,8 +152,8 @@ def test_homoglyph_collision_breaks_with_suffix():
         'func @spin src "b" () -> int { entry: ret 1 }\n'
     )
     m = parse_module(text)
-    _, rmap = rename_homoglyph(m)
-    values = list(rmap.entries.values())
+    _, mapping = rename_homoglyph(m)
+    values = list(mapping.values())
     assert len(set(values)) == 2  # spin maps onto sρin's homoglyph form
 
 
@@ -260,11 +264,11 @@ def test_default_composition_behaviour(two_fn_module):
 
 def test_rename_maps_injective_across_corpus(corpus):
     for entry in corpus:
-        for builder in (
+        for rename in (
             lambda m: rename_random(m, 13)[1],
             lambda m: rename_dictionary(m, load_dictionary(), 13)[1],
             lambda m: rename_homoglyph(m)[1],
         ):
-            rmap = builder(entry.module)
-            values = list(rmap.entries.values())
+            mapping = rename(entry.module)
+            values = list(mapping.values())
             assert len(set(values)) == len(values), entry.name
