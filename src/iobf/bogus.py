@@ -123,32 +123,23 @@ def predicate_sources(fn: IrFunction, global_names, rng) -> tuple[Operand, Opera
 # ---------------------------------------------------------------------------
 # Clone mutation (shared with nested-switch decoys and overload bodies)
 
-def mutate_instructions(insts, rng) -> tuple[tuple, list[dict]]:
+def mutate_instructions(insts, rng) -> tuple:
     """A new block body with one binop opcode swapped and one integer
     literal bumped by one; `insts` is left as it was. Instructions are
-    frozen, so the mutated ones are rebuilt and the rest are shared.
-    Returns (new instructions, mutation descriptions)."""
+    frozen, so the mutated ones are rebuilt and the rest are shared."""
     out = list(insts)
-    mutations: list[dict] = []
 
     binop_at = [i for i, ins in enumerate(out) if isinstance(ins, BinOp)]
     if binop_at:
         i = rng.choice(binop_at)
-        old = out[i].op
-        choices = [op for op in _SWAP_OPS if op != old]
-        new_op = rng.choice(choices)
-        out[i] = replace(out[i], op=new_op)
-        mutations.append({"kind": "opcode", "index": i, "from": old, "to": new_op})
+        choices = [op for op in _SWAP_OPS if op != out[i].op]
+        out[i] = replace(out[i], op=rng.choice(choices))
 
     spots = _literal_spots(out)
     if spots:
         i, attr = rng.choice(spots)
-        old_val = getattr(out[i], attr)
-        new_val = wrap64(old_val + 1)
-        out[i] = replace(out[i], **{attr: new_val})
-        mutations.append({"kind": "constant", "index": i,
-                          "from": old_val, "to": new_val})
-    return tuple(out), mutations
+        out[i] = replace(out[i], **{attr: wrap64(getattr(out[i], attr) + 1)})
+    return tuple(out)
 
 
 def _literal_spots(insts) -> list[tuple[int, str]]:
@@ -191,18 +182,26 @@ def fresh_literal(rng, used: set[int], low: int = 1) -> int:
 # ---------------------------------------------------------------------------
 # Guarded clone insertion
 
+def _opaque_guard(f: IrFunction, rng, global_names, locals_alloc,
+                  then_label: str, never_label: str) -> tuple[tuple, Cbr]:
+    """The instructions of an always-true predicate over sources from `f`,
+    and the `cbr` on it that never takes `never_label`."""
+    pred = make_opaque_predicate(rng.randrange(1 << 32), truth=True)
+    insts, result = pred.instructions(
+        locals_alloc, predicate_sources(f, global_names, rng))
+    return insts, Cbr(result, then_label, never_label)
+
+
 def _insert_guarded_clones(f: IrFunction, labels, rng, global_names,
-                           labels_alloc, locals_alloc
-                           ) -> tuple[IrFunction, list[dict]]:
+                           labels_alloc, locals_alloc) -> IrFunction:
     """Put an always-true guard in front of each block named in `labels`
     (in block order) whose false arm reaches a mutated clone; the clone
     branches back to the real block, and every other edge into the block
-    enters its guard. Returns the new function and one record per clone."""
+    enters its guard."""
     # (guard, clone) labels first: an edge may reach a guard built later
     names = {label: (labels_alloc.fresh(f"{label}_pre"),
                      labels_alloc.fresh(f"{label}_twin")) for label in labels}
     guard_of = {label: guard for label, (guard, _) in names.items()}
-    records: list[dict] = []
     blocks: list[BasicBlock] = []
     for orig in f.blocks:
         orig = replace(orig, term=retarget(orig.term, guard_of))
@@ -211,50 +210,36 @@ def _insert_guarded_clones(f: IrFunction, labels, rng, global_names,
             continue
         label = orig.label
         guard_label, clone_label = names[label]
-        pred = make_opaque_predicate(rng.randrange(1 << 32), truth=True)
-        pinsts, presult = pred.instructions(
-            locals_alloc, predicate_sources(f, global_names, rng))
-        cloned, mutations = mutate_instructions(orig.insts, rng)
-        blocks += [BasicBlock(guard_label, pinsts,
-                              Cbr(presult, label, clone_label)),
-                   orig,
-                   BasicBlock(clone_label, cloned, Br(label), role="bogus")]
-        records.append({"label": clone_label, "cloned_from": label,
-                        "mutations": mutations,
-                        "guard": f"{pred.family}:always_true"})
-    return replace(f, blocks=tuple(blocks)), records
+        guard = BasicBlock(guard_label, *_opaque_guard(
+            f, rng, global_names, locals_alloc, label, clone_label))
+        blocks += [guard, orig,
+                   BasicBlock(clone_label, mutate_instructions(orig.insts, rng),
+                              Br(label), role="bogus")]
+    return replace(f, blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
 # Passes
 
 def bogus_control_flow(fn: IrFunction, seed: int, prob: float,
-                       global_names=()) -> tuple[IrFunction, dict]:
+                       global_names=()) -> tuple[IrFunction, str | None]:
     """Guard each selected non-entry real block with an opaque predicate
-    branching to either the block or its mutated clone."""
+    branching to either the block or its mutated clone. Returns the new
+    function and None, or `fn` itself and why nothing changed."""
     rng = random.Random(seed)
     selected = [
         b.label for b in fn.blocks[1:]
         if b.role == "real" and rng.random() < prob
     ]
-    report = {
-        "pass": "bcf",
-        "function": fn.mangled_name,
-        "seed": seed,
-        "skipped": False,
-        "selected": selected,
-        "records": [],
-    }
     if not selected:
-        return fn, report
-    f, report["records"] = _insert_guarded_clones(
+        return fn, "no block selected"
+    return _insert_guarded_clones(
         fn, selected, rng, global_names, NameAllocator(fn.labels()),
-        NameAllocator(fn.local_names()))
-    return f, report
+        NameAllocator(fn.local_names())), None
 
 
 def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
-                       global_names=()) -> tuple[IrFunction, dict]:
+                       global_names=()) -> tuple[IrFunction, str | None]:
     """Add never-taken edges until every bogus block has in-degree at least
     `margin` above the highest non-entry real block.
 
@@ -270,17 +255,10 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
 
     A function with no bogus block first receives one guarded clone (the
     same construction bogus_control_flow uses) on a random real block.
+    Returns the new function and None, or `fn` itself and why nothing
+    changed.
     """
     rng = random.Random(seed)
-    report = {
-        "pass": "indeg",
-        "function": fn.mangled_name,
-        "seed": seed,
-        "skipped": False,
-        "margin": margin,
-        "injected": [],
-        "edges_added": 0,
-    }
     labels_alloc = NameAllocator(fn.labels())
     locals_alloc = NameAllocator(fn.local_names())
 
@@ -288,10 +266,8 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
     if not any(b.role == "bogus" for b in f.blocks):
         candidates = [b.label for b in f.blocks[1:] if b.role == "real"]
         if not candidates:
-            report["skipped"] = True
-            report["reason"] = "no non-entry real block to clone"
-            return fn, report
-        f, report["injected"] = _insert_guarded_clones(
+            return fn, "no non-entry real block to clone"
+        f = _insert_guarded_clones(
             f, [rng.choice(candidates)], rng, global_names, labels_alloc,
             locals_alloc)
 
@@ -312,10 +288,10 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
             state.add_edges(bogus, need)
     else:
         raise RuntimeError("in-degree obfuscation did not converge")
-
-    report["edges_added"] = state.edges_added
-    report["target_indegree"] = target
-    return f, report
+    # an injected clone always needs edges, so none added means no change
+    if not state.edges_added:
+        return fn, "bogus in-degree already dominates"
+    return f, None
 
 
 class _EdgeState:
@@ -384,11 +360,9 @@ class _EdgeState:
         return [fresh_literal(self.rng, used, 2) for _ in range(count)]
 
     def _guard_br(self, src: BasicBlock, bogus_label: str):
-        pred = make_opaque_predicate(self.rng.randrange(1 << 32), truth=True)
-        pinsts, presult = pred.instructions(
-            self.locals_alloc,
-            predicate_sources(self.f, self.global_names, self.rng))
-        self._rewrite(src, pinsts, Cbr(presult, src.term.label, bogus_label))
+        self._rewrite(src, *_opaque_guard(
+            self.f, self.rng, self.global_names, self.locals_alloc,
+            src.term.label, bogus_label))
 
     def _br_to_switch(self, src: BasicBlock, bogus_label: str, need: int):
         sel = self._scrutinee()

@@ -26,7 +26,6 @@ class Cfg:
     roles: dict[str, str]
     edges: list[Edge] = field(default_factory=list)
     indeg: dict[str, int] = field(default_factory=dict)
-    outdeg: dict[str, int] = field(default_factory=dict)
 
 
 def build_cfg(fn: IrFunction) -> Cfg:
@@ -34,7 +33,6 @@ def build_cfg(fn: IrFunction) -> Cfg:
         entry=fn.entry,
         roles={b.label: b.role for b in fn.blocks},
         indeg={b.label: 0 for b in fn.blocks},
-        outdeg={b.label: 0 for b in fn.blocks},
     )
     for b in fn.blocks:
         t = b.term
@@ -52,7 +50,6 @@ def build_cfg(fn: IrFunction) -> Cfg:
 
 def _add(cfg: Cfg, edge: Edge):
     cfg.edges.append(edge)
-    cfg.outdeg[edge.src] += 1
     cfg.indeg[edge.dst] += 1
 
 

@@ -24,7 +24,7 @@ from .cfg import export_dot
 from .corpus import load_corpus
 from .flatten import PassParameterError, flatten, nested_switch
 from .interp import run
-from .ir import IrModule, print_module
+from .ir import ROLES, IrFunction, IrModule, print_module, targets
 from .metrics import (aggregate_rows, overhead, render_table, similarity,
                       space_ratio)
 from .parser import IrError, parse_module
@@ -71,26 +71,47 @@ def fork_seed(seed: int, *parts: str) -> int:
     return int.from_bytes(hashlib.sha256(material.encode()).digest()[:8], "big")
 
 
+def _census(fn: IrFunction) -> dict:
+    """Blocks and instructions (terminators included) by role, and edges."""
+    blocks, insts, edges = dict.fromkeys(ROLES, 0), dict.fromkeys(ROLES, 0), 0
+    for b in fn.blocks:
+        blocks[b.role] += 1
+        insts[b.role] += len(b.insts) + 1
+        edges += len(targets(b.term))
+    return {"blocks": blocks, "insts": insts, "edges": edges}
+
+
 def _per_function(name: str, transform):
     """An applier that runs `transform(fn, seed, cfg, global_names)` on
-    each function `cfg.funcs` selects, with a seed forked per function."""
+    each function `cfg.funcs` selects, with a seed forked per function,
+    and records what each run changed."""
     def apply(module: IrModule, cfg: PipelineConfig):
         global_names = [g for g, _ in module.globals]
-        functions, reports = list(module.functions), []
+        functions, records = list(module.functions), []
         for i, fn in enumerate(functions):
             if not cfg.funcs or fn.base_name in cfg.funcs:
-                functions[i], report = transform(
-                    fn, fork_seed(cfg.seed, name, fn.mangled_name), cfg, global_names)
-                reports.append(report)
-        return replace(module, functions=tuple(functions)), reports
+                seed = fork_seed(cfg.seed, name, fn.mangled_name)
+                functions[i], skipped = transform(fn, seed, cfg, global_names)
+                before = _census(fn)
+                after = before if skipped else _census(functions[i])
+                records.append({
+                    "pass": name, "function": fn.mangled_name, "seed": seed,
+                    "skipped": skipped,
+                    **{k: {"before": before[k], "after": after[k]} for k in before}})
+        return replace(module, functions=tuple(functions)), records
     return apply
 
 
-def _substitution(name: str, mode: str, rename):
-    """An applier that reports the mapping `rename(module, cfg)` made."""
+def _module_wide(name: str, transform):
+    """An applier that runs `transform(module, seed, cfg)`, which returns
+    the new module and its old -> new symbol mapping, and records the
+    mapping and the functions added after the module's own."""
     def apply(module: IrModule, cfg: PipelineConfig):
-        out, mapping = rename(module, cfg)
-        return out, [{"pass": name, "rename_map": {"mode": mode, "entries": mapping}}]
+        seed = fork_seed(cfg.seed, name)
+        out, mapping = transform(module, seed, cfg)
+        added = [f.mangled_name for f in out.functions[len(module.functions):]]
+        return out, [{"pass": name, "seed": seed, "renamed": mapping,
+                      "added": added}]
     return apply
 
 
@@ -99,19 +120,6 @@ def _dictionary(path: str | None) -> list[str]:
     """The words of `path`, or of the bundled list for None; the bundled
     list is read once, a `--dict` file once per `validate_config` call."""
     return load_dictionary(path)
-
-
-def _apply_ident_overload(module, cfg):
-    out, report = add_overloads(module, fork_seed(cfg.seed, "ident-overload"),
-                                cfg.decoys_per_fn)
-    return out, [report]
-
-
-def _apply_ident_default(module, cfg):
-    out, report = obfuscate_identifiers_default(
-        module, fork_seed(cfg.seed, "ident-default"),
-        _dictionary(cfg.dict_path), cfg.decoys_per_fn)
-    return out, [report]
 
 
 # The lambdas look each pass up by name when they run, so a wrapper put in
@@ -124,17 +132,17 @@ PASS_APPLIERS = {
         "bcf", lambda fn, s, cfg, g: bogus_control_flow(fn, s, cfg.prob, g)),
     "indeg": _per_function("indeg", lambda fn, s, cfg, g: indegree_obfuscate(
         fn, s, cfg.indeg_margin, g)),
-    "ident-random": _substitution(
-        "ident-random", "random",
-        lambda m, cfg: rename_random(m, fork_seed(cfg.seed, "ident-random"))),
-    "ident-dict": _substitution(
-        "ident-dict", "directory",
-        lambda m, cfg: rename_dictionary(m, _dictionary(cfg.dict_path),
-                                         fork_seed(cfg.seed, "ident-dict"))),
-    "ident-illegal": _substitution(
-        "ident-illegal", "illegal", lambda m, cfg: rename_homoglyph(m)),
-    "ident-overload": _apply_ident_overload,
-    "ident-default": _apply_ident_default,
+    "ident-random": _module_wide(
+        "ident-random", lambda m, s, cfg: rename_random(m, s)),
+    "ident-dict": _module_wide("ident-dict", lambda m, s, cfg: rename_dictionary(
+        m, _dictionary(cfg.dict_path), s)),
+    "ident-illegal": _module_wide(
+        "ident-illegal", lambda m, s, cfg: rename_homoglyph(m)),
+    "ident-overload": _module_wide(
+        "ident-overload", lambda m, s, cfg: add_overloads(m, s, cfg.decoys_per_fn)),
+    "ident-default": _module_wide(
+        "ident-default", lambda m, s, cfg: obfuscate_identifiers_default(
+            m, s, _dictionary(cfg.dict_path), cfg.decoys_per_fn)),
 }
 
 
@@ -176,7 +184,7 @@ def transform_module(cfg: PipelineConfig,
 
     Identifier passes always act module-wide (a partial rename would leave
     dangling call targets); the function filter applies to the
-    control-flow passes only. Returns the result and the pass reports.
+    control-flow passes only. Returns the result and the pass records.
     """
     reports: list[dict] = []
     for name in cfg.passes:

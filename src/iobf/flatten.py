@@ -51,20 +51,18 @@ def _sample_junk(var: str, rng: random.Random) -> tuple[BinOp, ...]:
     return tuple(ops)
 
 
-def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
-    """Rewrite a function so all non-entry blocks hang off one dispatcher.
+def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, str | None]:
+    """Rewrite a function so all non-entry blocks hang off one dispatcher,
+    the second block of the result.
 
-    Functions with fewer than two non-entry blocks are returned unchanged
-    with a skip note in the report. Unconditional branches become a case
-    key store plus a jump to the dispatcher; conditional branches and
-    switches reach each distinct target through one tiny key-store block;
-    returns are untouched.
+    Returns the new function and None, or, for a function with fewer
+    than two non-entry blocks, `fn` itself and the reason it was skipped.
+    Unconditional branches become a case key store plus a jump to the
+    dispatcher; conditional branches and switches reach each distinct
+    target through one tiny key-store block; returns are untouched.
     """
-    report: dict = {"pass": "flatten", "function": fn.mangled_name, "seed": seed}
     if len(fn.blocks) - 1 < 2:
-        report.update(skipped=True, reason="too few blocks")
-        return fn, report
-    report["skipped"] = False
+        return fn, "too few blocks"
 
     rng = random.Random(seed)
     labels_alloc = NameAllocator(fn.labels())
@@ -125,20 +123,12 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, dict]:
         role="dispatcher",
     )
     end_block = BasicBlock(end_label, (), Br(dispatch_label), role="dispatcher")
-    f = replace(fn, blocks=(entry, dispatcher, end_block, *routed_originals,
-                            *sel_blocks))
-
-    report.update(
-        outer_var=outer,
-        dispatch=dispatch_label,
-        outer_cases=dict(case_of),
-        case_count=len(case_of),
-    )
-    return f, report
+    return replace(fn, blocks=(entry, dispatcher, end_block, *routed_originals,
+                               *sel_blocks)), None
 
 
 def nested_switch(fn: IrFunction, seed: int,
-                  bogus_count: int | None = None) -> tuple[IrFunction, dict]:
+                  bogus_count: int | None = None) -> tuple[IrFunction, str | None]:
     """Flatten, then wrap every dispatched block in a second-level switch.
 
     The inner scrutinee is `(a*key + b) & (m-1)` with `a` odd and `m` a
@@ -146,25 +136,22 @@ def nested_switch(fn: IrFunction, seed: int,
     genuine inner case can ever be selected. The other `bogus_count` cases
     (default: the outer case count) hold junk-prefixed mutated clones of
     randomly chosen sibling blocks and jump straight back to the
-    dispatcher.
+    dispatcher. Returns what `flatten` returns when it skips.
     """
     if bogus_count is not None and bogus_count < 1:
         raise PassParameterError("bogus_count must be at least 1")
 
-    f, frep = flatten(fn, seed)
-    report: dict = {"pass": "nested", "function": fn.mangled_name, "seed": seed}
-    if frep.get("skipped"):
-        report.update(skipped=True, reason=frep["reason"])
-        return f, report
-    report["skipped"] = False
+    f, skipped = flatten(fn, seed)
+    if skipped:
+        return f, skipped
 
     rng = random.Random(seed ^ 0x5DEECE66D)
     labels_alloc = NameAllocator(f.labels())
     locals_alloc = NameAllocator(f.local_names())
 
-    outer = frep["outer_var"]
-    dispatch = frep["dispatch"]
-    case_of: dict[str, int] = frep["outer_cases"]
+    dispatcher = f.blocks[1]
+    outer, dispatch = dispatcher.term.scrutinee, dispatcher.label
+    case_of = {lab: lit for lit, lab in dispatcher.term.cases}
     case_labels = list(case_of)
     decoys_per_case = bogus_count if bogus_count is not None else len(case_labels)
     m = 1 << decoys_per_case.bit_length()  # least power of two above it
@@ -175,10 +162,6 @@ def nested_switch(fn: IrFunction, seed: int,
 
     # each case's body, which decoys clone
     bodies = {b.label: b.insts for b in f.blocks if b.label in case_of}
-    inner_map: dict[str, tuple[int, int, int]] = {}
-    real_inner: dict[str, int] = {}
-    decoy_labels: dict[str, list[str]] = {}
-    real_labels: dict[str, str] = {}
 
     # one forward pass meets the cases in `case_of` order, as the RNG expects
     blocks: list[BasicBlock] = []
@@ -191,20 +174,16 @@ def nested_switch(fn: IrFunction, seed: int,
         a = rng.randrange(0, 1 << 14) * 2 + 1
         b_off = rng.randrange(0, 1 << 15)
         real_lit = (a * key + b_off) & (m - 1)
-        inner_map[lab] = (a, b_off, m)
-        real_inner[lab] = real_lit
 
         used = {real_lit}
         real_block = BasicBlock(labels_alloc.fresh(f"{lab}_main"),
                                 block.insts, block.term)
-        real_labels[lab] = real_block.label
 
         cases = [(real_lit, real_block.label)]
         decoys: list[BasicBlock] = []
         for _ in range(decoys_per_case):
             junk = _sample_junk(outer, rng)
-            body, _muts = mutate_instructions(bodies[rng.choice(case_labels)],
-                                              rng)
+            body = mutate_instructions(bodies[rng.choice(case_labels)], rng)
             decoys.append(BasicBlock(
                 labels_alloc.fresh(f"{lab}_alt"),
                 junk + body,
@@ -212,7 +191,6 @@ def nested_switch(fn: IrFunction, seed: int,
                 role="bogus",
             ))
             cases.append((fresh_literal(rng, used), decoys[-1].label))
-        decoy_labels[lab] = [d.label for d in decoys]
 
         rng.shuffle(cases)
         mixing = (
@@ -224,17 +202,4 @@ def nested_switch(fn: IrFunction, seed: int,
                            term=Switch(inner, tuple(cases), decoys[0].label)),
                    real_block, *decoys]
 
-    report.update(
-        outer_var=outer,
-        inner_var=inner,
-        dispatch=dispatch,
-        outer_cases=dict(case_of),
-        case_count=len(case_labels),
-        decoys_per_case=decoys_per_case,
-        decoys_added=decoys_per_case * len(case_labels),
-        real_inner=real_inner,
-        real_labels=real_labels,
-        decoy_labels=decoy_labels,
-        inner_map=inner_map,
-    )
-    return replace(f, blocks=tuple(blocks)), report
+    return replace(f, blocks=tuple(blocks)), None

@@ -241,17 +241,22 @@ class IrModule:
 
 
 class NameAllocator:
-    """Deterministic fresh-name source over a set of taken names."""
+    """Deterministic fresh-name source over a set of taken names: `base`,
+    else `base` plus the least positive suffix whose name is free."""
 
     def __init__(self, taken):
         self._taken = set(taken)
+        self._next: dict[str, int] = {}  # base -> first suffix to probe
 
     def fresh(self, base: str) -> str:
+        # names only join the taken set, so the suffixes below the last
+        # one handed out for `base` stay taken and need no second probe
         name = base
-        i = 1
-        while name in self._taken:
-            name = f"{base}{i}"
-            i += 1
+        if name in self._taken:
+            i = self._next.get(base, 1)
+            while (name := f"{base}{i}") in self._taken:
+                i += 1
+            self._next[base] = i + 1
         self._taken.add(name)
         return name
 

@@ -6,7 +6,8 @@ only in the names they propose: one loop, `_substitute`, gives each
 symbol its first proposed name that is still free, and rewrites it
 globally (definition and every call site). Overloading adds
 never-called functions that share a base name but carry fabricated
-parameter lists, giving distinct mangled symbols.
+parameter lists, giving distinct mangled symbols. Every pass returns the
+new module and its old -> new symbol mapping.
 """
 
 from __future__ import annotations
@@ -160,8 +161,9 @@ def rename_homoglyph(m: IrModule) -> tuple[IrModule, dict[str, str]]:
 
 def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
                   base_names: dict[str, str] | None = None
-                  ) -> tuple[IrModule, dict]:
-    """Add never-called overloads of every defined function.
+                  ) -> tuple[IrModule, dict[str, str]]:
+    """Add never-called overloads of every defined function, after the
+    module's own; returns the new module and the empty rename mapping.
 
     Each decoy shares the original's base name (or the supplied
     replacement, when composing with a substitution pass) with a randomly
@@ -179,7 +181,6 @@ def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
     for fn in m.functions:
         arities.setdefault(fn.base_name, set()).add(len(fn.params))
 
-    added: list[str] = []
     for original in m.functions:
         base = original.base_name
         if base_names is not None:
@@ -199,13 +200,7 @@ def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
             functions.append(decoy)
             existing.add(name)
             arities[base].add(arity)
-            added.append(name)
-    return replace(m, functions=tuple(functions)), {
-        "pass": "ident-overload",
-        "seed": seed,
-        "decoys_per_fn": decoys_per_fn,
-        "added": added,
-    }
+    return replace(m, functions=tuple(functions)), {}
 
 
 def _decoy_function(original: IrFunction, mangled: str, base: str,
@@ -215,7 +210,7 @@ def _decoy_function(original: IrFunction, mangled: str, base: str,
     # original's `registers` that the cloned body uses
     names = NameAllocator(registers)
     params = tuple((names.fresh(f"p{i}"), t) for i, t in enumerate(param_types))
-    bodies = [mutate_instructions(b.insts, rng)[0] for b in original.blocks]
+    bodies = [mutate_instructions(b.insts, rng) for b in original.blocks]
     # the cloned body may read the original parameters; bind them all
     bodies[0] = tuple(Const(n, False if t == "bool" else 0)
                       for n, t in original.params) + bodies[0]
@@ -227,9 +222,10 @@ def _decoy_function(original: IrFunction, mangled: str, base: str,
 def obfuscate_identifiers_default(m: IrModule, seed: int,
                                   dictionary: list[str] | None = None,
                                   decoys_per_fn: int = 2
-                                  ) -> tuple[IrModule, dict]:
+                                  ) -> tuple[IrModule, dict[str, str]]:
     """Default composition: one substitution scheme chosen at random, then
-    overloads whose base names reuse the freshly substituted symbols."""
+    overloads whose base names reuse the freshly substituted symbols.
+    Returns the new module and the substitution's mapping."""
     rng = random.Random(seed)
     mode = rng.choice(["random", "directory", "illegal"])
     if mode == "random":
@@ -240,12 +236,6 @@ def obfuscate_identifiers_default(m: IrModule, seed: int,
     else:
         renamed, mapping = rename_homoglyph(m)
     reuse = {new: new for new in mapping.values()}
-    out, overload_report = add_overloads(renamed, seed ^ 0x51ED2701,
-                                         decoys_per_fn, base_names=reuse)
-    return out, {
-        "pass": "ident-default",
-        "seed": seed,
-        "mode": mode,
-        "rename_map": {"mode": mode, "entries": mapping},
-        "overloads": overload_report,
-    }
+    out, _ = add_overloads(renamed, seed ^ 0x51ED2701, decoys_per_fn,
+                           base_names=reuse)
+    return out, mapping

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import strategies as st
 
-from iobf import load_corpus, parse_module, run
+from iobf import load_corpus, load_dictionary, parse_module, run
 from iobf.bogus import OpaquePredicate
 from iobf.ir import (
     BasicBlock,
@@ -17,6 +17,7 @@ from iobf.ir import (
     Local,
     NameAllocator,
     Ret,
+    Switch,
 )
 
 GCD_TEXT = """\
@@ -117,6 +118,43 @@ def block_of(fn, label):
         if b.label == label:
             return b
     raise KeyError(label)
+
+
+def dispatcher_of(fn):
+    """A flattened function's dispatcher: the first block with the
+    dispatcher role whose terminator is a switch."""
+    return next(b for b in fn.blocks
+                if b.role == "dispatcher" and isinstance(b.term, Switch))
+
+
+def real_inner_case(fn, block):
+    """The (literal, target) of a nested inner switch whose target is the
+    one case that is not a decoy."""
+    [case] = [(lit, lab) for lit, lab in block.term.cases
+              if block_of(fn, lab).role != "bogus"]
+    return case
+
+
+def mutation_diff(before, after):
+    """What a clone mutation changed, found by diffing the instructions:
+    the (index, old, new) opcode swaps and the (index, old, new) changes
+    of any other field."""
+    swaps, bumps = [], []
+    for i, (x, y) in enumerate(zip(before, after, strict=True)):
+        for f in dataclasses.fields(x):
+            old, new = getattr(x, f.name), getattr(y, f.name)
+            if old != new:
+                (swaps if f.name == "op" else bumps).append((i, old, new))
+    return swaps, bumps
+
+
+def substitution_scheme(mapping):
+    """The substitution scheme that gave `mapping`'s new names: homoglyphs
+    are not ASCII, and only the dictionary scheme keeps to bundled words."""
+    names = set(mapping.values())
+    if not all(name.isascii() for name in names):
+        return "illegal"
+    return "directory" if names <= set(load_dictionary()) else "random"
 
 
 def predicate_module(family, truth):

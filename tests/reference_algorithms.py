@@ -304,3 +304,20 @@ REFERENCES = {
     "morton": morton,
     "absDiff": abs_diff,
 }
+
+
+class RestartingNameAllocator:
+    """The fresh-name probe of `iobf.ir.NameAllocator` as first written:
+    `base`, else `base` plus the least free suffix, probed from 1 on every
+    call (quadratic in the names that share a base)."""
+
+    def __init__(self, taken):
+        self.taken = set(taken)
+
+    def fresh(self, base: str) -> str:
+        name, i = base, 1
+        while name in self.taken:
+            name = f"{base}{i}"
+            i += 1
+        self.taken.add(name)
+        return name

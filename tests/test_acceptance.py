@@ -28,7 +28,8 @@ from iobf.corpus import default_corpus_dir
 from iobf.ir import BinOp, Switch
 from iobf.rename import collect_custom_identifiers
 
-from conftest import block_of, predicate_module, predicate_value
+from conftest import (block_of, dispatcher_of, predicate_module,
+                      predicate_value, real_inner_case)
 
 SEEDS = [101, 202, 303, 404, 505]
 
@@ -114,13 +115,13 @@ def test_criterion_3_nested_switch_shape(corpus, original_results):
         for entry in corpus:
             for seed in SEEDS[:2]:
                 functions = []
-                reports = []
+                nested = []
                 for fn in entry.module.functions:
-                    new_fn, rep = nested_switch(
+                    new_fn, skipped = nested_switch(
                         fn, fork_seed(seed, "nested", fn.mangled_name))
                     functions.append(new_fn)
-                    if not rep["skipped"]:
-                        reports.append(rep)
+                    if skipped is None:
+                        nested.append(new_fn)
                 obf = type(entry.module)(
                     functions=functions,
                     globals=list(entry.module.globals),
@@ -134,10 +135,11 @@ def test_criterion_3_nested_switch_shape(corpus, original_results):
                 }
                 decoys = set()
                 entry_real_inner = set()
-                for rep in reports:
-                    fn = obf.function(rep["function"])
-                    outer = rep["outer_var"]
-                    for case_label in rep["outer_cases"]:
+                for fn in nested:
+                    dispatcher = dispatcher_of(fn)
+                    outer = dispatcher.term.scrutinee
+                    real_inner = set()
+                    for _, case_label in dispatcher.term.cases:
                         block = block_of(fn, case_label)
                         assert isinstance(block.term, Switch), (
                             entry.name, case_label)
@@ -149,12 +151,13 @@ def test_criterion_3_nested_switch_shape(corpus, original_results):
                                 for i in b.insts)
                             if not junky:
                                 clean.append(target)
-                        assert clean == [rep["real_labels"][case_label]], (
+                        assert clean == [real_inner_case(fn, block)[1]], (
                             entry.name, case_label)
-                    decoys.update(d for ds in rep["decoy_labels"].values()
-                                  for d in ds)
-                    if rep["function"] in entry_mangled:
-                        entry_real_inner.update(rep["real_labels"].values())
+                        real_inner.update(clean)
+                    decoys.update(b.label for b in fn.blocks
+                                  if b.role == "bogus")
+                    if fn.mangled_name in entry_mangled:
+                        entry_real_inner |= real_inner
 
                 executed = set()
                 for args, want in zip(entry.inputs,

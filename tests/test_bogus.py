@@ -17,8 +17,8 @@ from iobf import (
 from iobf.bogus import MASK16, mutate_instructions
 from iobf.ir import BinOp, Br, Cbr, Const, Local
 
-from conftest import (assert_equivalent, block_of, predicate_module,
-                      predicate_value, single_function_module)
+from conftest import (assert_equivalent, block_of, mutation_diff,
+                      predicate_module, predicate_value, single_function_module)
 
 
 # ---------------------------------------------------------------------------
@@ -96,41 +96,38 @@ def test_mutation_swaps_one_opcode_and_bumps_one_constant():
         BinOp("a", "add", Local("x"), 7),
         Const("b", 3),
     ]
-    mutated, muts = mutate_instructions(insts, random.Random(2))
-    kinds = sorted(m["kind"] for m in muts)
-    assert kinds == ["constant", "opcode"]
+    mutated = mutate_instructions(insts, random.Random(2))
     assert insts[0].op == "add"  # original untouched
-    opcode_mut = next(m for m in muts if m["kind"] == "opcode")
-    assert mutated[opcode_mut["index"]].op == opcode_mut["to"] != "add"
+    swaps, bumps = mutation_diff(insts, mutated)
+    assert swaps == [(0, "add", mutated[0].op)] and mutated[0].op != "add"
+    [(_, old, new)] = bumps
+    assert new == old + 1
 
 
 def test_mutation_never_creates_zero_divisor():
     insts = [BinOp("a", "sdiv", Local("x"), -1)]
     for seed in range(40):
-        mutated, _ = mutate_instructions(insts, random.Random(seed))
+        mutated = mutate_instructions(insts, random.Random(seed))
         assert not (mutated[0].op in ("sdiv", "srem") and mutated[0].b == 0)
 
 
 def test_mutation_of_unmutable_block_is_identity():
     insts = (Const("a", True),)
-    mutated, muts = mutate_instructions(insts, random.Random(3))
-    assert mutated == insts
-    assert muts == []
+    mutated = mutate_instructions(insts, random.Random(3))
+    assert mutation_diff(insts, mutated) == ([], [])
 
 
 # ---------------------------------------------------------------------------
 # bogus control flow
 
 def test_bcf_builds_guarded_twins(fig3a_module):
-    fn, report = bogus_control_flow(fig3a_module.functions[0], seed=5, prob=1.0)
-    assert set(report["selected"]) == {"middle", "final"}
+    fn, _ = bogus_control_flow(fig3a_module.functions[0], seed=5, prob=1.0)
+    # each twin jumps back to the real block it was cloned from
+    twins = [b for b in fn.blocks if b.role == "bogus"]
+    assert all(isinstance(b.term, Br) for b in twins)
+    assert {b.term.label for b in twins} == {"middle", "final"}
     cfg = build_cfg(fn)
-    rec = next(r for r in report["records"] if r["cloned_from"] == "middle")
-    twin = rec["label"]
-    assert block_of(fn, twin).role == "bogus"
-    # the twin jumps back to the real block
-    assert isinstance(block_of(fn, twin).term, Br)
-    assert block_of(fn, twin).term.label == "middle"
+    twin = next(b.label for b in twins if b.term.label == "middle")
     # guard edge + twin edge land on the real block
     assert cfg.indeg["middle"] == 2
     assert cfg.indeg[twin] == 1
@@ -138,17 +135,18 @@ def test_bcf_builds_guarded_twins(fig3a_module):
 
 
 def test_bcf_no_selection_returns_input(fig3a_module):
-    fn, report = bogus_control_flow(fig3a_module.functions[0], seed=5,
-                                    prob=1e-12)
-    assert fn == fig3a_module.functions[0]
-    assert report["selected"] == []
+    fn, skipped = bogus_control_flow(fig3a_module.functions[0], seed=5,
+                                     prob=1e-12)
+    assert fn is fig3a_module.functions[0]
+    assert skipped == "no block selected"
 
 
 def test_bcf_preserves_semantics(fig3a_module):
-    fn, report = bogus_control_flow(fig3a_module.functions[0], seed=5, prob=1.0)
+    fn, _ = bogus_control_flow(fig3a_module.functions[0], seed=5, prob=1.0)
     obf = single_function_module(fig3a_module, fn)
     assert validate(obf) == []
-    bogus = {r["label"] for r in report["records"]}
+    bogus = {b.label for b in fn.blocks if b.role == "bogus"}
+    assert bogus
     executed = set()
     for args in ([0], [5], [-3]):
         before = run(fig3a_module, "flow", args)
@@ -164,11 +162,11 @@ def test_bcf_guards_every_edge_into_a_self_loop():
         "entry:\n  %i = 0\n  br loop\n"
         "loop:\n  %i = add %i, 1\n  %c = cmp lt %i, %n\n  cbr %c, loop, out\n"
         "out:\n  ret %i\n}\n")
-    fn, report = bogus_control_flow(m.functions[0], seed=3, prob=1.0)
-    assert report["selected"] == ["loop", "out"]
+    fn, _ = bogus_control_flow(m.functions[0], seed=3, prob=1.0)
+    twins = [b for b in fn.blocks if b.role == "bogus"]
+    assert [b.term.label for b in twins] == ["loop", "out"]
     guard_of, twin_of = {}, {}
-    for rec in report["records"]:
-        origin, twin = rec["cloned_from"], rec["label"]
+    for origin, twin in ((b.term.label, b.label) for b in twins):
         guard = next(b for b in fn.blocks if isinstance(b.term, Cbr)
                      and b.term.else_label == twin)
         # the guard's then-arm and the twin's branch reach the block itself
@@ -191,11 +189,19 @@ def test_bcf_guards_every_edge_into_a_self_loop():
 
 
 def test_bcf_every_bogus_block_has_one_record(fig3a_module):
-    fn, report = bogus_control_flow(fig3a_module.functions[0], seed=6, prob=1.0)
-    bogus = [b.label for b in fn.blocks if b.role == "bogus"]
-    recorded = [r["label"] for r in report["records"]]
-    assert sorted(bogus) == sorted(recorded)
-    assert len(set(recorded)) == len(recorded)
+    """Each twin clones one selected block, which only its guard's
+    then-arm and the twin's own branch reach."""
+    fn, _ = bogus_control_flow(fig3a_module.functions[0], seed=6, prob=1.0)
+    twins = [b for b in fn.blocks if b.role == "bogus"]
+    origins = [b.term.label for b in twins]
+    assert sorted(origins) == ["final", "middle"]
+    edges = build_cfg(fn).edges
+    for twin in twins:
+        [guard] = [e.src for e in edges if e.dst == twin.label]
+        term = block_of(fn, guard).term
+        assert (term.then_label, term.else_label) == (twin.term.label, twin.label)
+        assert sorted(e.src for e in edges if e.dst == twin.term.label) == (
+            sorted([guard, twin.label]))
 
 
 def test_bcf_bogus_blocks_never_execute_across_corpus(corpus):
@@ -203,9 +209,9 @@ def test_bcf_bogus_blocks_never_execute_across_corpus(corpus):
         functions = []
         bogus = set()
         for fn in entry.module.functions:
-            new_fn, report = bogus_control_flow(fn, seed=77, prob=0.6)
+            new_fn, _ = bogus_control_flow(fn, seed=77, prob=0.6)
             functions.append(new_fn)
-            bogus.update(r["label"] for r in report["records"])
+            bogus.update(b.label for b in new_fn.blocks if b.role == "bogus")
         obf = type(entry.module)(
             functions=functions,
             globals=list(entry.module.globals),
@@ -231,8 +237,8 @@ def test_bcf_deterministic(fig3a_module):
 # in-degree obfuscation
 
 def test_indeg_adds_edge_from_origin_block(fig3b_module):
-    fn, report = indegree_obfuscate(fig3b_module.functions[0], seed=4)
-    assert report["skipped"] is False
+    fn, skipped = indegree_obfuscate(fig3b_module.functions[0], seed=4)
+    assert skipped is None
     cfg = build_cfg(fn)
     # the real block the twin was cloned from now points at the twin
     assert any(e.src == "middle" and e.dst == "twin" for e in cfg.edges)
@@ -241,8 +247,9 @@ def test_indeg_adds_edge_from_origin_block(fig3b_module):
 
 
 def test_indeg_injects_when_no_bogus(fig3a_module):
-    fn, report = indegree_obfuscate(fig3a_module.functions[0], seed=12)
-    assert len(report["injected"]) == 1
+    fn, _ = indegree_obfuscate(fig3a_module.functions[0], seed=12)
+    assert not any(b.role == "bogus" for b in fig3a_module.functions[0].blocks)
+    assert sum(b.role == "bogus" for b in fn.blocks) == 1
     cfg = build_cfg(fn)
     max_real, min_bogus = in_degree_gap(cfg)
     assert min_bogus is not None and min_bogus > max_real
@@ -253,9 +260,16 @@ def test_indeg_injects_when_no_bogus(fig3a_module):
 
 def test_indeg_skips_single_block_function():
     m = parse_module('func @one src "one" () -> int { entry: ret 4 }')
-    fn, report = indegree_obfuscate(m.functions[0], seed=1)
-    assert report["skipped"] is True
-    assert fn == m.functions[0]
+    fn, skipped = indegree_obfuscate(m.functions[0], seed=1)
+    assert skipped == "no non-entry real block to clone"
+    assert fn is m.functions[0]
+
+
+def test_indeg_returns_input_when_bogus_already_dominates(fig3b_module):
+    once, _ = indegree_obfuscate(fig3b_module.functions[0], seed=4)
+    twice, skipped = indegree_obfuscate(once, seed=5)
+    assert skipped == "bogus in-degree already dominates"
+    assert twice is once
 
 
 def test_indeg_margin_raises_floor(fig3b_module):
@@ -279,7 +293,7 @@ def test_indeg_after_bcf_dominates(gcd_module):
 
 def test_indeg_after_nested_covers_every_decoy(gcd_module):
     nested, _ = nested_switch(gcd_module.functions[0], seed=5)
-    fn, report = indegree_obfuscate(nested, seed=6)
+    fn, _ = indegree_obfuscate(nested, seed=6)
     cfg = build_cfg(fn)
     max_real, min_bogus = in_degree_gap(cfg)
     assert min_bogus > max_real

@@ -4,7 +4,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from iobf import parse_module, print_module, run, validate
+from iobf import (build_cfg, instruction_count, parse_module, print_module,
+                  run, validate)
 from iobf.cli import (
     EXIT_OK,
     EXIT_ORACLE,
@@ -20,11 +21,11 @@ from iobf.cli import (
 )
 from iobf.corpus import default_corpus_dir
 from iobf.flatten import PassParameterError
-from iobf.ir import Ret
+from iobf.ir import ROLES, Ret
 from iobf.metrics import render_table
 from iobf.rename import collect_custom_identifiers, load_dictionary
 
-from conftest import GCD_TEXT
+from conftest import GCD_TEXT, substitution_scheme
 
 ALL_PASS_NAMES = [
     "flatten", "nested", "bcf", "indeg",
@@ -134,10 +135,33 @@ def test_any_pass_ordering_is_safe(order):
                 == run(out, "gcd", args).observable())
 
 
+CONTROL_FLOW_RECORD = ["pass", "function", "seed", "skipped", "blocks",
+                       "insts", "edges"]
+IDENTIFIER_RECORD = ["pass", "seed", "renamed", "added"]
+
+
 @pytest.mark.parametrize("name", ALL_PASS_NAMES)
 def test_every_pass_report_is_json_serializable(name):
+    """Every control-flow pass gives one record shape and every identifier
+    pass the other; a record's "after" counts recount the output."""
     result = run_pipeline(cfg_of([name], seed=17), GCD_TEXT)
     json.dumps(result.reports)
+    [record] = result.reports
+    if name.startswith("ident-"):
+        assert list(record) == IDENTIFIER_RECORD
+        assert record["added"] == [f.mangled_name for f in result.module.functions[
+            len(result.original.functions):]]
+        return
+    assert list(record) == CONTROL_FLOW_RECORD
+    fn = result.module.function(record["function"])
+    for role in ROLES:
+        blocks = [b for b in fn.blocks if b.role == role]
+        assert record["blocks"]["after"][role] == len(blocks)
+        assert record["insts"]["after"][role] == sum(len(b.insts) + 1
+                                                     for b in blocks)
+    assert sum(record["insts"]["after"].values()) == instruction_count(
+        result.module)
+    assert record["edges"]["after"] == len(build_cfg(fn).edges)
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +198,19 @@ def test_pass_leaves_its_input_intact(name, corpus):
     ("ident-illegal", "illegal"),
 ])
 def test_substitution_report_shape(name, mode, corpus):
-    """One report, `pass` then `rename_map`, whose entries map every
-    defined symbol, in module order, to its name in the output."""
+    """One record that adds no function, and whose `renamed` maps every
+    defined symbol, in module order, to its name in the output, a name of
+    the pass's scheme."""
     for entry in corpus:
         out, reports = PASS_APPLIERS[name](entry.module, cfg_of([name], seed=11))
         [report] = reports
-        assert list(report) == ["pass", "rename_map"]
+        assert list(report) == IDENTIFIER_RECORD
         assert report["pass"] == name
-        assert list(report["rename_map"]) == ["mode", "entries"]
-        assert report["rename_map"]["mode"] == mode
-        entries = report["rename_map"]["entries"]
-        assert list(entries) == collect_custom_identifiers(entry.module)
-        assert list(entries.values()) == [f.mangled_name for f in out.functions]
+        assert report["added"] == []
+        renamed = report["renamed"]
+        assert substitution_scheme(renamed) == mode
+        assert list(renamed) == collect_custom_identifiers(entry.module)
+        assert list(renamed.values()) == [f.mangled_name for f in out.functions]
 
 
 @pytest.mark.parametrize("name", ALL_PASS_NAMES)

@@ -2,27 +2,26 @@ import pytest
 
 from iobf import build_cfg, flatten, nested_switch, parse_module, print_module, run, validate
 from iobf.flatten import PassParameterError
-from iobf.ir import BinOp, Br, Cbr, Ret, Switch
+from iobf.ir import BinOp, Br, Cbr, Local, Ret, Switch
 
-from conftest import GCD_TEXT, assert_equivalent, block_of, single_function_module
+from conftest import (GCD_TEXT, assert_equivalent, block_of, dispatcher_of,
+                      real_inner_case, single_function_module)
 
 
 def test_skip_too_few_blocks():
     m = parse_module(
         'func @f src "f" (%x: int) -> int {\nentry:\n  br out\nout:\n  ret %x\n}')
-    out, report = flatten(m.functions[0], seed=1)
-    assert report["skipped"] is True
-    assert "too few blocks" in report["reason"]
-    assert out == m.functions[0]
+    out, skipped = flatten(m.functions[0], seed=1)
+    assert skipped == "too few blocks"
+    assert out is m.functions[0]
 
 
 def test_dispatcher_shape(gcd_module):
     fn = gcd_module.functions[0]
-    flat, report = flatten(fn, seed=5)
-    assert report["skipped"] is False
-    dispatcher = block_of(flat, report["dispatch"])
-    assert dispatcher.role == "dispatcher"
-    assert isinstance(dispatcher.term, Switch)
+    flat, skipped = flatten(fn, seed=5)
+    assert skipped is None
+    dispatcher = dispatcher_of(flat)
+    assert dispatcher is flat.blocks[1]
     # one case per original non-entry block
     original_labels = {b.label for b in fn.blocks[1:]}
     case_targets = {lab for _, lab in dispatcher.term.cases}
@@ -31,15 +30,15 @@ def test_dispatcher_shape(gcd_module):
 
 
 def test_case_literals_are_31_bit_and_distinct(gcd_module):
-    _, report = flatten(gcd_module.functions[0], seed=9)
-    lits = list(report["outer_cases"].values())
+    flat, _ = flatten(gcd_module.functions[0], seed=9)
+    lits = [lit for lit, _ in dispatcher_of(flat).term.cases]
     assert len(set(lits)) == len(lits)
     assert all(0 < lit < 2 ** 31 for lit in lits)
 
 
 def test_blocks_return_to_dispatcher(gcd_module):
-    flat, report = flatten(gcd_module.functions[0], seed=5)
-    dispatch = report["dispatch"]
+    flat, _ = flatten(gcd_module.functions[0], seed=5)
+    dispatch = dispatcher_of(flat).label
     labels = {b.label: b for b in flat.blocks}
     for block in flat.blocks[1:]:
         if block.role == "dispatcher":
@@ -82,8 +81,8 @@ def test_branch_back_to_entry_is_dispatchable():
         "mid:\n  %n = add %n, 100\n  br out\n"
         "out:\n  ret %n\n}\n")
     # entry is its own predecessor; flatten must split it first
-    flat, report = flatten(m.functions[0], seed=3)
-    assert report["skipped"] is False
+    flat, skipped = flatten(m.functions[0], seed=3)
+    assert skipped is None
     obf = single_function_module(m, flat)
     assert validate(obf) == []
     assert_equivalent(m, obf, "f", [[1], [5], [10]])
@@ -105,8 +104,8 @@ def test_original_switch_terminator_flattens():
 def test_kth_smallest_flattens_to_single_level(corpus):
     entry = next(e for e in corpus if e.name == "kth_smallest")
     fn = entry.module.functions[0]
-    flat, report = flatten(fn, seed=1)
-    dispatcher = block_of(flat, report["dispatch"])
+    flat, _ = flatten(fn, seed=1)
+    dispatcher = dispatcher_of(flat)
     # one dispatcher case per original non-entry block: the old hierarchy
     # now hangs off a single level
     assert len(dispatcher.term.cases) == len(fn.blocks) - 1
@@ -119,8 +118,13 @@ def test_kth_smallest_flattens_to_single_level(corpus):
 
 def _nested_gcd(seed=21, bogus_count=None):
     m = parse_module(GCD_TEXT)
-    fn, report = nested_switch(m.functions[0], seed, bogus_count)
-    return m, single_function_module(m, fn), report
+    fn, _ = nested_switch(m.functions[0], seed, bogus_count)
+    return m, single_function_module(m, fn)
+
+
+def _inner_switches(fn):
+    """Each outer case's (literal, block holding its inner switch)."""
+    return [(lit, block_of(fn, lab)) for lit, lab in dispatcher_of(fn).term.cases]
 
 
 def test_nested_rejects_bad_bogus_count(gcd_module):
@@ -128,25 +132,31 @@ def test_nested_rejects_bad_bogus_count(gcd_module):
         nested_switch(gcd_module.functions[0], 1, bogus_count=0)
 
 
+def _decoy_targets(fn, block):
+    return [lab for _, lab in block.term.cases if block_of(fn, lab).role == "bogus"]
+
+
 def test_nested_default_decoy_count_is_case_count():
-    _, _, report = _nested_gcd()
-    assert report["decoys_per_case"] == report["case_count"]
-    assert report["decoys_added"] == report["case_count"] ** 2
+    _, obf = _nested_gcd()
+    fn = obf.functions[0]
+    inner = _inner_switches(fn)
+    for _, block in inner:
+        assert len(_decoy_targets(fn, block)) == len(inner)
+    assert sum(b.role == "bogus" for b in fn.blocks) == len(inner) ** 2
 
 
 def test_nested_bogus_count_one():
-    _, _, report = _nested_gcd(bogus_count=1)
-    assert report["decoys_per_case"] == 1
-    for decoys in report["decoy_labels"].values():
-        assert len(decoys) == 1
+    _, obf = _nested_gcd(bogus_count=1)
+    fn = obf.functions[0]
+    for _, block in _inner_switches(fn):
+        assert len(_decoy_targets(fn, block)) == 1
 
 
 def test_nested_every_case_has_inner_switch_and_one_clean_case():
-    _, obf, report = _nested_gcd()
+    _, obf = _nested_gcd()
     fn = obf.functions[0]
-    outer = report["outer_var"]
-    for case_label in report["outer_cases"]:
-        block = block_of(fn, case_label)
+    outer = dispatcher_of(fn).term.scrutinee
+    for _, block in _inner_switches(fn):
         assert isinstance(block.term, Switch)
         clean = []
         for _, target in block.term.cases:
@@ -154,22 +164,29 @@ def test_nested_every_case_has_inner_switch_and_one_clean_case():
             junk = any(isinstance(i, BinOp) and i.dst == outer for i in b.insts)
             if not junk:
                 clean.append(target)
-        assert clean == [report["real_labels"][case_label]]
+        assert clean == [real_inner_case(fn, block)[1]]
 
 
 def test_nested_inner_case_math():
-    _, _, report = _nested_gcd()
-    for label, key in report["outer_cases"].items():
-        a, b, m = report["inner_map"][label]
+    _, obf = _nested_gcd()
+    fn = obf.functions[0]
+    outer = dispatcher_of(fn).term.scrutinee
+    for key, block in _inner_switches(fn):
+        mul, add, mask = block.insts
+        assert (mul.op, mul.a, add.op, add.a, mask.op, mask.a) == (
+            "mul", Local(outer), "add", Local(mul.dst), "and", Local(add.dst))
+        assert block.term.scrutinee == mask.dst
+        a, b, m = mul.b, add.b, mask.b + 1
         assert a % 2 == 1
         assert m & (m - 1) == 0  # power of two
-        assert report["real_inner"][label] == (a * key + b) % m
+        assert real_inner_case(fn, block)[0] == (a * key + b) & (m - 1)
 
 
 def test_nested_semantics_and_decoys_never_execute():
-    orig, obf, report = _nested_gcd()
+    orig, obf = _nested_gcd()
+    fn = obf.functions[0]
     assert validate(obf) == []
-    decoys = {d for ds in report["decoy_labels"].values() for d in ds}
+    decoys = {b.label for b in fn.blocks if b.role == "bogus"}
     executed = set()
     for args in ([48, 36], [270, 192], [17, 5]):
         before = run(orig, "gcd", args)
@@ -177,8 +194,8 @@ def test_nested_semantics_and_decoys_never_execute():
                     block_tracer=lambda fn, label: executed.add(label))
         assert before.observable() == after.observable()
     assert executed & decoys == set()
-    # the executed inner-case targets are exactly the planned real blocks
-    real = set(report["real_labels"].values())
+    # the run goes through the inner switches' real targets
+    real = {real_inner_case(fn, block)[1] for _, block in _inner_switches(fn)}
     assert executed & real
 
 
@@ -195,28 +212,32 @@ def test_nested_monotone_complexity(gcd_module):
 
 
 def test_nested_decoy_blocks_marked_bogus():
-    _, obf, report = _nested_gcd()
+    _, obf = _nested_gcd()
     fn = obf.functions[0]
-    for decoys in report["decoy_labels"].values():
-        for label in decoys:
-            assert block_of(fn, label).role == "bogus"
+    outer = dispatcher_of(fn).term.scrutinee
+    for _, block in _inner_switches(fn):
+        for _, target in block.term.cases:
+            b = block_of(fn, target)
+            # a decoy is the target that writes the routing register
+            junk = any(isinstance(i, BinOp) and i.dst == outer for i in b.insts)
+            assert (b.role == "bogus") == junk
 
 
 def test_nested_skip_passthrough():
     m = parse_module('func @tiny src "tiny" () -> int { entry: ret 1 }')
-    fn, report = nested_switch(m.functions[0], seed=4)
-    assert report["skipped"] is True
-    assert fn == m.functions[0]
+    fn, skipped = nested_switch(m.functions[0], seed=4)
+    assert skipped == "too few blocks"
+    assert fn is m.functions[0]
 
 
 def test_nested_roundtrips_through_text():
-    _, obf, _ = _nested_gcd()
+    _, obf = _nested_gcd()
     assert parse_module(print_module(obf)) == obf
 
 
 def test_nested_deterministic():
-    _, obf_a, _ = _nested_gcd(seed=99)
-    _, obf_b, _ = _nested_gcd(seed=99)
+    _, obf_a = _nested_gcd(seed=99)
+    _, obf_b = _nested_gcd(seed=99)
     assert print_module(obf_a) == print_module(obf_b)
 
 
@@ -241,10 +262,11 @@ def test_nested_preserves_content_visit_multiset(gcd_module):
     from collections import Counter
 
     fn = gcd_module.functions[0]
-    nested, report = nested_switch(fn, seed=13)
+    nested, _ = nested_switch(fn, seed=13)
     obf = single_function_module(gcd_module, nested)
     entry_label = fn.blocks[0].label
-    origin_of = {main: orig for orig, main in report["real_labels"].items()}
+    origin_of = {real_inner_case(nested, block)[1]: block.label
+                 for _, block in _inner_switches(nested)}
     for args in ([48, 36], [270, 192]):
         before, after = [], []
         run(gcd_module, "gcd", args,
@@ -265,8 +287,8 @@ def test_nested_handles_entry_back_edge():
         "  cbr %c, entry, mid\n"
         "mid:\n  %n = add %n, 100\n  br out\n"
         "out:\n  ret %n\n}\n")
-    fn, report = nested_switch(m.functions[0], seed=6)
-    assert report["skipped"] is False
+    fn, skipped = nested_switch(m.functions[0], seed=6)
+    assert skipped is None
     obf = single_function_module(m, fn)
     assert validate(obf) == []
     assert_equivalent(m, obf, "f", [[1], [4], [9]])
@@ -279,8 +301,8 @@ def test_cbr_with_equal_arms_gets_one_key_store(transform):
         "entry:\n  %c = cmp lt %x, 5\n  cbr %c, both, both\n"
         "both:\n  %x = add %x, 1\n  br out\n"
         "out:\n  ret %x\n}\n")
-    fn, report = transform(m.functions[0], seed=4)
-    assert report["skipped"] is False
+    fn, skipped = transform(m.functions[0], seed=4)
+    assert skipped is None
     term = fn.blocks[0].term
     assert isinstance(term, Cbr) and term.then_label == term.else_label
     key_stores = [b.label for b in fn.blocks if b.label.startswith("entry_go")]

@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
-from iobf.ir import Br, Cbr, Local, Ret, Switch, retarget, targets
+from iobf.ir import (Br, Cbr, Local, NameAllocator, Ret, Switch, retarget,
+                     targets)
+
+from reference_algorithms import RestartingNameAllocator
 
 SWITCH = Switch("x", ((1, "a"), (2, "b"), (3, "a")), "c")
 
@@ -44,3 +49,18 @@ def test_retarget_maps_all_labels_at_once():
 def test_retarget_without_mapped_label_returns_term_itself(term):
     assert retarget(term, {"q": "z", "x": "z", "p": "z"}) is term
     assert retarget(term, {}) is term
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_name_allocator_matches_restarting_probe(seed):
+    """Remembering the last suffix per base hands out the same names as
+    probing from 1 each time, also when one base's suffixed names take
+    another's ("t1" + "1" and "t" + "11")."""
+    rng = random.Random(seed)
+    bases = ["t", "t1", "x", "x_go", "a"]
+    taken = {rng.choice(bases) + rng.choice(["", "1", "2", "3", "11", "12"])
+             for _ in range(rng.randrange(12))}
+    fast, slow = NameAllocator(taken), RestartingNameAllocator(taken)
+    for _ in range(60):
+        base = rng.choice(bases)
+        assert fast.fresh(base) == slow.fresh(base)

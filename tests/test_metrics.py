@@ -21,7 +21,7 @@ from iobf.metrics import (
 )
 from iobf.ir import BasicBlock, BinOp, Const, Local, Ret
 
-from conftest import GCD_TEXT, single_function_module
+from conftest import GCD_TEXT, mutation_diff, single_function_module
 
 # sha256 of the canonical text "ret", the documented form of a block that
 # holds nothing but a bare return
@@ -42,8 +42,9 @@ def test_hash_is_label_and_name_independent():
 
 def test_hash_distinguishes_mutated_clone():
     block = BasicBlock("b", [BinOp("x", "add", Local("p"), 7)], Ret(Local("x")))
-    mutated, muts = mutate_instructions(block.insts, random.Random(1))
-    assert muts
+    mutated = mutate_instructions(block.insts, random.Random(1))
+    swaps, bumps = mutation_diff(block.insts, mutated)
+    assert len(swaps) == len(bumps) == 1
     clone = BasicBlock("b2", mutated, Ret(Local("x")))
     assert canonical_block_hash(block) != canonical_block_hash(clone)
 

@@ -19,6 +19,8 @@ from iobf import (
 from iobf.ir import Call
 from iobf.rename import DictionaryExhausted, homoglyph_name
 
+from conftest import substitution_scheme
+
 TWO_FN_TEXT = """\
 extern @print_int(int) -> void
 
@@ -168,9 +170,11 @@ def test_substitutions_keep_instruction_count(two_fn_module):
 
 
 def test_add_overloads_counts(two_fn_module):
-    out, report = add_overloads(two_fn_module, seed=5, decoys_per_fn=2)
+    out, mapping = add_overloads(two_fn_module, seed=5, decoys_per_fn=2)
+    assert mapping == {}
     assert len(out.functions) == 6
-    assert len(report["added"]) == 4
+    # the decoys follow the module's own functions
+    assert out.functions[:2] == two_fn_module.functions
     by_base = {}
     for fn in out.functions:
         by_base.setdefault(fn.base_name, []).append(fn)
@@ -188,11 +192,12 @@ def test_add_overloads_arities_stay_unique(two_fn_module):
 
 
 def test_add_overloads_preserves_behaviour(two_fn_module):
-    out, report = add_overloads(two_fn_module, seed=7)
+    out, _ = add_overloads(two_fn_module, seed=7)
     assert validate(out) == []
     _check_behaviour(two_fn_module, out)
     # decoys are never called: no call site names an added function
-    added = set(report["added"])
+    added = {f.mangled_name for f in out.functions[2:]}
+    assert len(added) == 4
     callees = {
         ins.callee
         for fn in out.functions
@@ -235,22 +240,20 @@ def test_default_composition_modes_cover_all():
     modes = set()
     m = parse_module(TWO_FN_TEXT)
     for seed in range(24):
-        _, report = obfuscate_identifiers_default(m, seed)
-        modes.add(report["mode"])
+        _, mapping = obfuscate_identifiers_default(m, seed)
+        assert list(mapping) == collect_custom_identifiers(m)
+        modes.add(substitution_scheme(mapping))
     assert modes == {"random", "directory", "illegal"}
 
 
 def test_default_composition_reuses_substituted_names(two_fn_module):
     for seed in range(24):
-        out, report = obfuscate_identifiers_default(two_fn_module, seed)
-        new_names = set(report["rename_map"]["entries"].values())
-        decoy_bases = {
-            fn.base_name for fn in out.functions
-            if fn.mangled_name in set(report["overloads"]["added"])
-        }
+        out, mapping = obfuscate_identifiers_default(two_fn_module, seed)
+        new_names = set(mapping.values())
+        decoy_bases = {fn.base_name for fn in out.functions[2:]}
         assert decoy_bases <= new_names
         assert validate(out) == []
-        if report["mode"] == "illegal":
+        if substitution_scheme(mapping) == "illegal":
             break
     else:
         pytest.fail("no seed selected the homoglyph mode")
