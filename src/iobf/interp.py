@@ -33,6 +33,25 @@ trap with "call depth exceeded". Fuel counts every executed instruction
 and terminator in execution order, so a run that exhausts a budget of
 `fuel` steps has printed exactly what its first `fuel` steps print, and
 equivalence checks stay deterministic and loop-proof.
+
+Parts run in one of two tiers. Every module starts in the tuple tier
+above. Each run adds its steps to the module's table, and once they reach
+FUSE_AFTER_STEPS (a constant, not an option) the table is hot: every part
+of its compiled functions, and of each function compiled later, gets a
+generated Python function (`compile`/`exec`) at its first run. That
+function holds the part's ops inline: registers in locals, literals and
+never-written slots folded, the `operator` calls as Python operators,
+`wrap64` called only outside the 64-bit range, `_sdiv`/`_srem` still
+trapping. It returns the next part for br/cbr/switch and hands calls and
+rets back to the same loop. So the loop still charges fuel per part,
+counts steps, pushes frames and checks `MAX_CALL_DEPTH`, and a trap still
+charges its whole part. The fused output cannot differ from the tuple
+tier's: each generated op is the tuple op's expression with the operand
+reads resolved, prints happen in order before any trap, and registers are
+stored back before the loop reads them. The loop keeps the tuple ops for a
+part that fuel cannot finish and for every run with a `block_tracer`. The
+generated source holds only slot numbers, int and bool literals and fixed
+names, never IR text, so no identifier can reach `compile`.
 """
 
 from __future__ import annotations
@@ -42,6 +61,7 @@ import statistics
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 from .ir import (
     Assign,
@@ -63,6 +83,7 @@ from .validate import infer_local_types
 
 DEFAULT_FUEL = 1_000_000
 MAX_CALL_DEPTH = 10_000  # active frames, the entry function's included
+FUSE_AFTER_STEPS = 65_536  # a module's runs fuse it once they executed this many
 
 RETURNED = "returned"
 TRAPPED = "trapped"
@@ -163,13 +184,14 @@ class _Part:
     """A run of ops that ends in a terminator or a call: blocks are split
     after every call, so a call always ends its part."""
 
-    __slots__ = ("trace", "ops", "term", "cost")
+    __slots__ = ("trace", "ops", "term", "cost", "fused")
 
     def __init__(self, trace):
         self.trace = trace  # (function, label) for block_tracer; None after a call
         self.ops = []
         self.term = None
         self.cost = 0
+        self.fused = None  # fused-tier function or its stand-in, once hot
 
     def end(self, term):
         self.term = term
@@ -177,12 +199,13 @@ class _Part:
 
 
 class _CompiledFunction:
-    __slots__ = ("params", "entry", "init_env")
+    __slots__ = ("params", "entry", "init_env", "parts")
 
-    def __init__(self, params, entry, init_env):
+    def __init__(self, params, entry, init_env, parts):
         self.params = params  # [(slot, is_bool)]
         self.entry = entry
         self.init_env = init_env  # registers at their type's zero, literals
+        self.parts = parts  # every part, those after calls included
 
     def frame_env(self, args):
         env = self.init_env.copy()
@@ -223,6 +246,7 @@ def _compile_function(fn: IrFunction, module: IrModule, globals_map,
 
     params = [(slots[name], ty == "bool") for name, ty in fn.params]
     parts = {b.label: _Part((fn.mangled_name, b.label)) for b in fn.blocks}
+    every_part = list(parts.values())
     for b in fn.blocks:
         part = parts[b.label]
         for ins in b.insts:
@@ -243,6 +267,7 @@ def _compile_function(fn: IrFunction, module: IrModule, globals_map,
                     args = tuple(operand(a) for a in ins.args)
                     dst = None if ins.dst is None else slots[ins.dst]
                     rest = _Part(None)
+                    every_part.append(rest)
                     part.end((_T_CALL, ins.callee, args, dst, rest))
                     part = rest
             else:
@@ -260,14 +285,119 @@ def _compile_function(fn: IrFunction, module: IrModule, globals_map,
             part.end((_T_RET, None if t.value is None else operand(t.value)))
         else:
             raise ValueError(f"block {b.label} has no terminator")
-    return _CompiledFunction(params, parts[fn.entry], slots.init)
+    return _CompiledFunction(params, parts[fn.entry], slots.init, every_part)
+
+
+# ---------------------------------------------------------------------------
+# The fused tier: one generated Python function per part
+
+# Python expression of each binary op on operand texts {0} and {1}; the
+# helpers are the generated code's only free names besides its parts
+_EXPR = {
+    operator.add: "{0} + {1}", operator.sub: "{0} - {1}",
+    operator.mul: "{0} * {1}", operator.and_: "{0} & {1}",
+    operator.or_: "{0} | {1}", operator.xor: "{0} ^ {1}",
+    _sdiv: "_sdiv({0}, {1})", _srem: "_srem({0}, {1})",
+    _shl: "{0} << ({1} & 63)", _shr: "{0} >> ({1} & 63)",
+    operator.eq: "{0} == {1}", operator.ne: "{0} != {1}",
+    operator.lt: "{0} < {1}", operator.le: "{0} <= {1}",
+    operator.gt: "{0} > {1}", operator.ge: "{0} >= {1}",
+}
+_COMPARISONS = {operator.eq, operator.ne, operator.lt, operator.le,
+                operator.gt, operator.ge}
+_IN_RANGE = "-9223372036854775808 <= {0} <= 9223372036854775807"
+
+
+def _fuse(cfn: _CompiledFunction):
+    """Give each part of `cfn` that runs ops or branches its fused form.
+
+    A slot that no op, call or parameter of the function writes keeps its
+    start value in every frame, so its value is folded into the code."""
+    written = {slot for slot, _ in cfn.params}
+    for part in cfn.parts:
+        written.update(op[1] for op in part.ops if op[0] != _PRINT)
+        if part.term[0] == _T_CALL and part.term[3] is not None:
+            written.add(part.term[3])
+    for part in cfn.parts:
+        if part.ops or part.term[0] not in (_T_CALL, _T_RET):
+            part.fused = partial(_fuse_at_first_run, part, written, cfn.init_env)
+
+
+def _fuse_at_first_run(part: _Part, written, init, env, emit):
+    """Stands in for `part`'s generated function until the part first runs,
+    so parts that never run (decoys) are never generated."""
+    part.fused = _fuse_part(part, written, init)
+    return part.fused(env, emit)
+
+
+def _fuse_part(part: _Part, written, init):
+    """Generate, compile and return `part`'s function.
+
+    It takes the frame's registers and `output.append`, keeps registers in
+    locals, stores the ones it wrote back into the frame at its end, and
+    returns the next part, or None after a call or ret, whose transfer the
+    driver makes. The source holds only slot numbers, int and bool
+    literals and fixed names, never a name or text from the IR."""
+    body = []
+    local = {}  # slot -> local name holding its current value
+    stored = {}  # slots written, in first-write order
+    cells = []  # parts and switch lookups the code refers to
+
+    def read(slot):
+        value = init[slot]
+        if slot not in written and type(value) in (int, bool):
+            return f"({value!r})" if value < 0 else repr(value)
+        name = local.get(slot)
+        if name is None:
+            name = local[slot] = f"v{slot}"
+            body.append(f"{name} = env[{slot}]")
+        return name
+
+    def cell(value):
+        cells.append(value)
+        return f"c{len(cells) - 1}"
+
+    for op in part.ops:
+        if op[0] == _PRINT:
+            body.append(f"emit(int({read(op[1])}))")
+            continue
+        if op[0] == _BIN:
+            _, dst, fn, a, b = op
+            value = _EXPR[fn].format(read(a), read(b))
+        else:
+            dst, value = op[1], read(op[2])
+        stored[dst] = name = local[dst] = f"v{dst}"
+        body.append(f"{name} = {value}")
+        if op[0] == _BIN and fn not in _COMPARISONS:
+            body.append(f"if not {_IN_RANGE.format(name)}: {name} = _wrap({name})")
+
+    term = part.term
+    if term[0] == _T_BR:
+        result = cell(term[1])
+    elif term[0] == _T_CBR:
+        result = f"{cell(term[2])} if {read(term[1])} else {cell(term[3])}"
+    elif term[0] == _T_SW:
+        result = f"{cell(term[2].get)}({read(term[1])}, {cell(term[3])})"
+    else:
+        result = "None"
+    body.extend(f"env[{slot}] = {name}" for slot, name in stored.items())
+    body.append(f"return {result}")
+    params = ", ".join(["_wrap", "_sdiv", "_srem"]
+                       + [f"c{i}" for i in range(len(cells))])
+    source = (f"def make({params}):\n def part(env, emit):\n"
+              + "".join(f"  {line}\n" for line in body) + " return part\n")
+    namespace = {}
+    exec(compile(source, "<fused part>", "exec"), namespace)
+    return namespace["make"](wrap64, _sdiv, _srem, *cells)
 
 
 class _Table(dict):
     """Mangled name -> _CompiledFunction, compiled at its first lookup; a
     name the module does not define traps as an unresolved extern. The
     module is held weakly, and its death drops the table from the cache;
-    lookups happen only while `run` holds the module."""
+    lookups happen only while `run` holds the module. Once its runs have
+    executed FUSE_AFTER_STEPS steps, the table is hot: every function in
+    it is fused, and every function compiled later at its compilation."""
 
     def __init__(self, module: IrModule):
         super().__init__()
@@ -277,6 +407,8 @@ class _Table(dict):
         self.functions = {fn.mangled_name: fn for fn in module.functions}
         self.globals_map = dict(module.globals)
         self.builtin_print = "print_int" not in self.functions
+        self.steps = 0
+        self.hot = False
 
     def __missing__(self, name):
         fn = self.functions.get(name)
@@ -284,7 +416,19 @@ class _Table(dict):
             raise _Trap(f"unresolved extern @{name}")
         cfn = self[name] = _compile_function(fn, self.module(), self.globals_map,
                                              self.builtin_print)
+        if self.hot:
+            _fuse(cfn)
         return cfn
+
+    def count(self, steps: int):
+        self.steps += steps
+        if not self.hot and self.steps >= FUSE_AFTER_STEPS:
+            self.fuse()
+
+    def fuse(self):
+        self.hot = True
+        for cfn in self.values():
+            _fuse(cfn)
 
 
 _module_cache: dict[int, _Table] = {}
@@ -304,20 +448,32 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
              tracer) -> ExecutionResult:
     budget = fuel
     output: list[int] = []
+    emit = output.append
     frames = []  # (caller env, part to resume, dst slot)
     env = cfn.frame_env(args)
     part = cfn.entry
     try:
         while True:
-            if tracer is not None and part.trace is not None:
-                tracer(*part.trace)
-            ops = part.ops
+            if tracer is None:
+                fused = part.fused
+            else:
+                fused = None  # the tuple ops serve every traced run
+                if part.trace is not None:
+                    tracer(*part.trace)
             fuel -= part.cost
             if fuel < 0:
                 # run the ops that still fit, then stop
-                ops = ops[:fuel + part.cost]
+                ops = part.ops[:fuel + part.cost]
                 term = _STOP
+            elif fused is not None:
+                following = fused(env, emit)
+                if following is not None:
+                    part = following
+                    continue
+                ops = ()  # a call or ret: its ops ran, the transfer follows
+                term = part.term
             else:
+                ops = part.ops
                 term = part.term
             for op in ops:
                 tag = op[0]
@@ -329,7 +485,7 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
                 elif tag == _COPY:
                     env[op[1]] = env[op[2]]
                 else:
-                    output.append(int(env[op[1]]))
+                    emit(int(env[op[1]]))
 
             tag = term[0]
             if tag == _T_BR:
@@ -386,7 +542,9 @@ def run(
         raise ValueError("fuel must be positive")
     fn = resolve_entry(m, entry_fn, len(args))
     table = _compiled(m)
-    return _execute(table, table[fn.mangled_name], args, fuel, block_tracer)
+    result = _execute(table, table[fn.mangled_name], args, fuel, block_tracer)
+    table.count(result.steps)
+    return result
 
 
 def timed_run(

@@ -12,6 +12,7 @@ new module and its old -> new symbol mapping.
 
 from __future__ import annotations
 
+import itertools
 import random
 import string
 from dataclasses import replace
@@ -169,7 +170,9 @@ def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
     replacement, when composing with a substitution pass) with a randomly
     generated parameter list. A candidate signature is legal when its
     mangled form is new and its arity differs from every same-base
-    function, which keeps base-plus-arity entry lookup unambiguous.
+    function, which keeps base-plus-arity entry lookup unambiguous. When
+    256 random draws find none (repeated rounds, many decoys), the decoy
+    takes the smallest free arity with all-`int` parameters.
     Decoy bodies are per-block mutated clones of the original.
     """
     if decoys_per_fn < 1:
@@ -194,8 +197,12 @@ def add_overloads(m: IrModule, seed: int, decoys_per_fn: int = 2,
                 name = mangle(base, types)
                 if name not in existing and arity not in arities[base]:
                     break
-            else:
-                raise RuntimeError("could not fabricate a legal overload")
+            else:  # the draws ran out: take the smallest arity still free
+                arity = next(k for k in itertools.count()
+                             if k not in arities[base]
+                             and mangle(base, ["int"] * k) not in existing)
+                types = ["int"] * arity
+                name = mangle(base, types)
             decoy = _decoy_function(original, name, base, types, registers, rng)
             functions.append(decoy)
             existing.add(name)

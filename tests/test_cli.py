@@ -19,13 +19,13 @@ from iobf.cli import (
     main,
     run_pipeline,
 )
-from iobf.corpus import default_corpus_dir
+from iobf.corpus import default_corpus_dir, load_corpus
 from iobf.flatten import PassParameterError
 from iobf.ir import ROLES, Ret
 from iobf.metrics import render_table
 from iobf.rename import collect_custom_identifiers, load_dictionary
 
-from conftest import GCD_TEXT, substitution_scheme
+from conftest import GCD_TEXT, assert_equivalent, substitution_scheme
 
 ALL_PASS_NAMES = [
     "flatten", "nested", "bcf", "indeg",
@@ -537,13 +537,41 @@ def test_main_parameter_failure_exit_code(tmp_path):
     assert main([str(src), "--passes", "nope"]) == EXIT_PARAMETER
 
 
-def test_main_pass_failure_exit_code(capsys):
-    gcd = default_corpus_dir() / "gcd.ir"
-    code = main([str(gcd), "--passes", "ident-overload", "--decoys", "40"])
+# after `nested` every real block of this function ends in ret or an inner
+# switch, so `indeg` finds no block to donate a never-taken edge
+ALL_RETURN = """\
+func @_O1fi src "f" (%x: int) -> int {
+entry:
+  ret 0
+a:
+  ret 1
+b:
+  ret 2
+}
+"""
+
+
+def test_main_pass_failure_exit_code(tmp_path, capsys):
+    src = tmp_path / "all_return.ir"
+    src.write_text(ALL_RETURN, encoding="utf-8")
+    code = main([str(src), "--passes", "nested,indeg"])
     assert code == EXIT_PASS
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: could not fabricate a legal overload\n"
+    assert captured.err == "error: no real block can donate a never-taken edge\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--passes", "ident-overload,ident-overload,ident-overload"],
+    ["--passes", "ident-overload", "--decoys", "40"],
+], ids=["three_rounds", "forty_decoys"])
+def test_main_overloads_never_run_out_of_arities(tmp_path, args):
+    """Past the random draws, a decoy takes the smallest free arity."""
+    gcd = next(e for e in load_corpus() if e.name == "gcd")
+    out = tmp_path / "out.ir"
+    assert main([str(gcd.ir_path), *args, "-o", str(out)]) == EXIT_OK
+    obf = parse_module(out.read_text(encoding="utf-8"))
+    assert_equivalent(gcd.module, obf, gcd.entry, gcd.inputs, gcd.fuel)
 
 
 @pytest.mark.parametrize("passes, funcs, want", [

@@ -1,13 +1,18 @@
+import dataclasses
 import gc
 import weakref
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iobf import parse_module, run, timed_run
+from iobf.cli import PASS_APPLIERS, PipelineConfig, transform_module
 from iobf.interp import (
+    DEFAULT_FUEL,
     EntryError,
     FUEL_EXHAUSTED,
+    FUSE_AFTER_STEPS,
     MAX_CALL_DEPTH,
     RETURNED,
     TRAPPED,
@@ -18,7 +23,7 @@ from iobf.ir import BasicBlock, Const, INT_MAX, INT_MIN, IrFunction, IrModule, R
 from iobf.parser import ValidationError
 from iobf.rename import obfuscate_identifiers_default
 
-from conftest import GCD_TEXT
+from conftest import GCD_TEXT, random_modules
 
 
 def test_trivial_return():
@@ -448,3 +453,154 @@ def test_malformed_function_raises_only_when_called():
     with pytest.raises(ValueError, match="no terminator"):
         run(m, "bad", [])
     assert set(_compiled(m)) == {"good"}
+
+
+# ---------------------------------------------------------------------------
+# The fused tier must give what the tuple ops give, in every field. Tests
+# make a table hot through the private `_Table.fuse`, which a module's runs
+# otherwise reach only after FUSE_AFTER_STEPS steps.
+
+def _fused_twin(m):
+    """An equal module whose table is hot from its first run on."""
+    twin = dataclasses.replace(m)
+    _compiled(twin).fuse()
+    return twin
+
+
+def _generated(m):
+    """How many parts of `m`'s table run generated code."""
+    return sum(p.fused is not None and not isinstance(p.fused, partial)
+               for cfn in _compiled(m).values() for p in cfn.parts)
+
+
+def _facets(r):
+    return r.observable(), r.steps, type(r.value)
+
+
+def _assert_tiers_agree(m, entry, runs):
+    """Each (args, fuel) run gives the same result on a fresh, cold copy of
+    `m` as on one hot copy; returns the hot copy."""
+    hot = _fused_twin(m)
+    for args, fuel in runs:
+        cold = dataclasses.replace(m)
+        expected = run(cold, entry, args, fuel)
+        assert _generated(cold) == 0
+        assert _facets(run(hot, entry, args, fuel)) == _facets(expected), (
+            entry, args, fuel)
+    return hot
+
+
+def test_fused_tier_matches_tuple_tier_on_corpus_under_every_pass(corpus):
+    for entry in corpus:
+        runs = [(args, entry.fuel) for args in entry.inputs]
+        for name in (None, *PASS_APPLIERS):
+            m = entry.module
+            if name is not None:
+                m, _ = transform_module(PipelineConfig([name], seed=5), m)
+            hot = _assert_tiers_agree(m, entry.entry, runs)
+            assert _generated(hot), (entry.name, name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_modules(), st.integers(-8, 8))
+def test_fused_tier_matches_tuple_tier_on_random_modules(m, x):
+    _assert_tiers_agree(m, "f", [([x], 300)])
+
+
+@pytest.mark.parametrize("text, args", [
+    (PRINT_LOOP, [5]),
+    (CALL_THEN_PRINT, []),
+], ids=["print_loop", "call_then_print"])
+def test_fused_tier_matches_tuple_tier_at_every_fuel_cut(text, args):
+    m = parse_module(text)
+    full = run(m, "f", args)
+    hot = _assert_tiers_agree(
+        m, "f", [(args, fuel) for fuel in range(1, full.steps + 2)])
+    assert _generated(hot)
+
+
+TRAP_AFTER_PRINT = """\
+extern @print_int(int) -> void
+
+func @f src "f" (%x: int) -> int {
+entry:
+  %a = add %x, 1
+  call @print_int(%a)
+  %q = sdiv 10, %x
+  %r = add %q, 1
+  ret %r
+}
+"""
+
+
+def test_fused_tier_traps_mid_part_after_a_print():
+    m = parse_module(TRAP_AFTER_PRINT)
+    hot = _assert_tiers_agree(m, "f", [([0], DEFAULT_FUEL), ([2], DEFAULT_FUEL)])
+    r = run(hot, "f", [0])
+    assert (r.status, r.reason, r.output) == (TRAPPED, "sdiv by zero", [1])
+    assert r.steps == 5  # the whole part: four ops and the ret
+    assert _generated(hot)
+
+
+def test_fused_tier_keeps_the_call_depth_limit():
+    m = parse_module(COUNT_DOWN)
+    hot = _assert_tiers_agree(m, "f", [([MAX_CALL_DEPTH - 1], 10**7),
+                                       ([MAX_CALL_DEPTH], 10**7)])
+    assert run(hot, "f", [MAX_CALL_DEPTH], fuel=10**7).reason == "call depth exceeded"
+
+
+@pytest.mark.parametrize("op", _OPS)
+def test_fused_tier_wraps_like_the_tuple_tier(op):
+    m = parse_module(
+        "extern @print_int(int) -> void\n"
+        f'func @f src "f" (%a: int, %b: int) -> int {{\n'
+        "entry:\n"
+        f"  %r = {op} %a, %b\n"
+        "  call @print_int(%r)\n"
+        f"  %s = {op} %a, {INT_MAX}\n"
+        "  call @print_int(%s)\n"
+        f"  %t = {op} {INT_MIN}, %b\n"
+        "  call @print_int(%t)\n"
+        f"  %u = {op} %r, {INT_MIN}\n"
+        "  ret %u\n}\n")
+    _assert_tiers_agree(m, "f", [([a, b], DEFAULT_FUEL) for a in _BOUNDARY
+                                 for b in _BOUNDARY + (63, 64)])
+
+
+def test_block_tracer_on_a_hot_table_sees_each_block_entry_once():
+    for text, entry, args in ((CALL_THEN_PRINT, "f", []),
+                              (GCD_TEXT, "gcd", [1071, 462])):
+        m = parse_module(text)
+        hot = _fused_twin(m)
+        run(hot, entry, args)
+        assert _generated(hot)
+        expected, seen = [], []
+        cold = run(m, entry, args, block_tracer=lambda *b: expected.append(b))
+        traced = run(hot, entry, args, block_tracer=lambda *b: seen.append(b))
+        assert seen == expected
+        assert _facets(traced) == _facets(cold)
+    assert expected[0] == ("_O3gcdii", "entry")
+
+
+def test_table_turns_hot_once_its_runs_reach_the_threshold():
+    m = parse_module(PRINT_LOOP)
+    table = _compiled(m)
+    total = 0
+    while total < FUSE_AFTER_STEPS:
+        assert not table.hot and _generated(m) == 0
+        r = run(m, "f", [1000])
+        total += r.steps
+        assert table.steps == total
+    assert table.hot
+    assert _facets(run(m, "f", [1000])) == _facets(r)
+    assert _generated(m)
+
+
+def test_functions_compiled_on_a_hot_table_are_fused():
+    m = parse_module(CALL_THEN_PRINT)
+    table = _compiled(m)
+    table.fuse()  # nothing is compiled yet
+    assert run(m, "f", []).output == [1, 2, 3, 9]
+    assert set(table) == {"f", "g"}
+    assert all(p.fused is not None
+               for cfn in table.values() for p in cfn.parts if p.ops)
