@@ -17,21 +17,29 @@ Compilation splits every block after each call to a defined function, so
 the call ends its part of the block and a run of ops never stops midway.
 
 A frame's registers are one list, and every operand is an index into it.
-Compilation gives each register a slot, and each literal and folded
-global (globals are immutable integers) a slot that the frame starts
-with its value in; literals are keyed by type and value, so `true` and
-`1` never share one. A binary op is one call of an `operator` function
-(or of a small one for the trapping divisions and the masked shifts) on
-unbounded ints; the loop keeps a result that is already in the signed
-64-bit range and calls `wrap64` only on the rest, which is exactly
-`wrap64` for every int and leaves comparison booleans as they are.
+Compilation gives each parameter the slot of its position, each other
+register a slot, and each literal and folded global (globals are
+immutable integers) a slot that the frame starts with its value in;
+literals are keyed by type and value, so `true` and `1` never share one.
+A binary op is one call of an `operator` function (or of a small one for
+the trapping divisions and the masked shifts) on unbounded ints; the loop
+keeps a result that is already in the signed 64-bit range and calls
+`wrap64` only on the rest, which is exactly `wrap64` for every int and
+leaves comparison booleans as they are.
 
 One loop executes every function on an explicit frame stack (caller
 registers, part to resume, destination slot): an IR call pushes a frame
 instead of recursing in Python. More than `MAX_CALL_DEPTH` active frames
-trap with "call depth exceeded". Fuel counts every executed instruction
-and terminator in execution order, so a run that exhausts a budget of
-`fuel` steps has printed exactly what its first `fuel` steps print, and
+trap with "call depth exceeded". A call copies its argument values into
+the callee's new frame. Every int a frame holds is already in the signed
+64-bit range (`run` wraps its entry arguments, the parser wraps literals,
+`validate` rejects out-of-range literals and globals, ops wrap), so only
+`run`'s entry arguments and an argument whose inferred type differs from
+its parameter's are converted; the latter is decided when the caller is
+compiled (an untyped register holds `0`, and passed to a `bool` parameter
+it arrives as `False`). Fuel counts every executed instruction and
+terminator in execution order, so a run that exhausts a budget of `fuel`
+steps has printed exactly what its first `fuel` steps print, and
 equivalence checks stay deterministic and loop-proof.
 
 Parts run in one of two tiers. Every module starts in the tuple tier
@@ -39,19 +47,34 @@ above. Each run adds its steps to the module's table, and once they reach
 FUSE_AFTER_STEPS (a constant, not an option) the table is hot: every part
 of its compiled functions, and of each function compiled later, gets a
 generated Python function (`compile`/`exec`) at its first run. That
-function holds the part's ops inline: registers in locals, literals and
-never-written slots folded, the `operator` calls as Python operators,
-`wrap64` called only outside the 64-bit range, `_sdiv`/`_srem` still
-trapping. It returns the next part for br/cbr/switch and hands calls and
-rets back to the same loop. So the loop still charges fuel per part,
-counts steps, pushes frames and checks `MAX_CALL_DEPTH`, and a trap still
-charges its whole part. The fused output cannot differ from the tuple
-tier's: each generated op is the tuple op's expression with the operand
-reads resolved, prints happen in order before any trap, and registers are
-stored back before the loop reads them. The loop keeps the tuple ops for a
-part that fuel cannot finish and for every run with a `block_tracer`. The
-generated source holds only slot numbers, int and bool literals and fixed
-names, never IR text, so no identifier can reach `compile`.
+function holds the part's ops inline: registers in locals, known values
+folded, the `operator` calls as Python operators, `_sdiv`/`_srem` still
+trapping. The range check and `wrap64` follow only add, sub, mul, sdiv
+and shl: on signed 64-bit operands and, or, xor, shr and srem cannot
+leave the range, and comparisons give booleans.
+
+The function also runs the chain of parts that its terminator leads to
+statically (linking fragments along direct branches, as in Dynamo): a br,
+or a cbr or switch whose scrutinee is known at that point of the chain (a
+literal, a slot nothing in the function writes, or an op of the chain on
+known values), which resolves flatten's `%disp_key = <lit>; br dispatch`
+and nested's inner mix. A chain stops at a part it has visited, after
+CHAIN_PARTS parts, and before any part holding an sdiv/srem whose divisor
+is not a known nonzero constant, so only its head part can trap. It
+returns the next part after a br/cbr/switch and hands a call or ret back
+to the same loop, which transfers with the last part's terminator. The
+loop charges the chain's summed cost when the fuel covers all of it, and
+a trap only the head's; otherwise it runs the head's tuple ops, so fuel
+cuts stay exact. It still counts steps, pushes frames and checks
+`MAX_CALL_DEPTH`. The fused output cannot differ from the tuple tier's:
+each generated op is the tuple op's expression with the operand reads
+resolved, a folded value is the tuple op's result on the same known
+operands, a branch is resolved only on a value every run has there,
+prints happen in order before any trap, and registers are stored back
+before the loop reads them. The loop keeps the tuple ops for every run
+with a `block_tracer`. The generated source holds only slot numbers, int
+and bool literals and fixed names, never IR text, so no identifier can
+reach `compile`.
 """
 
 from __future__ import annotations
@@ -62,6 +85,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 
 from .ir import (
     Assign,
@@ -84,6 +108,7 @@ from .validate import infer_local_types
 DEFAULT_FUEL = 1_000_000
 MAX_CALL_DEPTH = 10_000  # active frames, the entry function's included
 FUSE_AFTER_STEPS = 65_536  # a module's runs fuse it once they executed this many
+CHAIN_PARTS = 16  # most parts that one generated function runs
 
 RETURNED = "returned"
 TRAPPED = "trapped"
@@ -173,7 +198,7 @@ _PRINT = 2    # (_PRINT, src)
 _T_BR = 0     # (_T_BR, part)
 _T_CBR = 1    # (_T_CBR, cond, then_part, else_part)
 _T_SW = 2     # (_T_SW, scrutinee, {lit: part}, default_part)
-_T_CALL = 3   # (_T_CALL, callee_name, (arg, ...), dst | None, next_part)
+_T_CALL = 3   # (_T_CALL, callee_name, gather, dst | None, next_part)
 _T_RET = 4    # (_T_RET, None | value)
 _T_STOP = 5   # (_T_STOP,) stands in for the terminator that fuel cannot reach
 
@@ -184,7 +209,7 @@ class _Part:
     """A run of ops that ends in a terminator or a call: blocks are split
     after every call, so a call always ends its part."""
 
-    __slots__ = ("trace", "ops", "term", "cost", "fused")
+    __slots__ = ("trace", "ops", "term", "cost", "fused", "chained", "tail")
 
     def __init__(self, trace):
         self.trace = trace  # (function, label) for block_tracer; None after a call
@@ -192,26 +217,41 @@ class _Part:
         self.term = None
         self.cost = 0
         self.fused = None  # fused-tier function or its stand-in, once hot
+        self.chained = 0  # once fused: the summed cost of the parts it runs
+        self.tail = None  # once fused: the terminator of the last of them
 
     def end(self, term):
         self.term = term
         self.cost = len(self.ops) + 1
 
 
+def _convert(value, is_bool):
+    return bool(value) if is_bool else wrap64(int(value))
+
+
 class _CompiledFunction:
-    __slots__ = ("params", "entry", "init_env", "parts")
+    """Parameter i lives in slot i; the other slots follow."""
+
+    __slots__ = ("params", "entry", "init_env", "locals_env", "parts")
 
     def __init__(self, params, entry, init_env, parts):
-        self.params = params  # [(slot, is_bool)]
+        self.params = params  # is_bool of each parameter
         self.entry = entry
         self.init_env = init_env  # registers at their type's zero, literals
+        self.locals_env = init_env[len(params):]  # the slots after the parameters
         self.parts = parts  # every part, those after calls included
 
     def frame_env(self, args):
-        env = self.init_env.copy()
-        for (slot, is_bool), arg in zip(self.params, args):
-            env[slot] = bool(arg) if is_bool else wrap64(int(arg))
-        return env
+        """The registers of an entry frame: `run`'s arguments converted to
+        their parameters' types and wrapped."""
+        return [*map(_convert, args, self.params), *self.locals_env]
+
+
+def _cast_args(slots, casts, env):
+    args = [env[slot] for slot in slots]
+    for index, is_bool in casts:
+        args[index] = _convert(args[index], is_bool)
+    return args
 
 
 class _Slots(dict):
@@ -233,18 +273,45 @@ class _Slots(dict):
         return index
 
 
-def _compile_function(fn: IrFunction, module: IrModule, globals_map,
-                      builtin_print: bool) -> _CompiledFunction:
-    slots = _Slots(infer_local_types(fn, module))
+def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
+    types = infer_local_types(fn, table.module())
+    slots = _Slots(types)
 
     def operand(op):
         if isinstance(op, Local):
             return slots[op.name]
         if isinstance(op, GlobalRef):
-            op = globals_map[op.name]  # globals are immutable integers
+            op = table.globals_map[op.name]  # globals are immutable integers
         return slots[type(op), op]  # `true` and `1` stay apart
 
-    params = [(slots[name], ty == "bool") for name, ty in fn.params]
+    def is_bool(op):
+        if isinstance(op, Local):
+            return types.get(op.name) == "bool"  # an untyped register holds 0
+        return isinstance(op, bool)
+
+    def gatherer(args, params):
+        """The function of the caller's registers that gives the values of
+        a call's arguments for a callee with `params`, in order: copies,
+        except for an argument whose type differs from its parameter's,
+        which is converted. Extra arguments are dropped, and a missing one
+        is its parameter type's zero, as the callee's registers start."""
+        args = list(args[:len(params)])
+        args += [False if ty == "bool" else 0 for _, ty in params[len(args):]]
+        arg_slots = [operand(a) for a in args]
+        casts = tuple((i, ty == "bool") for i, (arg, (_, ty)) in
+                      enumerate(zip(args, params)) if is_bool(arg) != (ty == "bool"))
+        if casts:
+            return partial(_cast_args, arg_slots, casts)
+        if len(arg_slots) > 1:
+            return itemgetter(*arg_slots)
+        start = arg_slots[0] if arg_slots else 0
+        return itemgetter(slice(start, start + len(arg_slots)))  # a list
+
+    for name, _ in fn.params:
+        # parameter i takes slot i; a repeated name reads its last position
+        slots.pop(name, None)
+        slots[name]
+    params = [ty == "bool" for _, ty in fn.params]
     parts = {b.label: _Part((fn.mangled_name, b.label)) for b in fn.blocks}
     every_part = list(parts.values())
     for b in fn.blocks:
@@ -261,14 +328,16 @@ def _compile_function(fn: IrFunction, module: IrModule, globals_map,
             elif isinstance(ins, Assign):
                 part.ops.append((_COPY, slots[ins.dst], operand(ins.src)))
             elif isinstance(ins, Call):
-                if ins.callee == "print_int" and builtin_print:
+                if ins.callee == "print_int" and table.builtin_print:
                     part.ops.append((_PRINT, operand(ins.args[0])))
                 else:
-                    args = tuple(operand(a) for a in ins.args)
+                    callee = table.functions.get(ins.callee)
+                    # a callee the module does not define traps at the call
+                    gather = None if callee is None else gatherer(ins.args, callee.params)
                     dst = None if ins.dst is None else slots[ins.dst]
                     rest = _Part(None)
                     every_part.append(rest)
-                    part.end((_T_CALL, ins.callee, args, dst, rest))
+                    part.end((_T_CALL, ins.callee, gather, dst, rest))
                     part = rest
             else:
                 raise TypeError(f"unknown instruction {ins!r}")
@@ -279,8 +348,8 @@ def _compile_function(fn: IrFunction, module: IrModule, globals_map,
             part.end((_T_CBR, slots[t.cond], parts[t.then_label],
                       parts[t.else_label]))
         elif isinstance(t, Switch):
-            table = {lit: parts[lab] for lit, lab in t.cases}
-            part.end((_T_SW, slots[t.scrutinee], table, parts[t.default]))
+            cases = {lit: parts[lab] for lit, lab in t.cases}
+            part.end((_T_SW, slots[t.scrutinee], cases, parts[t.default]))
         elif isinstance(t, Ret):
             part.end((_T_RET, None if t.value is None else operand(t.value)))
         else:
@@ -289,7 +358,7 @@ def _compile_function(fn: IrFunction, module: IrModule, globals_map,
 
 
 # ---------------------------------------------------------------------------
-# The fused tier: one generated Python function per part
+# The fused tier: one generated Python function per chain of parts
 
 # Python expression of each binary op on operand texts {0} and {1}; the
 # helpers are the generated code's only free names besides its parts
@@ -303,50 +372,137 @@ _EXPR = {
     operator.lt: "{0} < {1}", operator.le: "{0} <= {1}",
     operator.gt: "{0} > {1}", operator.ge: "{0} >= {1}",
 }
-_COMPARISONS = {operator.eq, operator.ne, operator.lt, operator.le,
-                operator.gt, operator.ge}
+# the ops whose result can leave the signed 64-bit range on operands in it
+_WRAPPING = {operator.add, operator.sub, operator.mul, _sdiv, _shl}
 _IN_RANGE = "-9223372036854775808 <= {0} <= 9223372036854775807"
+_UNKNOWN = object()
+
+
+class _Consts(dict):
+    """Slot -> value that an op of a chain wrote from known values, at the
+    point the chain has reached. A slot that no op, call or parameter of
+    the function writes (`written`) is known too: it keeps its start value
+    in every frame."""
+
+    def __init__(self, written, init, known=()):
+        super().__init__(known)
+        self.written = written
+        self.init = init
+
+    def copy(self):
+        return _Consts(self.written, self.init, self)
+
+    def value(self, slot):
+        if slot in self:
+            return self[slot]
+        value = self.init[slot]
+        if slot in self.written or type(value) not in (int, bool):
+            return _UNKNOWN
+        return value
+
+    def apply(self, op) -> bool:
+        """Run `op` on the known values; whether it might trap."""
+        if op[0] == _PRINT:
+            return False
+        if op[0] == _COPY:
+            value, trap = self.value(op[2]), False
+        else:
+            _, _, fn, a, b = op
+            a, b = self.value(a), self.value(b)
+            trap = fn in (_sdiv, _srem) and (b is _UNKNOWN or b == 0)
+            if trap or a is _UNKNOWN or b is _UNKNOWN:
+                value = _UNKNOWN
+            else:
+                value = fn(a, b)
+                if not -2**63 <= value < 2**63:
+                    value = wrap64(value)
+        if value is _UNKNOWN:
+            self.pop(op[1], None)
+        else:
+            self[op[1]] = value
+        return trap
+
+    def successor(self, term):
+        """The part that `term` leads to on the known values, or None."""
+        if term[0] == _T_BR:
+            return term[1]
+        if term[0] in (_T_CBR, _T_SW):
+            key = self.value(term[1])
+            if key is not _UNKNOWN:
+                if term[0] == _T_CBR:
+                    return term[2] if key else term[3]
+                return term[2].get(key, term[3])
+        return None
+
+
+def _chain(head: _Part, written, init) -> list[_Part]:
+    """The parts that `head`'s generated function runs: `head`, then while
+    its last part's terminator leads to one part on the known values, that
+    part, unless the chain has visited it, holds CHAIN_PARTS parts, or the
+    part might trap, so that a trap still charges only its own part."""
+    chain = [head]
+    consts = _Consts(written, init)
+    for op in head.ops:
+        consts.apply(op)
+    while len(chain) < CHAIN_PARTS:
+        following = consts.successor(chain[-1].term)
+        if following is None or following in chain:
+            break
+        ahead = consts.copy()
+        if any(ahead.apply(op) for op in following.ops):
+            break
+        consts = ahead
+        chain.append(following)
+    return chain
 
 
 def _fuse(cfn: _CompiledFunction):
-    """Give each part of `cfn` that runs ops or branches its fused form.
-
-    A slot that no op, call or parameter of the function writes keeps its
-    start value in every frame, so its value is folded into the code."""
-    written = {slot for slot, _ in cfn.params}
+    """Give each part of `cfn` that runs ops or branches its chain and the
+    stand-in for its generated function."""
+    written = set(range(len(cfn.params)))
     for part in cfn.parts:
         written.update(op[1] for op in part.ops if op[0] != _PRINT)
         if part.term[0] == _T_CALL and part.term[3] is not None:
             written.add(part.term[3])
     for part in cfn.parts:
         if part.ops or part.term[0] not in (_T_CALL, _T_RET):
-            part.fused = partial(_fuse_at_first_run, part, written, cfn.init_env)
+            chain = _chain(part, written, cfn.init_env)
+            part.chained = sum(p.cost for p in chain)
+            part.tail = chain[-1].term
+            part.fused = partial(_fuse_at_first_run, part, chain, written,
+                                 cfn.init_env)
 
 
-def _fuse_at_first_run(part: _Part, written, init, env, emit):
+def _fuse_at_first_run(part: _Part, chain, written, init, env, emit):
     """Stands in for `part`'s generated function until the part first runs,
     so parts that never run (decoys) are never generated."""
-    part.fused = _fuse_part(part, written, init)
+    part.fused = _fuse_chain(chain, written, init)
     return part.fused(env, emit)
 
 
-def _fuse_part(part: _Part, written, init):
-    """Generate, compile and return `part`'s function.
+def _literal(value) -> str:
+    return f"({value!r})" if value < 0 else repr(value)
+
+
+def _fuse_chain(chain, written, init):
+    """Generate, compile and return the function that runs `chain`.
 
     It takes the frame's registers and `output.append`, keeps registers in
-    locals, stores the ones it wrote back into the frame at its end, and
-    returns the next part, or None after a call or ret, whose transfer the
-    driver makes. The source holds only slot numbers, int and bool
+    locals, folds the values that `_Consts` knows, stores the registers it
+    wrote back into the frame at its end, and returns the part that the
+    last terminator leads to, or None after a call or ret, whose transfer
+    the driver makes. The source holds only slot numbers, int and bool
     literals and fixed names, never a name or text from the IR."""
     body = []
     local = {}  # slot -> local name holding its current value
-    stored = {}  # slots written, in first-write order
+    stored = {}  # slot -> its value's text at the end, in first-write order
     cells = []  # parts and switch lookups the code refers to
+    consts = _Consts(written, init)
 
     def read(slot):
-        value = init[slot]
-        if slot not in written and type(value) in (int, bool):
-            return f"({value!r})" if value < 0 else repr(value)
+        value = consts.value(slot)
+        if value is not _UNKNOWN:
+            return _literal(value)
         name = local.get(slot)
         if name is None:
             name = local[slot] = f"v{slot}"
@@ -357,30 +513,36 @@ def _fuse_part(part: _Part, written, init):
         cells.append(value)
         return f"c{len(cells) - 1}"
 
-    for op in part.ops:
-        if op[0] == _PRINT:
-            body.append(f"emit(int({read(op[1])}))")
-            continue
-        if op[0] == _BIN:
-            _, dst, fn, a, b = op
-            value = _EXPR[fn].format(read(a), read(b))
-        else:
-            dst, value = op[1], read(op[2])
-        stored[dst] = name = local[dst] = f"v{dst}"
-        body.append(f"{name} = {value}")
-        if op[0] == _BIN and fn not in _COMPARISONS:
-            body.append(f"if not {_IN_RANGE.format(name)}: {name} = _wrap({name})")
+    for part in chain:
+        for op in part.ops:
+            if op[0] == _PRINT:
+                body.append(f"emit(int({read(op[1])}))")
+                continue
+            if op[0] == _BIN:
+                _, dst, fn, a, b = op
+                value = _EXPR[fn].format(read(a), read(b))
+            else:
+                dst, value = op[1], read(op[2])
+            consts.apply(op)
+            if dst in consts:
+                stored[dst] = _literal(consts[dst])
+                continue
+            stored[dst] = name = local[dst] = f"v{dst}"
+            body.append(f"{name} = {value}")
+            if op[0] == _BIN and fn in _WRAPPING:
+                body.append(f"if not {_IN_RANGE.format(name)}: {name} = _wrap({name})")
 
-    term = part.term
-    if term[0] == _T_BR:
-        result = cell(term[1])
+    term = chain[-1].term
+    following = consts.successor(term)
+    if following is not None:
+        result = cell(following)
     elif term[0] == _T_CBR:
         result = f"{cell(term[2])} if {read(term[1])} else {cell(term[3])}"
     elif term[0] == _T_SW:
         result = f"{cell(term[2].get)}({read(term[1])}, {cell(term[3])})"
     else:
         result = "None"
-    body.extend(f"env[{slot}] = {name}" for slot, name in stored.items())
+    body.extend(f"env[{slot}] = {text}" for slot, text in stored.items())
     body.append(f"return {result}")
     params = ", ".join(["_wrap", "_sdiv", "_srem"]
                        + [f"c{i}" for i in range(len(cells))])
@@ -414,8 +576,7 @@ class _Table(dict):
         fn = self.functions.get(name)
         if fn is None:
             raise _Trap(f"unresolved extern @{name}")
-        cfn = self[name] = _compile_function(fn, self.module(), self.globals_map,
-                                             self.builtin_print)
+        cfn = self[name] = _compile_function(fn, self)
         if self.hot:
             _fuse(cfn)
         return cfn
@@ -454,38 +615,42 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
     part = cfn.entry
     try:
         while True:
-            if tracer is None:
-                fused = part.fused
-            else:
-                fused = None  # the tuple ops serve every traced run
-                if part.trace is not None:
-                    tracer(*part.trace)
-            fuel -= part.cost
-            if fuel < 0:
-                # run the ops that still fit, then stop
-                ops = part.ops[:fuel + part.cost]
-                term = _STOP
-            elif fused is not None:
-                following = fused(env, emit)
+            fused = part.fused
+            if fused is not None and tracer is None and fuel >= part.chained:
+                fuel -= part.chained
+                try:
+                    following = fused(env, emit)
+                except _Trap:
+                    fuel += part.chained - part.cost  # only the head can trap
+                    raise
                 if following is not None:
                     part = following
                     continue
-                ops = ()  # a call or ret: its ops ran, the transfer follows
-                term = part.term
+                term = part.tail  # a call or ret: the chain's ops ran
             else:
-                ops = part.ops
-                term = part.term
-            for op in ops:
-                tag = op[0]
-                if tag == _BIN:
-                    _, dst, fn, a, b = op
-                    r = fn(env[a], env[b])
-                    # exactly wrap64(r); comparison booleans pass unchanged
-                    env[dst] = r if -2**63 <= r < 2**63 else wrap64(r)
-                elif tag == _COPY:
-                    env[op[1]] = env[op[2]]
+                # the tuple ops: cold tables, traced runs, and fuel that
+                # cannot pay for the whole chain
+                if tracer is not None and part.trace is not None:
+                    tracer(*part.trace)
+                fuel -= part.cost
+                if fuel < 0:
+                    # run the ops that still fit, then stop
+                    ops = part.ops[:fuel + part.cost]
+                    term = _STOP
                 else:
-                    emit(int(env[op[1]]))
+                    ops = part.ops
+                    term = part.term
+                for op in ops:
+                    tag = op[0]
+                    if tag == _BIN:
+                        _, dst, fn, a, b = op
+                        r = fn(env[a], env[b])
+                        # exactly wrap64(r); comparison booleans pass unchanged
+                        env[dst] = r if -2**63 <= r < 2**63 else wrap64(r)
+                    elif tag == _COPY:
+                        env[op[1]] = env[op[2]]
+                    else:
+                        emit(int(env[op[1]]))
 
             tag = term[0]
             if tag == _T_BR:
@@ -495,12 +660,12 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
             elif tag == _T_SW:
                 part = term[2].get(env[term[1]], term[3])
             elif tag == _T_CALL:
-                _, callee, arg_slots, dst, rest = term
+                _, callee, gather, dst, rest = term
                 callee_fn = table[callee]  # compiles at the first call
                 if len(frames) + 1 >= MAX_CALL_DEPTH:
                     raise _Trap("call depth exceeded")
                 frames.append((env, rest, dst))
-                env = callee_fn.frame_env([env[a] for a in arg_slots])
+                env = [*gather(env), *callee_fn.locals_env]
                 part = callee_fn.entry
             elif tag == _T_RET:
                 value = term[1]

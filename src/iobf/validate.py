@@ -3,7 +3,8 @@
 `validate` returns a list of diagnostics; an empty list means the module
 satisfies every structural and type invariant the interpreter relies on
 (no undefined labels or registers, consistent register types, legal call
-targets, statically detectable division by zero).
+targets, statically detectable division by zero, integer literals and
+globals in the signed 64-bit range).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ir import (
+    INT_MAX,
+    INT_MIN,
     Assign,
     BinOp,
     Call,
@@ -117,10 +120,13 @@ def validate(m: IrModule) -> list[Diagnostic]:
         if e.name in seen:
             diags.append(Diagnostic("NameClash", f"@{e.name} declared twice"))
         seen[e.name] = "extern"
-    for g, _ in m.globals:
+    for g, value in m.globals:
         if g in seen:
             diags.append(Diagnostic("NameClash", f"@{g} declared twice"))
         seen[g] = "global"
+        if not INT_MIN <= value <= INT_MAX:
+            diags.append(Diagnostic("IntOutOfRange",
+                                    f"@{g} = {value} is outside the signed 64-bit range"))
 
     for fn in m.functions:
         diags.extend(_check_function(fn, m))
@@ -167,6 +173,10 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
             ty = "int"
         else:
             ty = operand_type(op)
+            if ty == "int" and not INT_MIN <= op <= INT_MAX:
+                diags.append(Diagnostic("IntOutOfRange",
+                                        f"literal {op} is outside the signed 64-bit range",
+                                        name, block))
         if want is not None and ty is not None and ty != want:
             diags.append(Diagnostic("TypeMismatch",
                                     f"expected {want}, got {ty}", name, block))
@@ -198,7 +208,7 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
             elif isinstance(ins, Assign):
                 ty = use(ins.src, b.label)
             elif isinstance(ins, Const):
-                ty = operand_type(ins.value)
+                ty = use(ins.value, b.label)
             elif isinstance(ins, Call):
                 sig = _callee_signature(ins.callee, m)
                 if sig is None:

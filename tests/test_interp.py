@@ -604,3 +604,144 @@ def test_functions_compiled_on_a_hot_table_are_fused():
     assert set(table) == {"f", "g"}
     assert all(p.fused is not None
                for cfn in table.values() for p in cfn.parts if p.ops)
+
+
+# ---------------------------------------------------------------------------
+# Chains: a part's generated function runs on through the parts its
+# terminator leads to statically. Fuel, traps and the call depth limit
+# must come out as in the tuple tier.
+
+def _parts_by_label(m, name):
+    return {p.trace[1]: p for p in _compiled(m)[name].parts if p.trace}
+
+
+def _chains(m, entry, args, name):
+    """Label -> labels of the chain its part runs, in function `name` of an
+    equal module that one cold run has compiled, then fused."""
+    twin = dataclasses.replace(m)
+    run(twin, entry, args)
+    _compiled(twin).fuse()
+    return {label: [p.trace[1] for p in part.fused.args[1]]  # the stand-in's chain
+            for label, part in _parts_by_label(twin, name).items() if part.fused}
+
+
+def test_chains_match_the_tuple_tier_at_every_fuel_cut_on_nested_indeg():
+    m, _ = transform_module(PipelineConfig(["nested", "indeg"], seed=5),
+                            parse_module(PRINT_LOOP))
+    hot = _fused_twin(m)
+    run(hot, "f", [1])  # compiles, so the parts have their chains
+    parts = [p for p in _compiled(hot)["f"].parts if p.fused is not None]
+    longest = max(p.chained for p in parts)
+    assert longest > max(p.cost for p in parts)  # a chain spans several parts
+    full = run(m, "f", [3])
+    assert full.steps > longest + 2 and full.output == [0, 1, 2]
+    _assert_tiers_agree(m, "f", [([3], fuel) for fuel in range(1, full.steps + 3)])
+
+
+def test_chains_resolve_the_nested_dispatch_through_constant_switches():
+    m, _ = transform_module(PipelineConfig(["nested"], seed=5),
+                            parse_module(GCD_TEXT))
+    chains = _chains(m, "gcd", [1071, 462], "_O3gcdii")
+    # the outer switch on the literal routing key, then the inner mix of it
+    assert chains["loop_go1"] == ["loop_go1", "dispatch", "done", "done_main"]
+    # loop_main divides by a register, so the chain stops before it
+    assert chains["loop_go"] == ["loop_go", "dispatch", "loop"]
+    hot = _assert_tiers_agree(m, "gcd", [([1071, 462], DEFAULT_FUEL)])
+    parts = _parts_by_label(hot, "_O3gcdii")
+    assert parts["loop_go1"].chained == sum(
+        parts[label].cost for label in chains["loop_go1"])
+
+
+DIVIDE_AFTER_BR = """\
+func @f src "f" (%x: int, %y: int) -> int {
+entry:
+  %a = add %x, 1
+  %k = 3
+  br div
+div:
+  %q = sdiv %a, %y
+  %r = srem %q, %k
+  br out
+out:
+  %s = add %r, 1
+  ret %s
+}
+"""
+
+
+def test_chains_stop_before_a_part_that_might_trap():
+    m = parse_module(DIVIDE_AFTER_BR)
+    hot = _assert_tiers_agree(m, "f", [([x, y], fuel) for x in (-7, 0, 5)
+                                       for y in (0, 2) for fuel in (4, 5, 6, 9)])
+    chains = _chains(m, "f", [5, 2], "f")
+    assert chains["entry"] == ["entry"]
+    # the head may trap; `srem` by the known 3 cannot
+    assert chains["div"] == ["div", "out"]
+    r = run(hot, "f", [5, 0])
+    assert (r.status, r.reason, r.steps) == (TRAPPED, "sdiv by zero", 6)
+    assert _generated(hot)
+
+
+CHAIN_INTO_CALL_AND_RET = """\
+func @f src "f" (%n: int) -> int {
+entry:
+  %c = cmp le %n, 0
+  cbr %c, base, rec
+base:
+  %z = 0
+  br out
+out:
+  ret %z
+rec:
+  %n1 = sub %n, 1
+  br descend
+descend:
+  %r = call @f(%n1)
+  %s = add %r, 1
+  br back
+back:
+  ret %s
+}
+"""
+
+
+def test_chains_into_a_call_or_ret_keep_the_call_depth_limit():
+    m = parse_module(CHAIN_INTO_CALL_AND_RET)
+    hot = _assert_tiers_agree(m, "f", [([MAX_CALL_DEPTH - 1], 10**7),
+                                       ([MAX_CALL_DEPTH], 10**7)])
+    assert run(hot, "f", [MAX_CALL_DEPTH], fuel=10**7).reason == "call depth exceeded"
+    assert run(hot, "f", [MAX_CALL_DEPTH - 1], fuel=10**7).value == MAX_CALL_DEPTH - 1
+    parts = _compiled(hot)["f"].parts
+    labels = {p.trace[1]: p for p in parts if p.trace}
+    assert labels["rec"].tail is labels["descend"].term  # the call
+    assert labels["base"].chained == labels["base"].cost + labels["out"].cost
+    resumed = next(p for p in parts if p.trace is None)
+    assert resumed.chained == resumed.cost + labels["back"].cost
+
+
+# ---------------------------------------------------------------------------
+# Calls copy their argument values; only an argument whose type differs
+# from its parameter's is converted.
+
+UNTYPED_TO_BOOL = """\
+func @g src "g" (%p: bool) -> bool {
+entry:
+  ret %p
+}
+
+func @f src "f" () -> bool {
+entry:
+  %u = %v
+  %v = %u
+  %r = call @g(%u)
+  ret %r
+}
+"""
+
+
+def test_untyped_register_passed_to_a_bool_parameter_arrives_as_false():
+    m = parse_module(UNTYPED_TO_BOOL)
+    hot = _assert_tiers_agree(m, "f", [([], DEFAULT_FUEL)])
+    for module in (m, hot):
+        r = run(module, "f", [])
+        assert r.value is False and type(r.value) is bool

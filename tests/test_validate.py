@@ -116,6 +116,32 @@ def test_return_type_checked():
     assert "ReturnTypeMismatch" in codes(m)
 
 
+@pytest.mark.parametrize("m", [
+    IrModule(functions=[fn_of([
+        BasicBlock("entry", [Const("x", 2**63)], Ret(Local("x"))),
+    ])]),
+    IrModule(functions=[fn_of([
+        BasicBlock("entry", [BinOp("x", "add", -2**63 - 1, 1)], Ret(Local("x"))),
+    ])]),
+    IrModule(functions=[fn_of([
+        BasicBlock("entry", [Assign("x", GlobalRef("g"))], Ret(Local("x"))),
+    ])], globals=[("g", 2**64)]),
+], ids=["const", "binop_operand", "global"])
+def test_integers_outside_the_64_bit_range_are_rejected(m):
+    assert codes(m) == ["IntOutOfRange"]
+
+
+def test_integers_at_the_64_bit_bounds_are_accepted():
+    m = IrModule(functions=[fn_of([
+        BasicBlock("entry", [
+            Const("x", 2**63 - 1),
+            BinOp("y", "sub", Local("x"), -2**63),
+            Assign("z", GlobalRef("g")),
+        ], Ret(Local("y"))),
+    ])], globals=[("g", -2**63)])
+    assert validate(m) == []
+
+
 def test_name_clash_between_kinds():
     m = IrModule(
         functions=[fn_of([BasicBlock("entry", [], Ret(0))])],
