@@ -20,13 +20,13 @@ from .ir import (
     Br,
     Cbr,
     Cmp,
-    Const,
     GlobalRef,
     IrFunction,
     Local,
     NameAllocator,
     Operand,
     Switch,
+    operand_type,
     retarget,
     wrap64,
 )
@@ -145,28 +145,22 @@ def mutate_instructions(insts, rng) -> tuple:
 def _literal_spots(insts) -> list[tuple[int, str]]:
     spots = []
     for i, ins in enumerate(insts):
-        if isinstance(ins, Const) and _int_literal(ins.value):
-            spots.append((i, "value"))
-        elif isinstance(ins, BinOp):
-            if _int_literal(ins.a):
+        if isinstance(ins, BinOp):
+            if operand_type(ins.a) == "int":
                 spots.append((i, "a"))
             # never turn a constant divisor into zero
-            if _int_literal(ins.b) and not (
+            if operand_type(ins.b) == "int" and not (
                 ins.op in ("sdiv", "srem") and wrap64(ins.b + 1) == 0
             ):
                 spots.append((i, "b"))
         elif isinstance(ins, Cmp):
-            if _int_literal(ins.a):
+            if operand_type(ins.a) == "int":
                 spots.append((i, "a"))
-            if _int_literal(ins.b):
+            if operand_type(ins.b) == "int":
                 spots.append((i, "b"))
-        elif isinstance(ins, Assign) and _int_literal(ins.src):
+        elif isinstance(ins, Assign) and operand_type(ins.src) == "int":
             spots.append((i, "src"))
     return spots
-
-
-def _int_literal(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def fresh_literal(rng, used: set[int], low: int = 1) -> int:

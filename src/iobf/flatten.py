@@ -16,10 +16,10 @@ from dataclasses import replace
 
 from .bogus import fresh_literal, mutate_instructions
 from .ir import (
+    Assign,
     BasicBlock,
     BinOp,
     Br,
-    Const,
     IrFunction,
     Local,
     NameAllocator,
@@ -87,7 +87,7 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, str | None]:
     # unconditional init: keeps the routing register a defined name even
     # when every original terminator is a return, and blends in with the
     # case keys
-    entry = replace(entry, insts=(Const(outer, fresh_literal(rng, used_lits)),
+    entry = replace(entry, insts=(Assign(outer, fresh_literal(rng, used_lits)),
                                   *entry.insts))
     case_of = {b.label: fresh_literal(rng, used_lits) for b in originals}
 
@@ -97,7 +97,7 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, str | None]:
         label = labels_alloc.fresh(f"{src_label}_go")
         sel_blocks.append(BasicBlock(
             label,
-            (Const(outer, case_of[target_label]),),
+            (Assign(outer, case_of[target_label]),),
             Br(dispatch_label),
         ))
         return label
@@ -106,7 +106,7 @@ def flatten(fn: IrFunction, seed: int) -> tuple[IrFunction, str | None]:
         t = block.term
         if isinstance(t, Br):
             return replace(block,
-                           insts=(*block.insts, Const(outer, case_of[t.label])),
+                           insts=(*block.insts, Assign(outer, case_of[t.label])),
                            term=Br(dispatch_label))
         if isinstance(t, Ret):
             return block

@@ -31,16 +31,15 @@ One loop executes every function on an explicit frame stack (caller
 registers, part to resume, destination slot): an IR call pushes a frame
 instead of recursing in Python. More than `MAX_CALL_DEPTH` active frames
 trap with "call depth exceeded". A call copies its argument values into
-the callee's new frame. Every int a frame holds is already in the signed
-64-bit range (`run` wraps its entry arguments, the parser wraps literals,
-`validate` rejects out-of-range literals and globals, ops wrap), so only
-`run`'s entry arguments and an argument whose inferred type differs from
-its parameter's are converted; the latter is decided when the caller is
-compiled (an untyped register holds `0`, and passed to a `bool` parameter
-it arrives as `False`). Fuel counts every executed instruction and
-terminator in execution order, so a run that exhausts a budget of `fuel`
-steps has printed exactly what its first `fuel` steps print, and
-equivalence checks stay deterministic and loop-proof.
+the callee's new frame: in a module `validate` accepts, every argument
+has its parameter's type, and every int a frame holds is already in the
+signed 64-bit range (the parser wraps literals, `validate` rejects
+out-of-range literals and globals, ops wrap). Only `run`'s entry
+arguments, which come from outside, are converted and wrapped. Fuel
+counts every executed instruction and terminator in execution order, so
+a run that exhausts a budget of `fuel` steps has printed exactly what its
+first `fuel` steps print, and equivalence checks stay deterministic and
+loop-proof.
 
 Parts run in one of two tiers. Every module starts in the tuple tier
 above. Each run adds its steps to the module's table, and once they reach
@@ -94,7 +93,6 @@ from .ir import (
     Call,
     Cbr,
     Cmp,
-    Const,
     GlobalRef,
     IrFunction,
     IrModule,
@@ -225,8 +223,8 @@ class _Part:
         self.cost = len(self.ops) + 1
 
 
-def _convert(value, is_bool):
-    return bool(value) if is_bool else wrap64(int(value))
+def _convert(value, boolean):
+    return bool(value) if boolean else wrap64(int(value))
 
 
 class _CompiledFunction:
@@ -235,7 +233,7 @@ class _CompiledFunction:
     __slots__ = ("params", "entry", "init_env", "locals_env", "parts")
 
     def __init__(self, params, entry, init_env, parts):
-        self.params = params  # is_bool of each parameter
+        self.params = params  # whether each parameter is a bool
         self.entry = entry
         self.init_env = init_env  # registers at their type's zero, literals
         self.locals_env = init_env[len(params):]  # the slots after the parameters
@@ -245,13 +243,6 @@ class _CompiledFunction:
         """The registers of an entry frame: `run`'s arguments converted to
         their parameters' types and wrapped."""
         return [*map(_convert, args, self.params), *self.locals_env]
-
-
-def _cast_args(slots, casts, env):
-    args = [env[slot] for slot in slots]
-    for index, is_bool in casts:
-        args[index] = _convert(args[index], is_bool)
-    return args
 
 
 class _Slots(dict):
@@ -274,8 +265,7 @@ class _Slots(dict):
 
 
 def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
-    types = infer_local_types(fn, table.module())
-    slots = _Slots(types)
+    slots = _Slots(infer_local_types(fn, table.module()))
 
     def operand(op):
         if isinstance(op, Local):
@@ -284,24 +274,14 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
             op = table.globals_map[op.name]  # globals are immutable integers
         return slots[type(op), op]  # `true` and `1` stay apart
 
-    def is_bool(op):
-        if isinstance(op, Local):
-            return types.get(op.name) == "bool"  # an untyped register holds 0
-        return isinstance(op, bool)
-
     def gatherer(args, params):
         """The function of the caller's registers that gives the values of
-        a call's arguments for a callee with `params`, in order: copies,
-        except for an argument whose type differs from its parameter's,
-        which is converted. Extra arguments are dropped, and a missing one
-        is its parameter type's zero, as the callee's registers start."""
+        a call's arguments for a callee with `params`, in order. Extra
+        arguments are dropped, and a missing one is its parameter type's
+        zero, as the callee's registers start."""
         args = list(args[:len(params)])
         args += [False if ty == "bool" else 0 for _, ty in params[len(args):]]
         arg_slots = [operand(a) for a in args]
-        casts = tuple((i, ty == "bool") for i, (arg, (_, ty)) in
-                      enumerate(zip(args, params)) if is_bool(arg) != (ty == "bool"))
-        if casts:
-            return partial(_cast_args, arg_slots, casts)
         if len(arg_slots) > 1:
             return itemgetter(*arg_slots)
         start = arg_slots[0] if arg_slots else 0
@@ -323,8 +303,6 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
             elif isinstance(ins, Cmp):
                 part.ops.append((_BIN, slots[ins.dst], _FUNCS[ins.rel],
                                  operand(ins.a), operand(ins.b)))
-            elif isinstance(ins, Const):
-                part.ops.append((_COPY, slots[ins.dst], operand(ins.value)))
             elif isinstance(ins, Assign):
                 part.ops.append((_COPY, slots[ins.dst], operand(ins.src)))
             elif isinstance(ins, Call):

@@ -68,12 +68,6 @@ def operand_type(op: Operand) -> str | None:
 # Instructions
 
 @dataclass(frozen=True)
-class Const:
-    dst: str
-    value: int | bool
-
-
-@dataclass(frozen=True)
 class BinOp:
     dst: str
     op: str
@@ -91,6 +85,7 @@ class Cmp:
 
 @dataclass(frozen=True)
 class Assign:
+    """`%dst = src`: a copy of a register or global, or a literal store."""
     dst: str
     src: Operand
 
@@ -102,7 +97,7 @@ class Call:
     args: tuple[Operand, ...]
 
 
-Instruction = Const | BinOp | Cmp | Assign | Call
+Instruction = BinOp | Cmp | Assign | Call
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +283,6 @@ def _operand_str(op: Operand) -> str:
 
 
 def _inst_str(ins: Instruction) -> str:
-    if isinstance(ins, Const):
-        return f"%{ins.dst} = {_operand_str(ins.value)}"
     if isinstance(ins, BinOp):
         return f"%{ins.dst} = {ins.op} {_operand_str(ins.a)}, {_operand_str(ins.b)}"
     if isinstance(ins, Cmp):

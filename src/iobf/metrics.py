@@ -24,7 +24,6 @@ from .ir import (
     Call,
     Cbr,
     Cmp,
-    Const,
     GlobalRef,
     IrModule,
     Local,
@@ -90,9 +89,7 @@ def canonical_block_text(b: BasicBlock) -> str:
 
     lines: list[str] = []
     for ins in b.insts:
-        if isinstance(ins, Const):
-            lines.append(f"{nm('r', ins.dst)} = const {opnd(ins.value)}")
-        elif isinstance(ins, BinOp):
+        if isinstance(ins, BinOp):
             lines.append(
                 f"{nm('r', ins.dst)} = {ins.op} {opnd(ins.a)}, {opnd(ins.b)}")
         elif isinstance(ins, Cmp):

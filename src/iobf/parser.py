@@ -50,7 +50,7 @@ import functools
 import re
 
 from .ir import (
-    Assign, BasicBlock, BinOp, BINOPS, Br, Call, Cbr, Cmp, CMP_RELS, Const,
+    Assign, BasicBlock, BinOp, BINOPS, Br, Call, Cbr, Cmp, CMP_RELS,
     ExternDecl, GlobalRef, IrFunction, IrModule, Local, RET_TYPES, Ret, ROLES,
     Switch, VALUE_TYPES, wrap64,
 )
@@ -354,8 +354,7 @@ _BODY = _Choice(
           _OPERAND, _p(","), _OPERAND, decide=4), _binary(Cmp)),
     (_Seq(*_ASSIGN, *_CALL, decide=4),
      lambda p, dst, callee, end: Call(dst, callee, p.items(_ARG, end)[0])),
-    (_Seq(*_ASSIGN, _OPERAND),
-     lambda p, dst, src: (Assign if src[0] in "%@" else Const)(dst, _operand(src))),
+    (_Seq(*_ASSIGN, _OPERAND), lambda p, dst, src: Assign(dst, _operand(src))),
     (_Seq(*_CALL), lambda p, callee, end: Call(None, callee, p.items(_ARG, end)[0])),
     (_Seq(_kw("br"), _IDENT), lambda p, label: Br(label)),
     (_Seq(_kw("cbr"), _p("%"), _IDENT, _p(","), _IDENT, _p(","), _IDENT),

@@ -20,9 +20,9 @@ from pathlib import Path
 
 from .bogus import mutate_instructions
 from .ir import (
+    Assign,
     BasicBlock,
     Call,
-    Const,
     IrFunction,
     IrModule,
     NameAllocator,
@@ -219,7 +219,7 @@ def _decoy_function(original: IrFunction, mangled: str, base: str,
     params = tuple((names.fresh(f"p{i}"), t) for i, t in enumerate(param_types))
     bodies = [mutate_instructions(b.insts, rng) for b in original.blocks]
     # the cloned body may read the original parameters; bind them all
-    bodies[0] = tuple(Const(n, False if t == "bool" else 0)
+    bodies[0] = tuple(Assign(n, False if t == "bool" else 0)
                       for n, t in original.params) + bodies[0]
     return IrFunction(mangled, base, params, original.ret_type, tuple(
         BasicBlock(b.label, body, b.term)

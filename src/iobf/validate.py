@@ -2,9 +2,9 @@
 
 `validate` returns a list of diagnostics; an empty list means the module
 satisfies every structural and type invariant the interpreter relies on
-(no undefined labels or registers, consistent register types, legal call
-targets, statically detectable division by zero, integer literals and
-globals in the signed 64-bit range).
+(no undefined labels or registers, every read register has one inferable
+type, legal call targets, statically detectable division by zero, integer
+literals and globals in the signed 64-bit range).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .ir import (
     Call,
     Cbr,
     Cmp,
-    Const,
     GlobalRef,
     IrFunction,
     IrModule,
@@ -54,7 +53,8 @@ def infer_local_types(fn: IrFunction, module: IrModule) -> dict[str, str]:
     The first assignment in text order that has a type gives it. Copies
     whose source is still untyped then run to a fixpoint, in text order,
     so copy chains (`%a = %b`) resolve regardless of textual order.
-    Registers whose type cannot be determined are omitted.
+    Registers whose type cannot be determined are omitted; `validate`
+    reports each read of one as `UntypedLocal`.
     """
     types: dict[str, str] = dict(fn.params)
     copies = []  # copies whose source had no type when they were reached
@@ -66,8 +66,6 @@ def infer_local_types(fn: IrFunction, module: IrModule) -> dict[str, str]:
                 ty = "int"
             elif isinstance(ins, Cmp):
                 ty = "bool"
-            elif isinstance(ins, Const):
-                ty = operand_type(ins.value)
             elif isinstance(ins, Assign):
                 ty = _operand_ty(ins.src, types, module)
                 if ty is None:
@@ -165,6 +163,11 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                         name, block))
                 return
             ty = types.get(op.name)
+            if ty is None:
+                diags.append(Diagnostic("UntypedLocal",
+                                        f"%{op.name} has no inferable type",
+                                        name, block))
+                return
         elif isinstance(op, GlobalRef):
             if m.global_value(op.name) is None:
                 diags.append(Diagnostic("UndefinedGlobal",
@@ -177,7 +180,7 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                 diags.append(Diagnostic("IntOutOfRange",
                                         f"literal {op} is outside the signed 64-bit range",
                                         name, block))
-        if want is not None and ty is not None and ty != want:
+        if want is not None and ty != want:
             diags.append(Diagnostic("TypeMismatch",
                                     f"expected {want}, got {ty}", name, block))
         return ty
@@ -207,8 +210,6 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                                 name, b.label))
             elif isinstance(ins, Assign):
                 ty = use(ins.src, b.label)
-            elif isinstance(ins, Const):
-                ty = use(ins.value, b.label)
             elif isinstance(ins, Call):
                 sig = _callee_signature(ins.callee, m)
                 if sig is None:

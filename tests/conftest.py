@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from iobf import load_corpus, load_dictionary, parse_module, run
 from iobf.bogus import OpaquePredicate
 from iobf.ir import (
+    Assign,
     BasicBlock,
     BinOp,
     Br,
     Cbr,
     Cmp,
-    Const,
     IrFunction,
     IrModule,
     Local,
@@ -201,8 +201,8 @@ def random_modules(draw):
     for i, label in enumerate(labels):
         insts = []
         if i == 0:
-            insts.append(Const("y", draw(st.integers(-5, 5))))
-            insts.append(Const("z", draw(st.integers(-5, 5))))
+            insts.append(Assign("y", draw(st.integers(-5, 5))))
+            insts.append(Assign("z", draw(st.integers(-5, 5))))
         for _ in range(draw(st.integers(0, 3))):
             insts.append(BinOp(
                 draw(st.sampled_from(_DSTS)),

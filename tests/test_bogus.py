@@ -15,7 +15,7 @@ from iobf import (
     validate,
 )
 from iobf.bogus import MASK16, mutate_instructions
-from iobf.ir import BinOp, Br, Cbr, Const, Local
+from iobf.ir import Assign, BinOp, Br, Cbr, Local
 
 from conftest import (assert_equivalent, block_of, mutation_diff,
                       predicate_module, predicate_value, single_function_module)
@@ -94,7 +94,7 @@ def test_mask16_is_16_bits():
 def test_mutation_swaps_one_opcode_and_bumps_one_constant():
     insts = [
         BinOp("a", "add", Local("x"), 7),
-        Const("b", 3),
+        Assign("b", 3),
     ]
     mutated = mutate_instructions(insts, random.Random(2))
     assert insts[0].op == "add"  # original untouched
@@ -112,7 +112,7 @@ def test_mutation_never_creates_zero_divisor():
 
 
 def test_mutation_of_unmutable_block_is_identity():
-    insts = (Const("a", True),)
+    insts = (Assign("a", True),)
     mutated = mutate_instructions(insts, random.Random(3))
     assert mutation_diff(insts, mutated) == ([], [])
 

@@ -19,7 +19,7 @@ from iobf.interp import (
     _compiled,
     _module_cache,
 )
-from iobf.ir import BasicBlock, Const, INT_MAX, INT_MIN, IrFunction, IrModule, Ret, wrap64
+from iobf.ir import Assign, BasicBlock, INT_MAX, INT_MIN, IrFunction, IrModule, Ret, wrap64
 from iobf.parser import ValidationError
 from iobf.rename import obfuscate_identifiers_default
 
@@ -447,7 +447,7 @@ def test_cache_entry_goes_with_its_module():
 
 def test_malformed_function_raises_only_when_called():
     good = IrFunction("good", "good", [], "int", [BasicBlock("entry", [], Ret(1))])
-    bad = IrFunction("bad", "bad", [], "int", [BasicBlock("entry", [Const("x", 1)], None)])
+    bad = IrFunction("bad", "bad", [], "int", [BasicBlock("entry", [Assign("x", 1)], None)])
     m = IrModule(functions=[good, bad])
     assert run(m, "good", []).value == 1
     with pytest.raises(ValueError, match="no terminator"):
@@ -720,8 +720,9 @@ def test_chains_into_a_call_or_ret_keep_the_call_depth_limit():
 
 
 # ---------------------------------------------------------------------------
-# Calls copy their argument values; only an argument whose type differs
-# from its parameter's is converted.
+# Calls copy their argument values: in a valid module every argument has
+# its parameter's type, so a register `validate` cannot type never reaches
+# a call.
 
 UNTYPED_TO_BOOL = """\
 func @g src "g" (%p: bool) -> bool {
@@ -739,9 +740,11 @@ entry:
 """
 
 
-def test_untyped_register_passed_to_a_bool_parameter_arrives_as_false():
-    m = parse_module(UNTYPED_TO_BOOL)
-    hot = _assert_tiers_agree(m, "f", [([], DEFAULT_FUEL)])
-    for module in (m, hot):
-        r = run(module, "f", [])
-        assert r.value is False and type(r.value) is bool
+def test_untyped_register_passed_to_a_bool_parameter_is_rejected():
+    with pytest.raises(ValidationError) as err:
+        parse_module(UNTYPED_TO_BOOL)
+    assert [(d.code, d.message, d.block) for d in err.value.diagnostics] == [
+        ("UntypedLocal", "%v has no inferable type", "entry"),
+        ("UntypedLocal", "%u has no inferable type", "entry"),
+        ("UntypedLocal", "%u has no inferable type", "entry"),
+    ]

@@ -19,7 +19,7 @@ from iobf.metrics import (
     canonical_block_text,
     terminator_shape,
 )
-from iobf.ir import BasicBlock, BinOp, Const, Local, Ret
+from iobf.ir import Assign, BasicBlock, BinOp, Local, Ret
 
 from conftest import GCD_TEXT, mutation_diff, single_function_module
 
@@ -50,10 +50,10 @@ def test_hash_distinguishes_mutated_clone():
 
 
 def test_constant_buckets():
-    zero = BasicBlock("b", [Const("x", 0)], Ret(Local("x")))
-    one = BasicBlock("b", [Const("x", 1)], Ret(Local("x")))
-    two = BasicBlock("b", [Const("x", 2)], Ret(Local("x")))
-    nine = BasicBlock("b", [Const("x", 9)], Ret(Local("x")))
+    zero = BasicBlock("b", [Assign("x", 0)], Ret(Local("x")))
+    one = BasicBlock("b", [Assign("x", 1)], Ret(Local("x")))
+    two = BasicBlock("b", [Assign("x", 2)], Ret(Local("x")))
+    nine = BasicBlock("b", [Assign("x", 9)], Ret(Local("x")))
     assert canonical_block_hash(zero) != canonical_block_hash(one)
     assert canonical_block_hash(one) != canonical_block_hash(two)
     assert canonical_block_hash(two) == canonical_block_hash(nine)

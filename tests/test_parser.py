@@ -244,7 +244,7 @@ def test_digit_like_identifier_start_after_greek_identifiers():
 def test_int_literals_wrap_to_64_bit():
     m = parse_module(
         'func @f src "f" () -> int { entry: %x = 18446744073709551617 ret %x }')
-    assert m.functions[0].blocks[0].insts[0].value == 1
+    assert m.functions[0].blocks[0].insts[0].src == 1
 
 
 def test_switch_with_no_cases():

@@ -11,6 +11,7 @@ because a returning execution is identical under any larger budget.
 
 import dataclasses
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,13 +29,13 @@ from iobf.cli import PASS_APPLIERS, PipelineConfig, transform_module
 from iobf.interp import RETURNED
 from iobf.ir import (
     CMP_RELS,
+    Assign,
     BasicBlock,
     BinOp,
     Br,
     Call,
     Cbr,
     Cmp,
-    Const,
     ExternDecl,
     GlobalRef,
     IrFunction,
@@ -137,7 +138,7 @@ def random_programs(draw):
     labels = [f"b{i}" for i in range(draw(st.integers(1, 5)))]
     blocks = []
     for i, label in enumerate(labels):
-        insts = [Const("y", draw(st.integers(-5, 5))), Const("z", 1)] if i == 0 else []
+        insts = [Assign("y", draw(st.integers(-5, 5))), Assign("z", 1)] if i == 0 else []
         for _ in range(draw(st.integers(0, 3))):
             kind = draw(st.sampled_from(("binop", "call", "print")))
             if kind == "binop":
@@ -202,3 +203,29 @@ def test_pipelines_preserve_random_programs(m, passes, seed, prob, bogus_count):
         return
     assert parse_module(print_module(out)) == out
     _check(m, out, expected)
+
+
+# no parameter and no global: `bcf` and `indeg` feed their opaque
+# predicates from literals (`%opq_x = 5`), which must print and re-parse
+# as the instruction the pass built
+NO_PREDICATE_SOURCES = """\
+func @f src "f" () -> int {
+entry:
+  %x = 3
+  br mid
+mid:
+  %y = add %x, 4
+  br out
+out:
+  ret %y
+}
+"""
+
+
+@pytest.mark.parametrize("passes", [["bcf"], ["nested", "indeg"]], ids=",".join)
+def test_literal_predicate_sources_round_trip(passes):
+    m = parse_module(NO_PREDICATE_SOURCES)
+    for seed in range(4):
+        out, _ = transform_module(PipelineConfig(passes, seed, prob=1.0), m)
+        assert parse_module(print_module(out)) == out, seed
+        assert run(out, "f", []).observable() == (RETURNED, 7, None, ())

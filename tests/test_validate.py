@@ -11,7 +11,6 @@ from iobf.ir import (
     Call,
     Cbr,
     Cmp,
-    Const,
     ExternDecl,
     GlobalRef,
     IrFunction,
@@ -40,7 +39,7 @@ def test_valid_module_is_clean(gcd_module):
 
 
 def test_missing_terminator():
-    m = IrModule(functions=[fn_of([BasicBlock("entry", [Const("x", 1)], None)])])
+    m = IrModule(functions=[fn_of([BasicBlock("entry", [Assign("x", 1)], None)])])
     assert "MissingTerminator" in codes(m)
 
 
@@ -69,7 +68,7 @@ def test_undefined_global():
 def test_type_mismatch_bool_in_arithmetic():
     m = IrModule(functions=[fn_of([
         BasicBlock("entry", [
-            Const("b", True),
+            Assign("b", True),
             BinOp("x", "add", Local("b"), 1),
         ], Ret(Local("x"))),
     ])])
@@ -78,7 +77,7 @@ def test_type_mismatch_bool_in_arithmetic():
 
 def test_cbr_condition_must_be_bool():
     m = IrModule(functions=[fn_of([
-        BasicBlock("entry", [Const("x", 1)], Cbr("x", "a", "a")),
+        BasicBlock("entry", [Assign("x", 1)], Cbr("x", "a", "a")),
         BasicBlock("a", [], Ret(0)),
     ])])
     assert "TypeMismatch" in codes(m)
@@ -118,7 +117,7 @@ def test_return_type_checked():
 
 @pytest.mark.parametrize("m", [
     IrModule(functions=[fn_of([
-        BasicBlock("entry", [Const("x", 2**63)], Ret(Local("x"))),
+        BasicBlock("entry", [Assign("x", 2**63)], Ret(Local("x"))),
     ])]),
     IrModule(functions=[fn_of([
         BasicBlock("entry", [BinOp("x", "add", -2**63 - 1, 1)], Ret(Local("x"))),
@@ -134,7 +133,7 @@ def test_integers_outside_the_64_bit_range_are_rejected(m):
 def test_integers_at_the_64_bit_bounds_are_accepted():
     m = IrModule(functions=[fn_of([
         BasicBlock("entry", [
-            Const("x", 2**63 - 1),
+            Assign("x", 2**63 - 1),
             BinOp("y", "sub", Local("x"), -2**63),
             Assign("z", GlobalRef("g")),
         ], Ret(Local("y"))),
@@ -159,7 +158,7 @@ def test_duplicate_function():
 
 def test_switch_scrutinee_must_be_int():
     m = IrModule(functions=[fn_of([
-        BasicBlock("entry", [Const("b", True)],
+        BasicBlock("entry", [Assign("b", True)],
                    Switch("b", [(0, "a")], "a")),
         BasicBlock("a", [], Ret(0)),
     ])])
@@ -198,9 +197,7 @@ def _reference_local_types(fn, module):
         pending = False
         for b in fn.blocks:
             for ins in b.insts:
-                if isinstance(ins, Const):
-                    ty = operand_type(ins.value)
-                elif isinstance(ins, BinOp):
+                if isinstance(ins, BinOp):
                     ty = "int"
                 elif isinstance(ins, Cmp):
                     ty = "bool"
@@ -245,7 +242,7 @@ def test_inference_resolves_out_of_order_copy_chain():
                 Assign("x", Local("b")),
                 Assign("u", Local("v")),
                 Assign("b", Local("c")),
-                Const("x", 1),
+                Assign("x", 1),
                 Assign("c", Local("d")),
                 Assign("v", Local("u")),
                 Cmp("d", "eq", Local("p"), 0),
@@ -281,10 +278,50 @@ def test_register_assigned_two_types_is_rejected(params, body, message):
 def test_call_result_assigned_to_register_of_other_type():
     m = IrModule(
         functions=[fn_of([
-            BasicBlock("entry", [Const("x", 1), Call("x", "ext", ())],
+            BasicBlock("entry", [Assign("x", 1), Call("x", "ext", ())],
                        Ret(Local("x"))),
         ])],
         externs=[ExternDecl("ext", [], "bool")],
     )
     assert [(d.code, d.message) for d in validate(m)] == [
         ("TypeMismatch", "%x is int, assigned bool")]
+
+
+
+def _untyped(reads):
+    """The diagnostics for reads of untyped registers, as (register, block)."""
+    return [("UntypedLocal", f"%{reg} has no inferable type", block)
+            for reg, block in reads]
+
+
+# %u and %v only copy each other, so neither gets a type; each read of
+# them is reported where it happens
+@pytest.mark.parametrize("ret, read", [
+    ("bool", "ret %u"),
+    ("int", "%r = call @g(%u) ret %r"),
+    ("int", "cbr %u, use, use"),
+    ("int", "%r = add %u, 1 ret %r"),
+], ids=["ret", "call_arg", "cbr_cond", "binop_operand"])
+def test_read_of_untyped_register_is_rejected(ret, read):
+    text = ('func @g src "g" (%p: bool) -> int { entry: ret 0 }\n'
+            f'func @f src "f" () -> {ret} {{ entry: %u = %v %v = %u br use '
+            f'use: {read} }}')
+    with pytest.raises(ValidationError) as err:
+        parse_module(text)
+    assert [(d.code, d.message, d.block) for d in err.value.diagnostics] == _untyped(
+        [("v", "entry"), ("u", "entry"), ("u", "use")])
+
+
+def test_untyped_bool_result_passed_on_to_a_bool_parameter_is_rejected():
+    # `h` returns an untyped register from a bool function, and `f` hands
+    # the result to a bool parameter
+    text = (
+        'func @g src "g" (%p: bool) -> bool { entry: ret %p }\n'
+        'func @h src "h" () -> bool { entry: %u = %v %v = %u ret %u }\n'
+        'func @f src "f" () -> bool { entry: %t = call @h() %r = call @g(%t) ret %r }\n'
+    )
+    with pytest.raises(ValidationError) as err:
+        parse_module(text)
+    assert {d.function for d in err.value.diagnostics} == {"h"}
+    assert [(d.code, d.message, d.block) for d in err.value.diagnostics] == _untyped(
+        [("v", "entry"), ("u", "entry"), ("u", "entry")])
