@@ -237,15 +237,20 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
     """Add never-taken edges until every bogus block has in-degree at least
     `margin` above the highest non-entry real block.
 
-    Mechanisms, in preference order per needy block:
-      * a real block ending in `br L` gains an always-true conditional
-        whose false arm targets the bogus block (one edge), or becomes an
-        opaque switch (`(x & 1)` scrutinee, dead case literals >= 2,
-        default to L) when several edges are needed;
-      * a real block ending in `cbr` becomes an opaque switch whose live
-        cases 0 and 1 reach a new block holding the original conditional,
-        with dead cases and default feeding the bogus block;
-      * switches this pass created are extended with more dead cases.
+    When the first needy block needs one edge, a real block ending in
+    `br L` (the clone's origin first) may give it: the block gains an
+    always-true conditional whose false arm targets the bogus block.
+    Every other edge is a dead case of one masked switch, a `switch %s`
+    whose block last writes `%s` as `and v, c` with a literal
+    0 <= c < 2^30: `%s` lies in [0, c], so a case literal above `c` never
+    matches. The pass builds its switch at most once per run, with
+    `sel = x & 1`, from a real block ending in
+      * `br L`: no live case, default L;
+      * `cbr`: live cases 0 and 1 reach a new block holding the
+        conditional, the default feeds the bogus block.
+    When no real block ending in `br` or `cbr` is left, the dead cases go
+    to the first real block that already ends in a masked switch, such as
+    an inner switch of `nested`.
 
     A function with no bogus block first receives one guarded clone (the
     same construction bogus_control_flow uses) on a random real block.
@@ -266,7 +271,9 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
             locals_alloc)
 
     state = _EdgeState(f, rng, global_names, labels_alloc, locals_alloc)
-    for _ in range(64):
+    # only a `cbr` donor adds a real block (its arm, in-degree 2), and
+    # after it every edge extends a switch, so a second round is the last
+    while True:
         f = replace(f, blocks=tuple(state.blocks))
         cfg = build_cfg(f)
         max_real, _ = in_degree_gap(cfg)
@@ -279,13 +286,27 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
         if not deficits:
             break
         for bogus, need in deficits:
-            state.add_edges(bogus, need)
-    else:
-        raise RuntimeError("in-degree obfuscation did not converge")
+            # only a function whose bogus blocks were marked in its source
+            # can lack both a donor and a masked switch
+            if not state.add_edges(bogus, need):
+                return fn, "no real block can donate a never-taken edge"
     # an injected clone always needs edges, so none added means no change
     if not state.edges_added:
         return fn, "bogus in-degree already dominates"
     return f, None
+
+
+def _switch_mask(b: BasicBlock) -> int | None:
+    """`c` when `b` ends in a masked switch (see indegree_obfuscate)."""
+    if isinstance(b.term, Switch):
+        for ins in reversed(b.insts):
+            if ins.dst == b.term.scrutinee:
+                if (isinstance(ins, BinOp) and ins.op == "and"
+                        and operand_type(ins.b) == "int"
+                        and 0 <= ins.b < 1 << 30):
+                    return ins.b
+                return None
+    return None
 
 
 class _EdgeState:
@@ -300,9 +321,8 @@ class _EdgeState:
         self.global_names = global_names
         self.labels_alloc = labels_alloc
         self.locals_alloc = locals_alloc
-        self.rewritten: set[str] = set()
+        self.guarded: str | None = None  # the `br` block given a guard
         self.switch: int | None = None  # its index; no block moves after
-        self.sel_local: str | None = None
         self.edges_added = 0
 
     def _rewrite(self, src: BasicBlock, insts: tuple, term) -> int:
@@ -311,75 +331,66 @@ class _EdgeState:
         self.blocks[i] = replace(src, insts=src.insts + insts, term=term)
         return i
 
-    def add_edges(self, bogus: BasicBlock, need: int):
-        # Once a pass-owned switch exists, extending it is free (dead case
-        # literals only); creating guards for every needy block would pile
-        # executed predicate code onto real paths instead.
-        if self.switch is not None:
-            self._extend_switch(bogus.label, need)
-        else:
+    def add_edges(self, bogus: BasicBlock, need: int) -> bool:
+        """Give `bogus` `need` more never-taken edges; False if no block can."""
+        first = not self.edges_added
+        self.edges_added += need
+        # Once a switch is chosen, extending it is free (dead case literals
+        # only); creating guards for every needy block would pile executed
+        # predicate code onto real paths instead.
+        if self.switch is None:
             src = self._pick_source(bogus)
             if src is None:
-                raise RuntimeError("no real block can donate a never-taken edge")
-            if isinstance(src.term, Cbr):
-                self.switch = self._cbr_to_switch(src, bogus.label, need)
-            elif need == 1 and self.edges_added == 0:
-                self._guard_br(src, bogus.label)
+                self.switch = next((i for i, b in enumerate(self.blocks)
+                                    if b.role == "real"
+                                    and _switch_mask(b) is not None), None)
+                if self.switch is None:
+                    return False
+            elif isinstance(src.term, Br) and need == 1 and first:
+                self.guarded = src.label
+                self._rewrite(src, *_opaque_guard(
+                    self.f, self.rng, self.global_names, self.locals_alloc,
+                    src.term.label, bogus.label))
+                return True
             else:
-                self.switch = self._br_to_switch(src, bogus.label, need)
-            self.rewritten.add(src.label)
-        self.edges_added += need
+                self.switch = self._build_switch(src, bogus.label)
+                if isinstance(src.term, Cbr):
+                    need -= 1  # the default reaches `bogus`
+        self._extend_switch(bogus.label, need)
+        return True
 
     def _pick_source(self, bogus: BasicBlock) -> BasicBlock | None:
-        # the first untouched real block ending in `br`, else in `cbr`; the
+        # the first unguarded real block ending in `br`, else in `cbr`; the
         # clone's origin first, since the clone's jump back makes it the
         # most natural block to link forward, mirroring a mutual pair
         origin = bogus.term.label if isinstance(bogus.term, Br) else None
         return min((b for b in self.blocks
-                    if b.role == "real" and b.label not in self.rewritten
+                    if b.role == "real" and b.label != self.guarded
                     and isinstance(b.term, (Br, Cbr))),
                    key=lambda b: (isinstance(b.term, Cbr), b.label != origin),
                    default=None)
 
-    def _scrutinee(self) -> BinOp:
-        """`sel = x & 1`; the result is provably 0 or 1, so any case
-        literal >= 2 can never match."""
-        if self.sel_local is None:
-            self.sel_local = self.locals_alloc.fresh("opq_sel")
+    def _build_switch(self, src: BasicBlock, bogus_label: str) -> int:
+        """Rewrite `src` to end in a masked switch on `sel = x & 1` with no
+        dead case yet; its index."""
+        if isinstance(src.term, Br):
+            cases, default = (), src.term.label
+        else:
+            arm_label = self.labels_alloc.fresh(f"{src.label}_arm")
+            self.blocks.insert(self.blocks.index(src) + 1,
+                               BasicBlock(arm_label, (), src.term))
+            cases, default = ((0, arm_label), (1, arm_label)), bogus_label
         x_src, _ = predicate_sources(self.f, self.global_names, self.rng)
-        return BinOp(self.sel_local, "and", x_src, 1)
-
-    def _dead_literals(self, count: int, taken) -> list[int]:
-        used = set(taken)
-        return [fresh_literal(self.rng, used, 2) for _ in range(count)]
-
-    def _guard_br(self, src: BasicBlock, bogus_label: str):
-        self._rewrite(src, *_opaque_guard(
-            self.f, self.rng, self.global_names, self.locals_alloc,
-            src.term.label, bogus_label))
-
-    def _br_to_switch(self, src: BasicBlock, bogus_label: str, need: int):
-        sel = self._scrutinee()
-        cases = tuple((lit, bogus_label)
-                      for lit in self._dead_literals(need, ()))
-        return self._rewrite(src, (sel,), Switch(sel.dst, cases, src.term.label))
-
-    def _cbr_to_switch(self, src: BasicBlock, bogus_label: str, need: int):
-        arm_label = self.labels_alloc.fresh(f"{src.label}_arm")
-        self.blocks.insert(self.blocks.index(src) + 1,
-                           BasicBlock(arm_label, (), src.term, role="real"))
-        sel = self._scrutinee()
-        cases = [(0, arm_label), (1, arm_label)]
-        cases += [(lit, bogus_label)
-                  for lit in self._dead_literals(need - 1, (0, 1))]
-        return self._rewrite(src, (sel,),
-                             Switch(sel.dst, tuple(cases), bogus_label))
+        sel = BinOp(self.locals_alloc.fresh("opq_sel"), "and", x_src, 1)
+        return self._rewrite(src, (sel,), Switch(sel.dst, cases, default))
 
     def _extend_switch(self, bogus_label: str, need: int):
+        """Add `need` cases reaching `bogus_label` to the switch, each with a
+        fresh literal above its mask."""
         src = self.blocks[self.switch]
-        term = src.term
-        taken = [lit for lit, _ in term.cases]
-        extra = tuple((lit, bogus_label)
-                      for lit in self._dead_literals(need, taken))
-        self.blocks[self.switch] = replace(src, term=Switch(
-            term.scrutinee, term.cases + extra, term.default))
+        used = {lit for lit, _ in src.term.cases}
+        low = _switch_mask(src) + 1
+        extra = tuple((fresh_literal(self.rng, used, low), bogus_label)
+                      for _ in range(need))
+        self.blocks[self.switch] = replace(src, term=replace(
+            src.term, cases=src.term.cases + extra))

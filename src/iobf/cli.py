@@ -4,8 +4,7 @@ Exit codes: 0 success, 2 parse/validation failure (also an input file
 that is not UTF-8), 3 bad parameter (also a `--dict` file that is
 unreadable, not UTF-8 or holds a word that is not an identifier, or a
 `--time-reps` of 1, 2 or below 0), 4 semantics-oracle failure in batch
-mode, 5 a pass could not transform the input (single-file mode; batch
-mode records it as a failed row).
+mode.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .bogus import bogus_control_flow, indegree_obfuscate
@@ -42,7 +41,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PARAMETER = 3
 EXIT_ORACLE = 4
-EXIT_PASS = 5
 
 
 @dataclass
@@ -245,8 +243,8 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
                 sim = similarity(entry.module, obf)
                 over = overhead(entry.module, obf, entry.entry, entry.inputs,
                                 time_reps, entry.fuel)
-                row.update(sim.to_dict())
-                row.update(over.to_dict())
+                row.update(asdict(sim))
+                row.update(asdict(over))
                 outputs[entry.name] = print_module(obf)
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -372,7 +370,7 @@ def main(argv=None) -> int:
                 "passes": cfg.passes,
                 "seed": cfg.seed,
                 "pass_reports": result.reports,
-                "similarity": similarity(result.original, result.module).to_dict(),
+                "similarity": asdict(similarity(result.original, result.module)),
                 "space_ratio": space_ratio(result.original, result.module),
             }
             Path(args.report).write_text(
@@ -382,9 +380,6 @@ def main(argv=None) -> int:
     except (PassParameterError, DictionaryExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PASS
     except IrError as exc:
         for diag in exc.diagnostics:
             print(f"error: {diag}", file=sys.stderr)

@@ -40,22 +40,11 @@ class SimilarityReport:
     fn_sim: float   # percent
     prog_sim: float  # fraction in [0, 1]
 
-    def to_dict(self) -> dict:
-        return {
-            "bb_sim": self.bb_sim,
-            "ji_sim": self.ji_sim,
-            "fn_sim": self.fn_sim,
-            "prog_sim": self.prog_sim,
-        }
-
 
 @dataclass
 class OverheadReport:
     time_ratio: float | None
     space_ratio: float
-
-    def to_dict(self) -> dict:
-        return {"time_ratio": self.time_ratio, "space_ratio": self.space_ratio}
 
 
 def canonical_block_text(b: BasicBlock) -> str:

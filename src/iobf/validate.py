@@ -72,7 +72,7 @@ def infer_local_types(fn: IrFunction, module: IrModule) -> dict[str, str]:
                     copies.append(ins)
             else:
                 sig = _callee_signature(ins.callee, module)
-                ty = sig[1] if sig else None
+                ty = sig[1] if sig and sig[1] != "void" else None
             if ty is not None:
                 types[ins.dst] = ty
     pending = True

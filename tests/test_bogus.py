@@ -14,7 +14,8 @@ from iobf import (
     run,
     validate,
 )
-from iobf.bogus import MASK16, mutate_instructions
+from iobf import bogus
+from iobf.bogus import MASK16, fresh_literal, mutate_instructions
 from iobf.ir import Assign, BinOp, Br, Cbr, Local
 
 from conftest import (assert_equivalent, block_of, mutation_diff,
@@ -335,6 +336,68 @@ def test_indeg_rewrites_conditional_branch_when_no_plain_branch_exists():
     obf = single_function_module(m, fn)
     assert validate(obf) == []
     assert_equivalent(m, obf, "f", [[5], [0], [-9]])
+
+
+# the bogus block is marked in the source, so `indeg` injects no guarded
+# clone, and no real block ends in `br` or `cbr`
+MASKED_SWITCH_ONLY = """\
+func @f src "f" (%x: int) -> int {
+entry:
+  %v = mul %x, 3
+  %s = and %v, 7
+  switch %s [0 -> a, 5 -> b] default c
+a:
+  ret 1
+b:
+  ret 2
+c:
+  ret %s
+bogus twin:
+  ret 4
+}
+"""
+
+
+@pytest.mark.parametrize("margin", [1, 3])
+def test_indeg_extends_a_real_masked_switch_when_no_block_donates(
+        monkeypatch, margin):
+    floors = []
+
+    def recorded(rng, used, low=1):
+        floors.append(low)
+        return fresh_literal(rng, used, low)
+
+    monkeypatch.setattr(bogus, "fresh_literal", recorded)
+    m = parse_module(MASKED_SWITCH_ONLY)
+    fn, skipped = indegree_obfuscate(m.functions[0], seed=3, margin=margin)
+    assert skipped is None
+    assert floors == [8] * (margin + 1)  # drawn above the mask 7
+    before, after = m.functions[0].blocks[0].term, fn.blocks[0].term
+    added = after.cases[len(before.cases):]
+    assert after.cases[:len(before.cases)] == before.cases
+    assert len(added) == margin + 1  # c has in-degree 1, twin had none
+    assert all(lit > 7 and label == "twin" for lit, label in added)
+    assert [b.label for b in fn.blocks] == [b.label for b in m.functions[0].blocks]
+    max_real, min_bogus = in_degree_gap(build_cfg(fn))
+    assert min_bogus >= max_real + margin
+    obf = single_function_module(m, fn)
+    assert validate(obf) == []
+    executed = set()
+    for x in (-(2**63), -5, 0, 1, 2, 7, 2**40):
+        before_run = run(m, "f", [x])
+        after_run = run(obf, "f", [x],
+                        block_tracer=lambda f, label: executed.add(label))
+        assert before_run.observable() == after_run.observable()
+    assert "twin" not in executed
+
+
+def test_indeg_skips_when_no_block_can_donate():
+    # a marked bogus block, and only `ret` blocks to link it from
+    m = parse_module('func @f src "f" (%x: int) -> int {\n'
+                     "entry:\n  ret 0\nbogus twin:\n  ret 1\n}\n")
+    fn, skipped = indegree_obfuscate(m.functions[0], seed=1)
+    assert skipped == "no real block can donate a never-taken edge"
+    assert fn is m.functions[0]
 
 
 def test_indeg_bogus_blocks_never_execute_across_corpus(corpus):

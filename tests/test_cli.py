@@ -4,14 +4,13 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from iobf import (build_cfg, instruction_count, parse_module, print_module,
-                  run, validate)
+from iobf import (build_cfg, in_degree_gap, instruction_count, parse_module,
+                  print_module, run, validate)
 from iobf.cli import (
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_PARAMETER,
     EXIT_PARSE,
-    EXIT_PASS,
     PASS_APPLIERS,
     PipelineConfig,
     batch,
@@ -537,8 +536,9 @@ def test_main_parameter_failure_exit_code(tmp_path):
     assert main([str(src), "--passes", "nope"]) == EXIT_PARAMETER
 
 
-# after `nested` every real block of this function ends in ret or an inner
-# switch, so `indeg` finds no block to donate a never-taken edge
+# after `nested` every real block of ALL_RETURN ends in ret or an inner
+# switch, and in BR_ONCE `indeg`'s guard for the first decoy takes the only
+# `br`: the other never-taken edges must be dead cases of an inner switch
 ALL_RETURN = """\
 func @_O1fi src "f" (%x: int) -> int {
 entry:
@@ -550,15 +550,34 @@ b:
 }
 """
 
+BR_ONCE = """\
+func @_O1fi src "f" (%x: int) -> int {
+entry:
+  br a
+a:
+  ret 1
+b:
+  ret 2
+}
+"""
 
-def test_main_pass_failure_exit_code(tmp_path, capsys):
-    src = tmp_path / "all_return.ir"
-    src.write_text(ALL_RETURN, encoding="utf-8")
-    code = main([str(src), "--passes", "nested,indeg"])
-    assert code == EXIT_PASS
+
+@pytest.mark.parametrize("text", [ALL_RETURN, BR_ONCE],
+                         ids=["all_return", "br_once"])
+def test_main_indeg_after_nested_needs_no_donor(tmp_path, capsys, text):
+    src = tmp_path / "in.ir"
+    src.write_text(text, encoding="utf-8")
+    assert main([str(src), "--passes", "nested,indeg"]) == EXIT_OK
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: no real block can donate a never-taken edge\n"
+    assert captured.err == ""
+    for seed in range(4):
+        result = run_pipeline(cfg_of(["nested", "indeg"], seed=seed), text)
+        if seed == 0:  # the CLI's default seed
+            assert parse_module(captured.out) == result.module
+        max_real, min_bogus = in_degree_gap(build_cfg(result.module.functions[0]))
+        assert min_bogus > max_real, seed
+        assert_equivalent(result.original, result.module, "f",
+                          [[-7], [0], [1], [2**40]])
 
 
 @pytest.mark.parametrize("args", [

@@ -110,6 +110,19 @@ def test_void_call_with_result_rejected():
     assert "TypeMismatch" in codes(m)
 
 
+def test_void_call_result_has_no_type():
+    """The mistake is reported once: a void result types no register, so
+    reading it is an untyped read, not a second type mismatch."""
+    m = IrModule(
+        functions=[fn_of([
+            BasicBlock("entry", [Call("x", "v", [])], Ret(Local("x"))),
+        ])],
+        externs=[ExternDecl("v", [], "void")],
+    )
+    assert "x" not in infer_local_types(m.functions[0], m)
+    assert [d.code for d in validate(m)] == ["TypeMismatch", "UntypedLocal"]
+
+
 def test_return_type_checked():
     m = IrModule(functions=[fn_of([BasicBlock("entry", [], Ret(None))])])
     assert "ReturnTypeMismatch" in codes(m)
