@@ -42,13 +42,18 @@ first `fuel` steps print, and equivalence checks stay deterministic and
 loop-proof.
 
 Parts run in one of two tiers. Every module starts in the tuple tier
-above. Each run adds its steps to the module's table, and once they reach
-FUSE_AFTER_STEPS (a constant, not an option) the table is hot: every part
-of its compiled functions, and of each function compiled later, gets a
-generated Python function (`compile`/`exec`) at its first run. That
-function holds the part's ops inline: registers in locals, known values
-folded, the `operator` calls as Python operators, `_sdiv`/`_srem` still
-trapping. The range check and `wrap64` follow only add, sub, mul, sdiv
+above. The module's table counts the steps of its runs and turns hot
+after the first whole part at whose end they reach FUSE_AFTER_STEPS (a
+constant, not an option), mid-run like Dynamo's fragment counters: every
+part of its compiled functions, and of each function compiled later, gets
+a generated Python function (`compile`/`exec`) at its first run. 16,384
+lies above the at most 8,928 steps that any bundled program's
+`nested,indeg,ident-default` output runs over its manifest vectors, so
+those short runs pay no code generation, and within the first two
+vectors of every `exec-long` benchmark module but gcd's. That function
+holds the part's ops inline: registers in locals, known values folded,
+the `operator` calls as Python operators, `_sdiv`/`_srem` still trapping.
+The range check and an inline `wrap64` follow only add, sub, mul, sdiv
 and shl: on signed 64-bit operands and, or, xor, shr and srem cannot
 leave the range, and comparisons give booleans.
 
@@ -57,15 +62,17 @@ statically (linking fragments along direct branches, as in Dynamo): a br,
 or a cbr or switch whose scrutinee is known at that point of the chain (a
 literal, a slot nothing in the function writes, or an op of the chain on
 known values), which resolves flatten's `%disp_key = <lit>; br dispatch`
-and nested's inner mix. A chain stops at a part it has visited, after
-CHAIN_PARTS parts, and before any part holding an sdiv/srem whose divisor
-is not a known nonzero constant, so only its head part can trap. It
-returns the next part after a br/cbr/switch and hands a call or ret back
-to the same loop, which transfers with the last part's terminator. The
-loop charges the chain's summed cost when the fuel covers all of it, and
-a trap only the head's; otherwise it runs the head's tuple ops, so fuel
-cuts stay exact. It still counts steps, pushes frames and checks
-`MAX_CALL_DEPTH`. The fused output cannot differ from the tuple tier's:
+and nested's inner mix, or a switch on a slot last written as `and v, c`
+with a known `c >= 0` and no case in [0, c], such as indeg's `x & 1`
+selector, which takes its default. A chain stops at a part it has
+visited, after CHAIN_PARTS parts, and before any part holding an
+sdiv/srem whose divisor is not a known nonzero constant, so only its head
+part can trap. It returns the next part after a br/cbr/switch and hands
+a call or ret back to the same loop, which transfers with the last part's
+terminator. The loop charges the chain's summed cost when the fuel covers
+all of it, and a trap only the head's; otherwise it runs the head's tuple
+ops, so fuel cuts stay exact. It still counts steps, pushes frames and
+checks `MAX_CALL_DEPTH`. The fused output cannot differ from the tuple tier's:
 each generated op is the tuple op's expression with the operand reads
 resolved, a folded value is the tuple op's result on the same known
 operands, a branch is resolved only on a value every run has there,
@@ -105,7 +112,7 @@ from .validate import infer_local_types
 
 DEFAULT_FUEL = 1_000_000
 MAX_CALL_DEPTH = 10_000  # active frames, the entry function's included
-FUSE_AFTER_STEPS = 65_536  # a module's runs fuse it once they executed this many
+FUSE_AFTER_STEPS = 16_384  # a module's runs fuse it at the step they reach this
 CHAIN_PARTS = 16  # most parts that one generated function runs
 
 RETURNED = "returned"
@@ -352,7 +359,10 @@ _EXPR = {
 }
 # the ops whose result can leave the signed 64-bit range on operands in it
 _WRAPPING = {operator.add, operator.sub, operator.mul, _sdiv, _shl}
-_IN_RANGE = "-9223372036854775808 <= {0} <= 9223372036854775807"
+# wrap64 inline: ((v + 2**63) & (2**64 - 1)) - 2**63 outside the range
+_WRAP = ("if not -9223372036854775808 <= {0} <= 9223372036854775807: "
+         "{0} = (({0} + 9223372036854775808) & 18446744073709551615)"
+         " - 9223372036854775808")
 _UNKNOWN = object()
 
 
@@ -360,15 +370,17 @@ class _Consts(dict):
     """Slot -> value that an op of a chain wrote from known values, at the
     point the chain has reached. A slot that no op, call or parameter of
     the function writes (`written`) is known too: it keeps its start value
-    in every frame."""
+    in every frame. `masks` maps a slot last written as `and v, c`, with
+    `v` unknown and `c` a known value, 0 <= c, to `c`: it lies in [0, c]."""
 
-    def __init__(self, written, init, known=()):
+    def __init__(self, written, init, known=(), masks=()):
         super().__init__(known)
         self.written = written
         self.init = init
+        self.masks = dict(masks)
 
     def copy(self):
-        return _Consts(self.written, self.init, self)
+        return _Consts(self.written, self.init, self, self.masks)
 
     def value(self, slot):
         if slot in self:
@@ -382,14 +394,18 @@ class _Consts(dict):
         """Run `op` on the known values; whether it might trap."""
         if op[0] == _PRINT:
             return False
+        self.masks.pop(op[1], None)
         if op[0] == _COPY:
             value, trap = self.value(op[2]), False
         else:
-            _, _, fn, a, b = op
+            _, dst, fn, a, b = op
             a, b = self.value(a), self.value(b)
             trap = fn in (_sdiv, _srem) and (b is _UNKNOWN or b == 0)
             if trap or a is _UNKNOWN or b is _UNKNOWN:
                 value = _UNKNOWN
+                c = a if b is _UNKNOWN else b
+                if fn is operator.and_ and c is not _UNKNOWN and c >= 0:
+                    self.masks[dst] = c
             else:
                 value = fn(a, b)
                 if not -2**63 <= value < 2**63:
@@ -401,7 +417,9 @@ class _Consts(dict):
         return trap
 
     def successor(self, term):
-        """The part that `term` leads to on the known values, or None."""
+        """The part that `term` leads to on the known values, or None. A
+        switch on a slot in [0, c] with no case in that range takes its
+        default."""
         if term[0] == _T_BR:
             return term[1]
         if term[0] in (_T_CBR, _T_SW):
@@ -410,6 +428,10 @@ class _Consts(dict):
                 if term[0] == _T_CBR:
                     return term[2] if key else term[3]
                 return term[2].get(key, term[3])
+            c = self.masks.get(term[1])
+            if (term[0] == _T_SW and c is not None
+                    and not any(0 <= lit <= c for lit in term[2])):
+                return term[3]
         return None
 
 
@@ -508,7 +530,7 @@ def _fuse_chain(chain, written, init):
             stored[dst] = name = local[dst] = f"v{dst}"
             body.append(f"{name} = {value}")
             if op[0] == _BIN and fn in _WRAPPING:
-                body.append(f"if not {_IN_RANGE.format(name)}: {name} = _wrap({name})")
+                body.append(_WRAP.format(name))
 
     term = chain[-1].term
     following = consts.successor(term)
@@ -522,22 +544,23 @@ def _fuse_chain(chain, written, init):
         result = "None"
     body.extend(f"env[{slot}] = {text}" for slot, text in stored.items())
     body.append(f"return {result}")
-    params = ", ".join(["_wrap", "_sdiv", "_srem"]
+    params = ", ".join(["_sdiv", "_srem"]
                        + [f"c{i}" for i in range(len(cells))])
     source = (f"def make({params}):\n def part(env, emit):\n"
               + "".join(f"  {line}\n" for line in body) + " return part\n")
     namespace = {}
     exec(compile(source, "<fused part>", "exec"), namespace)
-    return namespace["make"](wrap64, _sdiv, _srem, *cells)
+    return namespace["make"](_sdiv, _srem, *cells)
 
 
 class _Table(dict):
     """Mangled name -> _CompiledFunction, compiled at its first lookup; a
     name the module does not define traps as an unresolved extern. The
     module is held weakly, and its death drops the table from the cache;
-    lookups happen only while `run` holds the module. Once its runs have
-    executed FUSE_AFTER_STEPS steps, the table is hot: every function in
-    it is fused, and every function compiled later at its compilation."""
+    lookups happen only while `run` holds the module. `_execute` makes the
+    table hot after the first whole part at whose end its runs reach
+    FUSE_AFTER_STEPS steps: every function in it is fused, and every
+    function compiled later at its compilation."""
 
     def __init__(self, module: IrModule):
         super().__init__()
@@ -558,11 +581,6 @@ class _Table(dict):
         if self.hot:
             _fuse(cfn)
         return cfn
-
-    def count(self, steps: int):
-        self.steps += steps
-        if not self.hot and self.steps >= FUSE_AFTER_STEPS:
-            self.fuse()
 
     def fuse(self):
         self.hot = True
@@ -586,6 +604,9 @@ def _compiled(module: IrModule) -> _Table:
 def _execute(table, cfn: _CompiledFunction, args, fuel: int,
              tracer) -> ExecutionResult:
     budget = fuel
+    # the fuel left when the table's runs reach FUSE_AFTER_STEPS; a hot
+    # table's is below the fuel of any part that runs whole
+    hot_at = -1 if table.hot else budget + table.steps - FUSE_AFTER_STEPS
     output: list[int] = []
     emit = output.append
     frames = []  # (caller env, part to resume, dst slot)
@@ -616,6 +637,9 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
                     ops = part.ops[:fuel + part.cost]
                     term = _STOP
                 else:
+                    if fuel <= hot_at:
+                        table.fuse()
+                        hot_at = -1
                     ops = part.ops
                     term = part.term
                 for op in ops:
@@ -686,7 +710,7 @@ def run(
     fn = resolve_entry(m, entry_fn, len(args))
     table = _compiled(m)
     result = _execute(table, table[fn.mangled_name], args, fuel, block_tracer)
-    table.count(result.steps)
+    table.steps += result.steps
     return result
 
 

@@ -458,7 +458,7 @@ def test_malformed_function_raises_only_when_called():
 # ---------------------------------------------------------------------------
 # The fused tier must give what the tuple ops give, in every field. Tests
 # make a table hot through the private `_Table.fuse`, which a module's runs
-# otherwise reach only after FUSE_AFTER_STEPS steps.
+# otherwise reach at the step where they have executed FUSE_AFTER_STEPS.
 
 def _fused_twin(m):
     """An equal module whose table is hot from its first run on."""
@@ -477,13 +477,19 @@ def _facets(r):
     return r.observable(), r.steps, type(r.value)
 
 
+def _tuple_run(m, entry, args, fuel=DEFAULT_FUEL):
+    """A run on the tuple ops alone: traced runs never take generated code,
+    even once the table turns hot during them."""
+    return run(m, entry, args, fuel, block_tracer=lambda *_: None)
+
+
 def _assert_tiers_agree(m, entry, runs):
     """Each (args, fuel) run gives the same result on a fresh, cold copy of
     `m` as on one hot copy; returns the hot copy."""
     hot = _fused_twin(m)
     for args, fuel in runs:
         cold = dataclasses.replace(m)
-        expected = run(cold, entry, args, fuel)
+        expected = _tuple_run(cold, entry, args, fuel)
         assert _generated(cold) == 0
         assert _facets(run(hot, entry, args, fuel)) == _facets(expected), (
             entry, args, fuel)
@@ -596,6 +602,54 @@ def test_table_turns_hot_once_its_runs_reach_the_threshold():
     assert _generated(m)
 
 
+def test_a_cold_run_past_the_threshold_turns_the_table_hot_during_it():
+    m = parse_module(PRINT_LOOP)
+    n = FUSE_AFTER_STEPS // 5 + 100  # an iteration takes five steps
+    r = run(m, "f", [n])
+    table = _compiled(m)
+    assert table.hot and _generated(m)
+    assert table.steps == r.steps > FUSE_AFTER_STEPS
+    assert _facets(r) == _facets(_tuple_run(parse_module(PRINT_LOOP), "f", [n]))
+
+
+@pytest.mark.parametrize("earlier, switch", [
+    (0, FUSE_AFTER_STEPS),  # loop parts end at steps 4 + 5k, 16,384 among them
+    (FUSE_AFTER_STEPS - 1, 2),  # the entry part ends at step 2
+    (FUSE_AFTER_STEPS - 3, 4),  # the first loop part spans the threshold
+], ids=["fresh", "one_short", "spanning"])
+def test_tiers_agree_at_every_fuel_cut_around_the_switch(earlier, switch):
+    """A table turns hot after the first whole part at whose end its runs
+    have executed FUSE_AFTER_STEPS steps, here `switch` steps into a run
+    after runs of `earlier` steps; cuts around it give the tuple ops'
+    result."""
+    n = FUSE_AFTER_STEPS // 5 + 100
+    for fuel in (*range(max(switch - 2, 1), switch + 3), DEFAULT_FUEL):
+        m = parse_module(PRINT_LOOP)
+        if earlier:
+            assert run(m, "f", [n], earlier).status == FUEL_EXHAUSTED
+        table = _compiled(m)
+        assert (table.steps, table.hot) == (earlier, False)
+        r = run(m, "f", [n], fuel)
+        assert table.hot == (fuel >= switch), fuel
+        assert table.steps == earlier + r.steps
+        expected = _tuple_run(parse_module(PRINT_LOOP), "f", [n], fuel)
+        assert _facets(r) == _facets(expected), fuel
+
+
+def test_no_corpus_program_reaches_the_threshold_under_the_default_pipeline(corpus):
+    """Short runs stay in the tuple tier and pay no code generation: no
+    `nested,indeg,ident-default` output reaches FUSE_AFTER_STEPS over its
+    manifest vectors."""
+    for entry in corpus:
+        for seed in range(4):
+            m, _ = transform_module(PipelineConfig(
+                ["nested", "indeg", "ident-default"], seed=seed), entry.module)
+            steps = sum(run(m, entry.entry, args, entry.fuel).steps
+                        for args in entry.inputs)
+            assert steps < FUSE_AFTER_STEPS, (entry.name, seed, steps)
+            assert not _compiled(m).hot
+
+
 def test_functions_compiled_on_a_hot_table_are_fused():
     m = parse_module(CALL_THEN_PRINT)
     table = _compiled(m)
@@ -680,6 +734,40 @@ def test_chains_stop_before_a_part_that_might_trap():
     r = run(hot, "f", [5, 0])
     assert (r.status, r.reason, r.steps) == (TRAPPED, "sdiv by zero", 6)
     assert _generated(hot)
+
+
+MASKED_SWITCH = """\
+extern @print_int(int) -> void
+
+func @f src "f" (%x: int, %y: int) -> int {{
+entry:
+  %s = and {mask}
+  switch %s [{cases}] default live
+dead:
+  call @print_int(0)
+  ret 0
+live:
+  call @print_int(1)
+  ret 1
+}}
+"""
+
+
+@pytest.mark.parametrize("mask, cases, resolved", [
+    ("%x, 1", "2 -> dead, 3 -> dead", True),  # indeg's selector
+    ("5, %x", "6 -> dead, -1 -> dead", True),
+    ("%x, 3", "2 -> dead, 7 -> dead", False),  # 2 lies in [0, 3]
+    ("%x, -4", "8 -> dead", False),  # x & -4 may be any multiple of 4
+    ("%x, %y", "2 -> dead", False),  # no known mask
+], ids=["selector", "mask_first", "case_in_range", "negative", "unknown"])
+def test_chains_take_the_default_of_a_switch_no_masked_value_can_match(
+        mask, cases, resolved):
+    m = parse_module(MASKED_SWITCH.format(mask=mask, cases=cases))
+    chains = _chains(m, "f", [8, 8], "f")
+    assert chains["entry"] == (["entry", "live"] if resolved else ["entry"])
+    _assert_tiers_agree(m, "f", [([x, y], DEFAULT_FUEL)
+                                 for x in (-9, -1, 0, 1, 2, 3, 7, 8, 12)
+                                 for y in (1, 2, 8)])
 
 
 CHAIN_INTO_CALL_AND_RET = """\
