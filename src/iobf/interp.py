@@ -45,36 +45,50 @@ Parts run in one of two tiers. Every module starts in the tuple tier
 above. The module's table counts the steps of its runs and turns hot
 after the first whole part at whose end they reach FUSE_AFTER_STEPS (a
 constant, not an option), mid-run like Dynamo's fragment counters: every
-part of its compiled functions, and of each function compiled later, gets
-a generated Python function (`compile`/`exec`) at its first run. 16,384
-lies above the at most 8,928 steps that any bundled program's
-`nested,indeg,ident-default` output runs over its manifest vectors, so
-those short runs pay no code generation, and within the first two
-vectors of every `exec-long` benchmark module but gcd's. That function
-holds the part's ops inline: registers in locals, known values folded,
-the `operator` calls as Python operators, `_sdiv`/`_srem` still trapping.
+part of its compiled functions, and of each function compiled later, that
+the loop reaches gets a generated Python function (`compile`/`exec`) for
+its region at its first run. 16,384 lies above the at most 8,928 steps
+that any bundled program's `nested,indeg,ident-default` output runs over
+its manifest vectors, so those short runs pay no code generation, and
+within the first two vectors of every `exec-long` benchmark module but
+gcd's. That function holds the ops inline: registers in locals, known
+values folded, the `operator` calls as Python operators, `_sdiv`/`_srem`
+still trapping.
 The range check and an inline `wrap64` follow only add, sub, mul, sdiv
 and shl: on signed 64-bit operands and, or, xor, shr and srem cannot
 leave the range, and comparisons give booleans.
 
-The function also runs the chain of parts that its terminator leads to
-statically (linking fragments along direct branches, as in Dynamo): a br,
-or a cbr or switch whose scrutinee is known at that point of the chain (a
-literal, a slot nothing in the function writes, or an op of the chain on
-known values), which resolves flatten's `%disp_key = <lit>; br dispatch`
-and nested's inner mix, or a switch on a slot last written as `and v, c`
-with a known `c >= 0` and no case in [0, c], such as indeg's `x & 1`
-selector, which takes its default. A chain stops at a part it has
-visited, after CHAIN_PARTS parts, and before any part holding an
-sdiv/srem whose divisor is not a known nonzero constant, so only its head
-part can trap. It returns the next part after a br/cbr/switch and hands
-a call or ret back to the same loop, which transfers with the last part's
-terminator. The loop charges the chain's summed cost when the fuel covers
-all of it, and a trap only the head's; otherwise it runs the head's tuple
-ops, so fuel cuts stay exact. It still counts steps, pushes frames and
-checks `MAX_CALL_DEPTH`. The fused output cannot differ from the tuple tier's:
-each generated op is the tuple op's expression with the operand reads
-resolved, a folded value is the tuple op's result on the same known
+The function runs the part's region, not the part alone: Dynamo's linked
+fragments grown into a tree, as trace trees grow them (Gal & Franz,
+"Incremental Dynamic Code Generation with Trace Trees", UCI TR 06-16,
+2006). From its head the region follows, breadth first, the part that a
+terminator leads to statically: a br, or a cbr or switch whose scrutinee
+is known at that point of the path (a literal, a slot nothing in the
+function writes, an op of the path on known values, or the condition of a
+cbr the path took), which resolves flatten's `%disp_key = <lit>; br
+dispatch` and nested's inner mix, or a switch on a slot last written as
+`and v, c` with a known `c >= 0` and no case in [0, c], such as indeg's
+`x & 1` selector, which takes its default. A cbr on an unknown condition
+becomes a Python `if`/`else` that follows both arms, each knowing the
+condition's value. A part may appear again on a path (the dispatcher,
+reached with another routing key) until the region holds CHAIN_PARTS
+parts, and an arm back to the head is one more trip of a `while` loop
+inside the function, taken only while the fuel covers the region's
+costliest path. The region leaves at a call, a ret or a switch on an
+unknown scrutinee, which the same loop transfers with, and before any
+other part that holds an sdiv/srem whose divisor is not a known nonzero
+constant; a head that holds one never loops, so only the head's first
+trip can trap. Where it leaves, it stores back the registers written on
+its path and on every path that loops, and returns the fuel left and the
+terminator the loop takes. The loop calls a region only when the fuel
+covers its costliest path, and charges a trap the head's cost; otherwise
+it runs the head's tuple ops, so fuel cuts stay exact. It still counts
+steps, pushes frames and checks `MAX_CALL_DEPTH`. A region is analysed
+and generated at its head's first run, so a part that never heads a run
+costs nothing; a decoy on an arm of an opaque guard is generated inside
+its region but never runs. The fused output cannot differ from the tuple
+tier's: each generated op is the tuple op's expression with the operand
+reads resolved, a folded value is the tuple op's result on the same known
 operands, a branch is resolved only on a value every run has there,
 prints happen in order before any trap, and registers are stored back
 before the loop reads them. The loop keeps the tuple ops for every run
@@ -89,6 +103,7 @@ import operator
 import statistics
 import time
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -113,7 +128,7 @@ from .validate import infer_local_types
 DEFAULT_FUEL = 1_000_000
 MAX_CALL_DEPTH = 10_000  # active frames, the entry function's included
 FUSE_AFTER_STEPS = 16_384  # a module's runs fuse it at the step they reach this
-CHAIN_PARTS = 16  # most parts that one generated function runs
+CHAIN_PARTS = 16  # most parts that one region holds
 
 RETURNED = "returned"
 TRAPPED = "trapped"
@@ -203,7 +218,7 @@ _PRINT = 2    # (_PRINT, src)
 _T_BR = 0     # (_T_BR, part)
 _T_CBR = 1    # (_T_CBR, cond, then_part, else_part)
 _T_SW = 2     # (_T_SW, scrutinee, {lit: part}, default_part)
-_T_CALL = 3   # (_T_CALL, callee_name, gather, dst | None, next_part)
+_T_CALL = 3   # (_T_CALL, callee_name, gather, dst | None, next_part, arg slots)
 _T_RET = 4    # (_T_RET, None | value)
 _T_STOP = 5   # (_T_STOP,) stands in for the terminator that fuel cannot reach
 
@@ -214,7 +229,7 @@ class _Part:
     """A run of ops that ends in a terminator or a call: blocks are split
     after every call, so a call always ends its part."""
 
-    __slots__ = ("trace", "ops", "term", "cost", "fused", "chained", "tail")
+    __slots__ = ("trace", "ops", "term", "cost", "fused", "need")
 
     def __init__(self, trace):
         self.trace = trace  # (function, label) for block_tracer; None after a call
@@ -222,12 +237,25 @@ class _Part:
         self.term = None
         self.cost = 0
         self.fused = None  # fused-tier function or its stand-in, once hot
-        self.chained = 0  # once fused: the summed cost of the parts it runs
-        self.tail = None  # once fused: the terminator of the last of them
+        self.need = 0  # once generated: the fuel of its region's costliest path
 
     def end(self, term):
         self.term = term
         self.cost = len(self.ops) + 1
+
+
+def _op_reads(op):
+    """The slots that a tuple op reads."""
+    return op[3:] if op[0] == _BIN else op[2:] if op[0] == _COPY else op[1:]
+
+
+def _term_reads(term):
+    """The slots that a terminator reads."""
+    if term[0] in (_T_CBR, _T_SW):
+        return term[1:2]
+    if term[0] == _T_CALL:
+        return term[5]
+    return () if term[0] != _T_RET or term[1] is None else term[1:2]
 
 
 def _convert(value, boolean):
@@ -237,7 +265,8 @@ def _convert(value, boolean):
 class _CompiledFunction:
     """Parameter i lives in slot i; the other slots follow."""
 
-    __slots__ = ("params", "entry", "init_env", "locals_env", "parts")
+    __slots__ = ("params", "entry", "init_env", "locals_env", "parts",
+                 "_flow")
 
     def __init__(self, params, entry, init_env, parts):
         self.params = params  # whether each parameter is a bool
@@ -245,6 +274,30 @@ class _CompiledFunction:
         self.init_env = init_env  # registers at their type's zero, literals
         self.locals_env = init_env[len(params):]  # the slots after the parameters
         self.parts = parts  # every part, those after calls included
+        self._flow = None
+
+    def flow(self):
+        """(written, carried): the slots that a parameter, an op or a call
+        result writes, as every other slot keeps its start value in every
+        frame; and the slots that some part reads before writing them, as
+        every other slot is dead wherever a part starts."""
+        if self._flow is None:
+            written = set(range(len(self.params)))
+            carried = set()
+            for part in self.parts:
+                wrote = set()
+                for op in part.ops:
+                    carried.update(slot for slot in _op_reads(op)
+                                   if slot not in wrote)
+                    if op[0] != _PRINT:
+                        wrote.add(op[1])
+                carried.update(slot for slot in _term_reads(part.term)
+                               if slot not in wrote)
+                written |= wrote
+                if part.term[0] == _T_CALL and part.term[3] is not None:
+                    written.add(part.term[3])
+            self._flow = written, carried
+        return self._flow
 
     def frame_env(self, args):
         """The registers of an entry frame: `run`'s arguments converted to
@@ -283,16 +336,16 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
 
     def gatherer(args, params):
         """The function of the caller's registers that gives the values of
-        a call's arguments for a callee with `params`, in order. Extra
-        arguments are dropped, and a missing one is its parameter type's
-        zero, as the callee's registers start."""
+        a call's arguments for a callee with `params`, in order, and the
+        slots it reads. Extra arguments are dropped, and a missing one is
+        its parameter type's zero, as the callee's registers start."""
         args = list(args[:len(params)])
         args += [False if ty == "bool" else 0 for _, ty in params[len(args):]]
-        arg_slots = [operand(a) for a in args]
+        arg_slots = tuple(operand(a) for a in args)
         if len(arg_slots) > 1:
-            return itemgetter(*arg_slots)
+            return itemgetter(*arg_slots), arg_slots
         start = arg_slots[0] if arg_slots else 0
-        return itemgetter(slice(start, start + len(arg_slots)))  # a list
+        return itemgetter(slice(start, start + len(arg_slots))), arg_slots  # a list
 
     for name, _ in fn.params:
         # parameter i takes slot i; a repeated name reads its last position
@@ -318,11 +371,12 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
                 else:
                     callee = table.functions.get(ins.callee)
                     # a callee the module does not define traps at the call
-                    gather = None if callee is None else gatherer(ins.args, callee.params)
+                    gather, reads = ((None, ()) if callee is None
+                                     else gatherer(ins.args, callee.params))
                     dst = None if ins.dst is None else slots[ins.dst]
                     rest = _Part(None)
                     every_part.append(rest)
-                    part.end((_T_CALL, ins.callee, gather, dst, rest))
+                    part.end((_T_CALL, ins.callee, gather, dst, rest, reads))
                     part = rest
             else:
                 raise TypeError(f"unknown instruction {ins!r}")
@@ -343,7 +397,7 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
 
 
 # ---------------------------------------------------------------------------
-# The fused tier: one generated Python function per chain of parts
+# The fused tier: one generated Python function per region of parts
 
 # Python expression of each binary op on operand texts {0} and {1}; the
 # helpers are the generated code's only free names besides its parts
@@ -367,11 +421,12 @@ _UNKNOWN = object()
 
 
 class _Consts(dict):
-    """Slot -> value that an op of a chain wrote from known values, at the
-    point the chain has reached. A slot that no op, call or parameter of
-    the function writes (`written`) is known too: it keeps its start value
-    in every frame. `masks` maps a slot last written as `and v, c`, with
-    `v` unknown and `c` a known value, 0 <= c, to `c`: it lies in [0, c]."""
+    """Slot -> value that an op of a region's path wrote from known values,
+    or that a cbr the path took fixed, at the point the path has reached. A
+    slot that no op, call or parameter of the function writes (`written`)
+    is known too: it keeps its start value in every frame. `masks` maps a
+    slot last written as `and v, c`, with `v` unknown and `c` a known
+    value, 0 <= c, to `c`: it lies in [0, c]."""
 
     def __init__(self, written, init, known=(), masks=()):
         super().__init__(known)
@@ -416,6 +471,13 @@ class _Consts(dict):
             self[op[1]] = value
         return trap
 
+    def run(self, ops) -> bool:
+        """Apply `ops` in order; whether any of them might trap."""
+        traps = False
+        for op in ops:
+            traps |= self.apply(op)
+        return traps
+
     def successor(self, term):
         """The part that `term` leads to on the known values, or None. A
         switch on a slot in [0, c] with no case in that range takes its
@@ -434,89 +496,167 @@ class _Consts(dict):
                 return term[3]
         return None
 
+    def arms(self, term):
+        """The parts that `term` may lead to, each with the values known on
+        its edge: the one `successor` resolves, or a cbr's two, where the
+        condition's value is known, or none (a call, a ret, a switch)."""
+        following = self.successor(term)
+        if following is not None:
+            return [(following, self)]
+        if term[0] != _T_CBR:
+            return []
+        arms = [(term[2], self.copy()), (term[3], self.copy())]
+        if self.init[term[1]] is False:  # a bool register holds a bool
+            arms[0][1][term[1]], arms[1][1][term[1]] = True, False
+        return arms
 
-def _chain(head: _Part, written, init) -> list[_Part]:
-    """The parts that `head`'s generated function runs: `head`, then while
-    its last part's terminator leads to one part on the known values, that
-    part, unless the chain has visited it, holds CHAIN_PARTS parts, or the
-    part might trap, so that a trap still charges only its own part."""
-    chain = [head]
-    consts = _Consts(written, init)
-    for op in head.ops:
-        consts.apply(op)
-    while len(chain) < CHAIN_PARTS:
-        following = consts.successor(chain[-1].term)
-        if following is None or following in chain:
-            break
-        ahead = consts.copy()
-        if any(ahead.apply(op) for op in following.ops):
-            break
-        consts = ahead
-        chain.append(following)
-    return chain
+
+_LOOP = object()  # a region's arm back to its head
+
+
+class _Node:
+    """A part on a path of a region. `before` and `after` hold the values
+    known where the part starts and ends, `total` the cost of the path up
+    to its end, and `arms` what follows it: one arm, or a cbr's two when
+    `cond`, the condition's slot, is unknown. An arm is a _Node, _LOOP, or
+    the terminator that the driver takes when the region leaves: a call, a
+    ret, a switch nothing resolves, or a br to the part the region does
+    not hold."""
+
+    __slots__ = ("part", "before", "after", "total", "cond", "arms")
+
+    def __init__(self, part, before, total):
+        self.part = part
+        self.before = before
+        self.after = before.copy()
+        self.total = total + part.cost
+        self.cond = None
+        self.arms = []
+
+
+def _region(head: _Part, written, init):
+    """The tree of parts that `head`'s generated function runs, and the
+    cost of its costliest path. It grows breadth first from `head` until
+    it holds CHAIN_PARTS parts, so a part may appear again on a path (a
+    dispatcher reached with another routing key). An arm back to `head`
+    loops, unless `head` might trap, so only the head's first trip can
+    trap; an arm to any other part that might trap there leaves."""
+    root = _Node(head, _Consts(written, init), 0)
+    loops = not root.after.run(head.ops)
+    size, need, frontier = 1, root.total, deque([root])
+    while frontier:
+        node = frontier.popleft()
+        term = node.part.term
+        arms = node.after.arms(term)
+        if len(arms) == 2:
+            node.cond = term[1]
+        elif not arms:
+            node.arms.append(term)
+        for target, known in arms:
+            arm = (_T_BR, target)
+            if target is head and loops:
+                arm = _LOOP
+            elif size < CHAIN_PARTS:
+                ahead = _Node(target, known, node.total)
+                if not ahead.after.run(target.ops):
+                    arm = ahead
+                    size += 1
+                    need = max(need, ahead.total)
+                    frontier.append(ahead)
+            node.arms.append(arm)
+    return root, need
+
+
+def _loop_slots(node: _Node, reads, writes) -> bool:
+    """Whether a path from `node` loops back to the head; adds the slots
+    that the parts on such paths read to `reads` and write to `writes`."""
+    loops = False
+    for arm in node.arms:
+        if arm is _LOOP or (type(arm) is _Node
+                            and _loop_slots(arm, reads, writes)):
+            loops = True
+    if loops:
+        for op in node.part.ops:
+            reads.update(_op_reads(op))
+            if op[0] != _PRINT:
+                writes.add(op[1])
+        if node.cond is not None:
+            reads.add(node.cond)
+    return loops
 
 
 def _fuse(cfn: _CompiledFunction):
-    """Give each part of `cfn` that runs ops or branches its chain and the
-    stand-in for its generated function."""
-    written = set(range(len(cfn.params)))
+    """Give each part of `cfn` the stand-in for its region's generated
+    function."""
     for part in cfn.parts:
-        written.update(op[1] for op in part.ops if op[0] != _PRINT)
-        if part.term[0] == _T_CALL and part.term[3] is not None:
-            written.add(part.term[3])
-    for part in cfn.parts:
-        if part.ops or part.term[0] not in (_T_CALL, _T_RET):
-            chain = _chain(part, written, cfn.init_env)
-            part.chained = sum(p.cost for p in chain)
-            part.tail = chain[-1].term
-            part.fused = partial(_fuse_at_first_run, part, chain, written,
-                                 cfn.init_env)
+        part.fused = partial(_fuse_at_first_run, part, cfn)
 
 
-def _fuse_at_first_run(part: _Part, chain, written, init, env, emit):
+def _fuse_at_first_run(part: _Part, cfn, env, emit, fuel):
     """Stands in for `part`'s generated function until the part first runs,
-    so parts that never run (decoys) are never generated."""
-    part.fused = _fuse_chain(chain, written, init)
-    return part.fused(env, emit)
+    so regions whose head never runs (decoys) are never analysed or
+    generated. The driver then takes the part again, now generated, or on
+    its tuple ops if its region is the part's bare terminator."""
+    part.fused, part.need = _fuse_region(part, cfn)
+    return fuel, (_T_BR, part)
 
 
 def _literal(value) -> str:
     return f"({value!r})" if value < 0 else repr(value)
 
 
-def _fuse_chain(chain, written, init):
-    """Generate, compile and return the function that runs `chain`.
+def _fuse_region(head: _Part, cfn: _CompiledFunction):
+    """Generate and compile the function that runs `head`'s region; return
+    it, or None when the region is only the head's empty part and its
+    terminator, and the fuel of the region's costliest path.
 
-    It takes the frame's registers and `output.append`, keeps registers in
-    locals, folds the values that `_Consts` knows, stores the registers it
-    wrote back into the frame at its end, and returns the part that the
-    last terminator leads to, or None after a call or ret, whose transfer
-    the driver makes. The source holds only slot numbers, int and bool
-    literals and fixed names, never a name or text from the IR."""
+    It takes the frame's registers, `output.append` and the fuel, keeps
+    registers in locals and folds the values that `_Consts` knows. A cbr
+    on an unknown condition becomes an `if`, and a path back to the head
+    a trip of a `while` loop: the registers those paths read are loaded
+    before it, and a trip that leaves less fuel than the costliest path
+    returns to the head instead. Where a path leaves, it stores back the
+    registers written on it, and on every looping path, that a part or
+    the terminator it leaves with may read before writing, and returns
+    the fuel left and the terminator the driver takes. The source holds only
+    slot numbers, int and bool literals and fixed names, never a name or
+    text from the IR."""
+    written, carried = cfn.flow()
+    root, need = _region(head, written, cfn.init_env)
+    if not head.ops and root.arms == [head.term]:
+        return None, 0  # the driver takes the terminator as fast
+    reads, writes = set(), set()
     body = []
-    local = {}  # slot -> local name holding its current value
-    stored = {}  # slot -> its value's text at the end, in first-write order
-    cells = []  # parts and switch lookups the code refers to
-    consts = _Consts(written, init)
-
-    def read(slot):
-        value = consts.value(slot)
-        if value is not _UNKNOWN:
-            return _literal(value)
-        name = local.get(slot)
-        if name is None:
-            name = local[slot] = f"v{slot}"
-            body.append(f"{name} = env[{slot}]")
-        return name
+    cells = []  # terminators the code returns
+    local, stored = {}, {}  # slot -> local name, and -> its text to store
+    loops = _loop_slots(root, reads, writes)
+    if loops:
+        for slot in sorted((reads & written | writes) & carried):
+            local[slot] = f"v{slot}"
+            body.append(f"v{slot} = env[{slot}]")
+        stored = {slot: f"v{slot}" for slot in sorted(writes & carried)}
+        body.append("while True:")
 
     def cell(value):
         cells.append(value)
         return f"c{len(cells) - 1}"
 
-    for part in chain:
-        for op in part.ops:
+    def walk(node, local, stored, pad):
+        consts = node.before.copy()
+
+        def read(slot):
+            value = consts.value(slot)
+            if value is not _UNKNOWN:
+                return _literal(value)
+            name = local.get(slot)
+            if name is None:
+                name = local[slot] = f"v{slot}"
+                body.append(f"{pad}{name} = env[{slot}]")
+            return name
+
+        for op in node.part.ops:
             if op[0] == _PRINT:
-                body.append(f"emit(int({read(op[1])}))")
+                body.append(f"{pad}emit(int({read(op[1])}))")
                 continue
             if op[0] == _BIN:
                 _, dst, fn, a, b = op
@@ -528,29 +668,43 @@ def _fuse_chain(chain, written, init):
                 stored[dst] = _literal(consts[dst])
                 continue
             stored[dst] = name = local[dst] = f"v{dst}"
-            body.append(f"{name} = {value}")
+            body.append(f"{pad}{name} = {value}")
             if op[0] == _BIN and fn in _WRAPPING:
-                body.append(_WRAP.format(name))
+                body.append(pad + _WRAP.format(name))
+        if node.cond is None:
+            follow(node.arms[0], node.total, local, stored, pad)
+        else:
+            body.append(f"{pad}if {read(node.cond)}:")
+            follow(node.arms[0], node.total, dict(local), dict(stored), pad + " ")
+            body.append(f"{pad}else:")
+            follow(node.arms[1], node.total, local, stored, pad + " ")
 
-    term = chain[-1].term
-    following = consts.successor(term)
-    if following is not None:
-        result = cell(following)
-    elif term[0] == _T_CBR:
-        result = f"{cell(term[2])} if {read(term[1])} else {cell(term[3])}"
-    elif term[0] == _T_SW:
-        result = f"{cell(term[2].get)}({read(term[1])}, {cell(term[3])})"
-    else:
-        result = "None"
-    body.extend(f"env[{slot}] = {text}" for slot, text in stored.items())
-    body.append(f"return {result}")
+    def follow(arm, total, local, stored, pad):
+        if type(arm) is _Node:
+            walk(arm, local, stored, pad)
+        elif arm is _LOOP:
+            kept = [slot for slot in stored if slot in carried]
+            body.extend(f"{pad}v{slot} = {stored[slot]}" for slot in kept
+                        if stored[slot] != f"v{slot}")
+            body.append(f"{pad}fuel -= {total}")
+            body.append(f"{pad}if fuel < {need}:")
+            body.extend(f"{pad} env[{slot}] = v{slot}" for slot in kept)
+            body.append(f"{pad} return fuel, {cell((_T_BR, head))}")
+            body.append(f"{pad}continue")
+        else:
+            taken = _term_reads(arm)
+            body.extend(f"{pad}env[{slot}] = {text}" for slot, text in stored.items()
+                        if slot in carried or slot in taken)
+            body.append(f"{pad}return fuel - {total}, {cell(arm)}")
+
+    walk(root, local, stored, " " if loops else "")
     params = ", ".join(["_sdiv", "_srem"]
                        + [f"c{i}" for i in range(len(cells))])
-    source = (f"def make({params}):\n def part(env, emit):\n"
-              + "".join(f"  {line}\n" for line in body) + " return part\n")
+    source = (f"def make({params}):\n def region(env, emit, fuel):\n"
+              + "".join(f"  {line}\n" for line in body) + " return region\n")
     namespace = {}
-    exec(compile(source, "<fused part>", "exec"), namespace)
-    return namespace["make"](_sdiv, _srem, *cells)
+    exec(compile(source, "<fused region>", "exec"), namespace)
+    return namespace["make"](_sdiv, _srem, *cells), need
 
 
 class _Table(dict):
@@ -615,20 +769,15 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
     try:
         while True:
             fused = part.fused
-            if fused is not None and tracer is None and fuel >= part.chained:
-                fuel -= part.chained
+            if fused is not None and tracer is None and fuel >= part.need:
                 try:
-                    following = fused(env, emit)
+                    fuel, term = fused(env, emit, fuel)
                 except _Trap:
-                    fuel += part.chained - part.cost  # only the head can trap
+                    fuel -= part.cost  # only the head's first trip can trap
                     raise
-                if following is not None:
-                    part = following
-                    continue
-                term = part.tail  # a call or ret: the chain's ops ran
             else:
                 # the tuple ops: cold tables, traced runs, and fuel that
-                # cannot pay for the whole chain
+                # cannot pay for the region's costliest path
                 if tracer is not None and part.trace is not None:
                     tracer(*part.trace)
                 fuel -= part.cost
@@ -662,7 +811,7 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
             elif tag == _T_SW:
                 part = term[2].get(env[term[1]], term[3])
             elif tag == _T_CALL:
-                _, callee, gather, dst, rest = term
+                _, callee, gather, dst, rest, _ = term
                 callee_fn = table[callee]  # compiles at the first call
                 if len(frames) + 1 >= MAX_CALL_DEPTH:
                     raise _Trap("call depth exceeded")

@@ -6,18 +6,23 @@ from hypothesis import strategies as st
 from iobf import load_corpus, load_dictionary, parse_module, run
 from iobf.bogus import OpaquePredicate
 from iobf.ir import (
+    CMP_RELS,
     Assign,
     BasicBlock,
     BinOp,
     Br,
+    Call,
     Cbr,
     Cmp,
+    ExternDecl,
+    GlobalRef,
     IrFunction,
     IrModule,
     Local,
     NameAllocator,
     Ret,
     Switch,
+    mangle,
 )
 
 GCD_TEXT = """\
@@ -193,8 +198,16 @@ def operands(draw):
     return draw(st.integers(-100, 100))
 
 
+_OPS = ("add", "sub", "mul", "and", "or", "xor")
+_DIVISIONS = ("sdiv", "srem")
+
+
 @st.composite
-def random_modules(draw):
+def random_modules(draw, divisions=False):
+    """`f(%x)` over blocks of binary ops that end in br, cbr or ret. With
+    `divisions`, ops may also be an sdiv or srem by a register, so a run
+    can trap inside a loop."""
+    ops = _OPS + _DIVISIONS if divisions else _OPS
     n = draw(st.integers(1, 5))
     labels = [f"b{i}" for i in range(n)]
     blocks = []
@@ -204,12 +217,12 @@ def random_modules(draw):
             insts.append(Assign("y", draw(st.integers(-5, 5))))
             insts.append(Assign("z", draw(st.integers(-5, 5))))
         for _ in range(draw(st.integers(0, 3))):
-            insts.append(BinOp(
-                draw(st.sampled_from(_DSTS)),
-                draw(st.sampled_from(("add", "sub", "mul", "and", "or", "xor"))),
-                draw(operands()),
-                draw(operands()),
-            ))
+            dst = draw(st.sampled_from(_DSTS))
+            op = draw(st.sampled_from(ops))
+            a = draw(operands())
+            b = (Local(draw(st.sampled_from(_DSTS))) if op in _DIVISIONS
+                 else draw(operands()))
+            insts.append(BinOp(dst, op, a, b))
         kind = draw(st.sampled_from(("br", "cbr", "ret")))
         if kind == "br":
             term = Br(draw(st.sampled_from(labels)))
@@ -222,3 +235,67 @@ def random_modules(draw):
         blocks.append(BasicBlock(label, tuple(insts), term))
     fn = IrFunction("_O1fi", "f", (("x", "int"),), "int", tuple(blocks))
     return IrModule(functions=(fn,))
+
+
+_CALLEE = mangle("h", ["bool", "int"])
+
+
+@st.composite
+def random_programs(draw):
+    """`f(%x)`: random blocks that read the global `@g`, call
+    `h(%c: bool, %n: int)` and `print_int`, and end in br, cbr, switch or
+    ret, plus one block nothing branches to; `h` branches on its bool."""
+    def operand():
+        return draw(st.one_of(
+            st.sampled_from([Local("x"), Local("y"), Local("z"), GlobalRef("g")]),
+            st.integers(-100, 100)))
+
+    def dst():
+        return draw(st.sampled_from(("x", "y", "z")))
+
+    labels = [f"b{i}" for i in range(draw(st.integers(1, 5)))]
+    blocks = []
+    for i, label in enumerate(labels):
+        insts = [Assign("y", draw(st.integers(-5, 5))), Assign("z", 1)] if i == 0 else []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(("binop", "call", "print")))
+            if kind == "binop":
+                insts.append(BinOp(dst(), draw(st.sampled_from(_OPS)),
+                                   operand(), operand()))
+            elif kind == "call":
+                insts.append(Cmp("c", draw(st.sampled_from(CMP_RELS)),
+                                 operand(), operand()))
+                insts.append(Call(dst(), _CALLEE, (Local("c"), operand())))
+            else:
+                insts.append(Call(None, "print_int", (operand(),)))
+        kind = draw(st.sampled_from(("br", "cbr", "switch", "ret")))
+        if kind == "br":
+            term = Br(draw(st.sampled_from(labels)))
+        elif kind == "cbr":
+            insts.append(Cmp("c", "lt", Local("x"), draw(st.integers(-5, 5))))
+            term = Cbr("c", draw(st.sampled_from(labels)),
+                       draw(st.sampled_from(labels)))
+        elif kind == "switch":
+            insts.append(BinOp("s", "and", Local("x"), 3))
+            lits = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3,
+                                 unique=True))
+            term = Switch("s", tuple((lit, draw(st.sampled_from(labels)))
+                                     for lit in lits),
+                          draw(st.sampled_from(labels)))
+        else:
+            term = Ret(Local("x"))
+        blocks.append(BasicBlock(label, tuple(insts), term))
+    blocks.append(BasicBlock("dead", (Call(None, "print_int", (Local("x"),)),),
+                             Ret(Local("x"))))
+    f = IrFunction(mangle("f", ["int"]), "f", (("x", "int"),), "int",
+                   tuple(blocks))
+    h = IrFunction(_CALLEE, "h", (("c", "bool"), ("n", "int")), "int", (
+        BasicBlock("entry", (), Cbr("c", "yes", "no")),
+        BasicBlock("yes", (BinOp("n", draw(st.sampled_from(_OPS)), Local("n"),
+                                 GlobalRef("g")),), Ret(Local("n"))),
+        BasicBlock("no", (BinOp("n", "add", Local("n"), draw(st.integers(-9, 9))),),
+                   Br("yes")),
+        BasicBlock("unused", (), Ret(0)),
+    ))
+    return IrModule(functions=(h, f), globals=(("g", draw(st.integers(-9, 9))),),
+                    externs=(ExternDecl("print_int", ("int",), "void"),))

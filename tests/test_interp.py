@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import random
 import weakref
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -16,14 +18,21 @@ from iobf.interp import (
     MAX_CALL_DEPTH,
     RETURNED,
     TRAPPED,
+    _LOOP,
+    _Node,
+    _T_BR,
+    _T_CALL,
+    _T_RET,
+    _T_SW,
     _compiled,
     _module_cache,
+    _region,
 )
 from iobf.ir import Assign, BasicBlock, INT_MAX, INT_MIN, IrFunction, IrModule, Ret, wrap64
 from iobf.parser import ValidationError
 from iobf.rename import obfuscate_identifiers_default
 
-from conftest import GCD_TEXT, random_modules
+from conftest import GCD_TEXT, random_modules, random_programs
 
 
 def test_trivial_return():
@@ -513,6 +522,22 @@ def test_fused_tier_matches_tuple_tier_on_random_modules(m, x):
     _assert_tiers_agree(m, "f", [([x], 300)])
 
 
+_BUDGETS = st.lists(st.integers(1, 400), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_modules(divisions=True), st.integers(-8, 8), _BUDGETS)
+def test_fused_tier_matches_tuple_tier_on_random_modules_that_divide(m, x, budgets):
+    _assert_tiers_agree(m, "f", [([x], fuel) for fuel in (*budgets, 300)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_programs(), st.integers(-8, 8), _BUDGETS)
+def test_fused_tier_matches_tuple_tier_on_random_programs(m, x, budgets):
+    """Calls, switches, prints and a global, which random modules lack."""
+    _assert_tiers_agree(m, "f", [([x], fuel) for fuel in (*budgets, 300)])
+
+
 @pytest.mark.parametrize("text, args", [
     (PRINT_LOOP, [5]),
     (CALL_THEN_PRINT, []),
@@ -661,32 +686,68 @@ def test_functions_compiled_on_a_hot_table_are_fused():
 
 
 # ---------------------------------------------------------------------------
-# Chains: a part's generated function runs on through the parts its
-# terminator leads to statically. Fuel, traps and the call depth limit
+# Regions: a part's generated function runs on through the parts its
+# terminator leads to statically, forks on a cbr whose condition is
+# unknown, and loops back to its head. Fuel, traps and the call depth limit
 # must come out as in the tuple tier.
 
 def _parts_by_label(m, name):
     return {p.trace[1]: p for p in _compiled(m)[name].parts if p.trace}
 
 
-def _chains(m, entry, args, name):
-    """Label -> labels of the chain its part runs, in function `name` of an
-    equal module that one cold run has compiled, then fused."""
+def _label(part):
+    return part.trace[1] if part.trace else "<resume>"
+
+
+def _paths(node):
+    """Each path of a region from `node`: the labels of its parts, and
+    where it ends: "<loop>" back to the head, the label of the part it
+    leaves for, or the terminator the driver takes."""
+    for arm in node.arms:
+        if isinstance(arm, _Node):
+            for labels, end in _paths(arm):
+                yield [_label(node.part), *labels], end
+        elif arm is _LOOP:
+            yield [_label(node.part)], "<loop>"
+        elif arm[0] == _T_BR:
+            yield [_label(node.part)], _label(arm[1])
+        else:
+            yield [_label(node.part)], {_T_CALL: "<call>", _T_RET: "<ret>",
+                                        _T_SW: "<switch>"}[arm[0]]
+
+
+def _regions(m, entry, args, name):
+    """Label -> the paths of the region its part heads, in function `name`
+    of an equal module that one cold run has compiled."""
     twin = dataclasses.replace(m)
     run(twin, entry, args)
-    _compiled(twin).fuse()
-    return {label: [p.trace[1] for p in part.fused.args[1]]  # the stand-in's chain
-            for label, part in _parts_by_label(twin, name).items() if part.fused}
+    cfn = _compiled(twin)[name]
+    return {label: list(_paths(_region(part, cfn.flow()[0], cfn.init_env)[0]))
+            for label, part in _parts_by_label(twin, name).items()}
+
+
+def _count_calls(m):
+    """Wrap every generated function of `m`'s table so that it counts its
+    calls; returns the counter, keyed by head part."""
+    calls = Counter()
+    for cfn in _compiled(m).values():
+        for part in cfn.parts:
+            if part.fused is not None and not isinstance(part.fused, partial):
+                def counted(env, emit, fuel, fused=part.fused, head=part):
+                    calls[head] += 1
+                    return fused(env, emit, fuel)
+                part.fused = counted
+    return calls
 
 
 def test_chains_match_the_tuple_tier_at_every_fuel_cut_on_nested_indeg():
     m, _ = transform_module(PipelineConfig(["nested", "indeg"], seed=5),
                             parse_module(PRINT_LOOP))
     hot = _fused_twin(m)
-    run(hot, "f", [1])  # compiles, so the parts have their chains
-    parts = [p for p in _compiled(hot)["f"].parts if p.fused is not None]
-    longest = max(p.chained for p in parts)
-    assert longest > max(p.cost for p in parts)  # a chain spans several parts
+    run(hot, "f", [1])  # generates the regions whose heads run
+    parts = [p for p in _compiled(hot)["f"].parts if p.need]
+    longest = max(p.need for p in parts)
+    assert longest > max(p.cost for p in parts)  # a region spans several parts
     full = run(m, "f", [3])
     assert full.steps > longest + 2 and full.output == [0, 1, 2]
     _assert_tiers_agree(m, "f", [([3], fuel) for fuel in range(1, full.steps + 3)])
@@ -695,15 +756,21 @@ def test_chains_match_the_tuple_tier_at_every_fuel_cut_on_nested_indeg():
 def test_chains_resolve_the_nested_dispatch_through_constant_switches():
     m, _ = transform_module(PipelineConfig(["nested"], seed=5),
                             parse_module(GCD_TEXT))
-    chains = _chains(m, "gcd", [1071, 462], "_O3gcdii")
+    regions = _regions(m, "gcd", [1071, 462], "_O3gcdii")
     # the outer switch on the literal routing key, then the inner mix of it
-    assert chains["loop_go1"] == ["loop_go1", "dispatch", "done", "done_main"]
-    # loop_main divides by a register, so the chain stops before it
-    assert chains["loop_go"] == ["loop_go", "dispatch", "loop"]
+    assert regions["loop_go1"] == [(["loop_go1", "dispatch", "done", "done_main"],
+                                    "<ret>")]
+    # loop_main divides by a register, so the region leaves before it
+    assert regions["loop_go"] == [(["loop_go", "dispatch", "loop"], "loop_main")]
+    # the entry's cbr forks, and each arm's key resolves the dispatch
+    assert regions["entry"] == [
+        (["entry", "entry_go", "dispatch", "loop"], "loop_main"),
+        (["entry", "entry_go1", "dispatch", "done", "done_main"], "<ret>")]
     hot = _assert_tiers_agree(m, "gcd", [([1071, 462], DEFAULT_FUEL)])
     parts = _parts_by_label(hot, "_O3gcdii")
-    assert parts["loop_go1"].chained == sum(
-        parts[label].cost for label in chains["loop_go1"])
+    cfn = _compiled(hot)["_O3gcdii"]
+    assert _region(parts["loop_go1"], cfn.flow()[0], cfn.init_env)[1] == sum(
+        parts[label].cost for label in regions["loop_go1"][0][0])
 
 
 DIVIDE_AFTER_BR = """\
@@ -727,10 +794,10 @@ def test_chains_stop_before_a_part_that_might_trap():
     m = parse_module(DIVIDE_AFTER_BR)
     hot = _assert_tiers_agree(m, "f", [([x, y], fuel) for x in (-7, 0, 5)
                                        for y in (0, 2) for fuel in (4, 5, 6, 9)])
-    chains = _chains(m, "f", [5, 2], "f")
-    assert chains["entry"] == ["entry"]
+    regions = _regions(m, "f", [5, 2], "f")
+    assert regions["entry"] == [(["entry"], "div")]
     # the head may trap; `srem` by the known 3 cannot
-    assert chains["div"] == ["div", "out"]
+    assert regions["div"] == [(["div", "out"], "<ret>")]
     r = run(hot, "f", [5, 0])
     assert (r.status, r.reason, r.steps) == (TRAPPED, "sdiv by zero", 6)
     assert _generated(hot)
@@ -763,8 +830,10 @@ live:
 def test_chains_take_the_default_of_a_switch_no_masked_value_can_match(
         mask, cases, resolved):
     m = parse_module(MASKED_SWITCH.format(mask=mask, cases=cases))
-    chains = _chains(m, "f", [8, 8], "f")
-    assert chains["entry"] == (["entry", "live"] if resolved else ["entry"])
+    regions = _regions(m, "f", [8, 8], "f")
+    # a switch nothing resolves ends the region, and the driver takes it
+    assert regions["entry"] == ([(["entry", "live"], "<ret>")] if resolved
+                                else [(["entry"], "<switch>")])
     _assert_tiers_agree(m, "f", [([x, y], DEFAULT_FUEL)
                                  for x in (-9, -1, 0, 1, 2, 3, 7, 8, 12)
                                  for y in (1, 2, 8)])
@@ -799,12 +868,216 @@ def test_chains_into_a_call_or_ret_keep_the_call_depth_limit():
                                        ([MAX_CALL_DEPTH], 10**7)])
     assert run(hot, "f", [MAX_CALL_DEPTH], fuel=10**7).reason == "call depth exceeded"
     assert run(hot, "f", [MAX_CALL_DEPTH - 1], fuel=10**7).value == MAX_CALL_DEPTH - 1
+    regions = _regions(m, "f", [2], "f")
+    assert regions["rec"] == [(["rec", "descend"], "<call>")]
+    assert regions["entry"] == [(["entry", "base", "out"], "<ret>"),
+                                (["entry", "rec", "descend"], "<call>")]
     parts = _compiled(hot)["f"].parts
-    labels = {p.trace[1]: p for p in parts if p.trace}
-    assert labels["rec"].tail is labels["descend"].term  # the call
-    assert labels["base"].chained == labels["base"].cost + labels["out"].cost
+    labels = _parts_by_label(hot, "f")
+    assert labels["entry"].need == labels["entry"].cost + max(
+        labels["base"].cost + labels["out"].cost,
+        labels["rec"].cost + labels["descend"].cost)
     resumed = next(p for p in parts if p.trace is None)
-    assert resumed.chained == resumed.cost + labels["back"].cost
+    assert resumed.need == resumed.cost + labels["back"].cost
+
+
+# both arms of the loop's inner cbr write registers the other does not, and
+# `done` divides, so the region leaves for it with every register stored
+ALTERNATING_ARMS = """\
+extern @print_int(int) -> void
+
+func @f src "f" (%n: int) -> int {
+entry:
+  %i = 0
+  %a = 0
+  %b = 0
+  br loop
+loop:
+  %c = cmp lt %i, %n
+  cbr %c, body, done
+body:
+  %i = add %i, 1
+  %o = and %i, 1
+  %odd = cmp eq %o, 1
+  cbr %odd, left, right
+left:
+  %a = add %a, %i
+  br loop
+right:
+  %b = mul %b, 3
+  %b = add %b, %i
+  br loop
+done:
+  %q = sdiv %a, %n
+  call @print_int(%b)
+  %r = add %q, %b
+  ret %r
+}
+"""
+
+
+def test_a_region_loops_many_trips_inside_one_generated_function():
+    m = parse_module(PRINT_LOOP)
+    hot = _fused_twin(m)
+    run(hot, "f", [2])  # generates the regions that run
+    calls = _count_calls(hot)
+    r = run(hot, "f", [1000])
+    assert r.output == list(range(1000)) and r.steps == 5005
+    assert sum(calls.values()) <= 3  # the entry's, the loop's, and the exit's
+    assert _regions(m, "f", [2], "f")["loop"] == [
+        (["loop", "body"], "<loop>"), (["loop", "done"], "<ret>")]
+    _assert_tiers_agree(m, "f", [([30], fuel) for fuel in range(1, 160)])
+
+
+def test_both_arms_of_an_unknown_cbr_store_what_they_write():
+    m = parse_module(ALTERNATING_ARMS)
+    regions = _regions(m, "f", [4], "f")
+    assert regions["loop"] == [
+        (["loop", "body", "left"], "<loop>"),
+        (["loop", "body", "right"], "<loop>"),
+        (["loop"], "done"),  # done may trap, so the region leaves for it
+    ]
+    full = run(m, "f", [9])
+    assert full.status == RETURNED
+    _assert_tiers_agree(m, "f", [([n], fuel) for n in (0, 1, 2, 9)
+                                 for fuel in range(1, full.steps + 2)])
+
+
+REREAD_CONDITION = """\
+func @f src "f" (%x: int) -> int {
+entry:
+  %c = cmp lt %x, 0
+  cbr %c, neg, pos
+neg:
+  %d = cmp eq %c, true
+  cbr %d, one, two
+pos:
+  cbr %c, two, one
+one:
+  ret 1
+two:
+  ret 2
+}
+"""
+
+
+def test_each_arm_of_an_unknown_cbr_knows_its_condition():
+    m = parse_module(REREAD_CONDITION)
+    # each arm's second branch on %c resolves to `one`
+    assert _regions(m, "f", [1], "f")["entry"] == [
+        (["entry", "neg", "one"], "<ret>"), (["entry", "pos", "one"], "<ret>")]
+    hot = _assert_tiers_agree(m, "f", [([x], fuel) for x in (-3, 0, 4)
+                                       for fuel in range(1, 6)])
+    assert [run(hot, "f", [x]).value for x in (-3, 0, 4)] == [1, 1, 1]
+
+
+# the loop's head divides by a register that reaches zero on its n+1-th
+# trip, so it might trap and must not loop
+DIVIDING_HEAD = """\
+func @f src "f" (%n: int) -> int {
+entry:
+  %i = %n
+  %s = 0
+  br loop
+loop:
+  %q = sdiv 100, %i
+  %s = add %s, %q
+  %i = sub %i, 1
+  br loop
+}
+"""
+
+
+def test_a_head_that_might_trap_never_loops():
+    m = parse_module(DIVIDING_HEAD)
+    assert _regions(m, "f", [3], "f")["loop"] == [(["loop"], "loop")]
+    # the trap on trip n + 1 ends the run after 3 + 4 * (n + 1) steps
+    hot = _assert_tiers_agree(m, "f", [([n], fuel) for n in (1, 2, 5, 40)
+                                       for fuel in (*range(1, 4 * n + 9), DEFAULT_FUEL)])
+    r = run(hot, "f", [5])
+    # five whole trips, then the trap charges its whole part
+    assert (r.status, r.reason, r.steps) == (TRAPPED, "sdiv by zero", 3 + 6 * 4)
+
+
+def test_a_region_revisits_the_nested_dispatcher():
+    m, _ = transform_module(PipelineConfig(["nested"], seed=5),
+                            parse_module(PRINT_LOOP))
+    regions = _regions(m, "f", [3], "f")
+    revisits = [labels for paths in regions.values() for labels, end in paths
+                if labels.count("dispatch") > 1 and end == "<loop>"]
+    assert revisits  # a trip of the loop passes the dispatcher twice
+    full = run(m, "f", [4])
+    _assert_tiers_agree(m, "f", [([4], fuel) for fuel in range(1, full.steps + 2)])
+
+
+# a loop whose trips end in a recursive call
+LOOP_THEN_RECURSE = """\
+func @f src "f" (%n: int) -> int {
+entry:
+  %c = cmp le %n, 0
+  cbr %c, base, rec
+base:
+  ret 0
+rec:
+  %j = 0
+  br spin
+spin:
+  %j = add %j, 1
+  %more = cmp lt %j, 3
+  cbr %more, spin, call
+call:
+  %n1 = sub %n, 1
+  %r = call @f(%n1)
+  %s = add %r, %j
+  ret %s
+}
+"""
+
+
+def test_regions_keep_the_call_depth_limit():
+    m = parse_module(LOOP_THEN_RECURSE)
+    full = run(m, "f", [4])
+    assert full.value == 12
+    _assert_tiers_agree(m, "f", [([4], fuel) for fuel in range(1, full.steps + 2)])
+    hot = _assert_tiers_agree(m, "f", [([MAX_CALL_DEPTH - 1], 10**7),
+                                       ([MAX_CALL_DEPTH], 10**7)])
+    assert run(hot, "f", [MAX_CALL_DEPTH], fuel=10**7).reason == "call depth exceeded"
+
+
+def test_fuel_below_the_costliest_path_runs_the_heads_tuple_ops():
+    m = parse_module(ALTERNATING_ARMS)
+    hot = _fused_twin(m)
+    run(hot, "f", [4])  # generates the regions that run
+    entry = _parts_by_label(hot, "f")["entry"]
+    calls = _count_calls(hot)
+    for fuel in range(1, entry.need + 2):
+        calls.clear()
+        expected = _tuple_run(dataclasses.replace(m), "f", [4], fuel)
+        assert _facets(run(hot, "f", [4], fuel)) == _facets(expected), fuel
+        assert (calls[entry] > 0) == (fuel >= entry.need), fuel
+
+
+def test_fused_tier_matches_tuple_tier_on_the_exec_long_programs(corpus):
+    """The `nested,indeg,ident-default` outputs of the long-running corpus
+    programs, on arguments of about 10^4 steps, whole and cut by fuel
+    inside their loops."""
+    vectors = {"fib": [700], "ackermann": [2, 19], "is_prime": [2039197],
+               "collatz": [63728127], "gcd": [23416728348467685, 14472334024676221],
+               "xorshift": [88172645463325252, 1050],
+               "rotl_mix": [1234567890123456789, 1170]}
+    rng = random.Random(0)
+    for entry in corpus:
+        if entry.name not in vectors:
+            continue
+        m, _ = transform_module(PipelineConfig(
+            ["nested", "indeg", "ident-default"], seed=3), entry.module)
+        args = vectors.pop(entry.name)
+        full = _tuple_run(m, entry.entry, args, entry.fuel)
+        assert full.status == RETURNED
+        cuts = sorted(rng.randrange(1, full.steps) for _ in range(6))
+        _assert_tiers_agree(m, entry.entry, [(args, fuel) for fuel in
+                                             (*cuts, full.steps, DEFAULT_FUEL)])
+    assert not vectors
 
 
 # ---------------------------------------------------------------------------

@@ -27,27 +27,9 @@ from iobf import (
 )
 from iobf.cli import PASS_APPLIERS, PipelineConfig, transform_module
 from iobf.interp import RETURNED
-from iobf.ir import (
-    CMP_RELS,
-    Assign,
-    BasicBlock,
-    BinOp,
-    Br,
-    Call,
-    Cbr,
-    Cmp,
-    ExternDecl,
-    GlobalRef,
-    IrFunction,
-    IrModule,
-    Local,
-    Ret,
-    Switch,
-    mangle,
-)
 from iobf.rename import add_overloads, rename_homoglyph, rename_random
 
-from conftest import random_modules
+from conftest import random_modules, random_programs
 
 ARGS = [-7, 0, 3, 64]
 ORIG_FUEL = 3_000
@@ -116,71 +98,6 @@ def test_identifier_passes_preserve_random_programs(m):
     _check(m, greek, expected)
     overloaded, _ = add_overloads(m, seed=5)
     _check(m, overloaded, expected)
-
-
-_OPS = ("add", "sub", "mul", "and", "or", "xor")
-_CALLEE = mangle("h", ["bool", "int"])
-
-
-@st.composite
-def random_programs(draw):
-    """`f(%x)`: random blocks that read the global `@g`, call
-    `h(%c: bool, %n: int)` and `print_int`, and end in br, cbr, switch or
-    ret, plus one block nothing branches to; `h` branches on its bool."""
-    def operand():
-        return draw(st.one_of(
-            st.sampled_from([Local("x"), Local("y"), Local("z"), GlobalRef("g")]),
-            st.integers(-100, 100)))
-
-    def dst():
-        return draw(st.sampled_from(("x", "y", "z")))
-
-    labels = [f"b{i}" for i in range(draw(st.integers(1, 5)))]
-    blocks = []
-    for i, label in enumerate(labels):
-        insts = [Assign("y", draw(st.integers(-5, 5))), Assign("z", 1)] if i == 0 else []
-        for _ in range(draw(st.integers(0, 3))):
-            kind = draw(st.sampled_from(("binop", "call", "print")))
-            if kind == "binop":
-                insts.append(BinOp(dst(), draw(st.sampled_from(_OPS)),
-                                   operand(), operand()))
-            elif kind == "call":
-                insts.append(Cmp("c", draw(st.sampled_from(CMP_RELS)),
-                                 operand(), operand()))
-                insts.append(Call(dst(), _CALLEE, (Local("c"), operand())))
-            else:
-                insts.append(Call(None, "print_int", (operand(),)))
-        kind = draw(st.sampled_from(("br", "cbr", "switch", "ret")))
-        if kind == "br":
-            term = Br(draw(st.sampled_from(labels)))
-        elif kind == "cbr":
-            insts.append(Cmp("c", "lt", Local("x"), draw(st.integers(-5, 5))))
-            term = Cbr("c", draw(st.sampled_from(labels)),
-                       draw(st.sampled_from(labels)))
-        elif kind == "switch":
-            insts.append(BinOp("s", "and", Local("x"), 3))
-            lits = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3,
-                                 unique=True))
-            term = Switch("s", tuple((lit, draw(st.sampled_from(labels)))
-                                     for lit in lits),
-                          draw(st.sampled_from(labels)))
-        else:
-            term = Ret(Local("x"))
-        blocks.append(BasicBlock(label, tuple(insts), term))
-    blocks.append(BasicBlock("dead", (Call(None, "print_int", (Local("x"),)),),
-                             Ret(Local("x"))))
-    f = IrFunction(mangle("f", ["int"]), "f", (("x", "int"),), "int",
-                   tuple(blocks))
-    h = IrFunction(_CALLEE, "h", (("c", "bool"), ("n", "int")), "int", (
-        BasicBlock("entry", (), Cbr("c", "yes", "no")),
-        BasicBlock("yes", (BinOp("n", draw(st.sampled_from(_OPS)), Local("n"),
-                                 GlobalRef("g")),), Ret(Local("n"))),
-        BasicBlock("no", (BinOp("n", "add", Local("n"), draw(st.integers(-9, 9))),),
-                   Br("yes")),
-        BasicBlock("unused", (), Ret(0)),
-    ))
-    return IrModule(functions=(h, f), globals=(("g", draw(st.integers(-9, 9))),),
-                    externs=(ExternDecl("print_int", ("int",), "void"),))
 
 
 # `bogus_count` is drawn: its default, the outer case count, squares a
