@@ -18,6 +18,7 @@ from .ir import (
     BasicBlock,
     BinOp,
     Br,
+    CMP_RELS,
     Cbr,
     Cmp,
     GlobalRef,
@@ -31,8 +32,6 @@ from .ir import (
     wrap64,
 )
 
-PREDICATE_FAMILIES = ("square_mod4", "seven_square")
-
 # Opcode swaps for clone mutation stay inside this set: all are total
 # (no trap on any operand), so a mutation can never introduce a
 # statically detectable division by zero.
@@ -43,6 +42,33 @@ MASK16 = 0xFFFF
 
 # ---------------------------------------------------------------------------
 # Opaque predicates
+
+# Each family's instructions as (register, op, a, b) rows, in order. `op`
+# is a binary op, a comparison, or "copy" (`register = a`). An operand is
+# "x" or "y" for the predicate's two sources, an earlier row's register, or
+# a literal. The last row's register holds the predicate.
+_PREDICATE_ROWS = {
+    "square_mod4": (
+        ("opq_x", "copy", "x", None),
+        ("opq_t1", "mul", "opq_x", "opq_x"),
+        ("opq_t2", "add", "opq_x", 1),
+        ("opq_t3", "mul", "opq_t2", "opq_t2"),
+        ("opq_t4", "mul", "opq_t1", "opq_t3"),
+        ("opq_t5", "srem", "opq_t4", 4),
+        ("opq_p", "eq", "opq_t5", 0),
+    ),
+    "seven_square": (
+        ("opq_x", "and", "x", MASK16),
+        ("opq_y", "and", "y", MASK16),
+        ("opq_t1", "mul", "opq_y", "opq_y"),
+        ("opq_t2", "mul", "opq_t1", 7),
+        ("opq_t3", "sub", "opq_t2", 1),
+        ("opq_t4", "mul", "opq_x", "opq_x"),
+        ("opq_p", "ne", "opq_t3", "opq_t4"),
+    ),
+}
+PREDICATE_FAMILIES = tuple(_PREDICATE_ROWS)
+
 
 @dataclass
 class OpaquePredicate:
@@ -64,40 +90,18 @@ class OpaquePredicate:
     def instructions(self, locals_alloc: NameAllocator,
                      sources: tuple[Operand, Operand]):
         """Emit the instruction sequence; returns (instructions, result)."""
-        x_src, y_src = sources
+        values: dict = {"x": sources[0], "y": sources[1]}
         ins: list = []
-        if self.family == "square_mod4":
-            x = locals_alloc.fresh("opq_x")
-            t1 = locals_alloc.fresh("opq_t1")
-            t2 = locals_alloc.fresh("opq_t2")
-            t3 = locals_alloc.fresh("opq_t3")
-            t4 = locals_alloc.fresh("opq_t4")
-            t5 = locals_alloc.fresh("opq_t5")
-            p = locals_alloc.fresh("opq_p")
-            ins.append(Assign(x, x_src))
-            ins.append(BinOp(t1, "mul", Local(x), Local(x)))
-            ins.append(BinOp(t2, "add", Local(x), 1))
-            ins.append(BinOp(t3, "mul", Local(t2), Local(t2)))
-            ins.append(BinOp(t4, "mul", Local(t1), Local(t3)))
-            ins.append(BinOp(t5, "srem", Local(t4), 4))
-            ins.append(Cmp(p, "eq", Local(t5), 0))
-        elif self.family == "seven_square":
-            x = locals_alloc.fresh("opq_x")
-            y = locals_alloc.fresh("opq_y")
-            t1 = locals_alloc.fresh("opq_t1")
-            t2 = locals_alloc.fresh("opq_t2")
-            t3 = locals_alloc.fresh("opq_t3")
-            t4 = locals_alloc.fresh("opq_t4")
-            p = locals_alloc.fresh("opq_p")
-            ins.append(BinOp(x, "and", x_src, MASK16))
-            ins.append(BinOp(y, "and", y_src, MASK16))
-            ins.append(BinOp(t1, "mul", Local(y), Local(y)))
-            ins.append(BinOp(t2, "mul", Local(t1), 7))
-            ins.append(BinOp(t3, "sub", Local(t2), 1))
-            ins.append(BinOp(t4, "mul", Local(x), Local(x)))
-            ins.append(Cmp(p, "ne", Local(t3), Local(t4)))
-        else:
-            raise ValueError(f"unknown predicate family {self.family!r}")
+        for reg, op, a, b in _PREDICATE_ROWS[self.family]:
+            p = locals_alloc.fresh(reg)
+            a, b = values.get(a, a), values.get(b, b)
+            if op == "copy":
+                ins.append(Assign(p, a))
+            elif op in CMP_RELS:
+                ins.append(Cmp(p, op, a, b))
+            else:
+                ins.append(BinOp(p, op, a, b))
+            values[reg] = Local(p)
         if not self.truth:
             q = locals_alloc.fresh("opq_n")
             ins.append(Cmp(q, "eq", Local(p), False))

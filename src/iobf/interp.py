@@ -42,18 +42,17 @@ first `fuel` steps print, and equivalence checks stay deterministic and
 loop-proof.
 
 Parts run in one of two tiers. Every module starts in the tuple tier
-above. The module's table counts the steps of its runs and turns hot
-after the first whole part at whose end they reach FUSE_AFTER_STEPS (a
-constant, not an option), mid-run like Dynamo's fragment counters: every
-part of its compiled functions, and of each function compiled later, that
-the loop reaches gets a generated Python function (`compile`/`exec`) for
-its region at its first run. 16,384 lies above the at most 8,928 steps
-that any bundled program's `nested,indeg,ident-default` output runs over
-its manifest vectors, so those short runs pay no code generation, and
-within the first two vectors of every `exec-long` benchmark module but
-gcd's. That function holds the ops inline: registers in locals, known
-values folded, the `operator` calls as Python operators, `_sdiv`/`_srem`
-still trapping.
+above. The module's table counts the steps of its runs. Once they reach
+FUSE_AFTER_STEPS (a constant, not an option), mid-run like Dynamo's
+fragment counters, each part that an untraced run reaches gets a
+generated Python function (`compile`/`exec`) for its region at its first
+visit, and that visit already runs it. 16,384 lies above the at most
+8,928 steps that any bundled program's `nested,indeg,ident-default`
+output runs over its manifest vectors, so those short runs pay no code
+generation, and within the first two vectors of every `exec-long`
+benchmark module but gcd's. That function holds the ops inline: registers
+in locals, known values folded, the `operator` calls as Python operators,
+`_sdiv`/`_srem` still trapping.
 The range check and an inline `wrap64` follow only add, sub, mul, sdiv
 and shl: on signed 64-bit operands and, or, xor, shr and srem cannot
 leave the range, and comparisons give booleans.
@@ -64,31 +63,29 @@ fragments grown into a tree, as trace trees grow them (Gal & Franz,
 2006). From its head the region follows, breadth first, the part that a
 terminator leads to statically: a br, or a cbr or switch whose scrutinee
 is known at that point of the path (a literal, a slot nothing in the
-function writes, an op of the path on known values, or the condition of a
-cbr the path took), which resolves flatten's `%disp_key = <lit>; br
-dispatch` and nested's inner mix, or a switch on a slot last written as
-`and v, c` with a known `c >= 0` and no case in [0, c], such as indeg's
-`x & 1` selector, which takes its default. A cbr on an unknown condition
-becomes a Python `if`/`else` that follows both arms, each knowing the
-condition's value. A part may appear again on a path (the dispatcher,
+function writes, or an op of the path on known values), which resolves
+flatten's `%disp_key = <lit>; br dispatch` and nested's inner mix, or a
+switch on a slot last written as `and v, c` with a known `c >= 0` and no
+case in [0, c], such as indeg's `x & 1` selector, which takes its
+default. A cbr on an unknown condition becomes a Python `if`/`else` that
+follows both arms. A part may appear again on a path (the dispatcher,
 reached with another routing key) until the region holds CHAIN_PARTS
 parts, and an arm back to the head is one more trip of a `while` loop
 inside the function, taken only while the fuel covers the region's
 costliest path. The region leaves at a call, a ret or a switch on an
-unknown scrutinee, which the same loop transfers with, and before any
-other part that holds an sdiv/srem whose divisor is not a known nonzero
-constant; a head that holds one never loops, so only the head's first
-trip can trap. Where it leaves, it stores back the registers written on
-its path and on every path that loops, and returns the fuel left and the
-terminator the loop takes. The loop calls a region only when the fuel
-covers its costliest path, and charges a trap the head's cost; otherwise
-it runs the head's tuple ops, so fuel cuts stay exact. It still counts
-steps, pushes frames and checks `MAX_CALL_DEPTH`. A region is analysed
-and generated at its head's first run, so a part that never heads a run
-costs nothing; a decoy on an arm of an opaque guard is generated inside
-its region but never runs. The fused output cannot differ from the tuple
-tier's: each generated op is the tuple op's expression with the operand
-reads resolved, a folded value is the tuple op's result on the same known
+unknown scrutinee, which the same loop transfers with. Where it leaves,
+it stores back the registers written on its path and on every path that
+loops, and returns the fuel left and the terminator the loop takes. A
+trap inside it reports the fuel left after the part it happened in, as
+the tuple ops charge a trap its whole part. The loop calls a region only
+when the fuel covers its costliest path; otherwise it runs the head's
+tuple ops, so fuel cuts stay exact. It still counts steps, pushes frames
+and checks `MAX_CALL_DEPTH`. A region is analysed and generated at its
+head's first visit, so a part that never heads a run costs nothing; a
+decoy on an arm of an opaque guard is generated inside its region but
+never runs. The fused output cannot differ from the tuple tier's: each
+generated op is the tuple op's expression with the operand reads
+resolved, a folded value is the tuple op's result on the same known
 operands, a branch is resolved only on a value every run has there,
 prints happen in order before any trap, and registers are stored back
 before the loop reads them. The loop keeps the tuple ops for every run
@@ -105,7 +102,6 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 
 from .ir import (
@@ -153,6 +149,8 @@ class EntryError(ValueError):
 
 
 class _Trap(Exception):
+    fuel = None  # a generated region's trap: the fuel left after its part
+
     def __init__(self, reason: str):
         self.reason = reason
 
@@ -229,14 +227,17 @@ class _Part:
     """A run of ops that ends in a terminator or a call: blocks are split
     after every call, so a call always ends its part."""
 
-    __slots__ = ("trace", "ops", "term", "cost", "fused", "need")
+    __slots__ = ("trace", "ops", "term", "cost", "cfn", "fused", "need")
 
     def __init__(self, trace):
         self.trace = trace  # (function, label) for block_tracer; None after a call
         self.ops = []
         self.term = None
         self.cost = 0
-        self.fused = None  # fused-tier function or its stand-in, once hot
+        self.cfn = None  # the _CompiledFunction that holds it
+        # None until its region is generated, then the generated function,
+        # or False where the region is the empty part's bare terminator
+        self.fused = None
         self.need = 0  # once generated: the fuel of its region's costliest path
 
     def end(self, term):
@@ -275,12 +276,14 @@ class _CompiledFunction:
         self.locals_env = init_env[len(params):]  # the slots after the parameters
         self.parts = parts  # every part, those after calls included
         self._flow = None
+        for part in parts:
+            part.cfn = self
 
     def flow(self):
-        """(written, carried): the slots that a parameter, an op or a call
-        result writes, as every other slot keeps its start value in every
-        frame; and the slots that some part reads before writing them, as
-        every other slot is dead wherever a part starts."""
+        """(constants, carried): slot -> the int or bool start value of each
+        slot that no parameter, op or call result writes, as such a slot
+        keeps it in every frame; and the slots that some part reads before
+        writing them, as every other slot is dead wherever a part starts."""
         if self._flow is None:
             written = set(range(len(self.params)))
             carried = set()
@@ -296,7 +299,9 @@ class _CompiledFunction:
                 written |= wrote
                 if part.term[0] == _T_CALL and part.term[3] is not None:
                     written.add(part.term[3])
-            self._flow = written, carried
+            constants = {slot: value for slot, value in enumerate(self.init_env)
+                         if slot not in written and type(value) in (int, bool)}
+            self._flow = constants, carried
         return self._flow
 
     def frame_env(self, args):
@@ -421,42 +426,34 @@ _UNKNOWN = object()
 
 
 class _Consts(dict):
-    """Slot -> value that an op of a region's path wrote from known values,
-    or that a cbr the path took fixed, at the point the path has reached. A
-    slot that no op, call or parameter of the function writes (`written`)
-    is known too: it keeps its start value in every frame. `masks` maps a
-    slot last written as `and v, c`, with `v` unknown and `c` a known
-    value, 0 <= c, to `c`: it lies in [0, c]."""
+    """Slot -> value known at the point that a region's path has reached:
+    the function's constants, and what ops of the path wrote from known
+    values. `masks` maps a slot last written as `and v, c`, with `v`
+    unknown and `c` a known value, 0 <= c, to `c`: it lies in [0, c]."""
 
-    def __init__(self, written, init, known=(), masks=()):
+    def __init__(self, known, masks=()):
         super().__init__(known)
-        self.written = written
-        self.init = init
         self.masks = dict(masks)
 
     def copy(self):
-        return _Consts(self.written, self.init, self, self.masks)
+        return _Consts(self, self.masks)
 
     def value(self, slot):
-        if slot in self:
-            return self[slot]
-        value = self.init[slot]
-        if slot in self.written or type(value) not in (int, bool):
-            return _UNKNOWN
-        return value
+        return self.get(slot, _UNKNOWN)
 
-    def apply(self, op) -> bool:
-        """Run `op` on the known values; whether it might trap."""
+    def apply(self, op):
+        """Run `op` on the known values; a division by zero stays unknown,
+        as it traps when it runs."""
         if op[0] == _PRINT:
-            return False
+            return
         self.masks.pop(op[1], None)
         if op[0] == _COPY:
-            value, trap = self.value(op[2]), False
+            value = self.value(op[2])
         else:
             _, dst, fn, a, b = op
             a, b = self.value(a), self.value(b)
-            trap = fn in (_sdiv, _srem) and (b is _UNKNOWN or b == 0)
-            if trap or a is _UNKNOWN or b is _UNKNOWN:
+            if (a is _UNKNOWN or b is _UNKNOWN
+                    or b == 0 and fn in (_sdiv, _srem)):
                 value = _UNKNOWN
                 c = a if b is _UNKNOWN else b
                 if fn is operator.and_ and c is not _UNKNOWN and c >= 0:
@@ -469,46 +466,28 @@ class _Consts(dict):
             self.pop(op[1], None)
         else:
             self[op[1]] = value
-        return trap
-
-    def run(self, ops) -> bool:
-        """Apply `ops` in order; whether any of them might trap."""
-        traps = False
-        for op in ops:
-            traps |= self.apply(op)
-        return traps
-
-    def successor(self, term):
-        """The part that `term` leads to on the known values, or None. A
-        switch on a slot in [0, c] with no case in that range takes its
-        default."""
-        if term[0] == _T_BR:
-            return term[1]
-        if term[0] in (_T_CBR, _T_SW):
-            key = self.value(term[1])
-            if key is not _UNKNOWN:
-                if term[0] == _T_CBR:
-                    return term[2] if key else term[3]
-                return term[2].get(key, term[3])
-            c = self.masks.get(term[1])
-            if (term[0] == _T_SW and c is not None
-                    and not any(0 <= lit <= c for lit in term[2])):
-                return term[3]
-        return None
 
     def arms(self, term):
-        """The parts that `term` may lead to, each with the values known on
-        its edge: the one `successor` resolves, or a cbr's two, where the
-        condition's value is known, or none (a call, a ret, a switch)."""
-        following = self.successor(term)
-        if following is not None:
-            return [(following, self)]
-        if term[0] != _T_CBR:
+        """The parts that `term` may lead to on the known values: the one it
+        resolves to, a cbr's two on an unknown condition, or none (a call,
+        a ret, a switch nothing resolves). A switch on a slot in [0, c]
+        with no case in that range takes its default."""
+        tag = term[0]
+        if tag == _T_BR:
+            return [term[1]]
+        if tag not in (_T_CBR, _T_SW):
             return []
-        arms = [(term[2], self.copy()), (term[3], self.copy())]
-        if self.init[term[1]] is False:  # a bool register holds a bool
-            arms[0][1][term[1]], arms[1][1][term[1]] = True, False
-        return arms
+        key = self.value(term[1])
+        if tag == _T_CBR:
+            if key is _UNKNOWN:
+                return [term[2], term[3]]
+            return [term[2] if key else term[3]]
+        if key is not _UNKNOWN:
+            return [term[2].get(key, term[3])]
+        c = self.masks.get(term[1])
+        if c is not None and not any(0 <= lit <= c for lit in term[2]):
+            return [term[3]]
+        return []
 
 
 _LOOP = object()  # a region's arm back to its head
@@ -529,41 +508,40 @@ class _Node:
         self.part = part
         self.before = before
         self.after = before.copy()
+        for op in part.ops:
+            self.after.apply(op)
         self.total = total + part.cost
         self.cond = None
         self.arms = []
 
 
-def _region(head: _Part, written, init):
+def _region(head: _Part):
     """The tree of parts that `head`'s generated function runs, and the
     cost of its costliest path. It grows breadth first from `head` until
     it holds CHAIN_PARTS parts, so a part may appear again on a path (a
-    dispatcher reached with another routing key). An arm back to `head`
-    loops, unless `head` might trap, so only the head's first trip can
-    trap; an arm to any other part that might trap there leaves."""
-    root = _Node(head, _Consts(written, init), 0)
-    loops = not root.after.run(head.ops)
+    dispatcher reached with another routing key); an arm back to `head`
+    loops."""
+    root = _Node(head, _Consts(head.cfn.flow()[0]), 0)
     size, need, frontier = 1, root.total, deque([root])
     while frontier:
         node = frontier.popleft()
         term = node.part.term
-        arms = node.after.arms(term)
-        if len(arms) == 2:
-            node.cond = term[1]
-        elif not arms:
+        targets = node.after.arms(term)
+        if not targets:
             node.arms.append(term)
-        for target, known in arms:
-            arm = (_T_BR, target)
-            if target is head and loops:
-                arm = _LOOP
+        elif len(targets) == 2:
+            node.cond = term[1]
+        for target in targets:
+            if target is head:
+                node.arms.append(_LOOP)
             elif size < CHAIN_PARTS:
-                ahead = _Node(target, known, node.total)
-                if not ahead.after.run(target.ops):
-                    arm = ahead
-                    size += 1
-                    need = max(need, ahead.total)
-                    frontier.append(ahead)
-            node.arms.append(arm)
+                ahead = _Node(target, node.after, node.total)
+                size += 1
+                need = max(need, ahead.total)
+                frontier.append(ahead)
+                node.arms.append(ahead)
+            else:
+                node.arms.append((_T_BR, target))
     return root, need
 
 
@@ -585,30 +563,15 @@ def _loop_slots(node: _Node, reads, writes) -> bool:
     return loops
 
 
-def _fuse(cfn: _CompiledFunction):
-    """Give each part of `cfn` the stand-in for its region's generated
-    function."""
-    for part in cfn.parts:
-        part.fused = partial(_fuse_at_first_run, part, cfn)
-
-
-def _fuse_at_first_run(part: _Part, cfn, env, emit, fuel):
-    """Stands in for `part`'s generated function until the part first runs,
-    so regions whose head never runs (decoys) are never analysed or
-    generated. The driver then takes the part again, now generated, or on
-    its tuple ops if its region is the part's bare terminator."""
-    part.fused, part.need = _fuse_region(part, cfn)
-    return fuel, (_T_BR, part)
-
-
 def _literal(value) -> str:
     return f"({value!r})" if value < 0 else repr(value)
 
 
-def _fuse_region(head: _Part, cfn: _CompiledFunction):
-    """Generate and compile the function that runs `head`'s region; return
-    it, or None when the region is only the head's empty part and its
-    terminator, and the fuel of the region's costliest path.
+def _fuse_region(head: _Part):
+    """Generate and compile the function that runs `head`'s region; set it
+    as `head.fused`, or False when the region is only the head's empty part
+    and its terminator, and the fuel of the region's costliest path as
+    `head.need`; return `head.fused`.
 
     It takes the frame's registers, `output.append` and the fuel, keeps
     registers in locals and folds the values that `_Consts` knows. A cbr
@@ -618,20 +581,24 @@ def _fuse_region(head: _Part, cfn: _CompiledFunction):
     returns to the head instead. Where a path leaves, it stores back the
     registers written on it, and on every looping path, that a part or
     the terminator it leaves with may read before writing, and returns
-    the fuel left and the terminator the driver takes. The source holds only
-    slot numbers, int and bool literals and fixed names, never a name or
-    text from the IR."""
-    written, carried = cfn.flow()
-    root, need = _region(head, written, cfn.init_env)
+    the fuel left and the terminator the driver takes. A trap reports the
+    fuel left after the part it happened in: before its first sdiv or srem
+    whose divisor is not a known nonzero value, a part stores the cost of
+    its path in this trip as `spent`, and the trap's `fuel` becomes the
+    trip's fuel less `spent`. The source holds only slot numbers, int and
+    bool literals and fixed names, never a name or text from the IR."""
+    constants, carried = head.cfn.flow()
+    root, need = _region(head)
     if not head.ops and root.arms == [head.term]:
-        return None, 0  # the driver takes the terminator as fast
+        head.fused = False  # the driver takes the terminator as fast
+        return False
     reads, writes = set(), set()
     body = []
     cells = []  # terminators the code returns
     local, stored = {}, {}  # slot -> local name, and -> its text to store
     loops = _loop_slots(root, reads, writes)
     if loops:
-        for slot in sorted((reads & written | writes) & carried):
+        for slot in sorted((reads.difference(constants) | writes) & carried):
             local[slot] = f"v{slot}"
             body.append(f"v{slot} = env[{slot}]")
         stored = {slot: f"v{slot}" for slot in sorted(writes & carried)}
@@ -654,12 +621,17 @@ def _fuse_region(head: _Part, cfn: _CompiledFunction):
                 body.append(f"{pad}{name} = env[{slot}]")
             return name
 
+        spent = False
         for op in node.part.ops:
             if op[0] == _PRINT:
                 body.append(f"{pad}emit(int({read(op[1])}))")
                 continue
             if op[0] == _BIN:
                 _, dst, fn, a, b = op
+                if (not spent and fn in (_sdiv, _srem)
+                        and consts.value(b) in (_UNKNOWN, 0)):
+                    body.append(f"{pad}spent = {node.total}")
+                    spent = True
                 value = _EXPR[fn].format(read(a), read(b))
             else:
                 dst, value = op[1], read(op[2])
@@ -698,23 +670,24 @@ def _fuse_region(head: _Part, cfn: _CompiledFunction):
             body.append(f"{pad}return fuel - {total}, {cell(arm)}")
 
     walk(root, local, stored, " " if loops else "")
-    params = ", ".join(["_sdiv", "_srem"]
+    params = ", ".join(["_sdiv", "_srem", "_Trap"]
                        + [f"c{i}" for i in range(len(cells))])
-    source = (f"def make({params}):\n def region(env, emit, fuel):\n"
-              + "".join(f"  {line}\n" for line in body) + " return region\n")
+    source = (f"def make({params}):\n def region(env, emit, fuel):\n  try:\n"
+              + "".join(f"   {line}\n" for line in body)
+              + "  except _Trap as trap:\n   trap.fuel = fuel - spent\n   raise\n"
+              + " return region\n")
     namespace = {}
     exec(compile(source, "<fused region>", "exec"), namespace)
-    return namespace["make"](_sdiv, _srem, *cells), need
+    head.fused, head.need = namespace["make"](_sdiv, _srem, _Trap, *cells), need
+    return head.fused
 
 
 class _Table(dict):
     """Mangled name -> _CompiledFunction, compiled at its first lookup; a
     name the module does not define traps as an unresolved extern. The
     module is held weakly, and its death drops the table from the cache;
-    lookups happen only while `run` holds the module. `_execute` makes the
-    table hot after the first whole part at whose end its runs reach
-    FUSE_AFTER_STEPS steps: every function in it is fused, and every
-    function compiled later at its compilation."""
+    lookups happen only while `run` holds the module. `steps` counts the
+    steps of its runs."""
 
     def __init__(self, module: IrModule):
         super().__init__()
@@ -725,21 +698,13 @@ class _Table(dict):
         self.globals_map = dict(module.globals)
         self.builtin_print = "print_int" not in self.functions
         self.steps = 0
-        self.hot = False
 
     def __missing__(self, name):
         fn = self.functions.get(name)
         if fn is None:
             raise _Trap(f"unresolved extern @{name}")
         cfn = self[name] = _compile_function(fn, self)
-        if self.hot:
-            _fuse(cfn)
         return cfn
-
-    def fuse(self):
-        self.hot = True
-        for cfn in self.values():
-            _fuse(cfn)
 
 
 _module_cache: dict[int, _Table] = {}
@@ -758,9 +723,9 @@ def _compiled(module: IrModule) -> _Table:
 def _execute(table, cfn: _CompiledFunction, args, fuel: int,
              tracer) -> ExecutionResult:
     budget = fuel
-    # the fuel left when the table's runs reach FUSE_AFTER_STEPS; a hot
-    # table's is below the fuel of any part that runs whole
-    hot_at = -1 if table.hot else budget + table.steps - FUSE_AFTER_STEPS
+    # the fuel left when the table's runs reach FUSE_AFTER_STEPS: from there
+    # on, an untraced run generates each part's region at its first visit
+    hot_at = budget + table.steps - FUSE_AFTER_STEPS if tracer is None else -1
     output: list[int] = []
     emit = output.append
     frames = []  # (caller env, part to resume, dst slot)
@@ -769,15 +734,13 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
     try:
         while True:
             fused = part.fused
-            if fused is not None and tracer is None and fuel >= part.need:
-                try:
-                    fuel, term = fused(env, emit, fuel)
-                except _Trap:
-                    fuel -= part.cost  # only the head's first trip can trap
-                    raise
+            if fuel <= hot_at and fused is None:
+                fused = _fuse_region(part)
+            if fused and tracer is None and fuel >= part.need:
+                fuel, term = fused(env, emit, fuel)
             else:
-                # the tuple ops: cold tables, traced runs, and fuel that
-                # cannot pay for the region's costliest path
+                # the tuple ops: cold tables, traced runs, bare terminators,
+                # and fuel that cannot pay for the region's costliest path
                 if tracer is not None and part.trace is not None:
                     tracer(*part.trace)
                 fuel -= part.cost
@@ -786,9 +749,6 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
                     ops = part.ops[:fuel + part.cost]
                     term = _STOP
                 else:
-                    if fuel <= hot_at:
-                        table.fuse()
-                        hot_at = -1
                     ops = part.ops
                     term = part.term
                 for op in ops:
@@ -832,7 +792,10 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
                 return ExecutionResult(FUEL_EXHAUSTED, output=output,
                                        steps=budget)
     except _Trap as t:
-        # a trap charges the whole part it happened in, within the budget
+        # a trap charges the whole part it happened in, within the budget; a
+        # generated region reports the fuel left after that part
+        if t.fuel is not None:
+            fuel = t.fuel
         return ExecutionResult(TRAPPED, reason=t.reason, output=output,
                                steps=budget - max(fuel, 0))
 

@@ -15,7 +15,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 
-from .interp import timed_run
+from .interp import DEFAULT_FUEL, timed_run
 from .ir import (
     Assign,
     BasicBlock,
@@ -164,7 +164,7 @@ def space_ratio(orig: IrModule, obf: IrModule) -> float:
 
 def overhead(orig: IrModule, obf: IrModule, entry: str,
              inputs: list[list[int]], reps: int = 0,
-             fuel: int = 1_000_000) -> OverheadReport:
+             fuel: int = DEFAULT_FUEL) -> OverheadReport:
     """Space ratio is exact (`space_ratio`); time ratio is the advisory
     quotient of summed median wall times and is only measured when
     reps > 0."""

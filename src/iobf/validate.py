@@ -122,9 +122,9 @@ def validate(m: IrModule) -> list[Diagnostic]:
         if g in seen:
             diags.append(Diagnostic("NameClash", f"@{g} declared twice"))
         seen[g] = "global"
-        if not INT_MIN <= value <= INT_MAX:
+        if type(value) is not int or not INT_MIN <= value <= INT_MAX:
             diags.append(Diagnostic("IntOutOfRange",
-                                    f"@{g} = {value} is outside the signed 64-bit range"))
+                                    f"@{g} = {value!r} is not a signed 64-bit integer"))
 
     for fn in m.functions:
         diags.extend(_check_function(fn, m))

@@ -3,12 +3,11 @@ import gc
 import random
 import weakref
 from collections import Counter
-from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from iobf import parse_module, run, timed_run
+from iobf import interp, parse_module, run, timed_run
 from iobf.cli import PASS_APPLIERS, PipelineConfig, transform_module
 from iobf.interp import (
     DEFAULT_FUEL,
@@ -466,19 +465,19 @@ def test_malformed_function_raises_only_when_called():
 
 # ---------------------------------------------------------------------------
 # The fused tier must give what the tuple ops give, in every field. Tests
-# make a table hot through the private `_Table.fuse`, which a module's runs
-# otherwise reach at the step where they have executed FUSE_AFTER_STEPS.
+# make a table hot by setting the private `_Table.steps` to FUSE_AFTER_STEPS,
+# which a module's runs otherwise reach by executing that many steps.
 
 def _fused_twin(m):
     """An equal module whose table is hot from its first run on."""
     twin = dataclasses.replace(m)
-    _compiled(twin).fuse()
+    _compiled(twin).steps = FUSE_AFTER_STEPS
     return twin
 
 
 def _generated(m):
-    """How many parts of `m`'s table run generated code."""
-    return sum(p.fused is not None and not isinstance(p.fused, partial)
+    """How many parts of `m`'s table have had their region generated."""
+    return sum(p.fused is not None
                for cfn in _compiled(m).values() for p in cfn.parts)
 
 
@@ -618,22 +617,20 @@ def test_table_turns_hot_once_its_runs_reach_the_threshold():
     table = _compiled(m)
     total = 0
     while total < FUSE_AFTER_STEPS:
-        assert not table.hot and _generated(m) == 0
+        assert _generated(m) == 0
         r = run(m, "f", [1000])
         total += r.steps
         assert table.steps == total
-    assert table.hot
-    assert _facets(run(m, "f", [1000])) == _facets(r)
     assert _generated(m)
+    assert _facets(run(m, "f", [1000])) == _facets(r)
 
 
 def test_a_cold_run_past_the_threshold_turns_the_table_hot_during_it():
     m = parse_module(PRINT_LOOP)
     n = FUSE_AFTER_STEPS // 5 + 100  # an iteration takes five steps
     r = run(m, "f", [n])
-    table = _compiled(m)
-    assert table.hot and _generated(m)
-    assert table.steps == r.steps > FUSE_AFTER_STEPS
+    assert _generated(m)
+    assert _compiled(m).steps == r.steps > FUSE_AFTER_STEPS
     assert _facets(r) == _facets(_tuple_run(parse_module(PRINT_LOOP), "f", [n]))
 
 
@@ -645,17 +642,17 @@ def test_a_cold_run_past_the_threshold_turns_the_table_hot_during_it():
 def test_tiers_agree_at_every_fuel_cut_around_the_switch(earlier, switch):
     """A table turns hot after the first whole part at whose end its runs
     have executed FUSE_AFTER_STEPS steps, here `switch` steps into a run
-    after runs of `earlier` steps; cuts around it give the tuple ops'
-    result."""
+    after runs of `earlier` steps: the next part is generated. Cuts around
+    it give the tuple ops' result."""
     n = FUSE_AFTER_STEPS // 5 + 100
     for fuel in (*range(max(switch - 2, 1), switch + 3), DEFAULT_FUEL):
         m = parse_module(PRINT_LOOP)
         if earlier:
             assert run(m, "f", [n], earlier).status == FUEL_EXHAUSTED
         table = _compiled(m)
-        assert (table.steps, table.hot) == (earlier, False)
+        assert (table.steps, _generated(m)) == (earlier, 0)
         r = run(m, "f", [n], fuel)
-        assert table.hot == (fuel >= switch), fuel
+        assert (_generated(m) > 0) == (fuel >= switch), fuel
         assert table.steps == earlier + r.steps
         expected = _tuple_run(parse_module(PRINT_LOOP), "f", [n], fuel)
         assert _facets(r) == _facets(expected), fuel
@@ -672,13 +669,13 @@ def test_no_corpus_program_reaches_the_threshold_under_the_default_pipeline(corp
             steps = sum(run(m, entry.entry, args, entry.fuel).steps
                         for args in entry.inputs)
             assert steps < FUSE_AFTER_STEPS, (entry.name, seed, steps)
-            assert not _compiled(m).hot
+            assert _generated(m) == 0
 
 
 def test_functions_compiled_on_a_hot_table_are_fused():
     m = parse_module(CALL_THEN_PRINT)
     table = _compiled(m)
-    table.fuse()  # nothing is compiled yet
+    table.steps = FUSE_AFTER_STEPS  # nothing is compiled yet
     assert run(m, "f", []).output == [1, 2, 3, 9]
     assert set(table) == {"f", "g"}
     assert all(p.fused is not None
@@ -722,7 +719,7 @@ def _regions(m, entry, args, name):
     twin = dataclasses.replace(m)
     run(twin, entry, args)
     cfn = _compiled(twin)[name]
-    return {label: list(_paths(_region(part, cfn.flow()[0], cfn.init_env)[0]))
+    return {label: list(_paths(_region(part)[0]))
             for label, part in _parts_by_label(twin, name).items()}
 
 
@@ -732,7 +729,7 @@ def _count_calls(m):
     calls = Counter()
     for cfn in _compiled(m).values():
         for part in cfn.parts:
-            if part.fused is not None and not isinstance(part.fused, partial):
+            if part.fused:
                 def counted(env, emit, fuel, fused=part.fused, head=part):
                     calls[head] += 1
                     return fused(env, emit, fuel)
@@ -760,16 +757,22 @@ def test_chains_resolve_the_nested_dispatch_through_constant_switches():
     # the outer switch on the literal routing key, then the inner mix of it
     assert regions["loop_go1"] == [(["loop_go1", "dispatch", "done", "done_main"],
                                     "<ret>")]
-    # loop_main divides by a register, so the region leaves before it
-    assert regions["loop_go"] == [(["loop_go", "dispatch", "loop"], "loop_main")]
+    # loop_main divides by a register, and the region runs on through it
+    assert regions["loop_go"] == [
+        (["loop_go", "dispatch", "loop", "loop_main"], "<loop>"),
+        (["loop_go", "dispatch", "loop", "loop_main",
+          "loop_go1", "dispatch", "done", "done_main"], "<ret>")]
     # the entry's cbr forks, and each arm's key resolves the dispatch
+    trip = ["loop", "loop_main", "loop_go", "dispatch"]
     assert regions["entry"] == [
-        (["entry", "entry_go", "dispatch", "loop"], "loop_main"),
+        (["entry", "entry_go", "dispatch", *trip, "loop", "loop_main"], "loop_go"),
+        (["entry", "entry_go", "dispatch", *trip, "loop", "loop_main"], "loop_go1"),
+        (["entry", "entry_go", "dispatch", "loop", "loop_main",
+          "loop_go1", "dispatch", "done"], "done_main"),
         (["entry", "entry_go1", "dispatch", "done", "done_main"], "<ret>")]
     hot = _assert_tiers_agree(m, "gcd", [([1071, 462], DEFAULT_FUEL)])
     parts = _parts_by_label(hot, "_O3gcdii")
-    cfn = _compiled(hot)["_O3gcdii"]
-    assert _region(parts["loop_go1"], cfn.flow()[0], cfn.init_env)[1] == sum(
+    assert _region(parts["loop_go1"])[1] == sum(
         parts[label].cost for label in regions["loop_go1"][0][0])
 
 
@@ -790,14 +793,15 @@ out:
 """
 
 
-def test_chains_stop_before_a_part_that_might_trap():
+def test_regions_run_through_a_part_that_might_trap():
     m = parse_module(DIVIDE_AFTER_BR)
     hot = _assert_tiers_agree(m, "f", [([x, y], fuel) for x in (-7, 0, 5)
-                                       for y in (0, 2) for fuel in (4, 5, 6, 9)])
+                                       for y in (0, 2) for fuel in range(1, 10)])
     regions = _regions(m, "f", [5, 2], "f")
-    assert regions["entry"] == [(["entry"], "div")]
-    # the head may trap; `srem` by the known 3 cannot
+    assert regions["entry"] == [(["entry", "div", "out"], "<ret>")]
     assert regions["div"] == [(["div", "out"], "<ret>")]
+    # the trap in the entry's region charges entry and div whole, as the
+    # tuple ops do
     r = run(hot, "f", [5, 0])
     assert (r.status, r.reason, r.steps) == (TRAPPED, "sdiv by zero", 6)
     assert _generated(hot)
@@ -882,7 +886,7 @@ def test_chains_into_a_call_or_ret_keep_the_call_depth_limit():
 
 
 # both arms of the loop's inner cbr write registers the other does not, and
-# `done` divides, so the region leaves for it with every register stored
+# `done` divides by the argument
 ALTERNATING_ARMS = """\
 extern @print_int(int) -> void
 
@@ -935,7 +939,7 @@ def test_both_arms_of_an_unknown_cbr_store_what_they_write():
     assert regions["loop"] == [
         (["loop", "body", "left"], "<loop>"),
         (["loop", "body", "right"], "<loop>"),
-        (["loop"], "done"),  # done may trap, so the region leaves for it
+        (["loop", "done"], "<ret>"),
     ]
     full = run(m, "f", [9])
     assert full.status == RETURNED
@@ -961,18 +965,15 @@ two:
 """
 
 
-def test_each_arm_of_an_unknown_cbr_knows_its_condition():
+def test_arms_that_branch_again_on_the_condition_match_the_tuple_tier():
     m = parse_module(REREAD_CONDITION)
-    # each arm's second branch on %c resolves to `one`
-    assert _regions(m, "f", [1], "f")["entry"] == [
-        (["entry", "neg", "one"], "<ret>"), (["entry", "pos", "one"], "<ret>")]
+    # each arm's second branch on %c leads to `one`
     hot = _assert_tiers_agree(m, "f", [([x], fuel) for x in (-3, 0, 4)
                                        for fuel in range(1, 6)])
     assert [run(hot, "f", [x]).value for x in (-3, 0, 4)] == [1, 1, 1]
 
 
-# the loop's head divides by a register that reaches zero on its n+1-th
-# trip, so it might trap and must not loop
+# the loop's head divides by a register that reaches zero on its n+1-th trip
 DIVIDING_HEAD = """\
 func @f src "f" (%n: int) -> int {
 entry:
@@ -988,15 +989,41 @@ loop:
 """
 
 
-def test_a_head_that_might_trap_never_loops():
+def test_a_dividing_head_loops_inside_one_generated_function():
     m = parse_module(DIVIDING_HEAD)
-    assert _regions(m, "f", [3], "f")["loop"] == [(["loop"], "loop")]
+    assert _regions(m, "f", [3], "f")["loop"] == [(["loop"], "<loop>")]
+    hot = _fused_twin(m)
+    run(hot, "f", [40])  # generates the entry's region and the loop's
+    loop = _parts_by_label(hot, "f")["loop"]
+    calls = _count_calls(hot)
+    # the entry's region runs 15 trips; the loop's traps on its 986th
+    r = run(hot, "f", [1000])
+    assert calls[loop] == 1 and sum(calls.values()) == 2
     # the trap on trip n + 1 ends the run after 3 + 4 * (n + 1) steps
-    hot = _assert_tiers_agree(m, "f", [([n], fuel) for n in (1, 2, 5, 40)
-                                       for fuel in (*range(1, 4 * n + 9), DEFAULT_FUEL)])
+    assert (r.status, r.reason, r.steps) == (TRAPPED, "sdiv by zero", 3 + 4 * 1001)
+    _assert_tiers_agree(m, "f", [([n], fuel) for n in (1, 2, 5, 40)
+                                 for fuel in (*range(1, 4 * n + 9), DEFAULT_FUEL)])
     r = run(hot, "f", [5])
     # five whole trips, then the trap charges its whole part
     assert (r.status, r.reason, r.steps) == (TRAPPED, "sdiv by zero", 3 + 6 * 4)
+
+
+def test_each_part_is_generated_at_most_once(monkeypatch):
+    made = Counter()
+    fuse_region = interp._fuse_region
+
+    def counted(head):
+        made[head] += 1
+        return fuse_region(head)
+
+    monkeypatch.setattr(interp, "_fuse_region", counted)
+    for text, args in ((CALL_THEN_PRINT, []), (COUNT_DOWN, [50])):
+        hot = _fused_twin(parse_module(text))
+        for _ in range(2):
+            run(hot, "f", args)
+    assert set(made.values()) == {1}
+    # the call that starts CALL_THEN_PRINT's f is a bare terminator
+    assert any(head.fused is False for head in made)
 
 
 def test_a_region_revisits_the_nested_dispatcher():

@@ -135,10 +135,11 @@ def test_return_type_checked():
     IrModule(functions=[fn_of([
         BasicBlock("entry", [BinOp("x", "add", -2**63 - 1, 1)], Ret(Local("x"))),
     ])]),
-    IrModule(functions=[fn_of([
+    *(IrModule(functions=[fn_of([
         BasicBlock("entry", [Assign("x", GlobalRef("g"))], Ret(Local("x"))),
-    ])], globals=[("g", 2**64)]),
-], ids=["const", "binop_operand", "global"])
+    ])], globals=[("g", value)]) for value in (2**64, 1.5, True, "7")),
+], ids=["const", "binop_operand", "global", "global_float", "global_bool",
+        "global_str"])
 def test_integers_outside_the_64_bit_range_are_rejected(m):
     assert codes(m) == ["IntOutOfRange"]
 
