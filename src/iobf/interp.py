@@ -27,19 +27,19 @@ keeps a result that is already in the signed 64-bit range and calls
 `wrap64` only on the rest, which is exactly `wrap64` for every int and
 leaves comparison booleans as they are.
 
-One loop executes every function on an explicit frame stack (caller
-registers, part to resume, destination slot): an IR call pushes a frame
-instead of recursing in Python. More than `MAX_CALL_DEPTH` active frames
-trap with "call depth exceeded". A call copies its argument values into
-the callee's new frame: in a module `validate` accepts, every argument
-has its parameter's type, and every int a frame holds is already in the
-signed 64-bit range (the parser wraps literals, `validate` rejects
-out-of-range literals and globals, ops wrap). Only `run`'s entry
-arguments, which come from outside, are converted and wrapped. Fuel
-counts every executed instruction and terminator in execution order, so
-a run that exhausts a budget of `fuel` steps has printed exactly what its
-first `fuel` steps print, and equivalence checks stay deterministic and
-loop-proof.
+The driver, `_drive`, runs frames on an explicit frame stack (caller
+registers, part to resume, destination slot): in the tuple tier an IR
+call pushes a frame instead of recursing in Python. More than
+`MAX_CALL_DEPTH` active frames trap with "call depth exceeded". A call
+copies its argument values into the callee's new frame: in a module
+`validate` accepts, every argument has its parameter's type, and every
+int a frame holds is already in the signed 64-bit range (the parser wraps
+literals, `validate` rejects out-of-range literals and globals, ops wrap).
+Only `run`'s entry arguments, which come from outside, are checked to be
+ints or bools, converted and wrapped. Fuel counts every executed
+instruction and terminator in execution order, so a run that exhausts a
+budget of `fuel` steps has printed exactly what its first `fuel` steps
+print, and equivalence checks stay deterministic and loop-proof.
 
 Parts run in one of two tiers. Every module starts in the tuple tier
 above. The module's table counts the steps of its runs. Once they reach
@@ -72,26 +72,61 @@ follows both arms. A part may appear again on a path (the dispatcher,
 reached with another routing key) until the region holds CHAIN_PARTS
 parts, and an arm back to the head is one more trip of a `while` loop
 inside the function, taken only while the fuel covers the region's
-costliest path. The region leaves at a call, a ret or a switch on an
-unknown scrutinee, which the same loop transfers with. Where it leaves,
-it stores back the registers written on its path and on every path that
-loops, and returns the fuel left and the terminator the loop takes. A
-trap inside it reports the fuel left after the part it happened in, as
-the tuple ops charge a trap its whole part. The loop calls a region only
-when the fuel covers its costliest path; otherwise it runs the head's
-tuple ops, so fuel cuts stay exact. It still counts steps, pushes frames
-and checks `MAX_CALL_DEPTH`. A region is analysed and generated at its
-head's first visit, so a part that never heads a run costs nothing; a
-decoy on an arm of an opaque guard is generated inside its region but
-never runs. The fused output cannot differ from the tuple tier's: each
-generated op is the tuple op's expression with the operand reads
-resolved, a folded value is the tuple op's result on the same known
-operands, a branch is resolved only on a value every run has there,
-prints happen in order before any trap, and registers are stored back
-before the loop reads them. The loop keeps the tuple ops for every run
-with a `block_tracer`. The generated source holds only slot numbers, int
-and bool literals and fixed names, never IR text, so no identifier can
-reach `compile`.
+costliest path. The region leaves at a ret, a call that traps as an
+unresolved extern or a switch on an unknown scrutinee, which the driver
+transfers with. Where it leaves, it stores back the registers written on
+its path and on every path that loops, and returns the fuel left and the
+terminator the driver takes. A trap inside it reports the fuel left after
+the part it happened in, as the tuple ops charge a trap its whole part.
+The driver calls a region only when the fuel covers its costliest path up
+to its first call; otherwise it runs the head's tuple ops, so fuel cuts
+stay exact. A region is analysed and generated at its head's first
+visit, so a part that never heads a run costs nothing; a decoy on an arm
+of an opaque guard is generated inside its region but never runs.
+
+A call to a function the module defines does not end a region: the trace
+tree goes on through the call, as tracing JITs inline through calls (Bolz
+et al., "Tracing the Meta-Level: PyPy's Tracing JIT Compiler", ICOOOLPS
+2009). The region looks the callee up in the table when the call runs,
+so a callee still compiles at its first call, and calls the callee's
+`enter`: the function generated, at the first such call, for the
+callee's entry region, which takes the arguments as Python parameters
+and returns the fuel left and the value at its ret. The caller's
+registers stay in locals across the call, and the region goes on with
+the part after it. Fuel is charged in execution order: the caller pays
+its path up to the call before the callee runs, and once the call
+returns the region runs on only while the fuel covers the costliest path
+after it; otherwise it stores back its registers and leaves for the
+driver at the part after the call. Where the callee's own region leaves
+before a ret, `enter` hands the rest of its frame to a nested `_drive`. A
+trap in a callee keeps the fuel that its own part reported, and fuel
+that runs out inside a callee ends the run at once, with what it printed.
+
+Direct calls nest on the Python stack, so a run's direct calls, and the
+drivers they nest, stack at most NESTED_FRAMES (a constant, not an
+option) Python frames. A call past that bound leaves its region, and the
+driver pushes an explicit frame for it, whose own calls stay explicit
+until it returns; so do the frames already on the stack at the mid-run
+switch. MAX_CALL_DEPTH stays exact, and a hot run needs at most
+NESTED_FRAMES + 144 = 400 Python frames below `run`'s caller, code
+generation at the deepest frame included: a caller that leaves that
+headroom below `sys.getrecursionlimit()` (1,000 by default) never sees
+`RecursionError`. exec-long's deepest recursion, ack(2, 86), stacks 177
+frames, all of them direct.
+
+The fused output cannot differ from the tuple tier's: each generated op
+is the tuple op's expression with the operand reads resolved, a folded
+value is the tuple op's result on the same known operands, a branch is
+resolved only on a value every run has there, prints happen in order
+before any trap, and registers are stored back before the driver reads
+them. A direct call runs the frame that the driver would push, on the
+same argument values, charges the same parts in the same order, returns
+the same value into the same register and traps where the driver would;
+the driver makes every call that a region does not. The driver keeps the
+tuple ops for every run with a `block_tracer`. The generated source holds
+only slot numbers, int and bool literals and fixed names, never IR text,
+so no identifier can reach `compile`; a callee's name travels as a value
+bound to a fixed name.
 """
 
 from __future__ import annotations
@@ -124,7 +159,8 @@ from .validate import infer_local_types
 DEFAULT_FUEL = 1_000_000
 MAX_CALL_DEPTH = 10_000  # active frames, the entry function's included
 FUSE_AFTER_STEPS = 16_384  # a module's runs fuse it at the step they reach this
-CHAIN_PARTS = 16  # most parts that one region holds
+CHAIN_PARTS = 32  # most parts that one region holds, calls included
+NESTED_FRAMES = 256  # most Python frames that a run's direct calls stack up
 
 RETURNED = "returned"
 TRAPPED = "trapped"
@@ -149,10 +185,13 @@ class EntryError(ValueError):
 
 
 class _Trap(Exception):
-    fuel = None  # a generated region's trap: the fuel left after its part
-
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, fuel=None):
         self.reason = reason
+        self.fuel = fuel  # the fuel left after the part it happened in
+
+
+class _OutOfFuel(Exception):
+    """The fuel ran out before a terminator: the run ends there."""
 
 
 def resolve_entry(m: IrModule, base_name: str, arity: int) -> IrFunction:
@@ -260,14 +299,15 @@ def _term_reads(term):
 
 
 def _convert(value, boolean):
-    return bool(value) if boolean else wrap64(int(value))
+    """An entry argument, an int or a bool, as its parameter's type."""
+    return bool(value) if boolean else wrap64(value)
 
 
 class _CompiledFunction:
     """Parameter i lives in slot i; the other slots follow."""
 
     __slots__ = ("params", "entry", "init_env", "locals_env", "parts",
-                 "_flow")
+                 "_flow", "enter")
 
     def __init__(self, params, entry, init_env, parts):
         self.params = params  # whether each parameter is a bool
@@ -303,11 +343,6 @@ class _CompiledFunction:
                          if slot not in written and type(value) in (int, bool)}
             self._flow = constants, carried
         return self._flow
-
-    def frame_env(self, args):
-        """The registers of an entry frame: `run`'s arguments converted to
-        their parameters' types and wrapped."""
-        return [*map(_convert, args, self.params), *self.locals_env]
 
 
 class _Slots(dict):
@@ -398,7 +433,11 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
             part.end((_T_RET, None if t.value is None else operand(t.value)))
         else:
             raise ValueError(f"block {b.label} has no terminator")
-    return _CompiledFunction(params, parts[fn.entry], slots.init, every_part)
+    cfn = _CompiledFunction(params, parts[fn.entry], slots.init, every_part)
+    # a region's direct call runs the callee's frame through `enter`, which
+    # is generated at its first call
+    cfn.enter = lambda *args: _fuse_region(table, cfn.entry, True)(*args)
+    return cfn
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +480,11 @@ class _Consts(dict):
     def value(self, slot):
         return self.get(slot, _UNKNOWN)
 
+    def forget(self, slot):
+        """`slot` now holds a call's result, which is never known."""
+        self.pop(slot, None)
+        self.masks.pop(slot, None)
+
     def apply(self, op):
         """Run `op` on the known values; a division by zero stays unknown,
         as it traps when it runs."""
@@ -469,12 +513,15 @@ class _Consts(dict):
 
     def arms(self, term):
         """The parts that `term` may lead to on the known values: the one it
-        resolves to, a cbr's two on an unknown condition, or none (a call,
-        a ret, a switch nothing resolves). A switch on a slot in [0, c]
-        with no case in that range takes its default."""
+        resolves to, a cbr's two on an unknown condition, the part after a
+        call to a function the module defines, or none (a ret, a call that
+        traps as an unresolved extern, a switch nothing resolves). A switch
+        on a slot in [0, c] with no case in that range takes its default."""
         tag = term[0]
         if tag == _T_BR:
             return [term[1]]
+        if tag == _T_CALL:
+            return [term[4]] if term[2] is not None else []
         if tag not in (_T_CBR, _T_SW):
             return []
         key = self.value(term[1])
@@ -495,34 +542,45 @@ _LOOP = object()  # a region's arm back to its head
 
 class _Node:
     """A part on a path of a region. `before` and `after` hold the values
-    known where the part starts and ends, `total` the cost of the path up
-    to its end, and `arms` what follows it: one arm, or a cbr's two when
-    `cond`, the condition's slot, is unknown. An arm is a _Node, _LOOP, or
-    the terminator that the driver takes when the region leaves: a call, a
-    ret, a switch nothing resolves, or a br to the part the region does
-    not hold."""
+    known where the part starts and ends, and `arms` what follows it: one
+    arm, or a cbr's two when `cond`, the condition's slot, is unknown. An
+    arm is a _Node, _LOOP, or the terminator that the driver takes when the
+    region leaves: a ret, a call that traps as an unresolved extern, a
+    switch nothing resolves, or a br to the part the region does not hold.
+    The head and each part after a call start a segment, `start`: `total`
+    is the cost of the path from there to the part's end, and the start's
+    `need` the cost of its segment's costliest path, which the fuel must
+    cover before the segment runs."""
 
-    __slots__ = ("part", "before", "after", "total", "cond", "arms")
+    __slots__ = ("part", "before", "after", "start", "total", "need", "cond",
+                 "arms")
 
-    def __init__(self, part, before, total):
+    def __init__(self, part, before, parent):
         self.part = part
         self.before = before
         self.after = before.copy()
         for op in part.ops:
             self.after.apply(op)
-        self.total = total + part.cost
+        if part.term[0] == _T_CALL and part.term[3] is not None:
+            self.after.forget(part.term[3])
+        if parent is None or parent.part.term[0] == _T_CALL:
+            self.start, self.total = self, part.cost
+        else:
+            self.start, self.total = parent.start, parent.total + part.cost
+        self.need = 0
+        self.start.need = max(self.start.need, self.total)
         self.cond = None
         self.arms = []
 
 
 def _region(head: _Part):
     """The tree of parts that `head`'s generated function runs, and the
-    cost of its costliest path. It grows breadth first from `head` until
-    it holds CHAIN_PARTS parts, so a part may appear again on a path (a
-    dispatcher reached with another routing key); an arm back to `head`
-    loops."""
-    root = _Node(head, _Consts(head.cfn.flow()[0]), 0)
-    size, need, frontier = 1, root.total, deque([root])
+    cost of its costliest path up to a call. It grows breadth first from
+    `head` until it holds CHAIN_PARTS parts, so a part may appear again on
+    a path (a dispatcher reached with another routing key); an arm back to
+    `head` loops."""
+    root = _Node(head, _Consts(head.cfn.flow()[0]), None)
+    size, frontier = 1, deque([root])
     while frontier:
         node = frontier.popleft()
         term = node.part.term
@@ -535,14 +593,13 @@ def _region(head: _Part):
             if target is head:
                 node.arms.append(_LOOP)
             elif size < CHAIN_PARTS:
-                ahead = _Node(target, node.after, node.total)
+                ahead = _Node(target, node.after, node)
                 size += 1
-                need = max(need, ahead.total)
                 frontier.append(ahead)
                 node.arms.append(ahead)
             else:
                 node.arms.append((_T_BR, target))
-    return root, need
+    return root, root.need
 
 
 def _loop_slots(node: _Node, reads, writes) -> bool:
@@ -558,8 +615,13 @@ def _loop_slots(node: _Node, reads, writes) -> bool:
             reads.update(_op_reads(op))
             if op[0] != _PRINT:
                 writes.add(op[1])
+        term = node.part.term
         if node.cond is not None:
             reads.add(node.cond)
+        elif term[0] == _T_CALL:
+            reads.update(term[5])
+            if term[3] is not None:
+                writes.add(term[3])
     return loops
 
 
@@ -567,46 +629,93 @@ def _literal(value) -> str:
     return f"({value!r})" if value < 0 else repr(value)
 
 
-def _fuse_region(head: _Part):
+def _fuse_region(table, head: _Part, entry=False):
     """Generate and compile the function that runs `head`'s region; set it
     as `head.fused`, or False when the region is only the head's empty part
-    and its terminator, and the fuel of the region's costliest path as
-    `head.need`; return `head.fused`.
+    and its terminator, and the fuel of the region's costliest path up to
+    a call as `head.need`; return the function. With `entry`, `head` is its
+    function's entry part, and the function generated is the function's
+    `enter` instead, which a call runs the callee's frame through.
 
-    It takes the frame's registers, `output.append` and the fuel, keeps
-    registers in locals and folds the values that `_Consts` knows. A cbr
-    on an unknown condition becomes an `if`, and a path back to the head
-    a trip of a `while` loop: the registers those paths read are loaded
+    The region function takes the frame's registers, `output.append`, the
+    fuel, the frame's call depth and `room`, how many more Python frames its
+    direct calls may stack; `enter` takes the arguments in place of the
+    registers, and itself traps past MAX_CALL_DEPTH and hands its frame to
+    `_drive` when the fuel does not cover its costliest path. Both keep
+    registers in locals and fold the values that `_Consts` knows. A cbr on
+    an unknown condition becomes an `if`, and a path back to the head a
+    trip of a `while` loop: the registers those paths read are loaded
     before it, and a trip that leaves less fuel than the costliest path
-    returns to the head instead. Where a path leaves, it stores back the
-    registers written on it, and on every looping path, that a part or
-    the terminator it leaves with may read before writing, and returns
-    the fuel left and the terminator the driver takes. A trap reports the
-    fuel left after the part it happened in: before its first sdiv or srem
-    whose divisor is not a known nonzero value, a part stores the cost of
-    its path in this trip as `spent`, and the trap's `fuel` becomes the
-    trip's fuel less `spent`. The source holds only slot numbers, int and
-    bool literals and fixed names, never a name or text from the IR."""
-    constants, carried = head.cfn.flow()
+    returns to the head instead. A call to a function the module defines
+    looks the callee up in `table` and runs it through its `enter`, which
+    returns the fuel left and the value of its ret; while the fuel covers
+    the costliest path of the segment after the call, the region runs on,
+    else it leaves at the part after the call. With no room left, it
+    leaves at the call. Where a path leaves, it stores back the registers
+    written on it, and on every looping path, that a part or the terminator
+    it leaves with may read before writing, and returns the fuel left and
+    the terminator the driver takes; `enter` returns the value at a ret and
+    otherwise runs the rest of its frame through `_drive`. A trap reports
+    the fuel left after the part it happened in: before its first sdiv or
+    srem whose divisor is not a known nonzero value, a part stores the cost
+    of its segment's path as `spent`, and a trap that a callee has not
+    already given its fuel gets the segment's fuel less `spent`. The source
+    holds only slot numbers, int and bool literals and fixed names, never a
+    name or text from the IR."""
+    cfn = head.cfn
+    constants, carried = cfn.flow()
     root, need = _region(head)
-    if not head.ops and root.arms == [head.term]:
+    if not entry and not head.ops and root.arms == [head.term]:
         head.fused = False  # the driver takes the terminator as fast
         return False
+    # `enter` takes the arguments as its first parameters
+    arity = len(cfn.params) if entry else 0
+    params = "".join(f"v{slot}, " for slot in range(arity))
     reads, writes = set(), set()
     body = []
-    cells = []  # terminators the code returns
-    local, stored = {}, {}  # slot -> local name, and -> its text to store
+    cells = []  # terminators the code returns or hands on, callee names
+    # slot -> local name, and -> its text to store
+    local, stored = {slot: f"v{slot}" for slot in range(arity)}, {}
     loops = _loop_slots(root, reads, writes)
-    if loops:
-        for slot in sorted((reads.difference(constants) | writes) & carried):
-            local[slot] = f"v{slot}"
-            body.append(f"v{slot} = env[{slot}]")
-        stored = {slot: f"v{slot}" for slot in sorted(writes & carried)}
-        body.append("while True:")
 
     def cell(value):
         cells.append(value)
         return f"c{len(cells) - 1}"
+
+    def load(slot):
+        """A register's value where the region starts."""
+        return _literal(cfn.init_env[slot]) if entry else f"env[{slot}]"
+
+    def leave(term, total, stored, pad, read):
+        left = f"fuel - {total}" if total else "fuel"
+        if entry and term[0] == _T_RET:
+            value = "None" if term[1] is None else read(term[1])
+            body.append(f"{pad}return {left}, {value}")
+            return
+        if entry:
+            body.append(f"{pad}env = [{params}*{cell(cfn.locals_env)}]")
+        taken = _term_reads(term)
+        body.extend(f"{pad}env[{slot}] = {text}" for slot, text in stored.items()
+                    if slot in carried or slot in taken)
+        if entry:
+            # the driver and the regions it calls stack two more frames
+            body.append(f"{pad}return _drive(table, env, {cell(term)}, emit, "
+                        f"{left}, depth, room - 2)")
+        else:
+            body.append(f"{pad}return {left}, {cell(term)}")
+
+    if entry:
+        body.append(f"if depth > {MAX_CALL_DEPTH}:")
+        body.append(' raise _Trap("call depth exceeded", fuel)')
+        body.append(f"if fuel < {need}:")
+        leave((_T_BR, head), 0, {}, " ", None)
+    if loops:
+        for slot in sorted((reads.difference(constants) | writes) & carried):
+            if slot not in local:
+                local[slot] = f"v{slot}"
+                body.append(f"v{slot} = {load(slot)}")
+        stored = {slot: f"v{slot}" for slot in sorted(writes & carried)}
+        body.append("while True:")
 
     def walk(node, local, stored, pad):
         consts = node.before.copy()
@@ -618,7 +727,7 @@ def _fuse_region(head: _Part):
             name = local.get(slot)
             if name is None:
                 name = local[slot] = f"v{slot}"
-                body.append(f"{pad}{name} = env[{slot}]")
+                body.append(f"{pad}{name} = {load(slot)}")
             return name
 
         spent = False
@@ -643,43 +752,65 @@ def _fuse_region(head: _Part):
             body.append(f"{pad}{name} = {value}")
             if op[0] == _BIN and fn in _WRAPPING:
                 body.append(pad + _WRAP.format(name))
-        if node.cond is None:
-            follow(node.arms[0], node.total, local, stored, pad)
-        else:
+        term = node.part.term
+        if node.cond is not None:
             body.append(f"{pad}if {read(node.cond)}:")
-            follow(node.arms[0], node.total, dict(local), dict(stored), pad + " ")
+            follow(node.arms[0], node.total, dict(local), dict(stored),
+                   pad + " ", read)
             body.append(f"{pad}else:")
-            follow(node.arms[1], node.total, local, stored, pad + " ")
+            follow(node.arms[1], node.total, local, stored, pad + " ", read)
+        elif term[0] == _T_CALL and node.arms[0] is not term:
+            _, callee, _, dst, _, arg_slots = term
+            args = "".join(f"{read(slot)}, " for slot in arg_slots)
+            body.append(f"{pad}if room < 1:")
+            leave(term, node.total, stored, pad + " ", read)
+            call = (f"table[{cell(callee)}].enter({args}emit, "
+                    f"fuel - {node.total}, depth + 1, room - 1)")
+            if dst is None:
+                body.append(f"{pad}fuel = {call}[0]")
+            else:
+                stored[dst] = local[dst] = f"v{dst}"
+                body.append(f"{pad}fuel, v{dst} = {call}")
+            arm = node.arms[0]
+            if type(arm) is _Node:
+                body.append(f"{pad}if fuel < {arm.need}:")
+                leave((_T_BR, arm.part), 0, stored, pad + " ", read)
+            follow(arm, 0, local, stored, pad, read)
+        else:
+            follow(node.arms[0], node.total, local, stored, pad, read)
 
-    def follow(arm, total, local, stored, pad):
+    def follow(arm, total, local, stored, pad, read):
         if type(arm) is _Node:
             walk(arm, local, stored, pad)
         elif arm is _LOOP:
             kept = [slot for slot in stored if slot in carried]
             body.extend(f"{pad}v{slot} = {stored[slot]}" for slot in kept
                         if stored[slot] != f"v{slot}")
-            body.append(f"{pad}fuel -= {total}")
+            if total:
+                body.append(f"{pad}fuel -= {total}")
             body.append(f"{pad}if fuel < {need}:")
-            body.extend(f"{pad} env[{slot}] = v{slot}" for slot in kept)
-            body.append(f"{pad} return fuel, {cell((_T_BR, head))}")
+            leave((_T_BR, head), 0, {slot: f"v{slot}" for slot in kept},
+                  pad + " ", read)
             body.append(f"{pad}continue")
         else:
-            taken = _term_reads(arm)
-            body.extend(f"{pad}env[{slot}] = {text}" for slot, text in stored.items()
-                        if slot in carried or slot in taken)
-            body.append(f"{pad}return fuel - {total}, {cell(arm)}")
+            leave(arm, total, stored, pad, read)
 
     walk(root, local, stored, " " if loops else "")
-    params = ", ".join(["_sdiv", "_srem", "_Trap"]
-                       + [f"c{i}" for i in range(len(cells))])
-    source = (f"def make({params}):\n def region(env, emit, fuel):\n  try:\n"
-              + "".join(f"   {line}\n" for line in body)
-              + "  except _Trap as trap:\n   trap.fuel = fuel - spent\n   raise\n"
-              + " return region\n")
-    namespace = {}
+    name = "enter" if entry else "region"
+    signature = ("" if entry else "env, ") + params + "emit, fuel, depth, room"
+    source = (f"def {name}({signature}):\n try:\n"
+              + "".join(f"  {line}\n" for line in body)
+              + " except _Trap as trap:\n  if trap.fuel is None:\n"
+              "   trap.fuel = fuel - spent\n  raise\n")
+    namespace = {"_sdiv": _sdiv, "_srem": _srem, "_Trap": _Trap,
+                 "_drive": _drive, "table": table}
+    namespace.update((f"c{i}", value) for i, value in enumerate(cells))
     exec(compile(source, "<fused region>", "exec"), namespace)
-    head.fused, head.need = namespace["make"](_sdiv, _srem, _Trap, *cells), need
-    return head.fused
+    if entry:
+        cfn.enter = namespace[name]
+    else:
+        head.fused, head.need = namespace[name], need
+    return namespace[name]
 
 
 class _Table(dict):
@@ -720,24 +851,51 @@ def _compiled(module: IrModule) -> _Table:
 # ---------------------------------------------------------------------------
 # Execution
 
-def _execute(table, cfn: _CompiledFunction, args, fuel: int,
-             tracer) -> ExecutionResult:
-    budget = fuel
-    # the fuel left when the table's runs reach FUSE_AFTER_STEPS: from there
-    # on, an untraced run generates each part's region at its first visit
-    hot_at = budget + table.steps - FUSE_AFTER_STEPS if tracer is None else -1
-    output: list[int] = []
-    emit = output.append
+def _drive(table, env, term, emit, fuel: int, depth: int, room: int,
+           hot_at=float("inf"), tracer=None):
+    """Take `term` in a frame with registers `env`, run on to the ret of
+    that frame and return the fuel left and the value. `depth` counts the
+    active frames with this one, `room` how many more Python frames the
+    direct calls of its regions may stack. Calls that no region makes
+    push explicit frames, whose regions get the same `room`. A trap leaves
+    with its `fuel` set, and fuel that runs out raises _OutOfFuel."""
     frames = []  # (caller env, part to resume, dst slot)
-    env = cfn.frame_env(args)
-    part = cfn.entry
     try:
         while True:
+            tag = term[0]
+            if tag == _T_BR:
+                part = term[1]
+            elif tag == _T_CBR:
+                part = term[2] if env[term[1]] else term[3]
+            elif tag == _T_SW:
+                part = term[2].get(env[term[1]], term[3])
+            elif tag == _T_CALL:
+                _, callee, gather, dst, rest, _ = term
+                callee_fn = table[callee]  # compiles at the first call
+                if depth >= MAX_CALL_DEPTH:
+                    raise _Trap("call depth exceeded")
+                frames.append((env, rest, dst))
+                depth += 1
+                env = [*gather(env), *callee_fn.locals_env]
+                part = callee_fn.entry
+            elif tag == _T_RET:
+                value = term[1]
+                if value is not None:
+                    value = env[value]
+                if not frames:
+                    return fuel, value
+                env, part, dst = frames.pop()
+                depth -= 1
+                if dst is not None:
+                    env[dst] = value
+            else:
+                raise _OutOfFuel
+
             fused = part.fused
-            if fuel <= hot_at and fused is None:
-                fused = _fuse_region(part)
+            if fused is None and fuel <= hot_at:
+                fused = _fuse_region(table, part)
             if fused and tracer is None and fuel >= part.need:
-                fuel, term = fused(env, emit, fuel)
+                fuel, term = fused(env, emit, fuel, depth, room)
             else:
                 # the tuple ops: cold tables, traced runs, bare terminators,
                 # and fuel that cannot pay for the region's costliest path
@@ -762,42 +920,31 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
                         env[op[1]] = env[op[2]]
                     else:
                         emit(int(env[op[1]]))
-
-            tag = term[0]
-            if tag == _T_BR:
-                part = term[1]
-            elif tag == _T_CBR:
-                part = term[2] if env[term[1]] else term[3]
-            elif tag == _T_SW:
-                part = term[2].get(env[term[1]], term[3])
-            elif tag == _T_CALL:
-                _, callee, gather, dst, rest, _ = term
-                callee_fn = table[callee]  # compiles at the first call
-                if len(frames) + 1 >= MAX_CALL_DEPTH:
-                    raise _Trap("call depth exceeded")
-                frames.append((env, rest, dst))
-                env = [*gather(env), *callee_fn.locals_env]
-                part = callee_fn.entry
-            elif tag == _T_RET:
-                value = term[1]
-                if value is not None:
-                    value = env[value]
-                if not frames:
-                    return ExecutionResult(RETURNED, value=value, output=output,
-                                           steps=budget - fuel)
-                env, part, dst = frames.pop()
-                if dst is not None:
-                    env[dst] = value
-            else:
-                return ExecutionResult(FUEL_EXHAUSTED, output=output,
-                                       steps=budget)
     except _Trap as t:
-        # a trap charges the whole part it happened in, within the budget; a
-        # generated region reports the fuel left after that part
-        if t.fuel is not None:
-            fuel = t.fuel
+        # a trap charges the whole part it happened in; a generated region
+        # or a callee's frame has already set the fuel left after its part
+        if t.fuel is None:
+            t.fuel = fuel
+        raise
+
+
+def _execute(table, cfn: _CompiledFunction, args, fuel: int,
+             tracer) -> ExecutionResult:
+    budget = fuel
+    # the fuel left when the table's runs reach FUSE_AFTER_STEPS: from there
+    # on, an untraced run generates each part's region at its first visit
+    hot_at = budget + table.steps - FUSE_AFTER_STEPS if tracer is None else -1
+    output: list[int] = []
+    try:
+        fuel, value = _drive(table, [*args, *cfn.locals_env], (_T_BR, cfn.entry),
+                             output.append, fuel, 1, NESTED_FRAMES, hot_at, tracer)
+    except _Trap as t:
         return ExecutionResult(TRAPPED, reason=t.reason, output=output,
-                               steps=budget - max(fuel, 0))
+                               steps=budget - max(t.fuel, 0))
+    except _OutOfFuel:
+        return ExecutionResult(FUEL_EXHAUSTED, output=output, steps=budget)
+    return ExecutionResult(RETURNED, value=value, output=output,
+                           steps=budget - fuel)
 
 
 def run(
@@ -813,15 +960,26 @@ def run(
     `block_tracer`, if given, is called as tracer(mangled_name, label) on
     every block entry; it exists for never-executes checks in tests.
 
+    Each argument must be an int or a bool; any other type raises
+    TypeError naming its position, before any step runs. An argument is
+    converted to its parameter's type and wrapped to the signed 64-bit
+    range.
+
     Only functions that are called get compiled, so a malformed function
     (one that `validate` rejects, e.g. a block without a terminator) raises
     only when this run calls it; one that is never called goes unnoticed.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    for i, arg in enumerate(args):
+        if type(arg) not in (int, bool):
+            raise TypeError(f"argument {i} is {type(arg).__name__}, "
+                            "not int or bool")
     fn = resolve_entry(m, entry_fn, len(args))
     table = _compiled(m)
-    result = _execute(table, table[fn.mangled_name], args, fuel, block_tracer)
+    cfn = table[fn.mangled_name]
+    entry_args = [*map(_convert, args, cfn.params)]
+    result = _execute(table, cfn, entry_args, fuel, block_tracer)
     table.steps += result.steps
     return result
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import sys
 import weakref
 from collections import Counter
 
@@ -63,6 +64,30 @@ def test_entry_resolution_by_base_name():
         run(m, "_O3gcdii", [48, 36])  # mangled names do not resolve
     with pytest.raises(EntryError):
         run(m, "gcd", [1, 2, 3])  # arity mismatch
+
+
+@pytest.mark.parametrize("bad, kind", [
+    ("7", "str"), (1.7, "float"), (None, "NoneType")])
+def test_entry_arguments_must_be_int_or_bool(bad, kind):
+    m = parse_module(GCD_TEXT)
+    steps = _compiled(m).steps
+    with pytest.raises(TypeError, match=f"^argument 1 is {kind}, not int or bool$"):
+        run(m, "gcd", [48, bad])
+    with pytest.raises(TypeError, match="^argument 0 "):
+        run(m, "gcd", [bad, 36])
+    assert _compiled(m).steps == steps  # no step ran
+
+
+def test_entry_arguments_take_their_parameters_types():
+    m = parse_module(
+        'func @f src "f" (%b: bool, %n: int) -> int {\n'
+        "entry:\n  cbr %b, yes, no\n"
+        "yes:\n  %r = add %n, 1\n  ret %r\n"
+        "no:\n  ret %n\n}\n")
+    assert run(m, "f", [True, 41]).value == 42
+    assert run(m, "f", [0, INT_MAX + 1]).value == INT_MIN  # wrapped
+    r = run(m, "f", [5, True])  # 5 is true, True is the int 1
+    assert (r.value, type(r.value)) == (2, int)
 
 
 def test_division_by_zero_traps():
@@ -440,6 +465,29 @@ def test_only_called_functions_are_compiled(corpus):
         compiled = set(_compiled(obf))
         assert compiled == called, entry.name
         assert not compiled & {f.mangled_name for f in added}, entry.name
+        hot = _fused_twin(obf)
+        for args in entry.inputs:
+            run(hot, entry.entry, args, entry.fuel)
+        assert set(_compiled(hot)) == called, entry.name
+
+
+def test_a_hot_region_compiles_only_the_callees_it_calls():
+    m = parse_module(
+        'func @never src "never" () -> int {\nentry:\n  ret 1\n}\n'
+        'func @f src "f" (%x: int) -> int {\n'
+        "entry:\n  %c = cmp lt %x, 0\n  cbr %c, neg, pos\n"
+        "neg:\n  %r = call @never()\n  ret %r\n"
+        "pos:\n  ret %x\n}\n")
+    hot = _fused_twin(m)
+    assert run(hot, "f", [3]).value == 3
+    table = _compiled(hot)
+    # the entry's region holds the call, which this run never makes
+    paths = _regions(m, "f", [3], "f")["entry"]
+    assert (["entry", "neg", "<resume>"], "<ret>") in paths
+    assert table["f"].entry.fused
+    assert set(table) == {"f"}
+    assert run(hot, "f", [-3]).value == 1
+    assert set(table) == {"f", "never"}
 
 
 def test_cache_entry_goes_with_its_module():
@@ -678,8 +726,10 @@ def test_functions_compiled_on_a_hot_table_are_fused():
     table.steps = FUSE_AFTER_STEPS  # nothing is compiled yet
     assert run(m, "f", []).output == [1, 2, 3, 9]
     assert set(table) == {"f", "g"}
-    assert all(p.fused is not None
-               for cfn in table.values() for p in cfn.parts if p.ops)
+    # f's region runs on through its call of g, whose frame runs through
+    # g's generated `enter`
+    assert table["f"].entry.fused
+    assert table["g"].enter.__name__ == "enter"
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +780,10 @@ def _count_calls(m):
     for cfn in _compiled(m).values():
         for part in cfn.parts:
             if part.fused:
-                def counted(env, emit, fuel, fused=part.fused, head=part):
+                def counted(env, emit, fuel, depth, room, fused=part.fused,
+                            head=part):
                     calls[head] += 1
-                    return fused(env, emit, fuel)
+                    return fused(env, emit, fuel, depth, room)
                 part.fused = counted
     return calls
 
@@ -763,12 +814,15 @@ def test_chains_resolve_the_nested_dispatch_through_constant_switches():
         (["loop_go", "dispatch", "loop", "loop_main",
           "loop_go1", "dispatch", "done", "done_main"], "<ret>")]
     # the entry's cbr forks, and each arm's key resolves the dispatch
+    start = ["entry", "entry_go", "dispatch"]
     trip = ["loop", "loop_main", "loop_go", "dispatch"]
+    out = ["loop", "loop_main", "loop_go1", "dispatch", "done"]
     assert regions["entry"] == [
-        (["entry", "entry_go", "dispatch", *trip, "loop", "loop_main"], "loop_go"),
-        (["entry", "entry_go", "dispatch", *trip, "loop", "loop_main"], "loop_go1"),
-        (["entry", "entry_go", "dispatch", "loop", "loop_main",
-          "loop_go1", "dispatch", "done"], "done_main"),
+        ([*start, *trip * 3, "loop", "loop_main"], "loop_go"),
+        ([*start, *trip * 3, "loop", "loop_main"], "loop_go1"),
+        ([*start, *trip * 2, *out], "done_main"),
+        ([*start, *trip, *out, "done_main"], "<ret>"),
+        ([*start, *out, "done_main"], "<ret>"),
         (["entry", "entry_go1", "dispatch", "done", "done_main"], "<ret>")]
     hot = _assert_tiers_agree(m, "gcd", [([1071, 462], DEFAULT_FUEL)])
     parts = _parts_by_label(hot, "_O3gcdii")
@@ -873,16 +927,21 @@ def test_chains_into_a_call_or_ret_keep_the_call_depth_limit():
     assert run(hot, "f", [MAX_CALL_DEPTH], fuel=10**7).reason == "call depth exceeded"
     assert run(hot, "f", [MAX_CALL_DEPTH - 1], fuel=10**7).value == MAX_CALL_DEPTH - 1
     regions = _regions(m, "f", [2], "f")
-    assert regions["rec"] == [(["rec", "descend"], "<call>")]
-    assert regions["entry"] == [(["entry", "base", "out"], "<ret>"),
-                                (["entry", "rec", "descend"], "<call>")]
-    parts = _compiled(hot)["f"].parts
+    # a call runs inside the region, which goes on after it to the ret
+    assert regions["rec"] == [(["rec", "descend", "<resume>", "back"], "<ret>")]
+    assert regions["entry"] == [
+        (["entry", "base", "out"], "<ret>"),
+        (["entry", "rec", "descend", "<resume>", "back"], "<ret>")]
     labels = _parts_by_label(hot, "f")
+    # the fuel must cover the costliest path up to the call before the
+    # region runs, and the path after the call once the call returns
     assert labels["entry"].need == labels["entry"].cost + max(
         labels["base"].cost + labels["out"].cost,
         labels["rec"].cost + labels["descend"].cost)
-    resumed = next(p for p in parts if p.trace is None)
-    assert resumed.need == resumed.cost + labels["back"].cost
+    root, _ = _region(labels["entry"])
+    resumed = root.arms[1].arms[0].arms[0]
+    assert resumed.part.trace is None and resumed.start is resumed
+    assert resumed.need == resumed.part.cost + labels["back"].cost
 
 
 # both arms of the loop's inner cbr write registers the other does not, and
@@ -1012,18 +1071,21 @@ def test_each_part_is_generated_at_most_once(monkeypatch):
     made = Counter()
     fuse_region = interp._fuse_region
 
-    def counted(head):
-        made[head] += 1
-        return fuse_region(head)
+    def counted(table, head, entry=False):
+        made[head, entry] += 1
+        return fuse_region(table, head, entry)
 
     monkeypatch.setattr(interp, "_fuse_region", counted)
-    for text, args in ((CALL_THEN_PRINT, []), (COUNT_DOWN, [50])):
+    only_ret = 'func @f src "f" () -> int {\nentry:\n  ret 7\n}\n'
+    for text, args in ((CALL_THEN_PRINT, []), (COUNT_DOWN, [50]), (only_ret, [])):
         hot = _fused_twin(parse_module(text))
         for _ in range(2):
             run(hot, "f", args)
     assert set(made.values()) == {1}
-    # the call that starts CALL_THEN_PRINT's f is a bare terminator
-    assert any(head.fused is False for head in made)
+    # a call's callee runs through its `enter`
+    assert any(entry for _, entry in made)
+    # an entry that only returns is a bare terminator
+    assert any(head.fused is False for head, _ in made)
 
 
 def test_a_region_revisits_the_nested_dispatcher():
@@ -1105,6 +1167,144 @@ def test_fused_tier_matches_tuple_tier_on_the_exec_long_programs(corpus):
         _assert_tiers_agree(m, entry.entry, [(args, fuel) for fuel in
                                              (*cuts, full.steps, DEFAULT_FUEL)])
     assert not vectors
+
+
+# ---------------------------------------------------------------------------
+# Direct calls: a region runs a call to a function the module defines by
+# calling the callee's generated `enter` on the Python stack, and goes on
+# after it. Fuel, traps, output and the call depth must come out as in the
+# tuple tier, also where the Python-depth bound sends calls back to
+# explicit frames.
+
+def test_ackermann_matches_the_tuple_tier_at_cuts_around_its_calls(corpus):
+    """ackermann and its `nested,indeg,ident-default` outputs at pass seeds
+    0-3, on vectors of 10^4-10^5 steps, whole and cut inside callees, right
+    after a call returns and on a ret. ack(2, n) calls ack(2, n - 1) and
+    then ack(1, that), and its frame ends a few steps after the second call
+    returns: the windows below end at that call's start and its return."""
+    entry = next(e for e in corpus if e.name == "ackermann")
+    rng = random.Random(1)
+    modules = [entry.module] + [
+        transform_module(PipelineConfig(["nested", "indeg", "ident-default"],
+                                        seed=seed), entry.module)[0]
+        for seed in range(4)]
+    for m in modules:
+        frame = _tuple_run(m, "ack", [2, 30]).steps
+        inner = _tuple_run(m, "ack", [2, 29]).value
+        second = _tuple_run(m, "ack", [1, inner]).steps
+        cuts = {*range(frame - 16, frame + 1),
+                *range(frame - second - 16, frame - second + 8),
+                *(rng.randrange(1, frame) for _ in range(8))}
+        _assert_tiers_agree(m, "ack", [([2, 30], fuel) for fuel in sorted(cuts)])
+        full = _tuple_run(m, "ackMain", [2, 86], 5 * 10**6)
+        assert full.steps > 10**5 and full.value == 2 * 86 + 3
+        _assert_tiers_agree(m, "ackMain", [([2, 50], 5 * 10**6),
+                                           ([2, 86], 5 * 10**6),
+                                           ([2, 86], full.steps - 1)])
+
+
+TRAP_TWO_CALLS_DEEP = """\
+extern @print_int(int) -> void
+
+func @h src "h" (%x: int) -> int {
+entry:
+  call @print_int(%x)
+  %a = add %x, 1
+  %q = sdiv 100, %x
+  %r = add %q, %a
+  ret %r
+}
+
+func @g src "g" (%x: int) -> int {
+entry:
+  %y = sub %x, 1
+  %r = call @h(%y)
+  %s = add %r, 1
+  ret %s
+}
+
+func @f src "f" (%x: int) -> int {
+entry:
+  call @print_int(%x)
+  %r = call @g(%x)
+  %s = mul %r, 2
+  ret %s
+}
+"""
+
+
+def test_a_trap_two_calls_deep_reports_the_fuel_after_its_own_part():
+    m = parse_module(TRAP_TWO_CALLS_DEEP)
+    hot = _assert_tiers_agree(m, "f", [([x], fuel) for x in (1, 3)
+                                       for fuel in (*range(1, 16), DEFAULT_FUEL)])
+    r = run(hot, "f", [1])
+    # f's call part (2), g's (2) and h's whole part (5): no caller overwrites
+    # the fuel that h's region gave the trap
+    assert (r.status, r.reason, r.output, r.steps) == (
+        TRAPPED, "sdiv by zero", [1, 0], 9)
+    assert _compiled(hot)["f"].entry.fused
+
+
+def test_fuel_that_runs_out_inside_a_directly_called_frame():
+    m = parse_module(TRAP_TWO_CALLS_DEEP)
+    hot = _fused_twin(m)
+    run(hot, "f", [3])  # generates f's region and the callees' `enter`
+    for fuel in range(1, 13):
+        r = run(hot, "f", [3], fuel)
+        expected = _tuple_run(dataclasses.replace(m), "f", [3], fuel)
+        assert _facets(r) == _facets(expected), fuel
+        if fuel < 12:
+            assert (r.status, r.steps) == (FUEL_EXHAUSTED, fuel)
+    # h prints 2 at step 5; its ops after that do not fit into 6 steps
+    assert run(hot, "f", [3], 6).output == [3, 2]
+
+
+def test_calls_past_the_python_depth_bound_take_explicit_frames(monkeypatch):
+    """COUNT_DOWN at the deepest depth that returns, and one deeper: past
+    NESTED_FRAMES the calls go back to `_drive`'s explicit frames, and the
+    results match the tuple tier's."""
+    started = []
+    drive = interp._drive
+
+    def counted(table, env, term, emit, fuel, depth, room, *rest):
+        started.append((depth, room))
+        return drive(table, env, term, emit, fuel, depth, room, *rest)
+
+    # the generated code binds `_drive` when it is generated
+    monkeypatch.setattr(interp, "_drive", counted)
+    m = parse_module(COUNT_DOWN)
+    hot = _assert_tiers_agree(m, "f", [([MAX_CALL_DEPTH - 1], 10**7),
+                                       ([MAX_CALL_DEPTH], 10**7)])
+    started.clear()
+    assert run(hot, "f", [MAX_CALL_DEPTH - 1], 10**7).value == MAX_CALL_DEPTH - 1
+    # the run's own driver, then one that a frame at the bound hands on to
+    assert started[0] == (1, interp.NESTED_FRAMES)
+    assert len(started) == 2 and started[1][1] < 1
+    assert run(hot, "f", [MAX_CALL_DEPTH], 10**7).reason == "call depth exceeded"
+
+
+# Python frames that `interp`'s docstring documents a hot run may need
+HOT_RUN_FRAMES = interp.NESTED_FRAMES + 144
+
+
+def _at_stack_depth(depth, fn):
+    """Call `fn` from a Python stack `depth` frames deep."""
+    frame, here = sys._getframe(), 0
+    while frame is not None:
+        frame, here = frame.f_back, here + 1
+    if here < depth:
+        return _at_stack_depth(depth, fn)
+    return fn()
+
+
+def test_a_hot_run_at_the_call_depth_limit_fits_the_documented_headroom():
+    m = parse_module(COUNT_DOWN)
+    hot = _fused_twin(m)
+    depth = sys.getrecursionlimit() - HOT_RUN_FRAMES
+    r = _at_stack_depth(depth, lambda: run(hot, "f", [MAX_CALL_DEPTH - 1], 10**7))
+    assert (r.status, r.value) == (RETURNED, MAX_CALL_DEPTH - 1)
+    r = _at_stack_depth(depth, lambda: run(hot, "f", [MAX_CALL_DEPTH], 10**7))
+    assert r.reason == "call depth exceeded"
 
 
 # ---------------------------------------------------------------------------
