@@ -44,15 +44,27 @@ print, and equivalence checks stay deterministic and loop-proof.
 Parts run in one of two tiers. Every module starts in the tuple tier
 above. The module's table counts the steps of its runs. Once they reach
 FUSE_AFTER_STEPS (a constant, not an option), mid-run like Dynamo's
-fragment counters, each part that an untraced run reaches gets a
-generated Python function (`compile`/`exec`) for its region at its first
-visit, and that visit already runs it. 16,384 lies above the at most
-8,928 steps that any bundled program's `nested,indeg,ident-default`
-output runs over its manifest vectors, so those short runs pay no code
+fragment counters, each part counts the steps of its untraced visits, as
+Dynamo keeps one counter per trace head (Bala, Duesterwald & Banerjia,
+"Dynamo: A Transparent Dynamic Optimization System", PLDI 2000). The
+visit that brings a part's count to HOT_PART_STEPS (a constant too)
+generates a Python function (`compile`/`exec`) for the part's region,
+and that visit already runs it. 16,384 lies above the at most 8,928
+steps that any bundled program's `nested,indeg,ident-default` output
+runs over its manifest vectors, so those short runs pay no code
 generation, and within the first two vectors of every `exec-long`
-benchmark module but gcd's. That function holds the ops inline: registers
-in locals, known values folded, the `operator` calls as Python operators,
-`_sdiv`/`_srem` still trapping.
+benchmark module but gcd's. The count per part keeps a module whose runs
+have reached the threshold from generating code for the parts it
+seldom reaches: there a prologue of three steps gets its region only in
+its 43rd run, a loop head within its first hundred trips. 128 is the
+lowest power of two at which the regions that one `exec-long` benchmark
+cycle generates for its obfuscated modules reach their floor: 71 at 64,
+48 at 128 and at each power up to 2,048, against 94 when every part gets
+its region at its first visit. The module's count comes first, so a
+module that runs little pays no code generation even where one loop
+takes most of its steps. That function holds the ops inline: registers
+in locals, known values folded, the `operator` calls as Python
+operators, `_sdiv`/`_srem` still trapping.
 The range check and an inline `wrap64` follow only add, sub, mul, sdiv
 and shl: on signed 64-bit operands and, or, xor, shr and srem cannot
 leave the range, and comparisons give booleans.
@@ -75,14 +87,15 @@ inside the function, taken only while the fuel covers the region's
 costliest path. The region leaves at a ret, a call that traps as an
 unresolved extern or a switch on an unknown scrutinee, which the driver
 transfers with. Where it leaves, it stores back the registers written on
-its path and on every path that loops, and returns the fuel left and the
-terminator the driver takes. A trap inside it reports the fuel left after
-the part it happened in, as the tuple ops charge a trap its whole part.
+its path and on every path that loops (at a ret only the value), and
+returns the fuel left and the terminator the driver takes. A trap inside
+it reports the fuel left after the part it happened in, as the tuple ops
+charge a trap its whole part.
 The driver calls a region only when the fuel covers its costliest path up
 to its first call; otherwise it runs the head's tuple ops, so fuel cuts
-stay exact. A region is analysed and generated at its head's first
-visit, so a part that never heads a run costs nothing; a decoy on an arm
-of an opaque guard is generated inside its region but never runs.
+stay exact. A region is analysed and generated only when its head turns
+hot, so a part that the driver seldom reaches costs nothing; a decoy on
+an arm of an opaque guard is generated inside its region but never runs.
 
 A call to a function the module defines does not end a region: the trace
 tree goes on through the call, as tracing JITs inline through calls (Bolz
@@ -158,7 +171,8 @@ from .validate import infer_local_types
 
 DEFAULT_FUEL = 1_000_000
 MAX_CALL_DEPTH = 10_000  # active frames, the entry function's included
-FUSE_AFTER_STEPS = 16_384  # a module's runs fuse it at the step they reach this
+FUSE_AFTER_STEPS = 16_384  # a module's runs let parts count from this step
+HOT_PART_STEPS = 128  # a part's counted steps that generate its region
 CHAIN_PARTS = 32  # most parts that one region holds, calls included
 NESTED_FRAMES = 256  # most Python frames that a run's direct calls stack up
 
@@ -266,7 +280,8 @@ class _Part:
     """A run of ops that ends in a terminator or a call: blocks are split
     after every call, so a call always ends its part."""
 
-    __slots__ = ("trace", "ops", "term", "cost", "cfn", "fused", "need")
+    __slots__ = ("trace", "ops", "term", "cost", "cfn", "fused", "need",
+                 "steps")
 
     def __init__(self, trace):
         self.trace = trace  # (function, label) for block_tracer; None after a call
@@ -278,6 +293,7 @@ class _Part:
         # or False where the region is the empty part's bare terminator
         self.fused = None
         self.need = 0  # once generated: the fuel of its region's costliest path
+        self.steps = 0  # the cost of its counted visits before its region
 
     def end(self, term):
         self.term = term
@@ -653,8 +669,9 @@ def _fuse_region(table, head: _Part, entry=False):
     else it leaves at the part after the call. With no room left, it
     leaves at the call. Where a path leaves, it stores back the registers
     written on it, and on every looping path, that a part or the terminator
-    it leaves with may read before writing, and returns the fuel left and
-    the terminator the driver takes; `enter` returns the value at a ret and
+    it leaves with may read before writing (at a ret only the value, as the
+    driver then drops the frame), and returns the fuel left and the
+    terminator the driver takes; `enter` returns the value at a ret and
     otherwise runs the rest of its frame through `_drive`. A trap reports
     the fuel left after the part it happened in: before its first sdiv or
     srem whose divisor is not a known nonzero value, a part stores the cost
@@ -695,8 +712,10 @@ def _fuse_region(table, head: _Part, entry=False):
         if entry:
             body.append(f"{pad}env = [{params}*{cell(cfn.locals_env)}]")
         taken = _term_reads(term)
+        # the driver drops the frame at a ret once it has read the value
+        live = () if term[0] == _T_RET else carried
         body.extend(f"{pad}env[{slot}] = {text}" for slot, text in stored.items()
-                    if slot in carried or slot in taken)
+                    if slot in live or slot in taken)
         if entry:
             # the driver and the regions it calls stack two more frames
             body.append(f"{pad}return _drive(table, env, {cell(term)}, emit, "
@@ -857,8 +876,11 @@ def _drive(table, env, term, emit, fuel: int, depth: int, room: int,
     that frame and return the fuel left and the value. `depth` counts the
     active frames with this one, `room` how many more Python frames the
     direct calls of its regions may stack. Calls that no region makes
-    push explicit frames, whose regions get the same `room`. A trap leaves
-    with its `fuel` set, and fuel that runs out raises _OutOfFuel."""
+    push explicit frames, whose regions get the same `room`. Once the fuel
+    is down to `hot_at`, a visit of a part with no region adds the part's
+    cost to its `steps`, and the visit that brings them to HOT_PART_STEPS
+    generates its region. A trap leaves with its `fuel` set, and fuel that
+    runs out raises _OutOfFuel."""
     frames = []  # (caller env, part to resume, dst slot)
     try:
         while True:
@@ -893,11 +915,13 @@ def _drive(table, env, term, emit, fuel: int, depth: int, room: int,
 
             fused = part.fused
             if fused is None and fuel <= hot_at:
-                fused = _fuse_region(table, part)
+                part.steps += part.cost
+                if part.steps >= HOT_PART_STEPS:
+                    fused = _fuse_region(table, part)
             if fused and tracer is None and fuel >= part.need:
                 fuel, term = fused(env, emit, fuel, depth, room)
             else:
-                # the tuple ops: cold tables, traced runs, bare terminators,
+                # the tuple ops: cold parts, traced runs, bare terminators,
                 # and fuel that cannot pay for the region's costliest path
                 if tracer is not None and part.trace is not None:
                     tracer(*part.trace)
@@ -932,7 +956,7 @@ def _execute(table, cfn: _CompiledFunction, args, fuel: int,
              tracer) -> ExecutionResult:
     budget = fuel
     # the fuel left when the table's runs reach FUSE_AFTER_STEPS: from there
-    # on, an untraced run generates each part's region at its first visit
+    # on, an untraced run counts each part's steps towards its region
     hot_at = budget + table.steps - FUSE_AFTER_STEPS if tracer is None else -1
     output: list[int] = []
     try:

@@ -15,6 +15,7 @@ from iobf.interp import (
     EntryError,
     FUEL_EXHAUSTED,
     FUSE_AFTER_STEPS,
+    HOT_PART_STEPS,
     MAX_CALL_DEPTH,
     RETURNED,
     TRAPPED,
@@ -513,13 +514,28 @@ def test_malformed_function_raises_only_when_called():
 
 # ---------------------------------------------------------------------------
 # The fused tier must give what the tuple ops give, in every field. Tests
-# make a table hot by setting the private `_Table.steps` to FUSE_AFTER_STEPS,
-# which a module's runs otherwise reach by executing that many steps.
+# make a module hot by setting the private `_Table.steps` to
+# FUSE_AFTER_STEPS and each part's count to HOT_PART_STEPS, which the
+# module's runs otherwise reach by executing that many steps.
+
+class _HotTable(interp._Table):
+    """A table whose functions compile with every part's count at
+    HOT_PART_STEPS, so that a part's first untraced visit generates its
+    region."""
+
+    def __missing__(self, name):
+        cfn = super().__missing__(name)
+        for part in cfn.parts:
+            part.steps = HOT_PART_STEPS
+        return cfn
+
 
 def _fused_twin(m):
-    """An equal module whose table is hot from its first run on."""
+    """An equal module whose parts are hot from their first visit on."""
     twin = dataclasses.replace(m)
-    _compiled(twin).steps = FUSE_AFTER_STEPS
+    table = _compiled(twin)
+    table.__class__ = _HotTable
+    table.steps = FUSE_AFTER_STEPS
     return twin
 
 
@@ -535,7 +551,7 @@ def _facets(r):
 
 def _tuple_run(m, entry, args, fuel=DEFAULT_FUEL):
     """A run on the tuple ops alone: traced runs never take generated code,
-    even once the table turns hot during them."""
+    and their visits add nothing to a part's count."""
     return run(m, entry, args, fuel, block_tracer=lambda *_: None)
 
 
@@ -660,12 +676,43 @@ def test_block_tracer_on_a_hot_table_sees_each_block_entry_once():
     assert expected[0] == ("_O3gcdii", "entry")
 
 
+# the loop's part costs three steps a trip, the prologue three and `done` two
+PROLOGUE_LOOP = """\
+extern @print_int(int) -> void
+
+func @f src "f" (%n: int) -> int {
+entry:
+  call @print_int(%n)
+  %i = 0
+  br loop
+loop:
+  %i = add %i, 1
+  %c = cmp lt %i, %n
+  cbr %c, loop, done
+done:
+  call @print_int(%i)
+  ret %i
+}
+"""
+
+
+def _counts(m):
+    """Label -> the steps that f's part of that label has counted."""
+    return {label: part.steps for label, part in _parts_by_label(m, "f").items()}
+
+
+def _hot_labels(m):
+    return sorted(label for label, part in _parts_by_label(m, "f").items()
+                  if part.fused is not None)
+
+
 def test_table_turns_hot_once_its_runs_reach_the_threshold():
     m = parse_module(PRINT_LOOP)
     table = _compiled(m)
     total = 0
     while total < FUSE_AFTER_STEPS:
         assert _generated(m) == 0
+        assert all(part.steps == 0 for part in table["f"].parts)  # none counts
         r = run(m, "f", [1000])
         total += r.steps
         assert table.steps == total
@@ -682,28 +729,62 @@ def test_a_cold_run_past_the_threshold_turns_the_table_hot_during_it():
     assert _facets(r) == _facets(_tuple_run(parse_module(PRINT_LOOP), "f", [n]))
 
 
-@pytest.mark.parametrize("earlier, switch", [
-    (0, FUSE_AFTER_STEPS),  # loop parts end at steps 4 + 5k, 16,384 among them
-    (FUSE_AFTER_STEPS - 1, 2),  # the entry part ends at step 2
-    (FUSE_AFTER_STEPS - 3, 4),  # the first loop part spans the threshold
+@pytest.mark.parametrize("earlier, counted, switch", [
+    # the loop counts from its visit 16,386 steps into a run, and its 43rd
+    # counted visit, 16,512 steps in, brings it to 129
+    (0, 0, 16_512),
+    # a run cut at 16,509 steps counts 42 visits, the last with no fuel
+    # left: the loop's first visit of the next run brings it to 129
+    (16_509, 126, 3),
+    # one cut at 16,507 counts 41 visits, the last whole though it spans
+    # the cut: the loop's second visit of the next run brings it to 129
+    (16_507, 123, 6),
 ], ids=["fresh", "one_short", "spanning"])
-def test_tiers_agree_at_every_fuel_cut_around_the_switch(earlier, switch):
-    """A table turns hot after the first whole part at whose end its runs
-    have executed FUSE_AFTER_STEPS steps, here `switch` steps into a run
-    after runs of `earlier` steps: the next part is generated. Cuts around
+def test_tiers_agree_at_every_fuel_cut_around_the_switch(earlier, counted, switch):
+    """Once a table's runs have executed FUSE_AFTER_STEPS steps, a part
+    turns hot at the visit that brings its count to HOT_PART_STEPS, here
+    `switch` steps into a run after a run of `earlier` steps that left the
+    loop's count at `counted`: that visit generates its region. Cuts around
     it give the tuple ops' result."""
-    n = FUSE_AFTER_STEPS // 5 + 100
+    n = FUSE_AFTER_STEPS // 3 + 100
     for fuel in (*range(max(switch - 2, 1), switch + 3), DEFAULT_FUEL):
-        m = parse_module(PRINT_LOOP)
+        m = parse_module(PROLOGUE_LOOP)
         if earlier:
             assert run(m, "f", [n], earlier).status == FUEL_EXHAUSTED
         table = _compiled(m)
-        assert (table.steps, _generated(m)) == (earlier, 0)
+        assert (table.steps, _counts(m)["loop"], _generated(m)) == (
+            earlier, counted, 0)
         r = run(m, "f", [n], fuel)
-        assert (_generated(m) > 0) == (fuel >= switch), fuel
+        assert (_hot_labels(m) == ["loop"]) == (fuel >= switch), fuel
         assert table.steps == earlier + r.steps
-        expected = _tuple_run(parse_module(PRINT_LOOP), "f", [n], fuel)
+        expected = _tuple_run(parse_module(PROLOGUE_LOOP), "f", [n], fuel)
         assert _facets(r) == _facets(expected), fuel
+
+
+def test_a_prologue_stays_cold_while_its_loop_turns_hot():
+    """On a hot table, runs of ten trips count the loop's 30 steps a run
+    and the prologue's 3. The loop's count reaches 129 in run 5, at its
+    third visit 9 steps in, and its region runs `done` from there on; the
+    prologue's reaches it only in run 43, and its region then runs the
+    whole frame."""
+    expected = _tuple_run(parse_module(PROLOGUE_LOOP), "f", [10])
+    for fuel in (*range(7, 12), DEFAULT_FUEL):
+        m = parse_module(PROLOGUE_LOOP)
+        _compiled(m).steps = FUSE_AFTER_STEPS
+        for _ in range(4):
+            assert _facets(run(m, "f", [10])) == _facets(expected)
+            _tuple_run(m, "f", [10])  # a traced run counts nothing
+        assert _counts(m) == {"entry": 12, "loop": 120, "done": 8}
+        r = run(m, "f", [10], fuel)
+        assert (_hot_labels(m) == ["loop"]) == (fuel >= 9), fuel
+        cut = _tuple_run(parse_module(PROLOGUE_LOOP), "f", [10], fuel)
+        assert _facets(r) == _facets(cut), fuel
+    for _ in range(6, 43):
+        assert _facets(run(m, "f", [10])) == _facets(expected)
+        assert _hot_labels(m) == ["loop"]
+    assert _counts(m) == {"entry": 126, "loop": 129, "done": 8}
+    assert _facets(run(m, "f", [10])) == _facets(expected)
+    assert _hot_labels(m) == ["entry", "loop"]
 
 
 def test_no_corpus_program_reaches_the_threshold_under_the_default_pipeline(corpus):
@@ -721,9 +802,9 @@ def test_no_corpus_program_reaches_the_threshold_under_the_default_pipeline(corp
 
 
 def test_functions_compiled_on_a_hot_table_are_fused():
-    m = parse_module(CALL_THEN_PRINT)
+    m = _fused_twin(parse_module(CALL_THEN_PRINT))
     table = _compiled(m)
-    table.steps = FUSE_AFTER_STEPS  # nothing is compiled yet
+    assert not table  # nothing is compiled yet
     assert run(m, "f", []).output == [1, 2, 3, 9]
     assert set(table) == {"f", "g"}
     # f's region runs on through its call of g, whose frame runs through
@@ -1004,6 +1085,21 @@ def test_both_arms_of_an_unknown_cbr_store_what_they_write():
     assert full.status == RETURNED
     _assert_tiers_agree(m, "f", [([n], fuel) for n in (0, 1, 2, 9)
                                  for fuel in range(1, full.steps + 2)])
+
+
+def test_a_region_that_leaves_at_a_ret_stores_back_only_the_value():
+    """The driver drops a frame once it has read its ret's value, so the
+    registers a region carries round its loop stay in locals at a ret."""
+    m = parse_module(ALTERNATING_ARMS)
+    value = run(m, "f", [4]).value
+    table = _compiled(m)
+    region = interp._fuse_region(table, _parts_by_label(m, "f")["loop"])
+    env = [4, *table["f"].locals_env]  # as the loop first starts
+    before = list(env)
+    fuel, term = region(env, [].append, DEFAULT_FUEL, 1, 1)
+    assert term[0] == _T_RET and env[term[1]] == value
+    changed = [slot for slot, old in enumerate(before) if env[slot] != old]
+    assert changed in ([], [term[1]])
 
 
 REREAD_CONDITION = """\
