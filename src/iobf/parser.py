@@ -31,17 +31,24 @@ default) is a syntax error at the literal. Strings take `\\` escapes of
 any character.
 
 The grammar is written once, below, as statement forms (a header up to
-its first list item, a block label, an instruction, a terminator, a list
-item with its separator): token sequences with blanks and comments
-allowed between any two. The forms that may stand at one place compile
-to one regular expression, so a statement costs one match; when none
-matches, the same sequences, walked a token at a time, find the error.
-There is no other parser. Errors carry the line and column of a token:
-the text's first lexical error (unterminated string, stray `-`,
-unexpected character), else the first token that does not fit, with the
-token found there (`got ''` is the end of the text; an unknown type or
-comparison is reported at the token after it). `parse_module` validates
-the result and raises on any diagnostic, so a returned module is valid.
+its first block's label, an instruction, a terminator with the block
+head or `}` after it): token sequences with blanks and comments allowed
+between any two. The forms that may stand at one place compile to one
+regular expression, in which each form is a named group, so the match's
+`lastindex` names the form and the form's captures follow it. A
+function body is one loop, a match per statement, that builds each node
+itself; the assignments share one reading of their `%dst =`. A list
+(parameters, extern types, switch cases, call arguments) is matched
+whole by one repeated pattern, and `findall` over the span it took reads
+its items. When a match fails, or an integer is too long for `int()`,
+the same sequences, walked a token at a time from the statement's start,
+find the error. There is no other parser. Errors carry the line and
+column of a token: the text's first lexical error (unterminated string,
+stray `-`, unexpected character), else the first token that does not
+fit, with the token found there (`got ''` is the end of the text; an
+unknown type or comparison is reported at the token after it).
+`parse_module` validates the result and raises on any diagnostic, so a
+returned module is valid.
 """
 
 from __future__ import annotations
@@ -85,8 +92,9 @@ class ValidationError(IrError):
 
 # Blanks and comments. Each piece of the grammar's patterns matches in one
 # way only (a comment runs to the end of its line, a word or an integer
-# takes all its characters), so backtracking never re-reads the text.
-_BLANKS = r"[ \t\r\n]*(?:;[^\n]*(?![^\n])[ \t\r\n]*)*"
+# takes all its characters), so the quantifiers are possessive: giving
+# characters back could find no other match.
+_BLANKS = r"[ \t\r\n]*+(?:;[^\n]*+[ \t\r\n]*+)*+"
 # Each match skips blanks and comments, then takes exactly one token.
 _TOKEN = re.compile(_BLANKS + r"""
     (?:(?P<punct>->|[@%=,(){}\[\]:])
@@ -130,9 +138,10 @@ def _lexical_error(text: str) -> ParseError | None:
 
 
 # ---- grammar nodes, the parts of a statement form: `tail` is a node's
-# pattern after the blanks before it; `first` matches, without captures,
-# the tokens that decide that it is there; `walk` matches it a token at a
-# time and raises the error for the first token that does not fit.
+# pattern after the blanks before it, `plain` the same without captures;
+# `first` matches, without captures, the tokens that decide that it is
+# there; `walk` matches it a token at a time and raises the error for the
+# first token that does not fit.
 
 def _starts(node, text: str, pos: int):
     return re.compile(_BLANKS + node.first).match(text, pos)
@@ -140,9 +149,9 @@ def _starts(node, text: str, pos: int):
 
 class _Tok:
     def __init__(self, first: str, error=None, capture: bool = False):
-        self.first, self.error = f"(?:{first})", error
+        self.first = self.plain = f"(?:{first})"
+        self.error = error
         self.tail = f"({first})" if capture else self.first
-        self.groups = int(capture)
 
     def walk(self, text, pos):
         m = _starts(self, text, pos)
@@ -159,11 +168,16 @@ class _Tok:
 
 
 class _Seq:
-    def __init__(self, *parts, decide: int = 1):
-        self.parts = parts
-        self.first = _BLANKS.join(p.first for p in parts[:decide])
+    """Parts in order. A `form` is a named group around them: the last
+    group its match closes, so `lastindex` tells the forms of an `_Alt`
+    apart, and the form's captures are the groups after its own."""
+
+    def __init__(self, *parts, form: str | None = None):
+        self.parts, self.first = parts, parts[0].first
+        self.plain = _BLANKS.join(p.plain for p in parts)
         self.tail = _BLANKS.join(p.tail for p in parts)
-        self.groups = sum(p.groups for p in parts)
+        if form is not None:
+            self.tail = f"(?P<{form}>{self.tail})"
 
     def walk(self, text, pos):
         for p in self.parts:
@@ -178,8 +192,8 @@ class _Alt:
     def __init__(self, *alts, error=None, capture: bool = False):
         self.alts, self.error = alts, error
         self.first = "(?:%s)" % "|".join(a.first for a in alts)
+        self.plain = "(?:%s)" % "|".join(a.plain for a in alts)
         self.tail = ("(%s)" if capture else "(?:%s)") % "|".join(a.tail for a in alts)
-        self.groups = 1 if capture else sum(a.groups for a in alts)
 
     def walk(self, text, pos):
         for a in self.alts:
@@ -190,19 +204,24 @@ class _Alt:
         raise self.error(text, *_token_at(text, pos))
 
 
-class _Choice(_Alt):
-    """The (form, build) pairs that may stand at one place, compiled to one
-    pattern. The form that matched is the last group its match closes;
-    `build(parser, *captures)` makes the statement's value."""
+class _Items:
+    """A list: `item`s separated by `,`, then `close`. One group takes the
+    items' span, matched whole; `findall` over it reads the items' captures
+    in order."""
 
-    def __init__(self, *forms, error=None):
-        super().__init__(*(node for node, _ in forms), error=error)
-        self.regex = re.compile(_BLANKS + "(?:%s)" % "|".join(
-            f"({node.tail})" for node, _ in forms))
-        self.builds, n = {}, 1
-        for node, build in forms:
-            self.builds[n] = (build, slice(n, n + node.groups))  # into m.groups()
-            n += 1 + node.groups
+    def __init__(self, item, close):
+        self.item, self.close = item, close
+        items = f"(?:{item.plain}(?:{_BLANKS},{_BLANKS}{item.plain})*+)?+"
+        self.plain = items + _BLANKS + close.plain
+        self.tail = f"({items}){_BLANKS}{close.tail}"
+        self.findall = re.compile(f"{_BLANKS},?+{_BLANKS}{item.tail}").findall
+
+    def walk(self, text, pos):
+        if not _starts(self.close, text, pos):
+            pos = self.item.walk(text, pos)
+            while not _starts(self.close, text, pos):
+                pos = self.item.walk(text, _COMMA.walk(text, pos))
+        return self.close.walk(text, pos)
 
 
 def _expected(what: str, word: str | None = None):
@@ -231,8 +250,8 @@ def _opt(part):
     return _Alt(part, _Tok(f"(?!{_BLANKS}{part.first})"))
 
 
-def _p(punct: str, capture: bool = False) -> _Tok:
-    return _Tok(re.escape(punct), _expected(repr(punct)), capture)
+def _p(punct: str) -> _Tok:
+    return _Tok(re.escape(punct), _expected(repr(punct)))
 
 
 def _kw(word: str) -> _Tok:
@@ -249,71 +268,62 @@ _INT = _Tok(r"-?\d+(?!\d)", _expected("integer"), True)
 _STRING = _Tok(r'"(?:\\(?s:.)|[^"\\])*"', _message("expected source name string"), True)
 _VALUE_TYPE = _one_of(VALUE_TYPES, _unknown("type"))
 _RET_TYPE = _one_of(RET_TYPES, _unknown("return type"))
+_COMMA = _p(",")
 # an operand is one capture, read by `_operand`
 _NAME = _Tok(_WORD, _expected("identifier"))
 _OPERAND = _Alt(_Seq(_p("%"), _NAME), _Seq(_p("@"), _NAME), _Tok(
     r"-?\d+(?!\d)|(?:true|false)(?!\w)"), error=_expected("operand"), capture=True)
-# a list item's separator captures the closing `)`, or None
-_SEP = _Alt(_p(","), _p(")", capture=True), error=_expected("','"))
-_EMPTY = _opt(_p(")", capture=True))
 # a role mark is a role word followed by the label
 _ROLE = _one_of([r for r in ROLES if r != "real"], lookahead=rf"(?={_BLANKS}[^\W\d])")
 _HEAD = (_opt(_ROLE), _IDENT, _p(":"))
-_ASSIGN = (_p("%"), _IDENT, _p("="))
-_CALL = (_kw("call"), _p("@"), _IDENT, _p("("), _EMPTY)
+# a terminator is matched with what follows it: the next block's head or
+# the function's closing `}`
+_NEXT = _Alt(_p("}"), _Seq(*_HEAD))
+_TYPES = _Items(_VALUE_TYPE, _p(")"))
+_PARAMS = _Items(_Seq(_p("%"), _IDENT, _p(":"), _VALUE_TYPE), _p(")"))
+_ARGS = _Items(_OPERAND, _p(")"))
+_CASES = _Items(_Seq(_INT, _p("->"), _IDENT), _p("]"))
+_CALL_EXPR = (_kw("call"), _p("@"), _IDENT, _p("("), _ARGS)
+
+_TOP = _Alt(
+    _Tok(r"\Z"),
+    _Seq(_kw("global"), _p("@"), _IDENT, _p("="), _INT, form="global"),
+    _Seq(_kw("extern"), _p("@"), _IDENT, _p("("), _TYPES, _p("->"), _RET_TYPE,
+         form="extern"),
+    # a function's header runs to its first block's head
+    _Seq(_kw("func"), _p("@"), _IDENT, _kw("src"), _STRING, _p("("), _PARAMS,
+         _p("->"), _RET_TYPE, _p("{"), *_HEAD, form="func"),
+    error=_expected("top-level declaration", "'global', 'extern' or 'func'"))
+_BODY = _Alt(
+    # an assignment's `%dst =` is group 1; its form is decided by the word
+    # after the `=`
+    _Seq(_p("%"), _IDENT, _p("="), _Alt(
+        _Seq(_one_of(BINOPS), _OPERAND, _COMMA, _OPERAND, form="binop"),
+        _Seq(_kw("cmp"), _one_of(CMP_RELS, _unknown("comparison")), _OPERAND,
+             _COMMA, _OPERAND, form="cmp"),
+        _Seq(*_CALL_EXPR, form="call_to"),
+        _Seq(_OPERAND, form="assign"))),
+    _Seq(*_CALL_EXPR, form="call"),
+    _Seq(_kw("br"), _IDENT, _NEXT, form="br"),
+    _Seq(_kw("cbr"), _p("%"), _IDENT, _COMMA, _IDENT, _COMMA, _IDENT, _NEXT,
+         form="cbr"),
+    _Seq(_kw("switch"), _p("%"), _IDENT, _p("["), _CASES, _kw("default"), _IDENT,
+         _NEXT, form="switch"),
+    _Seq(_kw("ret"), _opt(_OPERAND), _NEXT, form="ret"),
+    error=_message("block is missing a terminator"))
 
 
-class _Parser:
-    """Takes the statements of one text in order."""
-
-    def __init__(self, text: str):
-        self.text, self.pos = text, 0
-
-    def take(self, choice: _Choice):
-        """Match one of `choice`'s forms at the current place and build it."""
-        text, start = self.text, self.pos
-        m = choice.regex.match(text, start)
-        if m is not None:
-            self.pos = m.end()
-            build, captures = choice.builds[m.lastindex]
-            try:
-                return build(self, *m.groups()[captures])
-            except ValueError:  # an integer too long for int(): the walk finds it
-                pass
-        # the walk raises the error for the token that does not fit
-        raise _lexical_error(text) or choice.walk(text, start)
-
-    def items(self, element: _Choice, end):
-        """Take list items, each with its separator, while `end` is None."""
-        out = []
-        while end is None:
-            item, end = self.take(element)
-            out.append(item)
-        return tuple(out), end
-
-    def module(self) -> IrModule:
-        lists = {IrFunction: [], tuple: [], ExternDecl: []}  # IrModule's order
-        while (item := self.take(_TOP)) is not None:
-            lists[type(item)].append(item)
-        return IrModule(*map(tuple, lists.values()))
-
-    def function(self, name, base, end):
-        params, _ = self.items(_PARAM, end)
-        ret_type, head = self.take(_FUNC_OPEN)
-        blocks = []
-        while head is not None:
-            role, label = head
-            insts = []
-            while type(stmt := self.take(_BODY)) not in _TERMINATORS:
-                insts.append(stmt)
-            blocks.append(BasicBlock(label, tuple(insts), stmt, role or "real"))
-            head = self.take(_NEXT_BLOCK)
-        return IrFunction(name, _ESCAPE.sub(r"\1", base[1:-1]), params,
-                          ret_type, tuple(blocks))
+def _forms(node, *names):
+    """The match function of `node`'s pattern after blanks, and the group
+    of each named form."""
+    regex = re.compile(_BLANKS + node.tail)
+    return (regex.match, *(regex.groupindex[name] for name in names))
 
 
+_TOP_MATCH, _GLOBAL, _EXTERN, _FUNC = _forms(_TOP, "global", "extern", "func")
+_BODY_MATCH, _BINOP, _ASSIGN, _CMP, _CALL_TO, _CALL, _BR, _CBR, _SWITCH = _forms(
+    _BODY, "binop", "assign", "cmp", "call_to", "call", "br", "cbr", "switch")
 _LITERALS = {"true": True, "false": False}
-_TERMINATORS = (Br, Cbr, Switch, Ret)
 
 
 @functools.lru_cache(maxsize=4096)  # operands are immutable, so shared
@@ -324,51 +334,70 @@ def _operand(text):
     return _LITERALS[text] if text in _LITERALS else wrap64(int(text))
 
 
-def _binary(cls):
-    return lambda p, dst, op, a, b: cls(dst, op, _operand(a), _operand(b))
+def _module(text: str) -> IrModule:
+    """Take the text's declarations in order; a failed match, or an integer
+    too long for `int()`, is found again by the walk from its statement's
+    start, which raises the error."""
+    lists = {IrFunction: [], tuple: [], ExternDecl: []}  # IrModule's order
+    pos = 0
+    try:
+        while m := _TOP_MATCH(text, start := pos):
+            pos, k = m.end(), m.lastindex
+            if k == _FUNC:
+                item, pos = _function(text, m, k)
+            elif k == _GLOBAL:
+                item = (m[k + 1], wrap64(int(m[k + 2])))
+            elif k == _EXTERN:
+                item = ExternDecl(m[k + 1], tuple(_TYPES.findall(text, *m.span(k + 2))),
+                                  m[k + 3])
+            else:  # the end of the text
+                return IrModule(*map(tuple, lists.values()))
+            lists[type(item)].append(item)
+    except ValueError:
+        pass
+    raise _lexical_error(text) or _TOP.walk(text, start)
 
 
-_TOP = _Choice(
-    (_Tok(r"\Z"), lambda p: None),
-    (_Seq(_kw("global"), _p("@"), _IDENT, _p("="), _INT),
-     lambda p, name, lit: (name, wrap64(int(lit)))),
-    (_Seq(_kw("extern"), _p("@"), _IDENT, _p("("), _EMPTY), lambda p, name, end:
-     ExternDecl(name, p.items(_TYPE_ITEM, end)[0], p.take(_RETURNS))),
-    (_Seq(_kw("func"), _p("@"), _IDENT, _kw("src"), _STRING, _p("("), _EMPTY),
-     _Parser.function),
-    error=_expected("top-level declaration", "'global', 'extern' or 'func'"))
-_TYPE_ITEM = _Choice((_Seq(_VALUE_TYPE, _SEP), lambda p, ty, end: (ty, end)))
-_PARAM = _Choice((_Seq(_p("%"), _IDENT, _p(":"), _VALUE_TYPE, _SEP),
-                  lambda p, name, ty, end: ((name, ty), end)))
-_RETURNS = _Choice((_Seq(_p("->"), _RET_TYPE), lambda p, ty: ty))
-# a function's blocks start with a head: the role mark, if any, and label
-_FUNC_OPEN = _Choice((_Seq(_p("->"), _RET_TYPE, _p("{"), *_HEAD),
-                      lambda p, ty, *head: (ty, head)))
-_NEXT_BLOCK = _Choice((_p("}"), lambda p: None),
-                      (_Seq(*_HEAD), lambda p, *head: head))
-_BODY = _Choice(
-    # an assignment's form is decided by the word after its `=`
-    (_Seq(*_ASSIGN, _one_of(BINOPS), _OPERAND, _p(","), _OPERAND, decide=4),
-     _binary(BinOp)),
-    (_Seq(*_ASSIGN, _kw("cmp"), _one_of(CMP_RELS, _unknown("comparison")),
-          _OPERAND, _p(","), _OPERAND, decide=4), _binary(Cmp)),
-    (_Seq(*_ASSIGN, *_CALL, decide=4),
-     lambda p, dst, callee, end: Call(dst, callee, p.items(_ARG, end)[0])),
-    (_Seq(*_ASSIGN, _OPERAND), lambda p, dst, src: Assign(dst, _operand(src))),
-    (_Seq(*_CALL), lambda p, callee, end: Call(None, callee, p.items(_ARG, end)[0])),
-    (_Seq(_kw("br"), _IDENT), lambda p, label: Br(label)),
-    (_Seq(_kw("cbr"), _p("%"), _IDENT, _p(","), _IDENT, _p(","), _IDENT),
-     lambda p, *names: Cbr(*names)),
-    (_Seq(_kw("switch"), _p("%"), _IDENT, _p("["),
-          _opt(_Seq(_p("]"), _kw("default"), _IDENT))),
-     lambda p, scrutinee, default: Switch(scrutinee, *p.items(_CASE, default))),
-    (_Seq(_kw("ret"), _opt(_OPERAND)), lambda p, value: Ret(value and _operand(value))),
-    error=_message("block is missing a terminator"))
-_ARG = _Choice((_Seq(_OPERAND, _SEP), lambda p, arg, end: (_operand(arg), end)))
-# a case's separator captures the default label after the closing `]`
-_CASE = _Choice((_Seq(_INT, _p("->"), _IDENT, _Alt(
-    _p(","), _Seq(_p("]"), _kw("default"), _IDENT), error=_expected("','"))),
-    lambda p, lit, label, default: ((wrap64(int(lit)), label), default)))
+def _function(text: str, m, k):
+    """The function whose header `m` matched as `_TOP`'s form at group `k`,
+    and the end of its closing `}`. The body is one loop, a statement a
+    match, that builds each node itself."""
+    name, base, ret_type = m[k + 1], _ESCAPE.sub(r"\1", m[k + 2][1:-1]), m[k + 4]
+    params = tuple(_PARAMS.findall(text, *m.span(k + 3)))
+    role, label, pos = m[k + 5], m[k + 6], m.end()
+    blocks, insts = [], []
+    try:
+        while m := _BODY_MATCH(text, start := pos):
+            pos, k = m.end(), m.lastindex
+            if k == _BINOP:
+                insts.append(BinOp(m[1], m[k + 1], _operand(m[k + 2]),
+                                   _operand(m[k + 3])))
+            elif k == _ASSIGN:
+                insts.append(Assign(m[1], _operand(m[k + 1])))
+            elif k == _CMP:
+                insts.append(Cmp(m[1], m[k + 1], _operand(m[k + 2]),
+                                 _operand(m[k + 3])))
+            elif k == _CALL_TO or k == _CALL:  # group 1 is None for the latter
+                args = _ARGS.findall(text, *m.span(k + 2))
+                insts.append(Call(m[1], m[k + 1], tuple(map(_operand, args))))
+            else:  # a terminator, then the head (role, label) it ends before
+                if k == _BR:
+                    term, head = Br(m[k + 1]), k + 2
+                elif k == _CBR:
+                    term, head = Cbr(m[k + 1], m[k + 2], m[k + 3]), k + 4
+                elif k == _SWITCH:
+                    cases = _CASES.findall(text, *m.span(k + 2))
+                    term, head = Switch(m[k + 1], tuple(
+                        (wrap64(int(v)), to) for v, to in cases), m[k + 3]), k + 4
+                else:
+                    term, head = Ret(m[k + 1] and _operand(m[k + 1])), k + 2
+                blocks.append(BasicBlock(label, tuple(insts), term, role or "real"))
+                role, label, insts = m[head], m[head + 1], []
+                if label is None:  # the function's closing `}`
+                    return IrFunction(name, base, params, ret_type, tuple(blocks)), pos
+    except ValueError:
+        pass
+    raise _lexical_error(text) or _BODY.walk(text, start)
 
 
 def is_identifier(word: str) -> bool:
@@ -381,7 +410,7 @@ def is_identifier(word: str) -> bool:
 
 def parse_module(text: str) -> IrModule:
     """Parse and validate; raises ParseError or ValidationError."""
-    module = _Parser(text).module()
+    module = _module(text)
     # `\w` in the grammar's identifiers also takes characters that are
     # neither letters nor decimal digits (`²`, `Ⅻ`) and start no identifier;
     # only the lexer rejects them, so it runs only when one is there

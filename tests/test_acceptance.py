@@ -15,6 +15,8 @@ from iobf import (
     instruction_count,
     load_dictionary,
     nested_switch,
+    parse_module,
+    print_module,
     rename_dictionary,
     rename_homoglyph,
     rename_random,
@@ -223,9 +225,11 @@ def test_criterion_5_overhead_directional(corpus):
                                  entry.module)[0])
             assert heavy / base > flat / base, entry.name
 
-        # advisory wall-clock ratio, corpus median per pass; warm both
-        # modules first so analysis cost and allocator churn stay out of
-        # the timed repetitions
+        # advisory wall-clock ratio, corpus median per pass; both sides are
+        # fresh modules (the interpreter keeps its compiled code, and what
+        # it generates once parts run hot, per module object), warmed alike
+        # so analysis cost and allocator churn stay out of the timed
+        # repetitions
         reps = 9
         medians = {}
         for label, passes in PIPELINES.items():
@@ -233,13 +237,14 @@ def test_criterion_5_overhead_directional(corpus):
                 continue
             ratios = []
             for entry in corpus:
+                orig = parse_module(print_module(entry.module))
                 obf, _ = transform_module(_cfg(passes, seed), entry.module)
                 for args in entry.inputs:
-                    run(entry.module, entry.entry, args, entry.fuel)
+                    run(orig, entry.entry, args, entry.fuel)
                     run(obf, entry.entry, args, entry.fuel)
                 gc.collect()
                 t_orig = sum(
-                    timed_run(entry.module, entry.entry, args, reps, entry.fuel)
+                    timed_run(orig, entry.entry, args, reps, entry.fuel)
                     for args in entry.inputs)
                 t_obf = sum(
                     timed_run(obf, entry.entry, args, reps, entry.fuel)

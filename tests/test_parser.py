@@ -134,6 +134,22 @@ _F = 'func @f src "f" () -> int {\n'
     ("global @g = - 1", "stray '-'", 1, 13),
     ("global @g = 1 # one", "unexpected character '#'", 1, 15),
     ("global @²g = 1", "unexpected character '²'", 1, 9),
+    # errors inside a list or in the head after a terminator, which are
+    # matched whole with their statement and found only by the walk
+    (_F + "entry:\n  switch %x [1 -> a, 2 -> a, 3 a] default a\n}",
+     "expected '->', got 'a'", 3, 32),
+    (_F + "entry:\n  switch %x [1 -> a, 2 -> a, " + "9" * 4301 + " -> a] default a\n}",
+     "integer literal of 4301 characters is too long", 3, 30),
+    (_F + "entry:\n  switch %x [1 -> a,] default a\n}",
+     "expected integer, got ']'", 3, 21),
+    (_F + "entry:\n  call @e(%x, ret)\n}", "expected operand, got 'ret'", 3, 15),
+    ('func @f src "f" (%x: int, y: bool) -> int { entry: ret 0 }',
+     "expected '%', got 'y'", 1, 27),
+    (_F + "entry:\n  ret 0\n3:\n  ret 1\n}", "expected identifier, got '3'", 4, 1),
+    (_F + "entry:\n  switch %x [1 -> a, ; note\n $ 2 -> a] default a\n}",
+     "unexpected character '$'", 4, 2),
+    # a bare `ret` takes a label that reads as an operand
+    (_F + "entry:\n  ret\ntrue:\n  ret 1\n}", "expected identifier, got ':'", 4, 5),
 ], ids=[
     "top_level_punct", "top_level_word", "extern_type", "param_type",
     "extern_return_type", "func_return_type", "source_name", "identifier",
@@ -141,7 +157,9 @@ _F = 'func @f src "f" () -> int {\n'
     "comma", "end_of_text", "string_got", "integer", "case_integer",
     "operand", "operand_word", "operand_identifier", "unknown_comparison",
     "missing_terminator", "too_long", "unterminated_string", "stray_minus",
-    "unexpected_character", "digit_like_start",
+    "unexpected_character", "digit_like_start", "case_arrow", "case_too_long",
+    "case_trailing_comma", "call_argument", "second_param", "head_after_terminator",
+    "character_after_comment_in_cases", "operand_before_head",
 ])
 def test_every_parse_error_form(text, message, line, col):
     with pytest.raises(ParseError) as err:
@@ -291,6 +309,7 @@ _ALL_FORMS = """\
 global @g = -7
 extern @e(int, bool) -> void
 extern @n() -> int
+extern @t(int, bool, int) -> int
 func @_O1hv src "h\\"q" (%p: int, %q: bool) -> bool {
 entry:
   %a = @g
@@ -298,7 +317,8 @@ entry:
   %c = cmp le %p, @g
   %d = call @n()
   call @e(%d, false)
-  switch %p [0 -> done, -3 -> fake] default done
+  %f = call @t(%d, %q, -2)
+  switch %f [0 -> done, -3 -> fake, 7 -> done, 12 -> fake] default done
 bogus fake:
   cbr %q, done, fake
 dispatcher done:
@@ -312,9 +332,11 @@ _TOKENS = re.compile(r'"(?:\\.|[^"\\])*"|->|-?\d+|\w+|\S')
 @settings(max_examples=60, deadline=None)
 @given(random_modules(), st.data())
 def test_layout_property(m, data):
-    """Blanks, newlines and comments between any two tokens change nothing."""
+    """Blanks, newlines and comments between any two tokens change nothing,
+    also where a comment reads like list items."""
     text = print_module(m) + _ALL_FORMS
-    seps = st.sampled_from([" ", "\n", "\t", "\r\n", " ; note\n", ";\n  "])
+    seps = st.sampled_from([" ", "\n", "\t", "\r\n", " ; note\n", ";\n  ",
+                            "; 1 -> x, %y)\n"])
     reflowed = "".join(tok + data.draw(seps) for tok in _TOKENS.findall(text))
     expected = parse_module(text)
     assert expected.functions[0] == m.functions[0]
