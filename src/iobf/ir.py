@@ -6,10 +6,11 @@ registers (non-SSA: reassignment is permitted). Values are signed 64-bit
 integers with wrapping arithmetic, plus booleans produced by comparisons.
 
 Every node is frozen and every sequence in one is a tuple. Nodes are
-shared between modules, a pass cannot change the module it was given (it
-builds new blocks with `dataclasses.replace` and returns a new function
-or module), and the interpreter's per-module compile cache needs no
-invalidation.
+shared between modules and within one (the parser builds a repeated
+statement once per module), a pass cannot change the module it was given
+(it builds new blocks with `dataclasses.replace` and returns a new
+function or module), and the interpreter's per-module compile cache
+needs no invalidation.
 
 This file owns the in-memory types, canonical text printing and the
 simulated name-mangling scheme. Parsing lives in `parser`, semantic
@@ -313,36 +314,36 @@ def _escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def print_function(fn: IrFunction) -> str:
-    params = ", ".join(f"%{name}: {ty}" for name, ty in fn.params)
-    lines = [
-        f'func @{fn.mangled_name} src "{_escape(fn.base_name)}" ({params}) -> {fn.ret_type} {{'
-    ]
-    for b in fn.blocks:
-        mark = "" if b.role == "real" else f"{b.role} "
-        lines.append(f"{mark}{b.label}:")
-        for ins in b.insts:
-            lines.append(f"  {_inst_str(ins)}")
-        if b.term is not None:
-            lines.append(f"  {_term_str(b.term)}")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def print_module(m: IrModule) -> str:
     """Canonical text for a module.
 
     Deterministic: globals, then externs, then functions, each in declared
     order. `parse_module(print_module(m))` is structurally equal to `m`.
+    An instruction object that stands in several places (the parser shares
+    repeated statements, passes share the unchanged instructions of cloned
+    blocks) is printed once: its line is kept by `id()`, which no other
+    object takes while `m` holds them all.
     """
-    parts: list[str] = []
-    for name, value in m.globals:
-        parts.append(f"global @{name} = {value}")
+    parts = [f"global @{name} = {value}" for name, value in m.globals]
     for e in m.externs:
         tys = ", ".join(e.param_types)
         parts.append(f"extern @{e.name}({tys}) -> {e.ret_type}")
+    printed: dict[int, str] = {}  # id of an instruction -> its line
     for fn in m.functions:
-        parts.append(print_function(fn))
+        params = ", ".join(f"%{name}: {ty}" for name, ty in fn.params)
+        lines = [f'func @{fn.mangled_name} src "{_escape(fn.base_name)}" '
+                 f'({params}) -> {fn.ret_type} {{']
+        for b in fn.blocks:
+            mark = "" if b.role == "real" else f"{b.role} "
+            lines.append(f"{mark}{b.label}:")
+            for ins in b.insts:
+                if (line := printed.get(id(ins))) is None:
+                    line = printed[id(ins)] = f"  {_inst_str(ins)}"
+                lines.append(line)
+            if b.term is not None:
+                lines.append(f"  {_term_str(b.term)}")
+        lines.append("}")
+        parts.append("\n".join(lines))
     return "\n\n".join(parts) + "\n"
 
 

@@ -36,8 +36,9 @@ head or `}` after it): token sequences with blanks and comments allowed
 between any two. The forms that may stand at one place compile to one
 regular expression, in which each form is a named group, so the match's
 `lastindex` names the form and the form's captures follow it. A
-function body is one loop, a match per statement, that builds each node
-itself; the assignments share one reading of their `%dst =`. A list
+function body is one loop, a match per statement, that builds a node
+once per distinct statement text in the module and shares it at every
+repeat; the assignments share one reading of their `%dst =`. A list
 (parameters, extern types, switch cases, call arguments) is matched
 whole by one repeated pattern, and `findall` over the span it took reads
 its items. When a match fails, or an integer is too long for `int()`,
@@ -339,12 +340,12 @@ def _module(text: str) -> IrModule:
     too long for `int()`, is found again by the walk from its statement's
     start, which raises the error."""
     lists = {IrFunction: [], tuple: [], ExternDecl: []}  # IrModule's order
-    pos = 0
+    pos, shared = 0, {}
     try:
         while m := _TOP_MATCH(text, start := pos):
             pos, k = m.end(), m.lastindex
             if k == _FUNC:
-                item, pos = _function(text, m, k)
+                item, pos = _function(text, m, k, shared)
             elif k == _GLOBAL:
                 item = (m[k + 1], wrap64(int(m[k + 2])))
             elif k == _EXTERN:
@@ -358,46 +359,59 @@ def _module(text: str) -> IrModule:
     raise _lexical_error(text) or _TOP.walk(text, start)
 
 
-def _function(text: str, m, k):
+def _function(text: str, m, k, shared: dict):
     """The function whose header `m` matched as `_TOP`'s form at group `k`,
     and the end of its closing `}`. The body is one loop, a statement a
-    match, that builds each node itself."""
+    match. `shared` maps a statement's matched text to what was built from
+    it for the module: an instruction, or a terminator with the (role,
+    label) of the head after it. The forms are disjoint on their text, and
+    a lookahead at a match's end can only reject it, so the same text
+    always yields the same groups and a repeat takes the stored result."""
     name, base, ret_type = m[k + 1], _ESCAPE.sub(r"\1", m[k + 2][1:-1]), m[k + 4]
     params = tuple(_PARAMS.findall(text, *m.span(k + 3)))
     role, label, pos = m[k + 5], m[k + 6], m.end()
     blocks, insts = [], []
     try:
         while m := _BODY_MATCH(text, start := pos):
-            pos, k = m.end(), m.lastindex
-            if k == _BINOP:
-                insts.append(BinOp(m[1], m[k + 1], _operand(m[k + 2]),
-                                   _operand(m[k + 3])))
-            elif k == _ASSIGN:
-                insts.append(Assign(m[1], _operand(m[k + 1])))
-            elif k == _CMP:
-                insts.append(Cmp(m[1], m[k + 1], _operand(m[k + 2]),
-                                 _operand(m[k + 3])))
-            elif k == _CALL_TO or k == _CALL:  # group 1 is None for the latter
-                args = _ARGS.findall(text, *m.span(k + 2))
-                insts.append(Call(m[1], m[k + 1], tuple(map(_operand, args))))
+            pos = m.end()
+            if (node := shared.get(key := m[0])) is None:
+                node = shared[key] = _statement(text, m, m.lastindex)
+            if type(node) is not tuple:
+                insts.append(node)
             else:  # a terminator, then the head (role, label) it ends before
-                if k == _BR:
-                    term, head = Br(m[k + 1]), k + 2
-                elif k == _CBR:
-                    term, head = Cbr(m[k + 1], m[k + 2], m[k + 3]), k + 4
-                elif k == _SWITCH:
-                    cases = _CASES.findall(text, *m.span(k + 2))
-                    term, head = Switch(m[k + 1], tuple(
-                        (wrap64(int(v)), to) for v, to in cases), m[k + 3]), k + 4
-                else:
-                    term, head = Ret(m[k + 1] and _operand(m[k + 1])), k + 2
-                blocks.append(BasicBlock(label, tuple(insts), term, role or "real"))
-                role, label, insts = m[head], m[head + 1], []
+                blocks.append(BasicBlock(label, tuple(insts), node[0], role or "real"))
+                _, role, label = node
+                insts = []
                 if label is None:  # the function's closing `}`
                     return IrFunction(name, base, params, ret_type, tuple(blocks)), pos
     except ValueError:
         pass
     raise _lexical_error(text) or _BODY.walk(text, start)
+
+
+def _statement(text: str, m, k):
+    """The node that `m` matched as `_BODY`'s form at group `k`; for a
+    terminator, the tuple of it and the next head's role and label."""
+    if k == _BINOP:
+        return BinOp(m[1], m[k + 1], _operand(m[k + 2]), _operand(m[k + 3]))
+    if k == _ASSIGN:
+        return Assign(m[1], _operand(m[k + 1]))
+    if k == _CMP:
+        return Cmp(m[1], m[k + 1], _operand(m[k + 2]), _operand(m[k + 3]))
+    if k == _CALL_TO or k == _CALL:  # group 1 is None for the latter
+        args = _ARGS.findall(text, *m.span(k + 2))
+        return Call(m[1], m[k + 1], tuple(map(_operand, args)))
+    if k == _BR:
+        term, head = Br(m[k + 1]), k + 2
+    elif k == _CBR:
+        term, head = Cbr(m[k + 1], m[k + 2], m[k + 3]), k + 4
+    elif k == _SWITCH:
+        cases = _CASES.findall(text, *m.span(k + 2))
+        term, head = Switch(m[k + 1], tuple(
+            (wrap64(int(v)), to) for v, to in cases), m[k + 3]), k + 4
+    else:
+        term, head = Ret(m[k + 1] and _operand(m[k + 1])), k + 2
+    return term, m[head], m[head + 1]
 
 
 def is_identifier(word: str) -> bool:

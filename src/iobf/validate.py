@@ -2,8 +2,9 @@
 
 `validate` returns a list of diagnostics; an empty list means the module
 satisfies every structural and type invariant the interpreter relies on
-(no undefined labels or registers, every read register has one inferable
-type, legal call targets, statically detectable division by zero, integer
+(no undefined labels or registers, no label `true` or `false`, which
+text reads as a literal, every read register has one inferable type,
+legal call targets, statically detectable division by zero, integer
 literals and globals in the signed 64-bit range).
 """
 
@@ -150,6 +151,9 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
         if b.label in labels:
             diags.append(Diagnostic("DuplicateLabel",
                                     f"label {b.label} defined twice", name))
+        if b.label in ("true", "false"):  # after a bare `ret` it reads as its operand
+            diags.append(Diagnostic("ReservedLabel",
+                                    f"label {b.label} reads as a literal", name, b.label))
         labels.add(b.label)
 
     types = infer_local_types(fn, m)
@@ -185,8 +189,12 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                     f"expected {want}, got {ty}", name, block))
         return ty
 
+    clean: set[int] = set()  # ids that passed: checks read only it and function-wide facts
     for b in fn.blocks:
         for ins in b.insts:
+            if id(ins) in clean:
+                continue
+            found = len(diags)
             ty = None  # the type the instruction assigns to its destination
             if isinstance(ins, BinOp):
                 ty = "int"
@@ -237,6 +245,8 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                 diags.append(Diagnostic("TypeMismatch",
                                         f"%{ins.dst} is {types[ins.dst]}, assigned {ty}",
                                         name, b.label))
+            if len(diags) == found:
+                clean.add(id(ins))
 
         t = b.term
         if t is None:

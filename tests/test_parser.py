@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iobf import parse_module, print_module, validate
+from iobf.cli import PipelineConfig, run_pipeline
 from iobf.parser import ParseError, ValidationError
+from iobf.validate import infer_local_types
 
 from conftest import GCD_TEXT, random_modules
 
@@ -273,6 +275,59 @@ def test_switch_with_no_cases():
     )
     term = m.functions[0].blocks[0].term
     assert term.cases == ()
+
+
+# The same statement texts in two functions whose `%x` has different types,
+# and twice in each; `%z = add %y, 1` types only where `%x` is an int.
+_SHARED = """\
+func @f src "f" (%x: int) -> int {
+entry:
+  %y = %x
+  %c = cmp eq %x, %x
+  br next
+next:
+  %y = %x
+  %c = cmp eq %x, %x
+  %z = add %y, 1
+  ret %z
+}
+
+func @g src "g" (%x: bool) -> bool {
+entry:
+  %y = %x
+  %c = cmp eq %x, %x
+  br next
+next:
+  %y = %x
+  %c = cmp eq %x, %x
+  %z = cmp ne %y, %c
+  ret %z
+}
+"""
+
+
+def test_shared_statements_carry_no_context():
+    m = parse_module(_SHARED)
+    assert print_module(m) == _SHARED
+    assert parse_module(print_module(m)) == m
+    f, g = m.functions
+    assert [infer_local_types(fn, m)["y"] for fn in m.functions] == ["int", "bool"]
+    for i in range(2):  # `%y = %x`, then the cmp
+        shared = f.blocks[0].insts[i]
+        assert all(b.insts[i] is shared for fn in (f, g) for b in fn.blocks)
+    assert f.blocks[0].term is g.blocks[0].term  # `br next` before `next:`
+    with pytest.raises(ValidationError) as err:
+        parse_module(_SHARED.replace("%z = cmp ne %y, %c", "%z = add %y, 1"))
+    assert [(d.code, d.function, d.block) for d in err.value.diagnostics] == [
+        ("TypeMismatch", "g", "next"), ("TypeMismatch", "g", "next")]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_printing_a_parsed_output_gives_its_text(corpus, seed):
+    config = PipelineConfig(["nested", "indeg", "ident-default"], seed)
+    for entry in corpus:
+        text = run_pipeline(config, print_module(entry.module)).text
+        assert print_module(parse_module(text)) == text, entry.name
 
 
 # ---------------------------------------------------------------------------

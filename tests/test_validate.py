@@ -21,7 +21,7 @@ from iobf.ir import (
     operand_type,
 )
 from iobf.parser import ValidationError
-from iobf.validate import infer_local_types
+from iobf.validate import Diagnostic, infer_local_types
 
 from conftest import random_modules
 
@@ -126,6 +126,30 @@ def test_void_call_result_has_no_type():
 def test_return_type_checked():
     m = IrModule(functions=[fn_of([BasicBlock("entry", [], Ret(None))])])
     assert "ReturnTypeMismatch" in codes(m)
+
+
+@pytest.mark.parametrize("label", ["true", "false"])
+def test_block_labelled_like_a_literal_is_rejected(label):
+    # after a bare `ret` the printed label would read as its operand
+    m = IrModule(functions=[fn_of([BasicBlock("entry", [], Ret(None)),
+                                   BasicBlock(label, [], Ret(None))], ret="void")])
+    assert [(d.code, d.block) for d in validate(m)] == [("ReservedLabel", label)]
+    with pytest.raises(ValidationError) as err:
+        parse_module(f'func @f src "f" () -> void {{ entry: br {label} {label}: ret }}')
+    assert err.value.codes == ["ReservedLabel"]
+
+
+def test_an_invalid_instruction_shared_by_two_blocks_is_reported_in_each():
+    bad = BinOp("x", "add", Local("ghost"), 1)
+    ok = BinOp("x", "add", Local("x"), 1)
+    m = IrModule(functions=[fn_of([
+        BasicBlock("entry", [ok, bad], Br("next")),
+        BasicBlock("next", [ok, bad], Ret(Local("x"))),
+    ], params=[("x", "int")])])
+    assert validate(m) == [
+        Diagnostic("UndefinedLocal", "%ghost is never assigned", "_O1fi", "entry"),
+        Diagnostic("UndefinedLocal", "%ghost is never assigned", "_O1fi", "next"),
+    ]
 
 
 @pytest.mark.parametrize("m", [
