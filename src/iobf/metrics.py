@@ -1,11 +1,13 @@
 """Similarity and overhead measurement between module versions.
 
 The similarity indicators are a documented stand-in for a binary-diffing
-tool: blocks are matched by a canonical content hash (names replaced by
-first-occurrence indices, constants bucketed), jumps by terminator shape,
-functions by source base name and arity. Absolute values therefore are
-not comparable with any external matcher; orderings and gaps are what the
-acceptance properties consume.
+tool: blocks are matched by canonical text (names replaced by
+first-occurrence indices, constants bucketed; `canonical_block_hash` is
+its digest), jumps by terminator shape, functions by source base name and
+arity. Absolute values therefore are not comparable with any external
+matcher; orderings and gaps are what the acceptance properties consume.
+Equal texts mean equal instruction counts and terminator shapes, so
+`similarity` canonicalizes only obfuscated blocks whose pair can match.
 """
 
 from __future__ import annotations
@@ -134,19 +136,27 @@ def _multiset_similarity(a: list, b: list) -> float:
 def similarity(orig: IrModule, obf: IrModule) -> SimilarityReport:
     """Four-indicator similarity between an original and its obfuscation.
 
-    bb/ji compare multisets of block hashes and jump shapes against the
-    larger module's count; fn matches (base name, arity) pairs. prog is
-    the weighted blend 0.5*bb + 0.3*ji + 0.2*fn, scaled to [0, 1] — the
-    weights are an artifact convention, declared here.
+    bb/ji compare multisets of canonical block texts and jump shapes
+    against the larger module's count; fn matches (base name, arity)
+    pairs. prog is the weighted blend 0.5*bb + 0.3*ji + 0.2*fn, scaled to
+    [0, 1] — the weights are an artifact convention, declared here.
+
+    An obfuscated block whose (instruction count, terminator shape) the
+    original lacks is not canonicalized and counts as None, which matches
+    nothing: a text has one line per instruction, a terminator line never
+    reads as an instruction line and a block without a terminator adds
+    none, so equal texts have equal counts and shapes.
     """
+    orig_blocks, obf_blocks = _all_blocks(orig), _all_blocks(obf)
+    orig_shapes = [terminator_shape(b) for b in orig_blocks]
+    obf_shapes = [terminator_shape(b) for b in obf_blocks]
+    keys = {(len(b.insts), s) for b, s in zip(orig_blocks, orig_shapes)}
     bb = _multiset_similarity(
-        [canonical_block_hash(b) for b in _all_blocks(orig)],
-        [canonical_block_hash(b) for b in _all_blocks(obf)],
+        [canonical_block_text(b) for b in orig_blocks],
+        [canonical_block_text(b) if (len(b.insts), s) in keys else None
+         for b, s in zip(obf_blocks, obf_shapes)],
     )
-    ji = _multiset_similarity(
-        [terminator_shape(b) for b in _all_blocks(orig)],
-        [terminator_shape(b) for b in _all_blocks(obf)],
-    )
+    ji = _multiset_similarity(orig_shapes, obf_shapes)
     fn = _multiset_similarity(
         [(f.base_name, len(f.params)) for f in orig.functions],
         [(f.base_name, len(f.params)) for f in obf.functions],

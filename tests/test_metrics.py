@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iobf import (
     rename_dictionary,
@@ -9,19 +11,25 @@ from iobf import (
     load_dictionary,
     overhead,
     parse_module,
+    print_module,
     rename_homoglyph,
     rename_random,
     similarity,
 )
 from iobf.bogus import mutate_instructions
+from iobf.cli import PASS_APPLIERS, PipelineConfig, transform_module
 from iobf.metrics import (
+    SimilarityReport,
+    _all_blocks,
+    _multiset_similarity,
     aggregate_rows,
     canonical_block_text,
     terminator_shape,
 )
-from iobf.ir import Assign, BasicBlock, BinOp, Local, Ret
+from iobf.ir import (
+    Assign, BasicBlock, BinOp, Br, IrFunction, IrModule, Local, Ret)
 
-from conftest import GCD_TEXT, mutation_diff, single_function_module
+from conftest import GCD_TEXT, mutation_diff, random_programs, single_function_module
 
 # sha256 of the canonical text "ret", the documented form of a block that
 # holds nothing but a bare return
@@ -152,3 +160,109 @@ def test_aggregate_rows_skip_missing_time():
 def test_space_ratio_of_module_without_instructions():
     m = parse_module("global @g = 1\n")
     assert overhead(m, m, "f", []).space_ratio == 1.0
+
+
+def reference_similarity(orig, obf):
+    """`similarity` without its size/shape filter: the sha256 of every
+    block's canonical text on both sides."""
+    bb = _multiset_similarity(
+        [canonical_block_hash(b) for b in _all_blocks(orig)],
+        [canonical_block_hash(b) for b in _all_blocks(obf)])
+    ji = _multiset_similarity(
+        [terminator_shape(b) for b in _all_blocks(orig)],
+        [terminator_shape(b) for b in _all_blocks(obf)])
+    fn = _multiset_similarity(
+        [(f.base_name, len(f.params)) for f in orig.functions],
+        [(f.base_name, len(f.params)) for f in obf.functions])
+    return SimilarityReport(
+        bb, ji, fn, 0.5 * bb / 100 + 0.3 * ji / 100 + 0.2 * fn / 100)
+
+
+@pytest.mark.parametrize("pass_name", list(PASS_APPLIERS))
+def test_similarity_matches_the_reference_on_every_single_pass_output(
+        corpus, pass_name):
+    for entry in corpus:
+        for seed in range(3):
+            out, _ = transform_module(PipelineConfig([pass_name], seed), entry.module)
+            assert similarity(entry.module, out) == reference_similarity(
+                entry.module, out), (entry.name, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_similarity_matches_the_reference_on_the_default_pipeline(corpus, seed):
+    cfg = PipelineConfig(["nested", "indeg", "ident-default"], seed)
+    for entry in corpus:
+        out, _ = transform_module(cfg, entry.module)
+        reparsed = parse_module(print_module(out))
+        assert similarity(entry.module, reparsed) == reference_similarity(
+            entry.module, reparsed), entry.name
+
+
+# `bogus_count` is drawn small for the reason given in test_pass_properties
+@settings(max_examples=200, deadline=None)
+@given(random_programs(),
+       st.lists(st.sampled_from(list(PASS_APPLIERS)), min_size=1, max_size=3),
+       st.integers(0, 1 << 16), st.sampled_from((0.3, 1.0)), st.integers(1, 3))
+def test_similarity_matches_the_reference_on_random_pipelines(
+        m, passes, seed, prob, bogus_count):
+    cfg = PipelineConfig(passes, seed, prob=prob, bogus_count=bogus_count)
+    out, _ = transform_module(cfg, m)
+    assert similarity(m, out) == reference_similarity(m, out)
+
+
+def _blocks_module(*blocks):
+    return IrModule((IrFunction("f", "f", (("x", "int"),), "int", blocks),))
+
+
+def _add_br(label, k):
+    return BasicBlock(label, (BinOp("y", "add", Local("x"), k),), Br(label))
+
+
+def test_similarity_of_modules_without_functions():
+    m = parse_module("global @g = 1\n")
+    assert similarity(m, m) == reference_similarity(m, m) == SimilarityReport(
+        100.0, 100.0, 100.0, 1.0)
+
+
+@pytest.mark.parametrize("orig_copies, obf_copies, other, bb", [
+    (3, 1, 3, 100.0 * 1 / 4),
+    (1, 3, 0, 100.0 * 1 / 3),
+], ids=["more_in_original", "more_in_obfuscated"])
+def test_a_repeated_block_text_matches_at_most_as_often_as_the_rarer_side(
+        orig_copies, obf_copies, other, bb):
+    # the `add %x, 1` blocks share one text; the `add %x, 0` blocks have
+    # their size and shape but another text
+    orig = _blocks_module(*[_add_br(f"o{i}", 1) for i in range(orig_copies)])
+    obf = _blocks_module(*[_add_br(f"b{i}", 1) for i in range(obf_copies)],
+                         *[_add_br(f"c{i}", 0) for i in range(other)])
+    sim = similarity(orig, obf)
+    assert sim == reference_similarity(orig, obf)
+    assert sim.bb_sim == bb
+
+
+def test_blocks_of_equal_size_and_shape_but_different_text_do_not_match():
+    orig = _blocks_module(
+        BasicBlock("a", (BinOp("y", "add", Local("x"), 2),), Ret(Local("y"))))
+    obf = _blocks_module(
+        BasicBlock("a", (BinOp("y", "mul", Local("x"), 2),), Ret(Local("y"))))
+    a, b = orig.functions[0].blocks[0], obf.functions[0].blocks[0]
+    assert (len(a.insts), terminator_shape(a)) == (len(b.insts), terminator_shape(b))
+    assert canonical_block_text(a) != canonical_block_text(b)
+    sim = similarity(orig, obf)
+    assert sim == reference_similarity(orig, obf)
+    assert (sim.bb_sim, sim.ji_sim) == (0.0, 100.0)
+
+
+def test_blocks_without_a_terminator_match_by_their_instructions_alone():
+    # `terminator_shape` calls a missing terminator ("ret", 0), so each
+    # obfuscated block below has the size and shape of an original one
+    orig = _blocks_module(BasicBlock("a", (Assign("x", 0),), None),
+                          BasicBlock("b", (), Ret(None)))
+    obf = _blocks_module(BasicBlock("c", (Assign("y", 0),), None),
+                         BasicBlock("d", (Assign("z", 0),), Ret(None)),
+                         BasicBlock("e", (), None))
+    assert {terminator_shape(b) for b in _all_blocks(obf)} == {("ret", 0)}
+    assert canonical_block_text(obf.functions[0].blocks[2]) == ""
+    sim = similarity(orig, obf)
+    assert sim == reference_similarity(orig, obf)
+    assert sim.bb_sim == 100.0 / 3
