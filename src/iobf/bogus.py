@@ -133,11 +133,12 @@ def mutate_instructions(insts, rng) -> tuple:
     frozen, so the mutated ones are rebuilt and the rest are shared."""
     out = list(insts)
 
-    binop_at = [i for i, ins in enumerate(out) if isinstance(ins, BinOp)]
+    binop_at = [i for i, ins in enumerate(out) if type(ins) is BinOp]
     if binop_at:
         i = rng.choice(binop_at)
-        choices = [op for op in _SWAP_OPS if op != out[i].op]
-        out[i] = replace(out[i], op=rng.choice(choices))
+        ins = out[i]
+        choices = [op for op in _SWAP_OPS if op != ins.op]
+        out[i] = BinOp(ins.dst, rng.choice(choices), ins.a, ins.b)
 
     spots = _literal_spots(out)
     if spots:
@@ -147,22 +148,20 @@ def mutate_instructions(insts, rng) -> tuple:
 
 
 def _literal_spots(insts) -> list[tuple[int, str]]:
+    # `type(x) is int` leaves bool literals out: they are not bumped
     spots = []
     for i, ins in enumerate(insts):
-        if isinstance(ins, BinOp):
-            if operand_type(ins.a) == "int":
+        kind = type(ins)
+        if kind is BinOp or kind is Cmp:
+            if type(ins.a) is int:
                 spots.append((i, "a"))
             # never turn a constant divisor into zero
-            if operand_type(ins.b) == "int" and not (
-                ins.op in ("sdiv", "srem") and wrap64(ins.b + 1) == 0
+            if type(ins.b) is int and not (
+                kind is BinOp and ins.op in ("sdiv", "srem")
+                and wrap64(ins.b + 1) == 0
             ):
                 spots.append((i, "b"))
-        elif isinstance(ins, Cmp):
-            if operand_type(ins.a) == "int":
-                spots.append((i, "a"))
-            if operand_type(ins.b) == "int":
-                spots.append((i, "b"))
-        elif isinstance(ins, Assign) and operand_type(ins.src) == "int":
+        elif kind is Assign and type(ins.src) is int:
             spots.append((i, "src"))
     return spots
 

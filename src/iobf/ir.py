@@ -5,12 +5,13 @@ functions. Functions hold ordered basic blocks over named mutable
 registers (non-SSA: reassignment is permitted). Values are signed 64-bit
 integers with wrapping arithmetic, plus booleans produced by comparisons.
 
-Every node is frozen and every sequence in one is a tuple. Nodes are
-shared between modules and within one (the parser builds a repeated
-statement once per module), a pass cannot change the module it was given
-(it builds new blocks with `dataclasses.replace` and returns a new
-function or module), and the interpreter's per-module compile cache
-needs no invalidation.
+Every node is a frozen dataclass with slots, built through its slots
+(`_node`), and every sequence in one is a tuple. Nodes are shared between
+modules and within one (the parser builds a repeated statement once per
+module), a pass cannot change the module it was given (it builds new
+nodes, directly or by `dataclasses.replace`, and returns a new function
+or module), and the interpreter's per-module compile cache needs no
+invalidation.
 
 This file owns the in-memory types, canonical text printing and the
 simulated name-mangling scheme. Parsing lives in `parser`, semantic
@@ -19,7 +20,7 @@ checking in `validate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 INT_BITS = 64
 INT_MASK = (1 << INT_BITS) - 1
@@ -38,15 +39,39 @@ def wrap64(value: int) -> int:
     return ((value + (1 << 63)) & INT_MASK) - (1 << 63)
 
 
+def _frozen(self, name, *value):
+    # dataclass's own test the class that slots=True rebuilt (a TypeError)
+    raise FrozenInstanceError(
+        f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _node(cls=None, /, **kw):
+    """`dataclass(frozen=True, slots=True, **kw)` whose `__init__` (same
+    signature) sets each field by its slot, not by `object.__setattr__`."""
+    def wrap(cls):
+        cls = dataclass(cls, frozen=True, slots=True, **kw)
+        names = [f.name for f in fields(cls)]
+        ns, old = {}, cls.__init__
+        exec(f"def make({', '.join('set_' + n for n in names)}):\n"
+             f" def __init__(self, {', '.join(names)}):\n"
+             + "".join(f"  set_{n}(self, {n})\n" for n in names)
+             + " return __init__", globals(), ns)
+        cls.__init__ = init = ns["make"](*(getattr(cls, n).__set__ for n in names))
+        init.__defaults__, init.__annotations__ = old.__defaults__, old.__annotations__
+        cls.__setattr__ = cls.__delattr__ = _frozen
+        return cls
+    return wrap if cls is None else wrap(cls)
+
+
 # ---------------------------------------------------------------------------
 # Operands
 
-@dataclass(frozen=True)
+@_node
 class Local:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class GlobalRef:
     name: str
 
@@ -68,7 +93,7 @@ def operand_type(op: Operand) -> str | None:
 # ---------------------------------------------------------------------------
 # Instructions
 
-@dataclass(frozen=True)
+@_node
 class BinOp:
     dst: str
     op: str
@@ -76,7 +101,7 @@ class BinOp:
     b: Operand
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp:
     dst: str
     rel: str
@@ -84,14 +109,14 @@ class Cmp:
     b: Operand
 
 
-@dataclass(frozen=True)
+@_node
 class Assign:
     """`%dst = src`: a copy of a register or global, or a literal store."""
     dst: str
     src: Operand
 
 
-@dataclass(frozen=True)
+@_node
 class Call:
     dst: str | None
     callee: str
@@ -104,26 +129,26 @@ Instruction = BinOp | Cmp | Assign | Call
 # ---------------------------------------------------------------------------
 # Terminators
 
-@dataclass(frozen=True)
+@_node
 class Br:
     label: str
 
 
-@dataclass(frozen=True)
+@_node
 class Cbr:
     cond: str
     then_label: str
     else_label: str
 
 
-@dataclass(frozen=True)
+@_node
 class Switch:
     scrutinee: str
     cases: tuple[tuple[int, str], ...]
     default: str
 
 
-@dataclass(frozen=True)
+@_node
 class Ret:
     value: Operand | None = None
 
@@ -164,7 +189,7 @@ def retarget(term: Terminator, mapping: dict[str, str]) -> Terminator:
 # ---------------------------------------------------------------------------
 # Blocks, functions, modules
 
-@dataclass(frozen=True)
+@_node
 class BasicBlock:
     label: str
     insts: tuple[Instruction, ...] = ()
@@ -172,14 +197,14 @@ class BasicBlock:
     role: str = "real"
 
 
-@dataclass(frozen=True)
+@_node
 class ExternDecl:
     name: str
     param_types: tuple[str, ...]
     ret_type: str
 
 
-@dataclass(frozen=True)
+@_node
 class IrFunction:
     mangled_name: str
     base_name: str
@@ -204,7 +229,7 @@ class IrFunction:
         return names
 
 
-@dataclass(frozen=True)
+@_node(weakref_slot=True)
 class IrModule:
     functions: tuple[IrFunction, ...] = ()
     globals: tuple[tuple[str, int], ...] = ()

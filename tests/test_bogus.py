@@ -1,6 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iobf import (
     bogus_control_flow,
@@ -16,7 +19,9 @@ from iobf import (
 )
 from iobf import bogus
 from iobf.bogus import MASK16, fresh_literal, mutate_instructions
-from iobf.ir import Assign, BinOp, Br, Cbr, Local
+from iobf.cli import PASS_APPLIERS, PipelineConfig
+from iobf.ir import (BINOPS, CMP_RELS, INT_MAX, INT_MIN, Assign, BinOp, Br,
+                     Call, Cbr, Cmp, GlobalRef, Local, operand_type, wrap64)
 
 from conftest import (assert_equivalent, block_of, mutation_diff,
                       predicate_module, predicate_value, single_function_module)
@@ -116,6 +121,86 @@ def test_mutation_of_unmutable_block_is_identity():
     insts = (Assign("a", True),)
     mutated = mutate_instructions(insts, random.Random(3))
     assert mutation_diff(insts, mutated) == ([], [])
+
+
+def reference_mutate_instructions(insts, rng) -> tuple:
+    """`mutate_instructions` as first written: `replace` for both
+    mutations and `operand_type` to find the literals."""
+    out = list(insts)
+    binop_at = [i for i, ins in enumerate(out) if isinstance(ins, BinOp)]
+    if binop_at:
+        i = rng.choice(binop_at)
+        choices = [op for op in bogus._SWAP_OPS if op != out[i].op]
+        out[i] = replace(out[i], op=rng.choice(choices))
+    spots = reference_literal_spots(out)
+    if spots:
+        i, attr = rng.choice(spots)
+        out[i] = replace(out[i], **{attr: wrap64(getattr(out[i], attr) + 1)})
+    return tuple(out)
+
+
+def reference_literal_spots(insts) -> list[tuple[int, str]]:
+    spots = []
+    for i, ins in enumerate(insts):
+        if isinstance(ins, BinOp):
+            if operand_type(ins.a) == "int":
+                spots.append((i, "a"))
+            if operand_type(ins.b) == "int" and not (
+                ins.op in ("sdiv", "srem") and wrap64(ins.b + 1) == 0
+            ):
+                spots.append((i, "b"))
+        elif isinstance(ins, Cmp):
+            if operand_type(ins.a) == "int":
+                spots.append((i, "a"))
+            if operand_type(ins.b) == "int":
+                spots.append((i, "b"))
+        elif isinstance(ins, Assign) and operand_type(ins.src) == "int":
+            spots.append((i, "src"))
+    return spots
+
+
+def assert_mutates_like_reference(bodies, seed):
+    """Both mutations, from equal RNGs, give equal bodies (by `repr`, so a
+    bool literal never passes for 1) and leave equal RNG states."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for insts in bodies:
+        got = mutate_instructions(insts, rng)
+        want = reference_mutate_instructions(insts, ref_rng)
+        assert type(got) is tuple and repr(got) == repr(want), insts
+        assert bogus._literal_spots(insts) == reference_literal_spots(insts)
+        assert rng.getstate() == ref_rng.getstate(), insts
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(PASS_APPLIERS))
+def test_clone_mutation_matches_reference_on_pass_outputs(name, seed, corpus):
+    for entry in corpus:
+        out, _ = PASS_APPLIERS[name](entry.module, PipelineConfig([name], seed))
+        bodies = [b.insts for m in (entry.module, out)
+                  for fn in m.functions for b in fn.blocks]
+        assert_mutates_like_reference(bodies, seed)
+
+
+_LITERALS = st.one_of(st.booleans(), st.integers(-3, 3),
+                      st.sampled_from([INT_MIN, INT_MAX, -1, 1 << 64, -(1 << 64) - 1]))
+_OPERANDS = st.one_of(_LITERALS, st.sampled_from([Local("x"), GlobalRef("g")]))
+_INSTS = st.one_of(
+    st.builds(BinOp, st.just("x"), st.sampled_from(BINOPS), _OPERANDS, _OPERANDS),
+    # a bump would make these divisors 0
+    st.builds(BinOp, st.just("q"), st.sampled_from(("sdiv", "srem")), _OPERANDS,
+              st.sampled_from([-1, (1 << 64) - 1])),
+    st.builds(Cmp, st.just("c"), st.sampled_from(CMP_RELS), _OPERANDS, _OPERANDS),
+    st.builds(Assign, st.just("y"), _OPERANDS),
+    st.builds(Call, st.sampled_from([None, "r"]), st.just("f"),
+              st.lists(_OPERANDS, max_size=2).map(tuple)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_INSTS, max_size=6).map(tuple), min_size=1, max_size=4),
+       st.integers(0, 1 << 32))
+def test_clone_mutation_matches_reference_on_random_blocks(bodies, seed):
+    assert_mutates_like_reference(bodies, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from dataclasses import FrozenInstanceError, replace
@@ -90,6 +91,37 @@ def test_pipeline_deterministic():
                      GCD_TEXT)
     assert a.text == b.text
     assert a.reports == b.reports
+
+
+# sha256 over every corpus program's name and printed output, in corpus order
+PINNED_OUTPUT_DIGESTS = [
+    ("nested,indeg,ident-default", 0,
+     "920413103b5cfa3b44a9821250664361fa37be0f45e1b5e6519c2dcbceaf2dfa"),
+    ("nested,indeg,ident-default", 1,
+     "d2cc8149f616f811ce73bb84c8abe25bb8b4b598f88fb39d424670a6143b456c"),
+    ("nested,indeg,ident-default", 2,
+     "85d1b79f48cbfc3e2b6a15296bc83f2a365c978a680553dab475f1a9c8007dc0"),
+    ("nested,indeg,ident-default", 3,
+     "fc72cc4c84a6abb464cebb664cc1e1fc468eaf77eabdc8adfd86d686849f1b2f"),
+    ("bcf,indeg,flatten", 7,
+     "76030e19244ebba3fe52d196a5790d39440a32574aa7736aa0fda8ac37291bdf"),
+]
+
+
+@pytest.mark.parametrize("passes, seed, digest", PINNED_OUTPUT_DIGESTS)
+def test_corpus_outputs_match_pinned_digests(passes, seed, digest, corpus):
+    """The printed outputs of the 26 corpus programs are byte for byte
+    those pinned here, so a change meant to be pure speed cannot move a
+    random draw or the order of draws. A change to what the passes or the
+    printer emit must re-pin these digests and say why: ROADMAP item 1
+    (the release form) is expected to."""
+    assert len(corpus) == 26
+    h = hashlib.sha256()
+    for entry in corpus:
+        text = entry.ir_path.read_text(encoding="utf-8")
+        out = run_pipeline(cfg_of(passes.split(","), seed=seed), text).text
+        h.update(f"{entry.name}\n{out}".encode())
+    assert h.hexdigest() == digest
 
 
 def test_function_filter_limits_control_flow_passes(corpus):

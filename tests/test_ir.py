@@ -1,9 +1,14 @@
+import dataclasses
+import inspect
 import random
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from iobf.ir import (Br, Cbr, Local, NameAllocator, Ret, Switch, retarget,
-                     targets)
+from iobf.ir import (Assign, BasicBlock, BinOp, Br, Call, Cbr, Cmp,
+                     ExternDecl, GlobalRef, IrFunction, IrModule, Local,
+                     NameAllocator, Ret, Switch, retarget, targets)
 
 from reference_algorithms import RestartingNameAllocator
 
@@ -64,3 +69,92 @@ def test_name_allocator_matches_restarting_probe(seed):
     for _ in range(60):
         base = rng.choice(bases)
         assert fast.fresh(base) == slow.fresh(base)
+
+
+# ---------------------------------------------------------------------------
+# The node contract: frozen records with slots, built by position or keyword
+
+_BLOCK = BasicBlock("entry", (Assign("x", 1),), Ret(Local("x")), "bogus")
+_FN = IrFunction("_O1fi", "f", (("x", "int"),), "int", (_BLOCK,))
+_EXTERN = ExternDecl("print_int", ("int",), "void")
+NODES = [
+    Local("a"), GlobalRef("g"), BinOp("x", "sdiv", Local("a"), -1),
+    Cmp("c", "lt", 1, GlobalRef("g")), Assign("x", True),
+    Call(None, "print_int", (Local("x"),)), Br("a"), Cbr("c", "a", "b"),
+    SWITCH, Ret(Local("v")), _BLOCK, _EXTERN, _FN,
+    IrModule((_FN,), (("g", 1),), (_EXTERN,)),
+]
+NODE_IDS = [type(n).__name__ for n in NODES]
+
+
+def test_node_samples_cover_every_node_class():
+    assert set(NODE_IDS) == {
+        "Local", "GlobalRef", "BinOp", "Cmp", "Assign", "Call", "Br", "Cbr",
+        "Switch", "Ret", "BasicBlock", "ExternDecl", "IrFunction", "IrModule"}
+
+
+@pytest.mark.parametrize("node", NODES, ids=NODE_IDS)
+def test_node_has_slots_and_rejects_assignment_and_deletion(node):
+    assert not hasattr(node, "__dict__")
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, f.name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, f.name)
+        assert getattr(node, f.name) is value
+    with pytest.raises(FrozenInstanceError):
+        node.extra = 1
+
+
+@pytest.mark.parametrize("node", NODES, ids=NODE_IDS)
+def test_node_signature_lists_fields_in_declared_order(node):
+    """Keyword construction and Hypothesis' `st.builds` read the
+    signature: its parameters are the fields, with their defaults and
+    annotations."""
+    cls = type(node)
+    params = inspect.signature(cls).parameters.values()
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default, p.annotation, p.kind) for p in params] == [
+        (f.name, empty if f.default is dataclasses.MISSING else f.default,
+         f.type, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("node", NODES, ids=NODE_IDS)
+def test_equal_fields_give_equal_nodes(node):
+    cls, names = type(node), [f.name for f in dataclasses.fields(node)]
+    by_position = cls(*(getattr(node, n) for n in names))
+    by_keyword = cls(**{n: getattr(node, n) for n in names})
+    for twin in (by_position, by_keyword, dataclasses.replace(node)):
+        assert twin is not node
+        assert twin == node and hash(twin) == hash(node)
+        assert repr(twin) == repr(node)
+
+
+def test_node_defaults_repr_and_replace():
+    assert Ret() == Ret(None) and Ret().value is None
+    assert BasicBlock("l") == BasicBlock("l", (), None, "real")
+    assert IrModule() == IrModule((), (), ())
+    assert Local("a") != GlobalRef("a")
+    assert hash(Local("a")) == hash(Local("a"))
+    assert repr(BinOp("x", "add", Local("a"), 3)) == (
+        "BinOp(dst='x', op='add', a=Local(name='a'), b=3)")
+    assert repr(BasicBlock("l")) == (
+        "BasicBlock(label='l', insts=(), term=None, role='real')")
+    assert dataclasses.replace(_BLOCK, role="real", term=Br("l")) == BasicBlock(
+        "entry", (Assign("x", 1),), Br("l"))
+    with pytest.raises(TypeError):
+        dataclasses.replace(Local("a"), label="b")
+    with pytest.raises(TypeError):
+        BinOp("x", "add", Local("a"))
+
+
+def test_module_is_weakly_referenceable():
+    """The interpreter's compile cache holds each module through a weak
+    reference and drops its entry when the module dies."""
+    m = IrModule()
+    ref = weakref.ref(m)
+    assert ref() is m
+    del m
+    assert ref() is None
