@@ -27,8 +27,8 @@ from .ir import (
     NameAllocator,
     Operand,
     Switch,
-    operand_type,
     retarget,
+    switch_mask,
     wrap64,
 )
 
@@ -243,11 +243,10 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
     When the first needy block needs one edge, a real block ending in
     `br L` (the clone's origin first) may give it: the block gains an
     always-true conditional whose false arm targets the bogus block.
-    Every other edge is a dead case of one masked switch, a `switch %s`
-    whose block last writes `%s` as `and v, c` with a literal
-    0 <= c < 2^30: `%s` lies in [0, c], so a case literal above `c` never
-    matches. The pass builds its switch at most once per run, with
-    `sel = x & 1`, from a real block ending in
+    Every other edge is a dead case of one masked switch (`ir.switch_mask`)
+    whose mask `c` is below 2^30, which leaves room for 31-bit literals
+    above `c`: no such literal ever matches. The pass builds its switch at
+    most once per run, with `sel = x & 1`, from a real block ending in
       * `br L`: no live case, default L;
       * `cbr`: live cases 0 and 1 reach a new block holding the
         conditional, the default feeds the bogus block.
@@ -299,19 +298,6 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
     return f, None
 
 
-def _switch_mask(b: BasicBlock) -> int | None:
-    """`c` when `b` ends in a masked switch (see indegree_obfuscate)."""
-    if isinstance(b.term, Switch):
-        for ins in reversed(b.insts):
-            if ins.dst == b.term.scrutinee:
-                if (isinstance(ins, BinOp) and ins.op == "and"
-                        and operand_type(ins.b) == "int"
-                        and 0 <= ins.b < 1 << 30):
-                    return ins.b
-                return None
-    return None
-
-
 class _EdgeState:
     """Bookkeeping for never-taken edge insertion within one function: the
     current blocks, where each rewrite replaces a block."""
@@ -346,7 +332,8 @@ class _EdgeState:
             if src is None:
                 self.switch = next((i for i, b in enumerate(self.blocks)
                                     if b.role == "real"
-                                    and _switch_mask(b) is not None), None)
+                                    and (c := switch_mask(b)) is not None
+                                    and c < 1 << 30), None)
                 if self.switch is None:
                     return False
             elif isinstance(src.term, Br) and need == 1 and first:
@@ -392,7 +379,7 @@ class _EdgeState:
         fresh literal above its mask."""
         src = self.blocks[self.switch]
         used = {lit for lit, _ in src.term.cases}
-        low = _switch_mask(src) + 1
+        low = switch_mask(src) + 1
         extra = tuple((fresh_literal(self.rng, used, low), bogus_label)
                       for _ in range(need))
         self.blocks[self.switch] = replace(src, term=replace(

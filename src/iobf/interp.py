@@ -15,6 +15,9 @@ goes when the module does. The cache needs no invalidation because every
 IR node is frozen, so a module never changes once built.
 Compilation splits every block after each call to a defined function, so
 the call ends its part of the block and a run of ops never stops midway.
+A masked switch (`ir.switch_mask`, which states the rule) with no case in
+[0, c] compiles to a br to its default: both cost one step, its `and`
+still runs, and a `block_tracer` sees the same blocks.
 
 A frame's registers are one list, and every operand is an index into it.
 Compilation gives each parameter the slot of its position, each other
@@ -73,14 +76,13 @@ The function runs the part's region, not the part alone: Dynamo's linked
 fragments grown into a tree, as trace trees grow them (Gal & Franz,
 "Incremental Dynamic Code Generation with Trace Trees", UCI TR 06-16,
 2006). From its head the region follows, breadth first, the part that a
-terminator leads to statically: a br, or a cbr or switch whose scrutinee
-is known at that point of the path (a literal, a slot nothing in the
-function writes, or an op of the path on known values), which resolves
-flatten's `%disp_key = <lit>; br dispatch` and nested's inner mix, or a
-switch on a slot last written as `and v, c` with a known `c >= 0` and no
-case in [0, c], such as indeg's `x & 1` selector, which takes its
-default. A cbr on an unknown condition becomes a Python `if`/`else` that
-follows both arms. A part may appear again on a path (the dispatcher,
+terminator leads to statically: a br (indeg's `x & 1` selectors
+included, see above), or a cbr or switch whose scrutinee is known at that
+point of the path (a literal, a slot nothing in the function writes, or
+an op of the path on known values), which resolves flatten's
+`%disp_key = <lit>; br dispatch` and nested's inner mix. A cbr on an
+unknown condition becomes a Python `if`/`else` that follows both
+arms. A part may appear again on a path (the dispatcher,
 reached with another routing key) until the region holds CHAIN_PARTS
 parts, and an arm back to the head is one more trip of a `while` loop
 inside the function, taken only while the fuel covers the region's
@@ -165,6 +167,7 @@ from .ir import (
     Local,
     Ret,
     Switch,
+    switch_mask,
     wrap64,
 )
 from .validate import infer_local_types
@@ -443,8 +446,12 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
             part.end((_T_CBR, slots[t.cond], parts[t.then_label],
                       parts[t.else_label]))
         elif isinstance(t, Switch):
-            cases = {lit: parts[lab] for lit, lab in t.cases}
-            part.end((_T_SW, slots[t.scrutinee], cases, parts[t.default]))
+            c = switch_mask(b)
+            if c is not None and not any(0 <= lit <= c for lit, _ in t.cases):
+                part.end((_T_BR, parts[t.default]))  # no case can match
+            else:
+                cases = {lit: parts[lab] for lit, lab in t.cases}
+                part.end((_T_SW, slots[t.scrutinee], cases, parts[t.default]))
         elif isinstance(t, Ret):
             part.end((_T_RET, None if t.value is None else operand(t.value)))
         else:
@@ -483,41 +490,24 @@ _UNKNOWN = object()
 class _Consts(dict):
     """Slot -> value known at the point that a region's path has reached:
     the function's constants, and what ops of the path wrote from known
-    values. `masks` maps a slot last written as `and v, c`, with `v`
-    unknown and `c` a known value, 0 <= c, to `c`: it lies in [0, c]."""
-
-    def __init__(self, known, masks=()):
-        super().__init__(known)
-        self.masks = dict(masks)
-
-    def copy(self):
-        return _Consts(self, self.masks)
+    values."""
 
     def value(self, slot):
         return self.get(slot, _UNKNOWN)
-
-    def forget(self, slot):
-        """`slot` now holds a call's result, which is never known."""
-        self.pop(slot, None)
-        self.masks.pop(slot, None)
 
     def apply(self, op):
         """Run `op` on the known values; a division by zero stays unknown,
         as it traps when it runs."""
         if op[0] == _PRINT:
             return
-        self.masks.pop(op[1], None)
         if op[0] == _COPY:
             value = self.value(op[2])
         else:
-            _, dst, fn, a, b = op
+            _, _, fn, a, b = op
             a, b = self.value(a), self.value(b)
             if (a is _UNKNOWN or b is _UNKNOWN
                     or b == 0 and fn in (_sdiv, _srem)):
                 value = _UNKNOWN
-                c = a if b is _UNKNOWN else b
-                if fn is operator.and_ and c is not _UNKNOWN and c >= 0:
-                    self.masks[dst] = c
             else:
                 value = fn(a, b)
                 if not -2**63 <= value < 2**63:
@@ -531,8 +521,7 @@ class _Consts(dict):
         """The parts that `term` may lead to on the known values: the one it
         resolves to, a cbr's two on an unknown condition, the part after a
         call to a function the module defines, or none (a ret, a call that
-        traps as an unresolved extern, a switch nothing resolves). A switch
-        on a slot in [0, c] with no case in that range takes its default."""
+        traps as an unresolved extern, a switch nothing resolves)."""
         tag = term[0]
         if tag == _T_BR:
             return [term[1]]
@@ -545,12 +534,7 @@ class _Consts(dict):
             if key is _UNKNOWN:
                 return [term[2], term[3]]
             return [term[2] if key else term[3]]
-        if key is not _UNKNOWN:
-            return [term[2].get(key, term[3])]
-        c = self.masks.get(term[1])
-        if c is not None and not any(0 <= lit <= c for lit in term[2]):
-            return [term[3]]
-        return []
+        return [] if key is _UNKNOWN else [term[2].get(key, term[3])]
 
 
 _LOOP = object()  # a region's arm back to its head
@@ -574,11 +558,11 @@ class _Node:
     def __init__(self, part, before, parent):
         self.part = part
         self.before = before
-        self.after = before.copy()
+        self.after = _Consts(before)
         for op in part.ops:
             self.after.apply(op)
         if part.term[0] == _T_CALL and part.term[3] is not None:
-            self.after.forget(part.term[3])
+            self.after.pop(part.term[3], None)  # a call's result is never known
         if parent is None or parent.part.term[0] == _T_CALL:
             self.start, self.total = self, part.cost
         else:
@@ -737,7 +721,7 @@ def _fuse_region(table, head: _Part, entry=False):
         body.append("while True:")
 
     def walk(node, local, stored, pad):
-        consts = node.before.copy()
+        consts = _Consts(node.before)
 
         def read(slot):
             value = consts.value(slot)
@@ -984,15 +968,17 @@ def run(
     `block_tracer`, if given, is called as tracer(mangled_name, label) on
     every block entry; it exists for never-executes checks in tests.
 
-    Each argument must be an int or a bool; any other type raises
-    TypeError naming its position, before any step runs. An argument is
-    converted to its parameter's type and wrapped to the signed 64-bit
-    range.
+    `fuel` must be an int, and each argument an int or a bool; any other
+    type raises TypeError, naming an argument's position, before any step
+    runs. An argument is converted to its parameter's type and wrapped to
+    the signed 64-bit range.
 
     Only functions that are called get compiled, so a malformed function
     (one that `validate` rejects, e.g. a block without a terminator) raises
     only when this run calls it; one that is never called goes unnoticed.
     """
+    if type(fuel) is not int:
+        raise TypeError(f"fuel is {type(fuel).__name__}, not int")
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     for i, arg in enumerate(args):

@@ -186,6 +186,22 @@ def retarget(term: Terminator, mapping: dict[str, str]) -> Terminator:
                   new(term.default))
 
 
+def switch_mask(b: BasicBlock) -> int | None:
+    """`c` when `b` ends in a masked switch: a switch on a register that `b`
+    last writes (no later write, a call's result included) as `and v, c` or
+    `and c, v` with an int literal `c >= 0`, the smaller if both are. The
+    register then holds `x & c`, in [0, c], so no case outside [0, c] is
+    ever taken; `indeg` and the interpreter's compile rely on this."""
+    if type(b.term) is Switch:
+        for ins in reversed(b.insts):
+            if ins.dst == b.term.scrutinee:
+                if type(ins) is not BinOp or ins.op != "and":
+                    return None
+                return min((c for c in (ins.a, ins.b) if type(c) is int and c >= 0),
+                           default=None)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Blocks, functions, modules
 

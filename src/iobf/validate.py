@@ -5,7 +5,7 @@ satisfies every structural and type invariant the interpreter relies on
 (no undefined labels or registers, no label `true` or `false`, which
 text reads as a literal, every read register has one inferable type,
 legal call targets, statically detectable division by zero, integer
-literals and globals in the signed 64-bit range).
+literals, switch case literals and globals in the signed 64-bit range).
 """
 
 from __future__ import annotations
@@ -259,6 +259,11 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
             use(Local(t.scrutinee), b.label, "int")
             lits = set()
             for lit, _ in t.cases:
+                if type(lit) is not int or not INT_MIN <= lit <= INT_MAX:
+                    diags.append(Diagnostic(
+                        "IntOutOfRange",
+                        f"case literal {lit!r} is not a signed 64-bit integer",
+                        name, b.label))
                 if lit in lits:
                     diags.append(Diagnostic("DuplicateCase",
                                             f"case literal {lit} repeated",

@@ -446,6 +446,17 @@ bogus twin:
 @pytest.mark.parametrize("margin", [1, 3])
 def test_indeg_extends_a_real_masked_switch_when_no_block_donates(
         monkeypatch, margin):
+    _assert_masked_switch_extended(monkeypatch, MASKED_SWITCH_ONLY, margin)
+
+
+@pytest.mark.parametrize("margin", [1, 3])
+def test_indeg_extends_a_masked_switch_written_literal_first(monkeypatch, margin):
+    text = MASKED_SWITCH_ONLY.replace("and %v, 7", "and 7, %v")
+    assert text != MASKED_SWITCH_ONLY
+    _assert_masked_switch_extended(monkeypatch, text, margin)
+
+
+def _assert_masked_switch_extended(monkeypatch, text, margin):
     floors = []
 
     def recorded(rng, used, low=1):
@@ -453,7 +464,7 @@ def test_indeg_extends_a_real_masked_switch_when_no_block_donates(
         return fresh_literal(rng, used, low)
 
     monkeypatch.setattr(bogus, "fresh_literal", recorded)
-    m = parse_module(MASKED_SWITCH_ONLY)
+    m = parse_module(text)
     fn, skipped = indegree_obfuscate(m.functions[0], seed=3, margin=margin)
     assert skipped is None
     assert floors == [8] * (margin + 1)  # drawn above the mask 7

@@ -29,7 +29,8 @@ from iobf.interp import (
     _module_cache,
     _region,
 )
-from iobf.ir import Assign, BasicBlock, INT_MAX, INT_MIN, IrFunction, IrModule, Ret, wrap64
+from iobf.ir import (Assign, BasicBlock, INT_MAX, INT_MIN, IrFunction, IrModule, Ret,
+                     switch_mask, wrap64)
 from iobf.parser import ValidationError
 from iobf.rename import obfuscate_identifiers_default
 
@@ -76,6 +77,15 @@ def test_entry_arguments_must_be_int_or_bool(bad, kind):
         run(m, "gcd", [48, bad])
     with pytest.raises(TypeError, match="^argument 0 "):
         run(m, "gcd", [bad, 36])
+    assert _compiled(m).steps == steps  # no step ran
+
+
+@pytest.mark.parametrize("fuel", [2.5, 3.0, True], ids=["fraction", "whole_float", "bool"])
+def test_fuel_must_be_an_int(fuel):
+    m = parse_module(GCD_TEXT)
+    steps = _compiled(m).steps
+    with pytest.raises(TypeError, match=f"^fuel is {type(fuel).__name__}, not int$"):
+        run(m, "gcd", [48, 36], fuel)
     assert _compiled(m).steps == steps  # no step ran
 
 
@@ -976,6 +986,64 @@ def test_chains_take_the_default_of_a_switch_no_masked_value_can_match(
     _assert_tiers_agree(m, "f", [([x, y], DEFAULT_FUEL)
                                  for x in (-9, -1, 0, 1, 2, 3, 7, 8, 12)
                                  for y in (1, 2, 8)])
+
+
+MASK_PROBE = """\
+extern @print_int(int) -> void
+
+func @g src "g" (%a: int) -> int {{
+entry:
+  ret %a
+}}
+
+func @f src "f" (%x: int) -> int {{
+entry:
+  %s = and {mask}
+{later}{copy}  switch {scrutinee} [{cases}] default other
+{arms}other:
+  call @print_int(-1)
+  ret %s
+}}
+"""
+# what may follow the `and`: a write of another register keeps the mask,
+# a write of the scrutinee (a call's result too) ends it
+_LATER = ["  %u = add %x, 1\n", "  %s = add %s, 1\n", "  %s = %x\n",
+          "  %s = call @g(%x)\n"]
+_WORDS = st.one_of(st.integers(-8, 40), st.integers(INT_MIN, INT_MAX))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WORDS, st.booleans(), st.lists(st.sampled_from(_LATER), max_size=2),
+       st.lists(_WORDS, max_size=4, unique=True),
+       st.lists(_WORDS, min_size=1, max_size=6))
+def test_switch_mask_bounds_the_scrutinee_and_its_br_keeps_the_result(
+        c, first, later, cases, xs):
+    def probe(copy):
+        return parse_module(MASK_PROBE.format(
+            mask=f"{c}, %x" if first else f"%x, {c}", later="".join(later),
+            copy="  %t = %s\n" if copy else "",
+            scrutinee="%t" if copy else "%s",
+            cases=", ".join(f"{lit} -> k{i}" for i, lit in enumerate(cases)),
+            arms="".join(f"k{i}:\n  call @print_int({i})\n  ret %s\n"
+                         for i in range(len(cases)))))
+
+    m, unresolved = probe(False), probe(True)  # a copy hides the mask
+    mask = switch_mask(m.functions[1].blocks[0])
+    rewritten = any(w.startswith("  %s =") for w in later)
+    assert mask == (None if rewritten or c < 0 else c)
+    if mask is not None:
+        assert all(0 <= wrap64(x & mask) <= mask for x in xs)
+    hot = _fused_twin(m)
+    for x in xs:
+        r, expected = run(m, "f", [x]), run(unresolved, "f", [x])
+        assert r.observable() == expected.observable()
+        assert r.steps == expected.steps - 1  # the copy's step
+        assert _facets(run(hot, "f", [x])) == _facets(r)
+        if mask is not None:
+            assert 0 <= r.value <= mask
+    resolved = mask is not None and not any(0 <= lit <= mask for lit in cases)
+    assert sum(p.term[0] == _T_BR for p in _compiled(m)["f"].parts) == resolved
+    assert not any(p.term[0] == _T_BR for p in _compiled(unresolved)["f"].parts)
 
 
 CHAIN_INTO_CALL_AND_RET = """\

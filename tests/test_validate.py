@@ -168,6 +168,19 @@ def test_integers_outside_the_64_bit_range_are_rejected(m):
     assert codes(m) == ["IntOutOfRange"]
 
 
+@pytest.mark.parametrize("lit", [True, 2**63, 1.5], ids=["bool", "too_big", "float"])
+def test_switch_case_literals_outside_the_64_bit_ints_are_rejected(lit):
+    # each would print a text that fails to re-parse (`True`, `1.5`) or
+    # re-parses to another module (2**63 reads back as -2**63)
+    m = IrModule(functions=[fn_of([
+        BasicBlock("entry", [], Switch("x", ((lit, "out"), (7, "out")), "out")),
+        BasicBlock("out", [], Ret(Local("x"))),
+    ], params=[("x", "int")])])
+    assert validate(m) == [Diagnostic(
+        "IntOutOfRange", f"case literal {lit!r} is not a signed 64-bit integer",
+        "_O1fi", "entry")]
+
+
 def test_integers_at_the_64_bit_bounds_are_accepted():
     m = IrModule(functions=[fn_of([
         BasicBlock("entry", [
