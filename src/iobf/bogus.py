@@ -240,19 +240,23 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
     """Add never-taken edges until every bogus block has in-degree at least
     `margin` above the highest non-entry real block.
 
-    When the first needy block needs one edge, a real block ending in
-    `br L` (the clone's origin first) may give it: the block gains an
-    always-true conditional whose false arm targets the bogus block.
-    Every other edge is a dead case of one masked switch (`ir.switch_mask`)
-    whose mask `c` is below 2^30, which leaves room for 31-bit literals
-    above `c`: no such literal ever matches. The pass builds its switch at
-    most once per run, with `sel = x & 1`, from a real block ending in
+    The pass counts in-degrees once (`build_cfg`) and plans every edge from
+    that count, visiting the needy bogus blocks in block order. When the
+    first needy block needs one edge, a real block ending in `br L` (the
+    clone's origin first) may give it: the block gains an always-true
+    conditional whose false arm targets the bogus block. Every other edge
+    is a dead case of one masked switch (`ir.switch_mask`) whose mask `c`
+    is below 2^30, which leaves room for 31-bit literals above `c`: no such
+    literal ever matches. The pass builds its switch at most once per run,
+    with `sel = x & 1`, from a real block ending in
       * `br L`: no live case, default L;
       * `cbr`: live cases 0 and 1 reach a new block holding the
         conditional, the default feeds the bogus block.
     When no real block ending in `br` or `cbr` is left, the dead cases go
     to the first real block that already ends in a masked switch, such as
-    an inner switch of `nested`.
+    an inner switch of `nested`. No edge changes a real block's in-degree
+    but the `cbr` donor's new block, which gets 2; when that raises the
+    target, a second round of dead cases follows the first.
 
     A function with no bogus block first receives one guarded clone (the
     same construction bogus_control_flow uses) on a random real block.
@@ -272,115 +276,73 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
             f, [rng.choice(candidates)], rng, global_names, labels_alloc,
             locals_alloc)
 
-    state = _EdgeState(f, rng, global_names, labels_alloc, locals_alloc)
-    # only a `cbr` donor adds a real block (its arm, in-degree 2), and
-    # after it every edge extends a switch, so a second round is the last
-    while True:
-        f = replace(f, blocks=tuple(state.blocks))
-        cfg = build_cfg(f)
-        max_real, _ = in_degree_gap(cfg)
-        target = max_real + margin
-        deficits = [
-            (b, target - cfg.indeg[b.label])
-            for b in f.blocks
-            if b.role == "bogus" and cfg.indeg[b.label] < target
-        ]
-        if not deficits:
-            break
-        for bogus, need in deficits:
-            # only a function whose bogus blocks were marked in its source
-            # can lack both a donor and a masked switch
-            if not state.add_edges(bogus, need):
-                return fn, "no real block can donate a never-taken edge"
-    # an injected clone always needs edges, so none added means no change
-    if not state.edges_added:
+    cfg = build_cfg(f)
+    indeg = cfg.indeg
+    target = raised = in_degree_gap(cfg)[0] + margin
+    blocks = list(f.blocks)
+    guarded = host = None  # the `br` block given a guard; the switch's index
+    dead: list = []  # the switch's new cases
+    for _ in range(2):
+        for b in f.blocks:
+            need = target - indeg[b.label]
+            if b.role != "bogus" or need <= 0:
+                continue
+            indeg[b.label] = target
+            # Once a switch is chosen, extending it is free (dead case
+            # literals only); creating guards for every needy block would
+            # pile executed predicate code onto real paths instead.
+            if host is None:
+                # the first unguarded real block ending in `br`, else in
+                # `cbr`; the clone's origin first, since the clone's jump
+                # back makes it the most natural block to link forward
+                origin = b.term.label if isinstance(b.term, Br) else None
+                donor = min(((isinstance(s.term, Cbr), s.label != origin, i)
+                             for i, s in enumerate(f.blocks)
+                             if s.role == "real" and s.label != guarded
+                             and isinstance(s.term, (Br, Cbr))), default=None)
+                if donor is None:
+                    host = next((i for i, s in enumerate(blocks)
+                                 if s.role == "real"
+                                 and (c := switch_mask(s)) is not None
+                                 and c < 1 << 30), None)
+                    if host is None:
+                        # only a function whose bogus blocks were marked in
+                        # its source can lack both a donor and a masked switch
+                        return fn, "no real block can donate a never-taken edge"
+                else:
+                    i = donor[2]
+                    src = f.blocks[i]
+                    if isinstance(src.term, Br) and need == 1 and guarded is None:
+                        guarded = src.label
+                        insts, term = _opaque_guard(
+                            f, rng, global_names, locals_alloc, src.term.label,
+                            b.label)
+                        blocks[i] = replace(src, insts=src.insts + insts, term=term)
+                        continue
+                    host = i
+                    if isinstance(src.term, Br):
+                        cases, default = (), src.term.label
+                    else:
+                        arm = labels_alloc.fresh(f"{src.label}_arm")
+                        blocks.insert(i + 1, BasicBlock(arm, (), src.term))
+                        cases, default = ((0, arm), (1, arm)), b.label
+                        need -= 1  # the default reaches `b`
+                        # the arm is the one real block whose in-degree
+                        # (2) an edge changes
+                        raised = max(target, 2 + margin)
+                    x_src, _ = predicate_sources(f, global_names, rng)
+                    sel = BinOp(locals_alloc.fresh("opq_sel"), "and", x_src, 1)
+                    blocks[i] = replace(src, insts=src.insts + (sel,),
+                                        term=Switch(sel.dst, cases, default))
+                used = {lit for lit, _ in blocks[host].term.cases}
+                low = switch_mask(blocks[host]) + 1
+            dead.extend((fresh_literal(rng, used, low), b.label)
+                        for _ in range(need))
+        target = raised
+    if guarded is None and host is None:
         return fn, "bogus in-degree already dominates"
-    return f, None
-
-
-class _EdgeState:
-    """Bookkeeping for never-taken edge insertion within one function: the
-    current blocks, where each rewrite replaces a block."""
-
-    def __init__(self, f: IrFunction, rng, global_names, labels_alloc,
-                 locals_alloc):
-        self.f = f
-        self.blocks = list(f.blocks)
-        self.rng = rng
-        self.global_names = global_names
-        self.labels_alloc = labels_alloc
-        self.locals_alloc = locals_alloc
-        self.guarded: str | None = None  # the `br` block given a guard
-        self.switch: int | None = None  # its index; no block moves after
-        self.edges_added = 0
-
-    def _rewrite(self, src: BasicBlock, insts: tuple, term) -> int:
-        """Swap `src` for a copy with `insts` appended and `term`; its index."""
-        i = self.blocks.index(src)
-        self.blocks[i] = replace(src, insts=src.insts + insts, term=term)
-        return i
-
-    def add_edges(self, bogus: BasicBlock, need: int) -> bool:
-        """Give `bogus` `need` more never-taken edges; False if no block can."""
-        first = not self.edges_added
-        self.edges_added += need
-        # Once a switch is chosen, extending it is free (dead case literals
-        # only); creating guards for every needy block would pile executed
-        # predicate code onto real paths instead.
-        if self.switch is None:
-            src = self._pick_source(bogus)
-            if src is None:
-                self.switch = next((i for i, b in enumerate(self.blocks)
-                                    if b.role == "real"
-                                    and (c := switch_mask(b)) is not None
-                                    and c < 1 << 30), None)
-                if self.switch is None:
-                    return False
-            elif isinstance(src.term, Br) and need == 1 and first:
-                self.guarded = src.label
-                self._rewrite(src, *_opaque_guard(
-                    self.f, self.rng, self.global_names, self.locals_alloc,
-                    src.term.label, bogus.label))
-                return True
-            else:
-                self.switch = self._build_switch(src, bogus.label)
-                if isinstance(src.term, Cbr):
-                    need -= 1  # the default reaches `bogus`
-        self._extend_switch(bogus.label, need)
-        return True
-
-    def _pick_source(self, bogus: BasicBlock) -> BasicBlock | None:
-        # the first unguarded real block ending in `br`, else in `cbr`; the
-        # clone's origin first, since the clone's jump back makes it the
-        # most natural block to link forward, mirroring a mutual pair
-        origin = bogus.term.label if isinstance(bogus.term, Br) else None
-        return min((b for b in self.blocks
-                    if b.role == "real" and b.label != self.guarded
-                    and isinstance(b.term, (Br, Cbr))),
-                   key=lambda b: (isinstance(b.term, Cbr), b.label != origin),
-                   default=None)
-
-    def _build_switch(self, src: BasicBlock, bogus_label: str) -> int:
-        """Rewrite `src` to end in a masked switch on `sel = x & 1` with no
-        dead case yet; its index."""
-        if isinstance(src.term, Br):
-            cases, default = (), src.term.label
-        else:
-            arm_label = self.labels_alloc.fresh(f"{src.label}_arm")
-            self.blocks.insert(self.blocks.index(src) + 1,
-                               BasicBlock(arm_label, (), src.term))
-            cases, default = ((0, arm_label), (1, arm_label)), bogus_label
-        x_src, _ = predicate_sources(self.f, self.global_names, self.rng)
-        sel = BinOp(self.locals_alloc.fresh("opq_sel"), "and", x_src, 1)
-        return self._rewrite(src, (sel,), Switch(sel.dst, cases, default))
-
-    def _extend_switch(self, bogus_label: str, need: int):
-        """Add `need` cases reaching `bogus_label` to the switch, each with a
-        fresh literal above its mask."""
-        src = self.blocks[self.switch]
-        used = {lit for lit, _ in src.term.cases}
-        low = switch_mask(src) + 1
-        extra = tuple((fresh_literal(self.rng, used, low), bogus_label)
-                      for _ in range(need))
-        self.blocks[self.switch] = replace(src, term=replace(
-            src.term, cases=src.term.cases + extra))
+    if dead:
+        s = blocks[host]
+        blocks[host] = replace(s, term=replace(
+            s.term, cases=s.term.cases + tuple(dead)))
+    return replace(f, blocks=tuple(blocks)), None

@@ -298,10 +298,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                    help="identifier dictionary file (one name per line)")
     p.add_argument("--decoys", type=int, default=2,
                    help="overloads added per function (ident-overload/default)")
-    p.add_argument("-o", "--output", help="write obfuscated IR here (default stdout)")
+    p.add_argument("-o", "--output", help="single file: write obfuscated IR here (default stdout)")
     p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--emit-dot", metavar="DIR",
-                   help="write one DOT file per function of the result")
+                   help="single file: write one DOT file per function of the result")
     p.add_argument("--batch", metavar="DIR",
                    help="run over a corpus directory with manifests")
     p.add_argument("--out-dir", help="batch: write obfuscated IR files here")
@@ -328,6 +328,15 @@ def main(argv=None) -> int:
         dict_path=args.dict_path,
         decoys_per_fn=args.decoys,
     )
+
+    # each mode rejects the output options only the other mode writes
+    unread = ((("-o", args.output), ("--emit-dot", args.emit_dot)) if args.batch
+              else (("--out-dir", args.out_dir),))
+    for option, value in unread:
+        if value is not None:
+            print(f"error: {option} is not used {'with' if args.batch else 'without'}"
+                  " --batch", file=sys.stderr)
+            return EXIT_PARAMETER
 
     try:
         if args.batch:

@@ -50,6 +50,8 @@ def load_corpus(directory: str | Path | None = None) -> list[CorpusEntry]:
     """
     directory = Path(directory) if directory is not None else default_corpus_dir()
     if not directory.is_dir():
+        if directory.exists():
+            raise NotADirectoryError(f"corpus {directory} is not a directory")
         raise FileNotFoundError(f"corpus directory {directory} does not exist")
     entries: list[CorpusEntry] = []
     for manifest_path in sorted(directory.glob("*.json")):

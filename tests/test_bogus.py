@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,8 +21,10 @@ from iobf import (
 from iobf import bogus
 from iobf.bogus import MASK16, fresh_literal, mutate_instructions
 from iobf.cli import PASS_APPLIERS, PipelineConfig
-from iobf.ir import (BINOPS, CMP_RELS, INT_MAX, INT_MIN, Assign, BinOp, Br,
-                     Call, Cbr, Cmp, GlobalRef, Local, operand_type, wrap64)
+from iobf.ir import (BINOPS, CMP_RELS, INT_MAX, INT_MIN, Assign, BasicBlock,
+                     BinOp, Br, Call, Cbr, Cmp, GlobalRef, IrFunction, Local,
+                     NameAllocator, Ret, Switch, operand_type, switch_mask,
+                     wrap64)
 
 from conftest import (assert_equivalent, block_of, mutation_diff,
                       predicate_module, predicate_value, single_function_module)
@@ -525,3 +528,195 @@ def test_indeg_deterministic_and_reparses(fig3b_module):
     assert a == b and ra == rb
     m = single_function_module(fig3b_module, a)
     assert parse_module(print_module(m)) == m
+
+
+# ---------------------------------------------------------------------------
+# `indegree_obfuscate` against its reference copy
+
+def reference_indegree_obfuscate(fn, seed, margin=1, global_names=(),
+                                 paths=None):
+    """`indegree_obfuscate` as first written: it rebuilds the CFG every
+    round and the switch's cases for every needy block. `paths` counts the
+    guards it makes and the rounds after the first that add edges."""
+    rng = random.Random(seed)
+    labels_alloc = NameAllocator(fn.labels())
+    locals_alloc = NameAllocator(fn.local_names())
+
+    f = fn
+    if not any(b.role == "bogus" for b in f.blocks):
+        candidates = [b.label for b in f.blocks[1:] if b.role == "real"]
+        if not candidates:
+            return fn, "no non-entry real block to clone"
+        f = bogus._insert_guarded_clones(
+            f, [rng.choice(candidates)], rng, global_names, labels_alloc,
+            locals_alloc)
+
+    state = _ReferenceEdgeState(f, rng, global_names, labels_alloc, locals_alloc)
+    rounds = 0
+    while True:
+        f = replace(f, blocks=tuple(state.blocks))
+        cfg = build_cfg(f)
+        max_real, _ = in_degree_gap(cfg)
+        target = max_real + margin
+        deficits = [
+            (b, target - cfg.indeg[b.label])
+            for b in f.blocks
+            if b.role == "bogus" and cfg.indeg[b.label] < target
+        ]
+        if not deficits:
+            break
+        rounds += 1
+        if paths is not None and rounds > 1:
+            paths["later round"] += 1
+        for b, need in deficits:
+            if not state.add_edges(b, need):
+                return fn, "no real block can donate a never-taken edge"
+    if paths is not None and state.guarded is not None:
+        paths["guard"] += 1
+    if not state.edges_added:
+        return fn, "bogus in-degree already dominates"
+    return f, None
+
+
+class _ReferenceEdgeState:
+    def __init__(self, f, rng, global_names, labels_alloc, locals_alloc):
+        self.f = f
+        self.blocks = list(f.blocks)
+        self.rng = rng
+        self.global_names = global_names
+        self.labels_alloc = labels_alloc
+        self.locals_alloc = locals_alloc
+        self.guarded = None
+        self.switch = None
+        self.edges_added = 0
+
+    def _rewrite(self, src, insts, term):
+        i = self.blocks.index(src)
+        self.blocks[i] = replace(src, insts=src.insts + insts, term=term)
+        return i
+
+    def add_edges(self, b, need):
+        first = not self.edges_added
+        self.edges_added += need
+        if self.switch is None:
+            src = self._pick_source(b)
+            if src is None:
+                self.switch = next((i for i, s in enumerate(self.blocks)
+                                    if s.role == "real"
+                                    and (c := switch_mask(s)) is not None
+                                    and c < 1 << 30), None)
+                if self.switch is None:
+                    return False
+            elif isinstance(src.term, Br) and need == 1 and first:
+                self.guarded = src.label
+                self._rewrite(src, *bogus._opaque_guard(
+                    self.f, self.rng, self.global_names, self.locals_alloc,
+                    src.term.label, b.label))
+                return True
+            else:
+                self.switch = self._build_switch(src, b.label)
+                if isinstance(src.term, Cbr):
+                    need -= 1
+        self._extend_switch(b.label, need)
+        return True
+
+    def _pick_source(self, b):
+        origin = b.term.label if isinstance(b.term, Br) else None
+        return min((s for s in self.blocks
+                    if s.role == "real" and s.label != self.guarded
+                    and isinstance(s.term, (Br, Cbr))),
+                   key=lambda s: (isinstance(s.term, Cbr), s.label != origin),
+                   default=None)
+
+    def _build_switch(self, src, bogus_label):
+        if isinstance(src.term, Br):
+            cases, default = (), src.term.label
+        else:
+            arm_label = self.labels_alloc.fresh(f"{src.label}_arm")
+            self.blocks.insert(self.blocks.index(src) + 1,
+                               BasicBlock(arm_label, (), src.term))
+            cases, default = ((0, arm_label), (1, arm_label)), bogus_label
+        x_src, _ = bogus.predicate_sources(self.f, self.global_names, self.rng)
+        sel = BinOp(self.locals_alloc.fresh("opq_sel"), "and", x_src, 1)
+        return self._rewrite(src, (sel,), Switch(sel.dst, cases, default))
+
+    def _extend_switch(self, bogus_label, need):
+        src = self.blocks[self.switch]
+        used = {lit for lit, _ in src.term.cases}
+        low = switch_mask(src) + 1
+        extra = tuple((fresh_literal(self.rng, used, low), bogus_label)
+                      for _ in range(need))
+        self.blocks[self.switch] = replace(src, term=replace(
+            src.term, cases=src.term.cases + extra))
+
+
+def assert_indeg_like_reference(fn, seed, margin, global_names, paths=None):
+    """Equal results (by `repr`, so a bool literal never passes for 1),
+    equal skip reasons, and `fn` itself returned exactly when skipped."""
+    got, got_skip = indegree_obfuscate(fn, seed, margin, global_names)
+    want, want_skip = reference_indegree_obfuscate(
+        fn, seed, margin, global_names, paths)
+    assert got_skip == want_skip, fn.mangled_name
+    assert repr(got) == repr(want), fn.mangled_name
+    assert (got is fn) == (want is fn) == (got_skip is not None)
+
+
+_INDEG_INPUTS = (("flatten", 0.3), ("nested", 0.3), ("bcf", 0.3), ("bcf", 1.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_indeg_matches_reference_on_corpus_pass_outputs(seed, corpus):
+    for entry in corpus:
+        modules = [entry.module] + [
+            PASS_APPLIERS[name](entry.module,
+                                PipelineConfig([name], seed, prob=prob))[0]
+            for name, prob in _INDEG_INPUTS]
+        for m in modules:
+            global_names = [g for g, _ in m.globals]
+            for fn in m.functions:
+                for margin in (1, 2, 4):
+                    assert_indeg_like_reference(fn, seed, margin, global_names)
+
+
+def role_marked_function(rng) -> IrFunction:
+    """A function of up to 8 blocks with random roles on its non-entry
+    blocks, ending in `br`, `cbr`, `ret` or a switch that may be masked;
+    its blocks need not be reachable, nor its registers defined."""
+    labels = [f"b{i}" for i in range(rng.randint(1, 8))]
+    blocks = []
+    for i, label in enumerate(labels):
+        insts, kind = (), rng.choice(("br", "br", "cbr", "cbr", "switch", "ret"))
+        if kind == "br":
+            term = Br(rng.choice(labels))
+        elif kind == "cbr":
+            term = Cbr("p", rng.choice(labels), rng.choice(labels))
+        elif kind == "switch":
+            mask = rng.choice((None, 1, 7, 1 << 30))
+            if mask is not None:
+                insts = (BinOp("s", "and", Local("v"), mask),)
+            cases = {rng.randrange(10): rng.choice(labels)
+                     for _ in range(rng.randrange(3))}
+            term = Switch("s", tuple(cases.items()), rng.choice(labels))
+        else:
+            term = Ret(0)
+        role = "real" if i == 0 else rng.choice(("real", "real", "bogus", "dispatcher"))
+        blocks.append(BasicBlock(label, insts, term, role))
+    params = rng.choice(((), (("x", "int"),), (("x", "int"), ("y", "bool"))))
+    return IrFunction("f", "f", params, "int", tuple(blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 3),
+       st.sampled_from((1, 2, 4)), st.sampled_from(((), ("g",))))
+def test_indeg_matches_reference_on_role_marked_functions(
+        rng, seed, margin, global_names):
+    assert_indeg_like_reference(role_marked_function(rng), seed, margin,
+                                global_names)
+
+
+def test_indeg_matches_reference_on_its_guard_and_second_round():
+    paths = Counter()
+    for k in range(1500):
+        fn = role_marked_function(random.Random(k))
+        assert_indeg_like_reference(fn, k, 1 + k % 3, (), paths)
+    assert paths["guard"] >= 20 and paths["later round"] >= 20, paths

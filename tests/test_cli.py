@@ -699,3 +699,17 @@ def test_main_batch_reports_bad_run_parameters(tmp_path, capsys):
     assert "error: bad_entry " in out
     assert "error: bad_fuel " in out
     assert [p.name for p in out_dir.glob("*.ir")] == ["gcd.ir"]
+
+
+@pytest.mark.parametrize("option, mode", [
+    ("-o", "with"), ("--emit-dot", "with"), ("--out-dir", "without")])
+def test_main_rejects_an_output_option_its_mode_does_not_write(
+        tmp_path, capsys, option, mode):
+    corpus = _one_entry_corpus(tmp_path)
+    source = ["--batch", str(corpus)] if mode == "with" else [str(corpus / "gcd.ir")]
+    out = tmp_path / "out"
+    assert main([*source, "--passes", "flatten", option, str(out)]) == EXIT_PARAMETER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} is not used {mode} --batch\n"
+    assert not out.exists()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from iobf import load_corpus, run
 from iobf.corpus import DEFAULT_FUEL
 from iobf.interp import RETURNED
@@ -55,6 +57,17 @@ def test_entries_fit_default_fuel_budget(corpus):
 
 def test_empty_directory(tmp_path):
     assert load_corpus(tmp_path) == []
+
+
+def test_a_file_is_not_a_corpus_directory(tmp_path):
+    path = tmp_path / "gcd.ir"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(NotADirectoryError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"corpus {path} is not a directory"
+    with pytest.raises(FileNotFoundError) as info:
+        load_corpus(tmp_path / "nope")
+    assert str(info.value) == f"corpus directory {tmp_path / 'nope'} does not exist"
 
 
 def test_malformed_manifest_reported(tmp_path):
