@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 parse/validation failure (also an input file
 that is not UTF-8), 3 bad parameter (also a `--dict` file that is
-unreadable, not UTF-8 or holds a word that is not an identifier, or a
-`--time-reps` of 1, 2 or below 0), 4 semantics-oracle failure in batch
-mode.
+unreadable, not UTF-8 or holds a word that is not an identifier, a
+`--time-reps` of 1, 2 or below 0, a missing input file without `--batch`,
+and what the mode does not read: an input file, `-o` or `--emit-dot`
+with `--batch`, `--out-dir` without it), 4 semantics-oracle failure in
+batch mode.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .bogus import bogus_control_flow, indegree_obfuscate
@@ -282,21 +284,21 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         description="Obfuscate textual IR with control-flow and identifier passes",
     )
     p.add_argument("input", nargs="?", help="IR file (omit with --batch)")
-    p.add_argument("--passes", required=True,
+    p.add_argument("--passes", required=True, type=_names,
                    help="comma-separated list: " + ",".join(PASS_APPLIERS))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--funcs",
+    p.add_argument("--seed", type=int)
+    p.add_argument("--funcs", type=_names,
                    help="only transform these source base names (comma-separated); "
                         "identifier passes always apply module-wide")
-    p.add_argument("--bogus-count", type=int, default=None,
+    p.add_argument("--bogus-count", type=int,
                    help="decoy inner cases per outer case (nested pass)")
-    p.add_argument("--indeg-margin", type=int, default=1,
+    p.add_argument("--indeg-margin", type=int,
                    help="bogus in-degree must exceed the real maximum by this much")
-    p.add_argument("--prob", type=float, default=0.3,
+    p.add_argument("--prob", type=float,
                    help="per-block selection probability for bcf")
     p.add_argument("--dict", dest="dict_path",
                    help="identifier dictionary file (one name per line)")
-    p.add_argument("--decoys", type=int, default=2,
+    p.add_argument("--decoys", dest="decoys_per_fn", type=int, metavar="DECOYS",
                    help="overloads added per function (ident-overload/default)")
     p.add_argument("-o", "--output", help="single file: write obfuscated IR here (default stdout)")
     p.add_argument("--report", help="write a JSON report here")
@@ -311,34 +313,30 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _names(option: str | None) -> list[str]:
+def _names(option: str) -> list[str]:
     """The comma-separated names of an option, without blanks around them."""
-    return [s.strip() for s in (option or "").split(",") if s.strip()]
+    return [s.strip() for s in option.split(",") if s.strip()]
+
+
+def _write_json(path: str, report: dict):
+    Path(path).write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n",
+                          encoding="utf-8")
 
 
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
-    cfg = PipelineConfig(
-        passes=_names(args.passes),
-        seed=args.seed,
-        funcs=_names(args.funcs) or None,
-        bogus_count=args.bogus_count,
-        indeg_margin=args.indeg_margin,
-        prob=args.prob,
-        dict_path=args.dict_path,
-        decoys_per_fn=args.decoys,
-    )
-
-    # each mode rejects the output options only the other mode writes
-    unread = ((("-o", args.output), ("--emit-dot", args.emit_dot)) if args.batch
-              else (("--out-dir", args.out_dir),))
-    for option, value in unread:
-        if value is not None:
-            print(f"error: {option} is not used {'with' if args.batch else 'without'}"
-                  " --batch", file=sys.stderr)
-            return EXIT_PARAMETER
-
+    # an option left out keeps its PipelineConfig default
+    cfg = PipelineConfig(**{f.name: v for f in fields(PipelineConfig)
+                            if (v := getattr(args, f.name)) is not None})
     try:
+        # each mode rejects what only the other mode reads
+        unread = ((("an input file", args.input), ("-o", args.output),
+                   ("--emit-dot", args.emit_dot)) if args.batch
+                  else (("--out-dir", args.out_dir),))
+        for option, value in unread:
+            if value is not None:
+                raise PassParameterError(f"{option} is not used "
+                                         f"{'with' if args.batch else 'without'} --batch")
         if args.batch:
             report, code = batch(args.batch, cfg, args.time_reps)
             outputs = report.pop("outputs")
@@ -348,18 +346,14 @@ def main(argv=None) -> int:
                 for name, text in outputs.items():
                     (out_dir / f"{name}.ir").write_text(text, encoding="utf-8")
             if args.report:
-                Path(args.report).write_text(
-                    json.dumps(report, indent=2, ensure_ascii=False) + "\n",
-                    encoding="utf-8")
+                _write_json(args.report, report)
             print(render_table(report))
             for failure in report["oracle"]["failures"]:
                 print(f"oracle failure: {failure}", file=sys.stderr)
             return code
 
         if not args.input:
-            print("error: an input file is required unless --batch is used",
-                  file=sys.stderr)
-            return EXIT_PARAMETER
+            raise PassParameterError("an input file is required unless --batch is used")
         _check_time_reps(args.time_reps)
         try:
             text = Path(args.input).read_text(encoding="utf-8")
@@ -374,17 +368,14 @@ def main(argv=None) -> int:
         if args.emit_dot:
             _emit_dots(result.module, Path(args.emit_dot), Path(args.input).stem)
         if args.report:
-            report = {
+            _write_json(args.report, {
                 "input": args.input,
                 "passes": cfg.passes,
                 "seed": cfg.seed,
                 "pass_reports": result.reports,
                 "similarity": asdict(similarity(result.original, result.module)),
                 "space_ratio": space_ratio(result.original, result.module),
-            }
-            Path(args.report).write_text(
-                json.dumps(report, indent=2, ensure_ascii=False) + "\n",
-                encoding="utf-8")
+            })
         return EXIT_OK
     except (PassParameterError, DictionaryExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)

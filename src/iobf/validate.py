@@ -5,7 +5,9 @@ satisfies every structural and type invariant the interpreter relies on
 (no undefined labels or registers, no label `true` or `false`, which
 text reads as a literal, every read register has one inferable type,
 legal call targets, statically detectable division by zero, integer
-literals, switch case literals and globals in the signed 64-bit range).
+literals, switch case literals and globals in the signed 64-bit range,
+and only the ops, comparisons, block roles and types that the text
+grammar names).
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ir import (
+    BINOPS,
+    CMP_RELS,
     INT_MAX,
     INT_MIN,
     Assign,
@@ -25,11 +29,17 @@ from .ir import (
     IrModule,
     Local,
     Operand,
+    RET_TYPES,
+    ROLES,
     Ret,
     Switch,
+    VALUE_TYPES,
     operand_type,
     targets,
 )
+
+_BINOPS, _CMP_RELS, _ROLES, _VALUE_TYPES, _RET_TYPES = map(
+    frozenset, (BINOPS, CMP_RELS, ROLES, VALUE_TYPES, RET_TYPES))
 
 
 @dataclass
@@ -119,6 +129,7 @@ def validate(m: IrModule) -> list[Diagnostic]:
         if e.name in seen:
             diags.append(Diagnostic("NameClash", f"@{e.name} declared twice"))
         seen[e.name] = "extern"
+        diags.extend(_check_types(e.param_types, e.ret_type, f"extern @{e.name}"))
     for g, value in m.globals:
         if g in seen:
             diags.append(Diagnostic("NameClash", f"@{g} declared twice"))
@@ -132,12 +143,21 @@ def validate(m: IrModule) -> list[Diagnostic]:
     return diags
 
 
-def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    name = fn.mangled_name
+def _check_types(param_types, ret_type: str, owner: str, function=None) -> list[Diagnostic]:
+    """An `UnknownType` for each parameter or return type outside the IR's."""
+    diags = [Diagnostic("UnknownType", f"{owner} takes unknown type {ty!r}", function)
+             for ty in param_types if ty not in _VALUE_TYPES]
+    if ret_type not in _RET_TYPES:
+        diags.append(Diagnostic("UnknownType",
+                                f"{owner} returns unknown type {ret_type!r}", function))
+    return diags
 
+
+def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
+    name = fn.mangled_name
     if not fn.blocks:
         return [Diagnostic("EmptyFunction", "function has no blocks", name)]
+    diags = _check_types([ty for _, ty in fn.params], fn.ret_type, "function", name)
 
     seen_params: set[str] = set()
     for pname, _ in fn.params:
@@ -154,6 +174,9 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
         if b.label in ("true", "false"):  # after a bare `ret` it reads as its operand
             diags.append(Diagnostic("ReservedLabel",
                                     f"label {b.label} reads as a literal", name, b.label))
+        if b.role not in _ROLES:
+            diags.append(Diagnostic("UnknownRole", f"unknown block role {b.role!r}",
+                                    name, b.label))
         labels.add(b.label)
 
     types = infer_local_types(fn, m)
@@ -198,6 +221,9 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
             ty = None  # the type the instruction assigns to its destination
             if isinstance(ins, BinOp):
                 ty = "int"
+                if ins.op not in _BINOPS:
+                    diags.append(Diagnostic("UnknownOp", f"unknown operation {ins.op!r}",
+                                            name, b.label))
                 use(ins.a, b.label, "int")
                 use(ins.b, b.label, "int")
                 if ins.op in ("sdiv", "srem") and ins.b == 0 and not isinstance(ins.b, bool):
@@ -206,6 +232,9 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                             name, b.label))
             elif isinstance(ins, Cmp):
                 ty = "bool"
+                if ins.rel not in _CMP_RELS:
+                    diags.append(Diagnostic("UnknownOp", f"unknown comparison {ins.rel!r}",
+                                            name, b.label))
                 if ins.rel in ("lt", "le", "gt", "ge"):
                     use(ins.a, b.label, "int")
                     use(ins.b, b.label, "int")

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import shutil
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -14,6 +14,7 @@ from iobf.cli import (
     EXIT_PARSE,
     PASS_APPLIERS,
     PipelineConfig,
+    _build_arg_parser,
     batch,
     fork_seed,
     main,
@@ -713,3 +714,67 @@ def test_main_rejects_an_output_option_its_mode_does_not_write(
     assert captured.out == ""
     assert captured.err == f"error: {option} is not used {mode} --batch\n"
     assert not out.exists()
+
+
+def test_main_rejects_an_input_file_with_batch(tmp_path, capsys):
+    corpus = _one_entry_corpus(tmp_path)
+    out_dir, report_path = tmp_path / "obf", tmp_path / "r.json"
+    code = main([str(corpus / "gcd.ir"), "--batch", str(corpus), "--passes", "flatten",
+                 "--out-dir", str(out_dir), "--report", str(report_path)])
+    assert code == EXIT_PARAMETER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an input file is not used with --batch\n"
+    assert not out_dir.exists() and not report_path.exists()
+
+
+# passes that between them read every knob of PipelineConfig
+DEFAULTS_PASSES = ["nested", "bcf", "indeg", "ident-default"]
+
+
+@pytest.mark.parametrize("field", [
+    f for f in fields(PipelineConfig) if f.default not in (MISSING, None)],
+    ids=lambda f: f.name)
+def test_an_option_spelled_at_its_config_default_changes_nothing(capsys, field):
+    """The CLI leaves a left-out option to PipelineConfig's default, so
+    spelling the option at that default prints the same bytes as leaving
+    it out and as the API."""
+    option = next(a.option_strings[-1] for a in _build_arg_parser()._actions
+                  if a.dest == field.name)
+    gcd = default_corpus_dir() / "gcd.ir"
+    args = [str(gcd), "--passes", ",".join(DEFAULTS_PASSES)]
+    outs = []
+    for extra in ([], [option, str(field.default)]):
+        assert main([*args, *extra]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    want = run_pipeline(PipelineConfig(DEFAULTS_PASSES),
+                        gcd.read_text(encoding="utf-8")).text
+    assert outs == [want, want]
+
+
+def test_main_blank_pass_list_is_a_parameter_error(capsys):
+    code = main([str(default_corpus_dir() / "gcd.ir"), "--passes", " , "])
+    assert code == EXIT_PARAMETER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no passes given\n"
+
+
+def test_main_input_file_that_does_not_exist(tmp_path, capsys):
+    missing = tmp_path / "nope.ir"
+    assert main([str(missing), "--passes", "flatten"]) == EXIT_PARAMETER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_main_batch_reports_a_raising_pass(monkeypatch, tmp_path, capsys):
+    def broken(module, cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(PASS_APPLIERS, "bad", broken)
+    code = main(["--batch", str(_one_entry_corpus(tmp_path)), "--passes", "bad"])
+    assert code == EXIT_ORACLE
+    captured = capsys.readouterr()
+    assert captured.err == "oracle failure: gcd: RuntimeError: boom\n"
+    assert "boom" in captured.out

@@ -148,3 +148,17 @@ def test_bad_manifest_values_reported(tmp_path):
         assert any("lists of integer lists" in p
                    for p in entries[name].problems), name
     assert any("must be strings" in p for p in entries["g_ir_number"].problems)
+
+
+def test_manifest_that_is_not_an_object(tmp_path):
+    (tmp_path / "p.json").write_text("[1, 2]", encoding="utf-8")
+    assert load_corpus(tmp_path)[0].problems == ["manifest is not a JSON object"]
+
+
+def test_inputs_and_expected_of_different_lengths(tmp_path):
+    (tmp_path / "p.ir").write_text(
+        'func @f src "f" (%x: int) -> int { entry: ret %x }\n', encoding="utf-8")
+    (tmp_path / "p.json").write_text(json.dumps({
+        "ir": "p.ir", "entry": "f", "inputs": [[1], [2]], "expected": [[]],
+    }), encoding="utf-8")
+    assert load_corpus(tmp_path)[0].problems == ["inputs and expected differ in length"]

@@ -4,6 +4,7 @@ import random
 import sys
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,6 +67,11 @@ def test_entry_resolution_by_base_name():
         run(m, "_O3gcdii", [48, 36])  # mangled names do not resolve
     with pytest.raises(EntryError):
         run(m, "gcd", [1, 2, 3])  # arity mismatch
+    twice = parse_module('func @_O1fi src "f" (%x: int) -> int { entry: ret 1 }\n'
+                         'func @_O1fb src "f" (%x: bool) -> int { entry: ret 2 }\n')
+    with pytest.raises(EntryError) as err:
+        run(twice, "f", [1])
+    assert str(err.value) == "'f'/1 is ambiguous (2 candidates)"
 
 
 @pytest.mark.parametrize("bad, kind", [
@@ -87,6 +93,22 @@ def test_fuel_must_be_an_int(fuel):
     with pytest.raises(TypeError, match=f"^fuel is {type(fuel).__name__}, not int$"):
         run(m, "gcd", [48, 36], fuel)
     assert _compiled(m).steps == steps  # no step ran
+
+
+def test_fuel_must_be_positive():
+    with pytest.raises(ValueError) as err:
+        run(parse_module(GCD_TEXT), "gcd", [48, 36], fuel=0)
+    assert str(err.value) == "fuel must be positive"
+
+
+def test_unvalidated_non_instruction_raises_when_compiled():
+    """`run` does not validate, so an object among a function's
+    instructions that is none of them raises when the function compiles."""
+    m = IrModule(functions=(IrFunction("_O1f", "f", (), "int", (
+        BasicBlock("entry", (SimpleNamespace(dst=None),), Ret(0)),)),))
+    with pytest.raises(TypeError) as err:
+        run(m, "f", [])
+    assert str(err.value) == "unknown instruction namespace(dst=None)"
 
 
 def test_entry_arguments_take_their_parameters_types():

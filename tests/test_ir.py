@@ -3,12 +3,13 @@ import inspect
 import random
 import weakref
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import pytest
 
 from iobf.ir import (Assign, BasicBlock, BinOp, Br, Call, Cbr, Cmp,
                      ExternDecl, GlobalRef, IrFunction, IrModule, Local,
-                     NameAllocator, Ret, Switch, retarget, targets)
+                     NameAllocator, Ret, Switch, print_module, retarget, targets)
 
 from reference_algorithms import RestartingNameAllocator
 
@@ -158,3 +159,15 @@ def test_module_is_weakly_referenceable():
     assert ref() is m
     del m
     assert ref() is None
+
+
+@pytest.mark.parametrize("block, message", [
+    (BasicBlock("entry", (SimpleNamespace(dst=None),), Ret(0)),
+     "not an instruction: namespace(dst=None)"),
+    (BasicBlock("entry", (), Assign("x", 0)), "not a terminator: Assign(dst='x', src=0)"),
+], ids=["instruction", "terminator"])
+def test_print_module_rejects_a_node_of_the_wrong_kind(block, message):
+    m = IrModule(functions=(IrFunction("_O1f", "f", (), "int", (block,)),))
+    with pytest.raises(TypeError) as err:
+        print_module(m)
+    assert str(err.value) == message

@@ -152,6 +152,9 @@ _F = 'func @f src "f" () -> int {\n'
      "unexpected character '$'", 4, 2),
     # a bare `ret` takes a label that reads as an operand
     (_F + "entry:\n  ret\ntrue:\n  ret 1\n}", "expected identifier, got ':'", 4, 5),
+    # a type is read as a word first
+    ('func @f src "f" (%x: 5) -> int { entry: ret 0 }',
+     "expected identifier, got '5'", 1, 22),
 ], ids=[
     "top_level_punct", "top_level_word", "extern_type", "param_type",
     "extern_return_type", "func_return_type", "source_name", "identifier",
@@ -161,7 +164,7 @@ _F = 'func @f src "f" () -> int {\n'
     "missing_terminator", "too_long", "unterminated_string", "stray_minus",
     "unexpected_character", "digit_like_start", "case_arrow", "case_too_long",
     "case_trailing_comma", "call_argument", "second_param", "head_after_terminator",
-    "character_after_comment_in_cases", "operand_before_head",
+    "character_after_comment_in_cases", "operand_before_head", "param_type_number",
 ])
 def test_every_parse_error_form(text, message, line, col):
     with pytest.raises(ParseError) as err:

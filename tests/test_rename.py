@@ -191,6 +191,12 @@ def test_add_overloads_arities_stay_unique(two_fn_module):
         assert len(set(arities)) == len(arities)
 
 
+def test_add_overloads_needs_a_decoy(two_fn_module):
+    with pytest.raises(ValueError) as err:
+        add_overloads(two_fn_module, seed=5, decoys_per_fn=0)
+    assert str(err.value) == "decoys_per_fn must be at least 1"
+
+
 def test_add_overloads_preserves_behaviour(two_fn_module):
     out, _ = add_overloads(two_fn_module, seed=7)
     assert validate(out) == []

@@ -222,6 +222,45 @@ def test_duplicate_parameter_names():
     assert "DuplicateParam" in codes(IrModule(functions=[fn]))
 
 
+@pytest.mark.parametrize("m, want", [
+    (IrModule(functions=[fn_of([BasicBlock("entry", [], Ret(0))])],
+              externs=[ExternDecl("_O1fi", (), "int")]),
+     ["NameClash: @_O1fi declared twice"]),
+    (IrModule(functions=[fn_of([])]), ["EmptyFunction: function has no blocks in @_O1fi"]),
+    (IrModule(functions=[fn_of([BasicBlock("entry", [Cmp("c", "eq", 1, True)], Ret(0))])]),
+     ["TypeMismatch: cmp eq on int vs bool in @_O1fi block entry"]),
+    (IrModule(functions=[fn_of([BasicBlock("entry", [], Ret(1))], ret="void")]),
+     ["ReturnTypeMismatch: void function returns a value in @_O1fi block entry"]),
+], ids=["extern_named_like_a_function", "no_blocks", "cmp_eq_int_bool", "void_returns_value"])
+def test_diagnostic_messages(m, want):
+    assert [str(d) for d in validate(m)] == want
+
+
+@pytest.mark.parametrize("m, want", [
+    (IrModule(functions=[fn_of([
+        BasicBlock("entry", [BinOp("x", "pow", 1, 2)], Ret(Local("x")))])]),
+     ["UnknownOp: unknown operation 'pow' in @_O1fi block entry"]),
+    (IrModule(functions=[fn_of([
+        BasicBlock("entry", [Cmp("c", "foo", 1, 1)], Ret(0))])]),
+     ["UnknownOp: unknown comparison 'foo' in @_O1fi block entry"]),
+    (IrModule(functions=[fn_of([
+        BasicBlock("entry", [], Br("next")), BasicBlock("next", [], Ret(0), "decoy")])]),
+     ["UnknownRole: unknown block role 'decoy' in @_O1fi block next"]),
+    (IrModule(functions=[fn_of([BasicBlock("entry", [], Ret(0))], params=[("x", "float")])]),
+     ["UnknownType: function takes unknown type 'float' in @_O1fi"]),
+    (IrModule(functions=[fn_of([BasicBlock("entry", [], Ret(0))], ret="float")]),
+     ["UnknownType: function returns unknown type 'float' in @_O1fi",
+      "TypeMismatch: expected float, got int in @_O1fi block entry"]),
+    (IrModule(externs=[ExternDecl("e", ("int", "str"), "float")]),
+     ["UnknownType: extern @e takes unknown type 'str'",
+      "UnknownType: extern @e returns unknown type 'float'"]),
+], ids=["binop", "cmp", "role", "param_type", "return_type", "extern_types"])
+def test_names_outside_the_ir_vocabulary_are_rejected(m, want):
+    """Each would make `print_module` write text that does not re-parse,
+    and an unknown op or role would make `run` or a pass raise."""
+    assert [str(d) for d in validate(m)] == want
+
+
 def test_validation_soundness_on_corpus(corpus):
     for entry in corpus:
         assert validate(entry.module) == [], entry.name
