@@ -12,9 +12,11 @@ batch mode.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -215,11 +217,15 @@ def oracle_mismatches(orig: IrModule, obf: IrModule, entry: str,
 
 
 def batch(corpus_dir: str | Path, cfg: PipelineConfig,
-          time_reps: int = 0) -> tuple[dict, int]:
-    """Per-file pipeline + oracle + metrics over a corpus directory."""
+          time_reps: int = 0, out_dir: str | Path | None = None) -> tuple[dict, int]:
+    """Per-file pipeline + oracle + metrics over a corpus directory. With
+    `out_dir`, which is made before the first module, each output is
+    written there as <name>.ir."""
     validate_config(cfg)
     _check_time_reps(time_reps)
     entries = load_corpus(corpus_dir)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     oracle_failures: list[str] = []
     load_failures: list[str] = []
@@ -261,6 +267,9 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
         "load_failures": load_failures,
         "outputs": outputs,
     }
+    if out_dir is not None:
+        for name, text in outputs.items():
+            (Path(out_dir) / f"{name}.ir").write_text(text, encoding="utf-8")
     if oracle_failures:
         code = EXIT_ORACLE
     elif load_failures:
@@ -271,7 +280,6 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
 
 
 def _emit_dots(module: IrModule, dot_dir: Path, stem: str):
-    dot_dir.mkdir(parents=True, exist_ok=True)
     for i, fn in enumerate(module.functions):
         safe = re.sub(r"[^0-9A-Za-z_.-]", "_", fn.base_name) or "fn"
         (dot_dir / f"{stem}.{i:02d}.{safe}.dot").write_text(
@@ -318,6 +326,18 @@ def _names(option: str) -> list[str]:
     return [s.strip() for s in option.split(",") if s.strip()]
 
 
+def _check_file_destination(path: str):
+    """Raise the error that writing a file at `path` would raise where its
+    directory is missing or not a directory, or the path is a directory,
+    so that a bad destination fails before any output is written."""
+    target = Path(path)
+    for bad, code, where in ((not target.parent.exists(), errno.ENOENT, target.parent),
+                             (not target.parent.is_dir(), errno.ENOTDIR, target.parent),
+                             (target.is_dir(), errno.EISDIR, target)):
+        if bad:
+            raise OSError(code, os.strerror(code), str(where))
+
+
 def _write_json(path: str, report: dict):
     Path(path).write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n",
                           encoding="utf-8")
@@ -337,14 +357,13 @@ def main(argv=None) -> int:
             if value is not None:
                 raise PassParameterError(f"{option} is not used "
                                          f"{'with' if args.batch else 'without'} --batch")
+        # a destination that cannot be written fails before any output,
+        # and before any module in batch mode
+        if args.report:
+            _check_file_destination(args.report)
         if args.batch:
-            report, code = batch(args.batch, cfg, args.time_reps)
-            outputs = report.pop("outputs")
-            if args.out_dir:
-                out_dir = Path(args.out_dir)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                for name, text in outputs.items():
-                    (out_dir / f"{name}.ir").write_text(text, encoding="utf-8")
+            report, code = batch(args.batch, cfg, args.time_reps, args.out_dir)
+            del report["outputs"]
             if args.report:
                 _write_json(args.report, report)
             print(render_table(report))
@@ -355,12 +374,16 @@ def main(argv=None) -> int:
         if not args.input:
             raise PassParameterError("an input file is required unless --batch is used")
         _check_time_reps(args.time_reps)
+        if args.output:
+            _check_file_destination(args.output)
         try:
             text = Path(args.input).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             print(f"error: {args.input} is not UTF-8: {exc}", file=sys.stderr)
             return EXIT_PARSE
         result = run_pipeline(cfg, text)
+        if args.emit_dot:
+            Path(args.emit_dot).mkdir(parents=True, exist_ok=True)
         if args.output:
             Path(args.output).write_text(result.text, encoding="utf-8")
         else:

@@ -15,6 +15,14 @@ goes when the module does. The cache needs no invalidation because every
 IR node is frozen, so a module never changes once built.
 Compilation splits every block after each call to a defined function, so
 the call ends its part of the block and a run of ops never stops midway.
+A block marked `bogus` (the passes' decoys, which never run) is compiled
+at its first entry instead: at the function's first call it gets a guard,
+a part with no ops, no cost and no trace, and every edge into the block
+leads to the guard. The driver builds the block when it first takes the
+guard's terminator, and from then on goes from the guard to the block's
+part. So the decoys of an obfuscated function are never compiled, and
+the mark is only a hint: a marked block that runs gives the same results
+and steps as unmarked.
 A masked switch (`ir.switch_mask`, which states the rule) with no case in
 [0, c] compiles to a br to its default: both cost one step, its `and`
 still runs, and a `block_tracer` sees the same blocks.
@@ -24,6 +32,11 @@ Compilation gives each parameter the slot of its position, each other
 register a slot, and each literal and folded global (globals are
 immutable integers) a slot that the frame starts with its value in;
 literals are keyed by type and value, so `true` and `1` never share one.
+A decoy's registers and literals that no other block uses get their
+slots when it is built, after all the others, so a frame made before
+may be too short for them. The guard is the one place a frame grows: it
+extends the frame's list to the function's slots, and a decoy's ops are
+reached only through its guard, in the same frame.
 A binary op is one call of an `operator` function (or of a small one for
 the trapping divisions and the masked shifts) on unbounded ints; the loop
 keeps a result that is already in the signed 64-bit range and calls
@@ -87,8 +100,8 @@ reached with another routing key) until the region holds CHAIN_PARTS
 parts, and an arm back to the head is one more trip of a `while` loop
 inside the function, taken only while the fuel covers the region's
 costliest path. The region leaves at a ret, a call that traps as an
-unresolved extern or a switch on an unknown scrutinee, which the driver
-transfers with. Where it leaves, it stores back the registers written on
+unresolved extern, a switch on an unknown scrutinee or a decoy's guard,
+which the driver transfers with. Where it leaves, it stores back the registers written on
 its path and on every path that loops (at a ret only the value), and
 returns the fuel left and the terminator the driver takes. A trap inside
 it reports the fuel left after the part it happened in, as the tuple ops
@@ -96,8 +109,10 @@ charge a trap its whole part.
 The driver calls a region only when the fuel covers its costliest path up
 to its first call; otherwise it runs the head's tuple ops, so fuel cuts
 stay exact. A region is analysed and generated only when its head turns
-hot, so a part that the driver seldom reaches costs nothing; a decoy on
-an arm of an opaque guard is generated inside its region but never runs.
+hot, so a part that the driver seldom reaches costs nothing, and a region
+stops at a decoy's guard, so no decoy reaches generated code. Analysing
+a function builds its decoys first, so a register that only a decoy
+writes is never folded as a constant.
 
 A call to a function the module defines does not end a region: the trace
 tree goes on through the call, as tracing JITs inline through calls (Bolz
@@ -275,6 +290,7 @@ _T_SW = 2     # (_T_SW, scrutinee, {lit: part}, default_part)
 _T_CALL = 3   # (_T_CALL, callee_name, gather, dst | None, next_part, arg slots)
 _T_RET = 4    # (_T_RET, None | value)
 _T_STOP = 5   # (_T_STOP,) stands in for the terminator that fuel cannot reach
+_T_DECOY = 6  # (_T_DECOY, guard) a bogus block, built at its first entry
 
 _STOP = (_T_STOP,)
 
@@ -286,12 +302,13 @@ class _Part:
     __slots__ = ("trace", "ops", "term", "cost", "cfn", "fused", "need",
                  "steps")
 
-    def __init__(self, trace):
+    def __init__(self, cfn, trace):
         self.trace = trace  # (function, label) for block_tracer; None after a call
         self.ops = []
         self.term = None
         self.cost = 0
-        self.cfn = None  # the _CompiledFunction that holds it
+        self.cfn = cfn  # the _CompiledFunction that holds it
+        cfn.parts.append(self)
         # None until its region is generated, then the generated function,
         # or False where the region is the empty part's bare terminator
         self.fused = None
@@ -326,24 +343,37 @@ class _CompiledFunction:
     """Parameter i lives in slot i; the other slots follow."""
 
     __slots__ = ("params", "entry", "init_env", "locals_env", "parts",
-                 "_flow", "enter")
+                 "decoys", "build", "_flow", "enter")
 
-    def __init__(self, params, entry, init_env, parts):
+    def __init__(self, params, init_env):
         self.params = params  # whether each parameter is a bool
-        self.entry = entry
+        self.entry = None
         self.init_env = init_env  # registers at their type's zero, literals
-        self.locals_env = init_env[len(params):]  # the slots after the parameters
-        self.parts = parts  # every part, those after calls included
+        self.locals_env = None  # the slots after the parameters
+        self.parts = []  # every part, those after calls included
+        self.decoys = {}  # guard -> its bogus block, once built the block's part
+        self.build = None  # block -> its part, split after each call
         self._flow = None
-        for part in parts:
-            part.cfn = self
+
+    def decoy(self, guard):
+        """The part that runs `guard`'s block, built at its first entry: its
+        new registers and literals take slots after all the others."""
+        part = self.decoys[guard]
+        if type(part) is not _Part:
+            part = self.decoys[guard] = self.build(part)
+            self.locals_env = self.init_env[len(self.params):]
+        return part
 
     def flow(self):
         """(constants, carried): slot -> the int or bool start value of each
         slot that no parameter, op or call result writes, as such a slot
         keeps it in every frame; and the slots that some part reads before
-        writing them, as every other slot is dead wherever a part starts."""
+        writing them, as every other slot is dead wherever a part starts.
+        Every decoy is built first, so a slot only a decoy writes is not
+        taken for a constant."""
         if self._flow is None:
+            for guard in list(self.decoys):
+                self.decoy(guard)
             written = set(range(len(self.params)))
             carried = set()
             for part in self.parts:
@@ -410,11 +440,21 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
         # parameter i takes slot i; a repeated name reads its last position
         slots.pop(name, None)
         slots[name]
-    params = [ty == "bool" for _, ty in fn.params]
-    parts = {b.label: _Part((fn.mangled_name, b.label)) for b in fn.blocks}
-    every_part = list(parts.values())
+    cfn = _CompiledFunction([ty == "bool" for _, ty in fn.params], slots.init)
+    parts = {}  # label -> the part that the block's edges lead to
     for b in fn.blocks:
-        part = parts[b.label]
+        if b.role == "bogus":
+            # a guard: no ops, no cost, no trace; it builds the block at
+            # the block's first entry
+            parts[b.label] = guard = _Part(cfn, None)
+            guard.term = (_T_DECOY, guard)
+            cfn.decoys[guard] = b
+        else:
+            parts[b.label] = _Part(cfn, (fn.mangled_name, b.label))
+
+    def build(b):
+        part = head = (_Part(cfn, (fn.mangled_name, b.label))
+                       if b.role == "bogus" else parts[b.label])
         for ins in b.insts:
             if isinstance(ins, BinOp):
                 part.ops.append((_BIN, slots[ins.dst], _FUNCS[ins.op],
@@ -433,8 +473,7 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
                     gather, reads = ((None, ()) if callee is None
                                      else gatherer(ins.args, callee.params))
                     dst = None if ins.dst is None else slots[ins.dst]
-                    rest = _Part(None)
-                    every_part.append(rest)
+                    rest = _Part(cfn, None)
                     part.end((_T_CALL, ins.callee, gather, dst, rest, reads))
                     part = rest
             else:
@@ -456,7 +495,14 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
             part.end((_T_RET, None if t.value is None else operand(t.value)))
         else:
             raise ValueError(f"block {b.label} has no terminator")
-    cfn = _CompiledFunction(params, parts[fn.entry], slots.init, every_part)
+        return head
+
+    cfn.build = build
+    for b in fn.blocks:
+        if b.role != "bogus":
+            build(b)
+    cfn.entry = parts[fn.entry]
+    cfn.locals_env = slots.init[len(fn.params):]
     # a region's direct call runs the callee's frame through `enter`, which
     # is generated at its first call
     cfn.enter = lambda *args: _fuse_region(table, cfn.entry, True)(*args)
@@ -521,7 +567,8 @@ class _Consts(dict):
         """The parts that `term` may lead to on the known values: the one it
         resolves to, a cbr's two on an unknown condition, the part after a
         call to a function the module defines, or none (a ret, a call that
-        traps as an unresolved extern, a switch nothing resolves)."""
+        traps as an unresolved extern, a switch nothing resolves, a
+        decoy's guard)."""
         tag = term[0]
         if tag == _T_BR:
             return [term[1]]
@@ -546,7 +593,8 @@ class _Node:
     arm, or a cbr's two when `cond`, the condition's slot, is unknown. An
     arm is a _Node, _LOOP, or the terminator that the driver takes when the
     region leaves: a ret, a call that traps as an unresolved extern, a
-    switch nothing resolves, or a br to the part the region does not hold.
+    switch nothing resolves, a decoy's guard, or a br to the part the
+    region does not hold.
     The head and each part after a call start a segment, `start`: `total`
     is the cost of the path from there to the part's end, and the start's
     `need` the cost of its segment's costliest path, which the fuel must
@@ -894,6 +942,13 @@ def _drive(table, env, term, emit, fuel: int, depth: int, room: int,
                 depth -= 1
                 if dst is not None:
                     env[dst] = value
+            elif tag == _T_DECOY:
+                # the frame grows to the slots that its function has once
+                # the block is built; only a guard leads to a decoy's ops
+                cfn = term[1].cfn
+                part = cfn.decoy(term[1])
+                if len(env) < len(cfn.init_env):
+                    env += cfn.init_env[len(env):]
             else:
                 raise _OutOfFuel
 

@@ -5,6 +5,7 @@ from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 
+import iobf.cli
 from iobf import (build_cfg, in_degree_gap, instruction_count, parse_module,
                   print_module, run, validate)
 from iobf.cli import (
@@ -778,3 +779,31 @@ def test_main_batch_reports_a_raising_pass(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "oracle failure: gcd: RuntimeError: boom\n"
     assert "boom" in captured.out
+
+
+def test_main_batch_out_dir_that_is_a_file_fails_before_the_batch(
+        monkeypatch, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    ran = []
+    monkeypatch.setattr(iobf.cli, "transform_module",
+                        lambda *args: ran.append(args))
+    code = main(["--batch", str(default_corpus_dir()),
+                 "--passes", "nested,nested,indeg", "--out-dir", str(afile)])
+    assert code == EXIT_PARAMETER and ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 17] File exists: '{afile}'\n"
+
+
+@pytest.mark.parametrize("option, name", [("--emit-dot", "dots"),
+                                          ("--report", "r.json")])
+def test_main_unusable_destination_writes_no_file(option, name, tmp_path, capsys):
+    """Every destination is checked before `-o` is written."""
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    code = main([str(default_corpus_dir() / "gcd.ir"), "--passes", "flatten",
+                 "-o", str(tmp_path / "out.ir"), option, str(afile / name)])
+    assert code == EXIT_PARAMETER
+    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]

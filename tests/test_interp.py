@@ -1522,3 +1522,187 @@ def test_untyped_register_passed_to_a_bool_parameter_is_rejected():
         ("UntypedLocal", "%u has no inferable type", "entry"),
         ("UntypedLocal", "%u has no inferable type", "entry"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# A block marked `bogus` is compiled at its first entry, through a guard
+# that costs no step and traces nothing. The mark is only a hint: marking
+# any block must leave every result as it was, steps included.
+
+def _marked(m, labels):
+    """`m` with each block whose (function base name, label) is in `labels`
+    marked bogus."""
+    return dataclasses.replace(m, functions=tuple(
+        dataclasses.replace(fn, blocks=tuple(
+            dataclasses.replace(b, role="bogus")
+            if (fn.base_name, b.label) in labels else b for b in fn.blocks))
+        for fn in m.functions))
+
+
+def _traced(m, entry, args, fuel):
+    seen = []
+    return _facets(run(m, entry, args, fuel, lambda *b: seen.append(b))), seen
+
+
+def _assert_marks_change_nothing(m, labels, entry, runs):
+    """Each (args, fuel) run of `m` with `labels` marked gives the result of
+    `m`, cold and hot, on a fresh copy and on one that every earlier run
+    has built decoys in, and a block tracer sees the same blocks; returns
+    the marked copy that took every cold run."""
+    marked = _marked(m, labels)
+    warm, warm_hot = dataclasses.replace(marked), _fused_twin(marked)
+    for args, fuel in runs:
+        want = _facets(run(dataclasses.replace(m), entry, args, fuel))
+        for copy in (dataclasses.replace(marked), warm, _fused_twin(marked),
+                     warm_hot):
+            assert _facets(run(copy, entry, args, fuel)) == want, (args, fuel)
+        assert (_traced(dataclasses.replace(marked), entry, args, fuel)
+                == _traced(m, entry, args, fuel)), (args, fuel)
+    return warm
+
+
+_LABELS = [*(f"b{i}" for i in range(5)), "dead", "entry", "yes", "no", "unused"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_modules(divisions=True), random_programs()),
+       st.sets(st.tuples(st.sampled_from(["f", "h"]), st.sampled_from(_LABELS))),
+       st.integers(-8, 8), _BUDGETS)
+def test_marking_blocks_bogus_changes_no_result_on_random_programs(m, labels, x,
+                                                                  budgets):
+    _assert_marks_change_nothing(m, labels, "f",
+                                 [([x], fuel) for fuel in (*budgets, 300)])
+
+
+DECOY_IN_RECURSION = """\
+extern @print_int(int) -> void
+
+func @f src "f" (%n: int) -> int {
+entry:
+  %c = cmp le %n, 0
+  cbr %c, base, rec
+base:
+  ret 1
+rec:
+  %m = sub %n, 1
+  %r = call @f(%m)
+  br mix
+mix:
+  %k = mul %r, 1000003
+  %h = call @h(%k, 77777)
+  %u = xor %h, 424242
+  call @print_int(%u)
+  ret %u
+}
+
+func @h src "h" (%a: int, %b: int) -> int {
+entry:
+  %s = add %a, %b
+  ret %s
+}
+"""
+
+
+@pytest.mark.parametrize("labels", [
+    {("f", "mix")},
+    {("f", "entry"), ("h", "entry")},
+    {("f", "entry"), ("f", "rec"), ("f", "mix"), ("h", "entry")},
+], ids=["call_and_literals", "entry_blocks", "most_blocks"])
+def test_a_decoy_that_runs_in_a_recursion_gives_the_unmarked_results(labels):
+    """`mix` holds a call and the only uses of three literals, so its
+    registers and literals take slots of their own; the deepest frame that
+    reaches it builds it, and the older frames, which were made with fewer
+    slots, reach it afterwards. Every fuel cut of the deepest run is
+    checked."""
+    m = parse_module(DECOY_IN_RECURSION)
+    full = run(m, "f", [4])
+    assert full.status == RETURNED and len(full.output) == 4
+    runs = [([n], DEFAULT_FUEL) for n in range(5)]
+    runs += [([4], fuel) for fuel in range(1, full.steps + 2)]
+    warm = _assert_marks_change_nothing(m, labels, "f", runs)
+    assert all(type(part) is interp._Part
+               for part in _compiled(warm)["f"].decoys.values())
+
+
+DECOY_THAT_TRAPS = """\
+extern @print_int(int) -> void
+
+func @f src "f" (%n: int) -> int {
+entry:
+  %i = %n
+  br loop
+loop:
+  %c = cmp lt %i, 0
+  cbr %c, done, odd
+odd:
+  %q = sdiv 31337, %i
+  %i = sub %i, 1
+  call @print_int(%q)
+  br loop
+done:
+  ret %i
+}
+"""
+
+
+def test_a_decoy_that_traps_is_traced_once_per_entry():
+    m = parse_module(DECOY_THAT_TRAPS)
+    full = run(m, "f", [3])
+    assert full.reason == "sdiv by zero" and len(full.output) == 3
+    runs = [([n], DEFAULT_FUEL) for n in (-1, 0, 3)]
+    runs += [([3], fuel) for fuel in range(1, full.steps + 2)]
+    _assert_marks_change_nothing(m, {("f", "odd")}, "f", runs)
+    facets, seen = _traced(_marked(m, {("f", "odd")}), "f", [3], DEFAULT_FUEL)
+    assert facets == _facets(full) and seen.count(("f", "odd")) == 4
+
+
+DECOY_WRITES_A_LOOP_REGISTER = """\
+func @f src "f" (%n: int) -> int {
+entry:
+  %i = 0
+  %acc = 0
+  br loop
+loop:
+  %acc = add %acc, %k
+  %i = add %i, 1
+  %c = cmp lt %i, %n
+  cbr %c, loop, after
+after:
+  %d = cmp eq %acc, 0
+  cbr %d, set, done
+set:
+  %k = 5
+  %i = 0
+  br loop
+done:
+  ret %acc
+}
+"""
+
+
+def test_a_register_only_a_decoy_writes_is_not_folded_in_a_hot_loop():
+    """`%k` is written only in `set`, which runs once the loop has run: a
+    region generated before that must still read `%k`."""
+    m = parse_module(DECOY_WRITES_A_LOOP_REGISTER)
+    assert run(m, "f", [3]).value == 15
+    _assert_marks_change_nothing(m, {("f", "set")}, "f",
+                                 [([n], DEFAULT_FUEL) for n in (1, 3, 40)])
+    hot = _fused_twin(_marked(m, {("f", "set")}))
+    assert run(hot, "f", [40]).value == 200 and _generated(hot)
+
+
+@pytest.mark.parametrize("cfg", [
+    PipelineConfig(["nested", "indeg", "ident-default"], seed=3),
+    PipelineConfig(["bcf"], seed=3, prob=1.0),
+], ids=["nested_indeg_ident_default", "bcf_prob_1"])
+def test_no_decoy_of_an_obfuscated_corpus_program_is_built(corpus, cfg):
+    """The passes' decoys never run, so no manifest vector builds one."""
+    guards = 0
+    for entry in corpus:
+        m, _ = transform_module(cfg, entry.module)
+        for args in entry.inputs:
+            assert run(m, entry.entry, args, entry.fuel).status == RETURNED
+        decoys = [d for cfn in _compiled(m).values() for d in cfn.decoys.values()]
+        assert all(type(d) is BasicBlock for d in decoys), entry.name
+        guards += len(decoys)
+    assert guards >= len(corpus)
