@@ -230,7 +230,6 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
     oracle_failures: list[str] = []
     load_failures: list[str] = []
     checked = 0
-    outputs: dict[str, str] = {}
     for entry in entries:
         row = {"file": entry.name, "pass": "+".join(cfg.passes),
                "seed": cfg.seed}
@@ -253,7 +252,9 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
                                 time_reps, entry.fuel)
                 row.update(asdict(sim))
                 row.update(asdict(over))
-                outputs[entry.name] = print_module(obf)
+                if out_dir is not None:
+                    (Path(out_dir) / f"{entry.name}.ir").write_text(
+                        print_module(obf), encoding="utf-8")
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             oracle_failures.append(f"{entry.name}: {row['error']}")
@@ -265,11 +266,7 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
         "aggregates": aggregate_rows(rows),
         "oracle": {"inputs_checked": checked, "failures": oracle_failures},
         "load_failures": load_failures,
-        "outputs": outputs,
     }
-    if out_dir is not None:
-        for name, text in outputs.items():
-            (Path(out_dir) / f"{name}.ir").write_text(text, encoding="utf-8")
     if oracle_failures:
         code = EXIT_ORACLE
     elif load_failures:
@@ -363,7 +360,6 @@ def main(argv=None) -> int:
             _check_file_destination(args.report)
         if args.batch:
             report, code = batch(args.batch, cfg, args.time_reps, args.out_dir)
-            del report["outputs"]
             if args.report:
                 _write_json(args.report, report)
             print(render_table(report))

@@ -1,9 +1,9 @@
 """Reference interpreter: the semantics oracle for every pass.
 
 Execution runs over the block graph with wrapping signed 64-bit
-arithmetic. Registers read before their first assignment hold the zero of
-their type; `validate` guarantees every register name that appears is
-declared.
+arithmetic. A register starts at 0, which every bool context reads as
+false; `run` returns a bool function's value as a bool. `validate`
+guarantees every register name that appears is declared.
 
 Each function is compiled to a flat tuple form (blocks resolved to object
 references) at its first call: `run` compiles the entry, and a call
@@ -29,9 +29,10 @@ still runs, and a `block_tracer` sees the same blocks.
 
 A frame's registers are one list, and every operand is an index into it.
 Compilation gives each parameter the slot of its position, each other
-register a slot, and each literal and folded global (globals are
-immutable integers) a slot that the frame starts with its value in;
-literals are keyed by type and value, so `true` and `1` never share one.
+register a slot that the frame starts at 0 (a bool context reads it as
+false), and each literal and folded global (globals are immutable
+integers) a slot that the frame starts with its value in; literals are
+keyed by type and value, so `true` and `1` never share one.
 A decoy's registers and literals that no other block uses get their
 slots when it is built, after all the others, so a frame made before
 may be too short for them. The guard is the one place a frame grows: it
@@ -185,7 +186,6 @@ from .ir import (
     switch_mask,
     wrap64,
 )
-from .validate import infer_local_types
 
 DEFAULT_FUEL = 1_000_000
 MAX_CALL_DEPTH = 10_000  # active frames, the entry function's included
@@ -348,7 +348,7 @@ class _CompiledFunction:
     def __init__(self, params, init_env):
         self.params = params  # whether each parameter is a bool
         self.entry = None
-        self.init_env = init_env  # registers at their type's zero, literals
+        self.init_env = init_env  # registers at 0, literals
         self.locals_env = None  # the slots after the parameters
         self.parts = []  # every part, those after calls included
         self.decoys = {}  # guard -> its bogus block, once built the block's part
@@ -397,24 +397,21 @@ class _CompiledFunction:
 class _Slots(dict):
     """Register name, or (type, value) of a literal, -> slot in the frame's
     list. A key gets the next slot when first looked up; `init` holds each
-    slot's start value: a register's type's zero, a literal's value."""
+    slot's start value: 0 for a register, which every bool context reads as
+    false, a literal's value."""
 
-    def __init__(self, types):
+    def __init__(self):
         super().__init__()
-        self.types = types
         self.init = []
 
     def __missing__(self, key):
         index = self[key] = len(self.init)
-        if isinstance(key, str):
-            self.init.append(False if self.types.get(key) == "bool" else 0)
-        else:
-            self.init.append(key[1])
+        self.init.append(0 if isinstance(key, str) else key[1])
         return index
 
 
 def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
-    slots = _Slots(infer_local_types(fn, table.module()))
+    slots = _Slots()
 
     def operand(op):
         if isinstance(op, Local):
@@ -427,9 +424,10 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
         """The function of the caller's registers that gives the values of
         a call's arguments for a callee with `params`, in order, and the
         slots it reads. Extra arguments are dropped, and a missing one is
-        its parameter type's zero, as the callee's registers start."""
+        0, as the callee's registers start, which every bool context reads
+        as false."""
         args = list(args[:len(params)])
-        args += [False if ty == "bool" else 0 for _, ty in params[len(args):]]
+        args += [0] * (len(params) - len(args))
         arg_slots = tuple(operand(a) for a in args)
         if len(arg_slots) > 1:
             return itemgetter(*arg_slots), arg_slots
@@ -991,25 +989,6 @@ def _drive(table, env, term, emit, fuel: int, depth: int, room: int,
         raise
 
 
-def _execute(table, cfn: _CompiledFunction, args, fuel: int,
-             tracer) -> ExecutionResult:
-    budget = fuel
-    # the fuel left when the table's runs reach FUSE_AFTER_STEPS: from there
-    # on, an untraced run counts each part's steps towards its region
-    hot_at = budget + table.steps - FUSE_AFTER_STEPS if tracer is None else -1
-    output: list[int] = []
-    try:
-        fuel, value = _drive(table, [*args, *cfn.locals_env], (_T_BR, cfn.entry),
-                             output.append, fuel, 1, NESTED_FRAMES, hot_at, tracer)
-    except _Trap as t:
-        return ExecutionResult(TRAPPED, reason=t.reason, output=output,
-                               steps=budget - max(t.fuel, 0))
-    except _OutOfFuel:
-        return ExecutionResult(FUEL_EXHAUSTED, output=output, steps=budget)
-    return ExecutionResult(RETURNED, value=value, output=output,
-                           steps=budget - fuel)
-
-
 def run(
     m: IrModule,
     entry_fn: str,
@@ -1026,7 +1005,7 @@ def run(
     `fuel` must be an int, and each argument an int or a bool; any other
     type raises TypeError, naming an argument's position, before any step
     runs. An argument is converted to its parameter's type and wrapped to
-    the signed 64-bit range.
+    the signed 64-bit range. A function declared `-> bool` returns a bool.
 
     Only functions that are called get compiled, so a malformed function
     (one that `validate` rejects, e.g. a block without a terminator) raises
@@ -1043,8 +1022,25 @@ def run(
     fn = resolve_entry(m, entry_fn, len(args))
     table = _compiled(m)
     cfn = table[fn.mangled_name]
-    entry_args = [*map(_convert, args, cfn.params)]
-    result = _execute(table, cfn, entry_args, fuel, block_tracer)
+    env = [*map(_convert, args, cfn.params), *cfn.locals_env]
+    # the fuel left when the table's runs reach FUSE_AFTER_STEPS: from there
+    # on, an untraced run counts each part's steps towards its region
+    hot_at = fuel + table.steps - FUSE_AFTER_STEPS if block_tracer is None else -1
+    output: list[int] = []
+    try:
+        left, value = _drive(table, env, (_T_BR, cfn.entry), output.append, fuel,
+                             1, NESTED_FRAMES, hot_at, block_tracer)
+    except _Trap as t:
+        result = ExecutionResult(TRAPPED, reason=t.reason, output=output,
+                                 steps=fuel - max(t.fuel, 0))
+    except _OutOfFuel:
+        result = ExecutionResult(FUEL_EXHAUSTED, output=output, steps=fuel)
+    else:
+        # registers start at 0, so a bool function's value gets its type here
+        if fn.ret_type == "bool":
+            value = bool(value)
+        result = ExecutionResult(RETURNED, value=value, output=output,
+                                 steps=fuel - left)
     table.steps += result.steps
     return result
 

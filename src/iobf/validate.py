@@ -6,8 +6,9 @@ satisfies every structural and type invariant the interpreter relies on
 text reads as a literal, every read register has one inferable type,
 legal call targets, statically detectable division by zero, integer
 literals, switch case literals and globals in the signed 64-bit range,
-and only the ops, comparisons, block roles and types that the text
-grammar names).
+only the ops, comparisons, block roles and types that the text grammar
+names, and only instructions among a block's instructions and a
+terminator as its terminator).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .ir import (
     Cbr,
     Cmp,
     GlobalRef,
+    Instruction,
     IrFunction,
     IrModule,
     Local,
@@ -33,6 +35,7 @@ from .ir import (
     ROLES,
     Ret,
     Switch,
+    Terminator,
     VALUE_TYPES,
     operand_type,
     targets,
@@ -178,6 +181,15 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
             diags.append(Diagnostic("UnknownRole", f"unknown block role {b.role!r}",
                                     name, b.label))
         labels.add(b.label)
+        for ins in b.insts:
+            if not isinstance(ins, Instruction):
+                diags.append(Diagnostic("UnknownInstruction",
+                                        f"{ins!r} is not an instruction", name, b.label))
+        if b.term is not None and not isinstance(b.term, Terminator):
+            diags.append(Diagnostic("UnknownTerminator",
+                                    f"{b.term!r} is not a terminator", name, b.label))
+    if any(d.code in ("UnknownInstruction", "UnknownTerminator") for d in diags):
+        return diags  # the checks below read instruction and terminator fields
 
     types = infer_local_types(fn, m)
     declared = fn.local_names()

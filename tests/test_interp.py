@@ -30,8 +30,8 @@ from iobf.interp import (
     _module_cache,
     _region,
 )
-from iobf.ir import (Assign, BasicBlock, INT_MAX, INT_MIN, IrFunction, IrModule, Ret,
-                     switch_mask, wrap64)
+from iobf.ir import (Assign, BasicBlock, BinOp, Br, Cbr, Cmp, INT_MAX, INT_MIN, IrFunction,
+                     IrModule, Local, Ret, switch_mask, wrap64)
 from iobf.parser import ValidationError
 from iobf.rename import obfuscate_identifiers_default
 
@@ -104,11 +104,12 @@ def test_fuel_must_be_positive():
 def test_unvalidated_non_instruction_raises_when_compiled():
     """`run` does not validate, so an object among a function's
     instructions that is none of them raises when the function compiles."""
-    m = IrModule(functions=(IrFunction("_O1f", "f", (), "int", (
-        BasicBlock("entry", (SimpleNamespace(dst=None),), Ret(0)),)),))
-    with pytest.raises(TypeError) as err:
-        run(m, "f", [])
-    assert str(err.value) == "unknown instruction namespace(dst=None)"
+    for ins in (SimpleNamespace(), Br("entry")):
+        m = IrModule(functions=(IrFunction("_O1f", "f", (), "int", (
+            BasicBlock("entry", (ins,), Ret(0)),)),))
+        with pytest.raises(TypeError) as err:
+            run(m, "f", [])
+        assert str(err.value) == f"unknown instruction {ins!r}"
 
 
 def test_entry_arguments_take_their_parameters_types():
@@ -310,6 +311,44 @@ def test_unassigned_bool_register_reads_false():
         "out:\n  ret %b\n}\n")
     assert run(m, "f", [1]).value is True
     assert run(m, "f", [-1]).value is False
+
+
+BOOL_ARGUMENT = """\
+func @id src "id" (%b: bool) -> bool {
+entry:
+  ret %b
+}
+
+func @f src "f" (%x: int) -> bool {
+entry:
+  %c = cmp gt %x, 0
+  cbr %c, set, out
+set:
+  %b = cmp eq %x, %x
+  br out
+out:
+  %r = call @id(%b)
+  ret %r
+}
+"""
+
+
+def test_unassigned_bool_register_passed_as_a_bool_argument_returns_false():
+    """The register starts at 0 in the caller and the callee alike; `run`
+    gives the entry's result its declared type, cold and hot."""
+    m = parse_module(BOOL_ARGUMENT)
+    assert run(m, "f", [-1]).value is False
+    hot = _fused_twin(m)
+    for _ in range(2):
+        assert run(hot, "f", [-1]).value is False
+        assert run(hot, "f", [1]).value is True
+    assert _compiled(hot)["f"].entry.fused
+
+
+def test_a_bool_function_returns_a_bool_in_an_unvalidated_module():
+    m = IrModule(functions=(IrFunction("_O1f", "f", (), "bool", (
+        BasicBlock("entry", (), Ret(5)),)),))
+    assert run(m, "f", []).value is True
 
 
 def test_recursion():
@@ -1232,6 +1271,27 @@ loop:
   br loop
 }
 """
+
+
+def test_a_region_folds_a_never_written_bool_register():
+    """`validate` rejects a register that nothing writes, but `run` starts
+    it at 0 like any other: a region folds it, so the branch on it resolves
+    and the loop never forks to `bad`, and the ret gives False."""
+    x, i, b = (Local(name) for name in "xib")
+    m = IrModule(functions=(IrFunction("_O1f", "f", (("x", "int"),), "bool", (
+        BasicBlock("entry", (Assign("i", x),), Br("loop")),
+        BasicBlock("loop", (BinOp("i", "sub", i, 1), Cmp("c", "gt", i, 0)),
+                   Cbr("c", "body", "done")),
+        BasicBlock("body", (), Cbr("b", "bad", "loop")),
+        BasicBlock("bad", (), Ret(True)),
+        BasicBlock("done", (), Ret(b)),
+    )),))
+    assert _regions(m, "f", [3], "_O1f")["loop"] == [
+        (["loop", "body"], "<loop>"), (["loop", "done"], "<ret>")]
+    hot = _assert_tiers_agree(m, "f", [([n], fuel) for n in (0, 3, 40)
+                                       for fuel in (5, 60, DEFAULT_FUEL)])
+    assert run(hot, "f", [40]).value is False
+    assert _parts_by_label(hot, "_O1f")["loop"].fused
 
 
 def test_a_dividing_head_loops_inside_one_generated_function():

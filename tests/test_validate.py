@@ -43,6 +43,19 @@ def test_missing_terminator():
     assert "MissingTerminator" in codes(m)
 
 
+def test_non_instruction_among_a_blocks_instructions_is_a_diagnostic():
+    m = IrModule(functions=[fn_of([BasicBlock("entry", [Br("entry")], Ret(0))])])
+    assert [str(d) for d in validate(m)] == [
+        "UnknownInstruction: Br(label='entry') is not an instruction in @_O1fi block entry"]
+
+
+def test_non_terminator_as_a_blocks_terminator_is_a_diagnostic():
+    m = IrModule(functions=[fn_of([BasicBlock("entry", (), Assign("x", 0))])])
+    assert [str(d) for d in validate(m)] == [
+        "UnknownTerminator: Assign(dst='x', src=0) is not a terminator"
+        " in @_O1fi block entry"]
+
+
 def test_duplicate_label():
     m = IrModule(functions=[fn_of([
         BasicBlock("entry", [], Br("entry")),
