@@ -81,10 +81,22 @@ its region at its first visit. The module's count comes first, so a
 module that runs little pays no code generation even where one loop
 takes most of its steps. That function holds the ops inline: registers
 in locals, known values folded, the `operator` calls as Python
-operators, `_sdiv`/`_srem` still trapping.
-The range check and an inline `wrap64` follow only add, sub, mul, sdiv
-and shl: on signed 64-bit operands and, or, xor, shr and srem cannot
-leave the range, and comparisons give booleans.
+operators, and an sdiv or srem as Python's `//` or `%` where the
+dividend is at least 0 and the divisor above 0, else `_sdiv`/`_srem`,
+which trap and take the other signs.
+A local may hold a value not yet reduced to the signed 64-bit range. On
+Python ints, wrap64 commutes with add, sub, mul, and, or, xor and a shl
+by its masked amount: the low 64 bits of their results depend only on
+the low 64 bits of their operands. So the range check and an inline
+`wrap64` run only where a value is observed: as an operand of sdiv,
+srem or a comparison, the shifted operand of shr, a cbr condition, a
+call argument or a printed value, the value that `enter` returns, a
+store to the frame's registers where the region leaves, and a carried
+register where a trip loops back to the head. Generation keeps a bound
+on each unreduced local's bits: 64 for a reduced value, one more after
+add, sub or sdiv (`INT_MIN / -1`), the shift more after shl (63 when
+unknown), the sum after mul. A result past REDUCE_PAST_BITS (a constant)
+is reduced at once, so no value grows without limit.
 
 The function runs the part's region, not the part alone: Dynamo's linked
 fragments grown into a tree, as trace trees grow them (Gal & Franz,
@@ -112,8 +124,10 @@ to its first call; otherwise it runs the head's tuple ops, so fuel cuts
 stay exact. A region is analysed and generated only when its head turns
 hot, so a part that the driver seldom reaches costs nothing, and a region
 stops at a decoy's guard, so no decoy reaches generated code. Analysing
-a function builds its decoys first, so a register that only a decoy
-writes is never folded as a constant.
+a function reads the registers that each block writes, and those it
+reads before writing, from the function's IR by name, so a decoy counts
+without being built: a register that only a decoy writes is never folded
+as a constant, and a hot function's decoys stay unbuilt.
 
 A call to a function the module defines does not end a region: the trace
 tree goes on through the call, as tracing JITs inline through calls (Bolz
@@ -146,7 +160,8 @@ headroom below `sys.getrecursionlimit()` (1,000 by default) never sees
 frames, all of them direct.
 
 The fused output cannot differ from the tuple tier's: each generated op
-is the tuple op's expression with the operand reads resolved, a folded
+is the tuple op's expression with the operand reads resolved, on values
+equal to the tuple tier's modulo 2**64 where the op allows it, a folded
 value is the tuple op's result on the same known operands, a branch is
 resolved only on a value every run has there, prints happen in order
 before any trap, and registers are stored back before the driver reads
@@ -193,6 +208,7 @@ FUSE_AFTER_STEPS = 16_384  # a module's runs let parts count from this step
 HOT_PART_STEPS = 128  # a part's counted steps that generate its region
 CHAIN_PARTS = 32  # most parts that one region holds, calls included
 NESTED_FRAMES = 256  # most Python frames that a run's direct calls stack up
+REDUCE_PAST_BITS = 192  # a region's unreduced value past this many bits is reduced
 
 RETURNED = "returned"
 TRAPPED = "trapped"
@@ -343,7 +359,7 @@ class _CompiledFunction:
     """Parameter i lives in slot i; the other slots follow."""
 
     __slots__ = ("params", "entry", "init_env", "locals_env", "parts",
-                 "decoys", "build", "_flow", "enter")
+                 "decoys", "build", "uses", "_flow", "enter")
 
     def __init__(self, params, init_env):
         self.params = params  # whether each parameter is a bool
@@ -353,15 +369,19 @@ class _CompiledFunction:
         self.parts = []  # every part, those after calls included
         self.decoys = {}  # guard -> its bogus block, once built the block's part
         self.build = None  # block -> its part, split after each call
+        self.uses = None  # () -> (written, read before written) slots
         self._flow = None
 
     def decoy(self, guard):
         """The part that runs `guard`'s block, built at its first entry: its
-        new registers and literals take slots after all the others."""
+        new registers and literals take slots after all the others, which
+        `flow` knows from then on. Regions generated before read none of
+        them, and `flow` counted the block's other slots the same."""
         part = self.decoys[guard]
         if type(part) is not _Part:
             part = self.decoys[guard] = self.build(part)
             self.locals_env = self.init_env[len(self.params):]
+            self._flow = None
         return part
 
     def flow(self):
@@ -369,25 +389,10 @@ class _CompiledFunction:
         slot that no parameter, op or call result writes, as such a slot
         keeps it in every frame; and the slots that some part reads before
         writing them, as every other slot is dead wherever a part starts.
-        Every decoy is built first, so a slot only a decoy writes is not
-        taken for a constant."""
+        Both come from the function's IR (`uses`), so a slot only a decoy
+        writes is not taken for a constant, and the decoy stays unbuilt."""
         if self._flow is None:
-            for guard in list(self.decoys):
-                self.decoy(guard)
-            written = set(range(len(self.params)))
-            carried = set()
-            for part in self.parts:
-                wrote = set()
-                for op in part.ops:
-                    carried.update(slot for slot in _op_reads(op)
-                                   if slot not in wrote)
-                    if op[0] != _PRINT:
-                        wrote.add(op[1])
-                carried.update(slot for slot in _term_reads(part.term)
-                               if slot not in wrote)
-                written |= wrote
-                if part.term[0] == _T_CALL and part.term[3] is not None:
-                    written.add(part.term[3])
+            written, carried = self.uses()
             constants = {slot: value for slot, value in enumerate(self.init_env)
                          if slot not in written and type(value) in (int, bool)}
             self._flow = constants, carried
@@ -410,25 +415,39 @@ class _Slots(dict):
         return index
 
 
+def _arguments(args, params) -> list:
+    """A call's arguments for a callee with `params`: extra ones are
+    dropped, and a missing one is 0, as the callee's registers start, which
+    every bool context reads as false."""
+    return [*args[:len(params)], *[0] * (len(params) - len(args))]
+
+
+def _unmatched(b) -> bool:
+    """Whether `b` ends in a masked switch with no case that its mask lets
+    through, which compiles to a br to its default."""
+    c = switch_mask(b)
+    return c is not None and not any(0 <= lit <= c for lit, _ in b.term.cases)
+
+
 def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
     slots = _Slots()
 
-    def operand(op):
+    def key(op):
+        """The key of `op`'s slot in `slots`."""
         if isinstance(op, Local):
-            return slots[op.name]
+            return op.name
         if isinstance(op, GlobalRef):
             op = table.globals_map[op.name]  # globals are immutable integers
-        return slots[type(op), op]  # `true` and `1` stay apart
+        return type(op), op  # `true` and `1` stay apart
+
+    def operand(op):
+        return slots[key(op)]
 
     def gatherer(args, params):
         """The function of the caller's registers that gives the values of
         a call's arguments for a callee with `params`, in order, and the
-        slots it reads. Extra arguments are dropped, and a missing one is
-        0, as the callee's registers start, which every bool context reads
-        as false."""
-        args = list(args[:len(params)])
-        args += [0] * (len(params) - len(args))
-        arg_slots = tuple(operand(a) for a in args)
+        slots it reads."""
+        arg_slots = tuple(operand(a) for a in _arguments(args, params))
         if len(arg_slots) > 1:
             return itemgetter(*arg_slots), arg_slots
         start = arg_slots[0] if arg_slots else 0
@@ -483,9 +502,8 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
             part.end((_T_CBR, slots[t.cond], parts[t.then_label],
                       parts[t.else_label]))
         elif isinstance(t, Switch):
-            c = switch_mask(b)
-            if c is not None and not any(0 <= lit <= c for lit, _ in t.cases):
-                part.end((_T_BR, parts[t.default]))  # no case can match
+            if _unmatched(b):
+                part.end((_T_BR, parts[t.default]))
             else:
                 cases = {lit: parts[lab] for lit, lab in t.cases}
                 part.end((_T_SW, slots[t.scrutinee], cases, parts[t.default]))
@@ -495,7 +513,49 @@ def _compile_function(fn: IrFunction, table: _Table) -> _CompiledFunction:
             raise ValueError(f"block {b.label} has no terminator")
         return head
 
-    cfn.build = build
+    def uses():
+        """(written, read): the slots that a parameter, op or call writes,
+        and those that some part, built or not, reads before writing them,
+        found from every block's IR by name. A name or literal without a
+        slot is left out, as only a decoy not yet built uses it."""
+        read, written, wrote = set(), {name for name, _ in fn.params}, set()
+
+        def use(*ops):
+            read.update(k for k in map(key, ops) if k not in wrote)
+
+        for b in fn.blocks:
+            wrote.clear()
+            for ins in b.insts:
+                if isinstance(ins, (BinOp, Cmp)):
+                    use(ins.a, ins.b)
+                elif isinstance(ins, Assign):
+                    use(ins.src)
+                elif not isinstance(ins, Call):
+                    continue  # `build` raises on it
+                elif ins.callee == "print_int" and table.builtin_print:
+                    use(*ins.args[:1])
+                    continue
+                else:
+                    callee = table.functions.get(ins.callee)
+                    if callee is not None:
+                        use(*_arguments(ins.args, callee.params))
+                    wrote.clear()  # the call ends its part
+                    if ins.dst is not None:
+                        written.add(ins.dst)
+                    continue
+                wrote.add(ins.dst)
+                written.add(ins.dst)
+            t = b.term
+            if isinstance(t, Cbr):
+                use(Local(t.cond))
+            elif isinstance(t, Switch) and not _unmatched(b):
+                use(Local(t.scrutinee))
+            elif isinstance(t, Ret) and t.value is not None:
+                use(t.value)
+        return ({slots[k] for k in written if k in slots},
+                {slots[k] for k in read if k in slots})
+
+    cfn.build, cfn.uses = build, uses
     for b in fn.blocks:
         if b.role != "bogus":
             build(b)
@@ -516,19 +576,37 @@ _EXPR = {
     operator.add: "{0} + {1}", operator.sub: "{0} - {1}",
     operator.mul: "{0} * {1}", operator.and_: "{0} & {1}",
     operator.or_: "{0} | {1}", operator.xor: "{0} ^ {1}",
-    _sdiv: "_sdiv({0}, {1})", _srem: "_srem({0}, {1})",
+    # Python's `//` and `%` equal the truncating ops where both signs are
+    # the common ones; the helpers take the others and trap on zero
+    _sdiv: "({0} // {1} if {0} >= 0 and {1} > 0 else _sdiv({0}, {1}))",
+    _srem: "({0} % {1} if {0} >= 0 and {1} > 0 else _srem({0}, {1}))",
     _shl: "{0} << ({1} & 63)", _shr: "{0} >> ({1} & 63)",
     operator.eq: "{0} == {1}", operator.ne: "{0} != {1}",
     operator.lt: "{0} < {1}", operator.le: "{0} <= {1}",
     operator.gt: "{0} > {1}", operator.ge: "{0} >= {1}",
 }
-# the ops whose result can leave the signed 64-bit range on operands in it
-_WRAPPING = {operator.add, operator.sub, operator.mul, _sdiv, _shl}
+# the ops whose result's low 64 bits depend only on their operands' low 64
+# bits, so their operands may be unreduced (a shift's amount is masked)
+_LAZY = {operator.add, operator.sub, operator.mul, operator.and_, operator.or_,
+         operator.xor, _shl}
 # wrap64 inline: ((v + 2**63) & (2**64 - 1)) - 2**63 outside the range
 _WRAP = ("if not -9223372036854775808 <= {0} <= 9223372036854775807: "
          "{0} = (({0} + 9223372036854775808) & 18446744073709551615)"
          " - 9223372036854775808")
 _UNKNOWN = object()
+
+
+def _bits(fn, a: int, b: int, shift) -> int:
+    """A bound on the bits of `fn`'s result from its operands' (a value in
+    the signed 64-bit range has 64), with `shift` the known value of the
+    second operand or _UNKNOWN; an op outside _LAZY has reduced operands."""
+    if fn is operator.mul:
+        return a + b
+    if fn is _shl:
+        return a + (63 if shift is _UNKNOWN else shift & 63)
+    if fn in (operator.add, operator.sub, _sdiv):  # _sdiv(INT_MIN, -1) is 2**63
+        return max(a, b) + 1
+    return max(a, b) if fn in _LAZY else 64
 
 
 class _Consts(dict):
@@ -688,12 +766,14 @@ def _fuse_region(table, head: _Part, entry=False):
     direct calls may stack; `enter` takes the arguments in place of the
     registers, and itself traps past MAX_CALL_DEPTH and hands its frame to
     `_drive` when the fuel does not cover its costliest path. Both keep
-    registers in locals and fold the values that `_Consts` knows. A cbr on
-    an unknown condition becomes an `if`, and a path back to the head a
-    trip of a `while` loop: the registers those paths read are loaded
-    before it, and a trip that leaves less fuel than the costliest path
-    returns to the head instead. A call to a function the module defines
-    looks the callee up in `table` and runs it through its `enter`, which
+    registers in locals, fold the values that `_Consts` knows and reduce
+    a value to 64 bits only where it is observed (see the module
+    docstring). A cbr on an unknown condition becomes an `if`, and a path
+    back to the head a trip of a `while` loop: the registers those paths
+    read are loaded before it, and a trip that leaves less fuel than the
+    costliest path returns to the head instead. A call to a function the
+    module defines looks the callee up in `table` and runs it through its
+    `enter`, which
     returns the fuel left and the value of its ret; while the fuel covers
     the costliest path of the segment after the call, the region runs on,
     else it leaves at the part after the call. With no room left, it
@@ -733,9 +813,11 @@ def _fuse_region(table, head: _Part, entry=False):
         """A register's value where the region starts."""
         return _literal(cfn.init_env[slot]) if entry else f"env[{slot}]"
 
-    def leave(term, total, stored, pad, read):
+    def leave(term, total, stored, wide, pad, read):
         left = f"fuel - {total}" if total else "fuel"
         if entry and term[0] == _T_RET:
+            if term[1] in wide:
+                body.append(pad + _WRAP.format(f"v{term[1]}"))
             value = "None" if term[1] is None else read(term[1])
             body.append(f"{pad}return {left}, {value}")
             return
@@ -744,8 +826,9 @@ def _fuse_region(table, head: _Part, entry=False):
         taken = _term_reads(term)
         # the driver drops the frame at a ret once it has read the value
         live = () if term[0] == _T_RET else carried
-        body.extend(f"{pad}env[{slot}] = {text}" for slot, text in stored.items()
-                    if slot in live or slot in taken)
+        kept = [slot for slot in stored if slot in live or slot in taken]
+        body.extend(pad + _WRAP.format(f"v{slot}") for slot in kept if slot in wide)
+        body.extend(f"{pad}env[{slot}] = {stored[slot]}" for slot in kept)
         if entry:
             # the driver and the regions it calls stack two more frames
             body.append(f"{pad}return _drive(table, env, {cell(term)}, emit, "
@@ -757,7 +840,7 @@ def _fuse_region(table, head: _Part, entry=False):
         body.append(f"if depth > {MAX_CALL_DEPTH}:")
         body.append(' raise _Trap("call depth exceeded", fuel)')
         body.append(f"if fuel < {need}:")
-        leave((_T_BR, head), 0, {}, " ", None)
+        leave((_T_BR, head), 0, {}, {}, " ", None)
     if loops:
         for slot in sorted((reads.difference(constants) | writes) & carried):
             if slot not in local:
@@ -766,7 +849,7 @@ def _fuse_region(table, head: _Part, entry=False):
         stored = {slot: f"v{slot}" for slot in sorted(writes & carried)}
         body.append("while True:")
 
-    def walk(node, local, stored, pad):
+    def walk(node, local, stored, wide, pad):
         consts = _Consts(node.before)
 
         def read(slot):
@@ -779,72 +862,95 @@ def _fuse_region(table, head: _Part, entry=False):
                 body.append(f"{pad}{name} = {load(slot)}")
             return name
 
+        def reduce(*slots):
+            """Reduce the unreduced registers among `slots`, which are
+            observed here."""
+            for slot in slots:
+                if wide.pop(slot, None):
+                    body.append(pad + _WRAP.format(f"v{slot}"))
+
         spent = False
         for op in node.part.ops:
             if op[0] == _PRINT:
+                reduce(op[1])
                 body.append(f"{pad}emit(int({read(op[1])}))")
                 continue
             if op[0] == _BIN:
                 _, dst, fn, a, b = op
+                if fn is _shr:
+                    reduce(a)
+                elif fn not in _LAZY:
+                    reduce(a, b)
                 if (not spent and fn in (_sdiv, _srem)
                         and consts.value(b) in (_UNKNOWN, 0)):
                     body.append(f"{pad}spent = {node.total}")
                     spent = True
+                bits = _bits(fn, wide.get(a, 64), wide.get(b, 64), consts.value(b))
                 value = _EXPR[fn].format(read(a), read(b))
             else:
-                dst, value = op[1], read(op[2])
+                dst, value, bits = op[1], read(op[2]), wide.get(op[2], 64)
             consts.apply(op)
+            wide.pop(dst, None)
             if dst in consts:
                 stored[dst] = _literal(consts[dst])
                 continue
             stored[dst] = name = local[dst] = f"v{dst}"
             body.append(f"{pad}{name} = {value}")
-            if op[0] == _BIN and fn in _WRAPPING:
+            if bits > REDUCE_PAST_BITS:
                 body.append(pad + _WRAP.format(name))
+            elif bits > 64:
+                wide[dst] = bits
         term = node.part.term
         if node.cond is not None:
+            reduce(node.cond)
             body.append(f"{pad}if {read(node.cond)}:")
             follow(node.arms[0], node.total, dict(local), dict(stored),
-                   pad + " ", read)
+                   dict(wide), pad + " ", read)
             body.append(f"{pad}else:")
-            follow(node.arms[1], node.total, local, stored, pad + " ", read)
+            follow(node.arms[1], node.total, local, stored, wide, pad + " ",
+                   read)
         elif term[0] == _T_CALL and node.arms[0] is not term:
             _, callee, _, dst, _, arg_slots = term
+            reduce(*arg_slots)
             args = "".join(f"{read(slot)}, " for slot in arg_slots)
             body.append(f"{pad}if room < 1:")
-            leave(term, node.total, stored, pad + " ", read)
+            leave(term, node.total, stored, wide, pad + " ", read)
             call = (f"table[{cell(callee)}].enter({args}emit, "
                     f"fuel - {node.total}, depth + 1, room - 1)")
             if dst is None:
                 body.append(f"{pad}fuel = {call}[0]")
             else:
                 stored[dst] = local[dst] = f"v{dst}"
+                wide.pop(dst, None)  # `enter` returns a reduced value
                 body.append(f"{pad}fuel, v{dst} = {call}")
             arm = node.arms[0]
             if type(arm) is _Node:
                 body.append(f"{pad}if fuel < {arm.need}:")
-                leave((_T_BR, arm.part), 0, stored, pad + " ", read)
-            follow(arm, 0, local, stored, pad, read)
+                leave((_T_BR, arm.part), 0, stored, wide, pad + " ", read)
+            follow(arm, 0, local, stored, wide, pad, read)
         else:
-            follow(node.arms[0], node.total, local, stored, pad, read)
+            follow(node.arms[0], node.total, local, stored, wide, pad, read)
 
-    def follow(arm, total, local, stored, pad, read):
+    def follow(arm, total, local, stored, wide, pad, read):
         if type(arm) is _Node:
-            walk(arm, local, stored, pad)
+            walk(arm, local, stored, wide, pad)
         elif arm is _LOOP:
+            # every trip starts on reduced registers; the others are dead
             kept = [slot for slot in stored if slot in carried]
+            body.extend(pad + _WRAP.format(f"v{slot}") for slot in kept
+                        if slot in wide)
             body.extend(f"{pad}v{slot} = {stored[slot]}" for slot in kept
                         if stored[slot] != f"v{slot}")
             if total:
                 body.append(f"{pad}fuel -= {total}")
             body.append(f"{pad}if fuel < {need}:")
-            leave((_T_BR, head), 0, {slot: f"v{slot}" for slot in kept},
+            leave((_T_BR, head), 0, {slot: f"v{slot}" for slot in kept}, {},
                   pad + " ", read)
             body.append(f"{pad}continue")
         else:
-            leave(arm, total, stored, pad, read)
+            leave(arm, total, stored, wide, pad, read)
 
-    walk(root, local, stored, " " if loops else "")
+    walk(root, local, stored, {}, " " if loops else "")
     name = "enter" if entry else "region"
     signature = ("" if entry else "env, ") + params + "emit, fuel, depth, room"
     source = (f"def {name}({signature}):\n try:\n"

@@ -7,8 +7,9 @@ text reads as a literal, every read register has one inferable type,
 legal call targets, statically detectable division by zero, integer
 literals, switch case literals and globals in the signed 64-bit range,
 only the ops, comparisons, block roles and types that the text grammar
-names, and only instructions among a block's instructions and a
-terminator as its terminator).
+names, only instructions among a block's instructions and a terminator
+as its terminator, and an `extern @print_int` only as the interpreter's
+builtin printer takes it, `(int) -> void`).
 """
 
 from __future__ import annotations
@@ -133,6 +134,14 @@ def validate(m: IrModule) -> list[Diagnostic]:
             diags.append(Diagnostic("NameClash", f"@{e.name} declared twice"))
         seen[e.name] = "extern"
         diags.extend(_check_types(e.param_types, e.ret_type, f"extern @{e.name}"))
+        # the interpreter runs every call of an undefined `print_int` as its
+        # builtin printer
+        if e.name == "print_int" and (tuple(e.param_types), e.ret_type) != (
+                ("int",), "void"):
+            diags.append(Diagnostic(
+                "PrintIntSignature",
+                f"extern @print_int({', '.join(map(str, e.param_types))}) -> "
+                f"{e.ret_type} is not the builtin printer's (int) -> void"))
     for g, value in m.globals:
         if g in seen:
             diags.append(Diagnostic("NameClash", f"@{g} declared twice"))

@@ -22,13 +22,16 @@ from iobf.interp import (
     TRAPPED,
     _LOOP,
     _Node,
+    _PRINT,
     _T_BR,
     _T_CALL,
     _T_RET,
     _T_SW,
     _compiled,
     _module_cache,
+    _op_reads,
     _region,
+    _term_reads,
 )
 from iobf.ir import (Assign, BasicBlock, BinOp, Br, Cbr, Cmp, INT_MAX, INT_MIN, IrFunction,
                      IrModule, Local, Ret, switch_mask, wrap64)
@@ -732,6 +735,141 @@ def test_fused_tier_wraps_like_the_tuple_tier(op):
                                  for b in _BOUNDARY + (63, 64)])
 
 
+# Regions leave the results of add, sub, mul, and, or, xor and shl
+# unreduced and wrap a value only where it is observed. The chains below
+# mix those ops with every point of observation: an operand of shr, sdiv,
+# srem or a comparison, a cbr on that comparison, a call argument and the
+# callee's returned value, a print, a switch that leaves the region with
+# its scrutinee, the ret value, and the loop's carried registers.
+
+_RING = ("add", "sub", "mul", "and", "or", "xor", "shl")
+# words near the ends of the range, where a ring op leaves it at once
+_CHAIN_WORDS = st.one_of(
+    st.sampled_from([INT_MIN, INT_MIN + 1, -1, 1, 2, 63, 64, INT_MAX, 2654435761,
+                     wrap64(0x9E3779B97F4A7C15)]),
+    st.integers(2**62, INT_MAX), st.integers(INT_MIN, -2**62), _I64)
+
+
+@st.composite
+def _ring_chains(draw):
+    """`f(%x, %n)`: a loop of `%n` trips over blocks of ring-op chains on
+    `%acc`, `%y` and `%z`, each observed after the chain that wrote it; the
+    loop's head is the entry's successor or, behind a switch that the
+    entry's region leaves at, a region's head. `g(%a, %b)`, which `f`
+    calls, compares its arguments and returns one of them, or a chain."""
+    def word():
+        return str(draw(_CHAIN_WORDS))
+
+    def chain(regs):
+        lines = []
+        for _ in range(draw(st.integers(1, 6))):
+            dst = draw(st.sampled_from(regs))
+            b = draw(st.one_of(st.sampled_from([r for r in regs if r != dst])
+                               .map("%{}".format), st.builds(word)))
+            lines.append(f"  %{dst} = {draw(st.sampled_from(_RING))} %{dst}, {b}\n")
+        return "".join(lines)
+
+    regs = ["acc", "y", "z"]
+
+    def reg():
+        return "%" + draw(st.sampled_from(regs))
+
+    def observe():
+        kind = draw(st.sampled_from(("shr", "div", "call", "print", "none")))
+        if kind == "shr":
+            return f"  {reg()} = shr {reg()}, {draw(st.integers(0, 64))}\n"
+        if kind == "div":  # by an odd register or a nonzero literal: no trap
+            op = draw(st.sampled_from(("sdiv", "srem")))
+            divisor = draw(st.sampled_from(["%d", "-1", "7", "-7", str(INT_MIN)]))
+            return f"  %d = or {reg()}, 1\n  {reg()} = {op} {reg()}, {divisor}\n"
+        if kind == "call":
+            dst = reg()
+            return f"  {dst} = call @g({reg()}, {reg()})\n  call @print_int({dst})\n"
+        if kind == "print":
+            return f"  call @print_int({reg()})\n"
+        return ""
+
+    segments = draw(st.integers(1, 4))
+    blocks = []
+    for k in range(segments):
+        after = f"s{k + 1}" if k + 1 < segments else "latch"
+        body = "".join(observe() + chain(regs) for _ in range(draw(st.integers(1, 3))))
+        end = draw(st.sampled_from(("br", "cbr", "cbr", "switch")))
+        if end == "br":
+            blocks.append(f"s{k}:\n{body}  br {after}\n")
+            continue
+        if end == "cbr":
+            rel = draw(st.sampled_from(("eq", "ne", "lt", "le", "gt", "ge")))
+            test = f"  %c = cmp {rel} {reg()}, {reg()}\n  cbr %c, {after}, t{k}\n"
+        else:
+            test = f"  switch {reg()} [{word()} -> t{k}] default {after}\n"
+        blocks.append(f"s{k}:\n{body}{test}t{k}:\n{observe()}{chain(regs)}  br {after}\n")
+    start = draw(st.sampled_from(("br s0", *["switch %n [0 -> done] default s0"] * 2)))
+    return (
+        "extern @print_int(int) -> void\n\n"
+        'func @g src "g" (%a: int, %b: int) -> int {\n'
+        f"entry:\n  %c = cmp {draw(st.sampled_from(('lt', 'eq')))} %a, %b\n"
+        f"  cbr %c, chain, other\nchain:\n{chain(['a', 'b'])}  ret %a\n"
+        "other:\n  ret %b\n}\n\n"
+        'func @f src "f" (%x: int, %n: int) -> int {\n'
+        f"entry:\n  %acc = %x\n  %y = {word()}\n  %z = {word()}\n  %d = 1\n  %i = 0\n"
+        f"  {start}\n" + "".join(blocks)
+        + "latch:\n  %i = add %i, 1\n  %c = cmp lt %i, %n\n  cbr %c, s0, done\n"
+        "done:\n  ret %acc\n}\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring_chains(), _CHAIN_WORDS, st.integers(1, 4))
+def test_unreduced_ring_chains_match_the_tuple_tier_at_every_fuel_cut(text, x, n):
+    m = parse_module(text)
+    full = _tuple_run(m, "f", [x, n])
+    hot = _assert_tiers_agree(m, "f", [([x, n], fuel) for fuel in
+                                       (*range(1, full.steps + 1), DEFAULT_FUEL)])
+    assert _generated(hot)
+
+
+DIVIDE_LOOP = """\
+extern @print_int(int) -> void
+
+func @f src "f" (%a: int, %b: int, %n: int) -> int {{
+entry:
+  %i = 0
+  br loop
+loop:
+  %q = {op} %a, %b
+  call @print_int(%q)
+  %r = {op} %a, 7
+  %s = {op} -9, %b
+  %t = {op} 9, %b
+  call @print_int(%t)
+  %i = add %i, 1
+  %c = cmp lt %i, %n
+  cbr %c, loop, done
+done:
+  ret %q
+}}
+"""
+
+
+@pytest.mark.parametrize("op", ["sdiv", "srem"])
+def test_inline_division_matches_the_helpers_on_every_sign(op):
+    """Python's `//` and `%` run only on a dividend of at least 0 and a
+    divisor above 0; `INT_MIN / -1`, a negative operand on either side and
+    a zero divisor take the helper, which traps with the whole part's
+    steps."""
+    m = parse_module(DIVIDE_LOOP.format(op=op))
+    values = (INT_MIN, INT_MIN + 1, -7, -1, 0, 1, 7, INT_MAX)
+    hot = _assert_tiers_agree(m, "f", [([a, b, 3], DEFAULT_FUEL)
+                                       for a in values for b in values])
+    assert _generated(hot)
+    trap = run(hot, "f", [5, 0, 3])
+    assert (trap.status, trap.reason, trap.output, trap.steps) == (
+        TRAPPED, f"{op} by zero", [], 2 + 9)  # entry, then the loop's part
+    _assert_tiers_agree(m, "f", [([a, b, 3], fuel) for a, b in
+                                 ((INT_MIN, -1), (-7, 2), (7, -2), (5, 0))
+                                 for fuel in range(1, 40)])
+
+
 def test_block_tracer_on_a_hot_table_sees_each_block_entry_once():
     for text, entry, args in ((CALL_THEN_PRINT, "f", []),
                               (GCD_TEXT, "gcd", [1071, 462])):
@@ -1395,12 +1533,14 @@ def test_fuel_below_the_costliest_path_runs_the_heads_tuple_ops():
 def test_fused_tier_matches_tuple_tier_on_the_exec_long_programs(corpus):
     """The `nested,indeg,ident-default` outputs of the long-running corpus
     programs, on arguments of about 10^4 steps, whole and cut by fuel
-    inside their loops."""
+    inside their loops. Their hot runs generate regions and build none of
+    their decoys."""
     vectors = {"fib": [700], "ackermann": [2, 19], "is_prime": [2039197],
                "collatz": [63728127], "gcd": [23416728348467685, 14472334024676221],
                "xorshift": [88172645463325252, 1050],
                "rotl_mix": [1234567890123456789, 1170]}
     rng = random.Random(0)
+    guards = built = 0
     for entry in corpus:
         if entry.name not in vectors:
             continue
@@ -1410,9 +1550,14 @@ def test_fused_tier_matches_tuple_tier_on_the_exec_long_programs(corpus):
         full = _tuple_run(m, entry.entry, args, entry.fuel)
         assert full.status == RETURNED
         cuts = sorted(rng.randrange(1, full.steps) for _ in range(6))
-        _assert_tiers_agree(m, entry.entry, [(args, fuel) for fuel in
-                                             (*cuts, full.steps, DEFAULT_FUEL)])
+        hot = _assert_tiers_agree(m, entry.entry, [(args, fuel) for fuel in
+                                                   (*cuts, full.steps, DEFAULT_FUEL)])
+        assert _generated(hot), entry.name
+        decoys = [d for cfn in _compiled(hot).values() for d in cfn.decoys.values()]
+        guards += len(decoys)
+        built += sum(type(d) is not BasicBlock for d in decoys)
     assert not vectors
+    assert guards >= 7 and built == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1766,3 +1911,98 @@ def test_no_decoy_of_an_obfuscated_corpus_program_is_built(corpus, cfg):
         assert all(type(d) is BasicBlock for d in decoys), entry.name
         guards += len(decoys)
     assert guards >= len(corpus)
+
+
+def _parts_flow(cfn):
+    """(constants, carried) as `flow` defines them, computed from the parts
+    that `cfn` has built: a slot that no parameter, op or call result
+    writes keeps its int or bool start value, and a slot is carried when
+    some part reads it before writing it."""
+    written, carried = set(range(len(cfn.params))), set()
+    for part in cfn.parts:
+        wrote = set()
+        for op in part.ops:
+            carried.update(slot for slot in _op_reads(op) if slot not in wrote)
+            if op[0] != _PRINT:
+                wrote.add(op[1])
+        carried.update(slot for slot in _term_reads(part.term) if slot not in wrote)
+        written |= wrote
+        if part.term[0] == _T_CALL and part.term[3] is not None:
+            written.add(part.term[3])
+    return ({slot: value for slot, value in enumerate(cfn.init_env)
+             if slot not in written and type(value) in (int, bool)}, carried)
+
+
+def _assert_lazy_flow_is_the_built_flow(m):
+    """Each function's `flow()`, read from the IR with its decoys unbuilt,
+    equals the flow of its parts once every decoy is built, on the slots
+    that exist before any decoy is built, and leaves the decoys unbuilt;
+    with every decoy built, it equals that flow on every slot."""
+    for fn in m.functions:
+        lazy = _compiled(dataclasses.replace(m))[fn.mangled_name]
+        constants, carried = lazy.flow()
+        assert all(type(d) is BasicBlock for d in lazy.decoys.values())
+        slots = len(lazy.init_env)
+        built = _compiled(dataclasses.replace(m))[fn.mangled_name]
+        for guard in list(built.decoys):
+            built.decoy(guard)
+        all_constants, all_carried = _parts_flow(built)
+        assert built.flow() == (all_constants, all_carried)
+        assert constants == {s: v for s, v in all_constants.items() if s < slots}
+        assert carried == {s for s in all_carried if s < slots}
+
+
+def test_lazy_flow_is_the_built_flow_on_corpus_outputs_under_every_pass(corpus):
+    for entry in corpus:
+        for name in PASS_APPLIERS:
+            m, _ = transform_module(PipelineConfig([name], seed=5), entry.module)
+            _assert_lazy_flow_is_the_built_flow(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_modules(divisions=True), random_programs()),
+       st.sets(st.tuples(st.sampled_from(["f", "h"]), st.sampled_from(_LABELS))))
+def test_lazy_flow_is_the_built_flow_on_random_programs_marked_bogus(m, labels):
+    _assert_lazy_flow_is_the_built_flow(_marked(m, labels))
+
+
+DECOY_READS_AND_WRITES = """\
+extern @print_int(int) -> void
+
+func @h src "h" (%a: int) -> int {
+entry:
+  ret %a
+}
+
+func @f src "f" (%x: int) -> int {
+entry:
+  %c = cmp lt %x, 0
+  cbr %c, decoy, out
+bogus decoy:
+  %q = add %x, 5
+  %k = call @h(%v)
+  %u = add %q, 1
+  %s = and %x, 1
+  %r = call @h(%s)
+  call @print_int(%m)
+  switch %s [4 -> out] default last
+bogus last:
+  ret %n
+out:
+  %q = add %x, 6
+  %v = add %q, 1
+  %s = and %v, 7
+  %m = add %s, 1
+  %n = add %m, %k
+  ret %n
+}
+"""
+
+
+def test_lazy_flow_counts_what_each_decoy_reads_and_writes():
+    """The real block `out` writes each register it reads but `%k`, which
+    only the decoy's call writes. The decoy reads `%v` as a call argument,
+    `%q` after a call split its block, `%m` as printed and `%n` at its
+    ret, each before writing it; its masked switch can take no case, so it
+    compiles to a br that reads no `%s`."""
+    _assert_lazy_flow_is_the_built_flow(parse_module(DECOY_READS_AND_WRITES))

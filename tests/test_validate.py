@@ -274,6 +274,23 @@ def test_names_outside_the_ir_vocabulary_are_rejected(m, want):
     assert [str(d) for d in validate(m)] == want
 
 
+@pytest.mark.parametrize("decl, body, message", [
+    ("extern @print_int() -> void", "call @print_int()\n  ret 0",
+     "extern @print_int() -> void"),
+    ("extern @print_int(int) -> int", "%r = call @print_int(5)\n  ret %r",
+     "extern @print_int(int) -> int"),
+], ids=["no_parameter", "int_result"])
+def test_print_int_declared_unlike_the_builtin_printer_is_rejected(decl, body, message):
+    """`run` takes every call of an undefined `print_int` as its builtin
+    printer, which takes one int and gives no result: without this check
+    the first module raised IndexError in `run`, and the second returned
+    0, as its call never wrote `%r`."""
+    with pytest.raises(ValidationError) as err:
+        parse_module(f'{decl}\nfunc @f src "f" () -> int {{\nentry:\n  {body}\n}}\n')
+    assert [str(d) for d in err.value.diagnostics] == [
+        f"PrintIntSignature: {message} is not the builtin printer's (int) -> void"]
+
+
 def test_validation_soundness_on_corpus(corpus):
     for entry in corpus:
         assert validate(entry.module) == [], entry.name
