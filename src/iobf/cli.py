@@ -4,9 +4,10 @@ Exit codes: 0 success, 2 parse/validation failure (also an input file
 that is not UTF-8), 3 bad parameter (also a `--dict` file that is
 unreadable, not UTF-8 or holds a word that is not an identifier, a
 `--time-reps` of 1, 2 or below 0, a missing input file without `--batch`,
-and what the mode does not read: an input file, `-o` or `--emit-dot`
-with `--batch`, `--out-dir` without it), 4 semantics-oracle failure in
-batch mode.
+what the mode does not read: an input file, `-o` or `--emit-dot`
+with `--batch`, `--out-dir` without it, and a `--funcs` name that is the
+base name of no function of the input, or of any loaded corpus module,
+before anything is written), 4 semantics-oracle failure in batch mode.
 """
 
 from __future__ import annotations
@@ -180,6 +181,14 @@ def _check_time_reps(time_reps: int):
         raise PassParameterError("--time-reps must be 0 or at least 3")
 
 
+def _check_funcs(cfg: PipelineConfig, modules):
+    """Reject `cfg.funcs` names that are the base name of no function in
+    `modules`, so that a misspelt name cannot leave code unobfuscated."""
+    present = {fn.base_name for m in modules for fn in m.functions}
+    if missing := [name for name in cfg.funcs or () if name not in present]:
+        raise PassParameterError(f"--funcs names no function: {', '.join(missing)}")
+
+
 def transform_module(cfg: PipelineConfig,
                      module: IrModule) -> tuple[IrModule, list[dict]]:
     """Apply each configured pass in order to an already-parsed module.
@@ -220,10 +229,12 @@ def batch(corpus_dir: str | Path, cfg: PipelineConfig,
           time_reps: int = 0, out_dir: str | Path | None = None) -> tuple[dict, int]:
     """Per-file pipeline + oracle + metrics over a corpus directory. With
     `out_dir`, which is made before the first module, each output is
-    written there as <name>.ir."""
+    written there as <name>.ir. A `cfg.funcs` name that no loaded module
+    defines is refused before either."""
     validate_config(cfg)
     _check_time_reps(time_reps)
     entries = load_corpus(corpus_dir)
+    _check_funcs(cfg, [e.module for e in entries if not e.problems])
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
@@ -378,6 +389,7 @@ def main(argv=None) -> int:
             print(f"error: {args.input} is not UTF-8: {exc}", file=sys.stderr)
             return EXIT_PARSE
         result = run_pipeline(cfg, text)
+        _check_funcs(cfg, [result.original])
         if args.emit_dot:
             Path(args.emit_dot).mkdir(parents=True, exist_ok=True)
         if args.output:

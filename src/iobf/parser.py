@@ -36,25 +36,28 @@ head or `}` after it): token sequences with blanks and comments allowed
 between any two. The forms that may stand at one place compile to one
 regular expression, in which each form is a named group, so the match's
 `lastindex` names the form and the form's captures follow it. A
-function body is one loop, a match per statement, that builds a node
-once per distinct statement text in the module and shares it at every
-repeat; the assignments share one reading of their `%dst =`. A list
-(parameters, extern types, switch cases, call arguments) is matched
-whole by one repeated pattern, and `findall` over the span it took reads
-its items. When a match fails, or an integer is too long for `int()`,
-the same sequences, walked a token at a time from the statement's start,
-find the error. There is no other parser. Errors carry the line and
-column of a token: the text's first lexical error (unterminated string,
-stray `-`, unexpected character), else the first token that does not
-fit, with the token found there (`got ''` is the end of the text; an
-unknown type or comparison is reported at the token after it).
-`parse_module` validates the result and raises on any diagnostic, so a
-returned module is valid.
+function body is one loop that looks each statement up by its first
+line and matches only where the text there is not the statement found
+(see `_function` for why that is exact); in printed text it builds a
+node once per distinct statement text in the module and shares it at
+every repeat, and the assignments share one reading of their `%dst =`.
+A list (parameters, extern types, switch cases, call arguments) is
+matched whole by one repeated pattern, and `findall` over the span it
+took reads its items. When a match fails, or an integer is too long
+for `int()`, the same sequences, walked a token at a time from the
+statement's start, find the error. There is no other parser. Errors
+carry the line and column of a token: the text's first lexical error
+(unterminated string, stray `-`, unexpected character), else the first
+token that does not fit, with the token found there (`got ''` is the
+end of the text; an unknown type or comparison is reported at the token
+after it). `parse_module` validates the result and raises on any
+diagnostic, so a returned module is valid.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
 
 from .ir import (
@@ -105,7 +108,9 @@ _TOKEN = re.compile(_BLANKS + r"""
       |(?P<bad>.)
       |(?P<eof>\Z))
 """, re.VERBOSE | re.DOTALL)
-_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+# a string's text from between its quotes: `sub` calls a function only per
+# escape, where the template `\1` costs a Python-level call on every `sub`
+_UNESCAPE = functools.partial(re.compile(r"\\(.)", re.DOTALL).sub, operator.itemgetter(1))
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 # a `"` that starts no string has no closing quote; a `-` that starts no
 # integer and no `->` stands alone
@@ -122,7 +127,7 @@ def _token_at(text: str, pos: int) -> tuple[str, str, int, int]:
     token after the blanks at `pos`, in a text without lexical errors."""
     m = _TOKEN.match(text, pos)
     kind = m.lastgroup
-    lit = _ESCAPE.sub(r"\1", m[kind][1:-1]) if kind == "string" else m[kind]
+    lit = _UNESCAPE(m[kind][1:-1]) if kind == "string" else m[kind]
     return kind, lit, m.start(kind), m.end()
 
 
@@ -325,6 +330,7 @@ _TOP_MATCH, _GLOBAL, _EXTERN, _FUNC = _forms(_TOP, "global", "extern", "func")
 _BODY_MATCH, _BINOP, _ASSIGN, _CMP, _CALL_TO, _CALL, _BR, _CBR, _SWITCH = _forms(
     _BODY, "binop", "assign", "cmp", "call_to", "call", "br", "cbr", "switch")
 _LITERALS = {"true": True, "false": False}
+_HEAD_LINE = object()  # `shared`'s mark on a terminator's first line
 
 
 @functools.lru_cache(maxsize=4096)  # operands are immutable, so shared
@@ -361,21 +367,53 @@ def _module(text: str) -> IrModule:
 
 def _function(text: str, m, k, shared: dict):
     """The function whose header `m` matched as `_TOP`'s form at group `k`,
-    and the end of its closing `}`. The body is one loop, a statement a
-    match. `shared` maps a statement's matched text to what was built from
-    it for the module: an instruction, or a terminator with the (role,
-    label) of the head after it. The forms are disjoint on their text, and
-    a lookahead at a match's end can only reject it, so the same text
-    always yields the same groups and a repeat takes the stored result."""
-    name, base, ret_type = m[k + 1], _ESCAPE.sub(r"\1", m[k + 2][1:-1]), m[k + 4]
+    and the end of its closing `}`. The body is one loop, a statement at a
+    time.
+
+    `shared`, made for one `parse_module` call, maps a statement's first
+    line (from where its match starts, at the end of the statement before,
+    through the next newline) to the text matched there plus the one
+    character after it, the match's length and what was built from it: an
+    instruction, or a terminator with the (role, label) of the head after
+    it. The text is None where it is the key itself: the statement ends at
+    the key's newline. A terminator's match takes the head after it, which
+    differs where one terminator ends many blocks (a `br` back to a
+    dispatcher), so a first line that has begun a terminator maps to
+    `_HEAD_LINE`, and a statement that begins with it is keyed by its first
+    two lines. Where the stored text stands at `pos`, the stored result is
+    taken without a match; else `_BODY_MATCH` matches and builds, and its
+    result replaces the entry. This is exact because a match at `pos`
+    depends only on the characters it reads, and none reads more than one
+    past its match: no pattern looks behind, the only lookaheads that
+    reach past a statement are `(?!\\w)` and `(?!\\d)` on its last token, a
+    terminator's form ends in the next head's `:` or the closing `}`, and
+    every other lookahead reads text the match takes. The character after
+    the match is what tells `%a =` / `add %x, 1` from `%a =` /
+    `add %x, 15`. So a key only finds a candidate: a poor one (in text
+    whose lines end in `\\r\\n`, the first line is the `\\r\\n` before the
+    statement) costs a match, never the result. In printed text a key
+    holds one statement, so every repeat is the node built first; where
+    two statements share a first line, a repeat can be an equal node."""
+    name, base, ret_type = m[k + 1], _UNESCAPE(m[k + 2][1:-1]), m[k + 4]
     params = tuple(_PARAMS.findall(text, *m.span(k + 3)))
     role, label, pos = m[k + 5], m[k + 6], m.end()
     blocks, insts = [], []
     try:
-        while m := _BODY_MATCH(text, start := pos):
-            pos = m.end()
-            if (node := shared.get(key := m[0])) is None:
-                node = shared[key] = _statement(text, m, m.lastindex)
+        while True:
+            line = text[(start := pos):(nl := text.find("\n", pos + 1)) + 1]
+            if marked := (seen := shared.get(line)) is _HEAD_LINE:
+                seen = shared.get(line := text[start:(nl := text.find("\n", nl + 1)) + 1])
+            if type(seen) is tuple and (seen[0] is None or text.startswith(seen[0], pos)):
+                pos, node = pos + seen[1], seen[2]
+            elif m := _BODY_MATCH(text, pos):
+                pos = m.end()
+                node = _statement(text, m, m.lastindex)
+                if type(node) is tuple and not marked:  # a terminator: key it by its head too
+                    shared[line] = _HEAD_LINE
+                    line = text[start:(nl := text.find("\n", nl + 1)) + 1]
+                shared[line] = None if pos == nl else text[start:pos + 1], pos - start, node
+            else:
+                break
             if type(node) is not tuple:
                 insts.append(node)
             else:  # a terminator, then the head (role, label) it ends before

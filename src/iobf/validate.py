@@ -10,6 +10,12 @@ only the ops, comparisons, block roles and types that the text grammar
 names, only instructions among a block's instructions and a terminator
 as its terminator, and an `extern @print_int` only as the interpreter's
 builtin printer takes it, `(int) -> void`).
+
+A function is read twice: for its labels, roles and node kinds, and its
+registers' types (`_read_blocks`), then for its instructions, each
+distinct one once unless it fails, and terminators. The common valid
+operands and edges pass there without a call of `use`, the one place
+that reports an operand.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .ir import (
     INT_MIN,
     Assign,
     BinOp,
-    Call,
+    Br,
     Cbr,
     Cmp,
     GlobalRef,
@@ -71,53 +77,79 @@ def infer_local_types(fn: IrFunction, module: IrModule) -> dict[str, str]:
     Registers whose type cannot be determined are omitted; `validate`
     reports each read of one as `UntypedLocal`.
     """
+    return _read_blocks(fn, *_lookups(module), [])[2]
+
+
+def _lookups(m: IrModule):
+    """Callee name -> (parameter types, return type), and global name ->
+    value, as `IrModule.function`, `extern` and `global_value` find them:
+    the first of a name wins, and a function over an extern."""
+    signatures = {e.name: (e.param_types, e.ret_type) for e in reversed(m.externs)}
+    signatures.update((f.mangled_name, (tuple(t for _, t in f.params), f.ret_type))
+                      for f in reversed(m.functions))
+    return signatures, dict(reversed(m.globals))
+
+
+def _read_blocks(fn: IrFunction, signatures, global_values, diags: list[Diagnostic]):
+    """The first of `_check_function`'s two passes over a function: adds
+    each label, role and kind diagnostic to `diags`, and returns the
+    labels, the registers that are parameters or assigned, and the types
+    `infer_local_types` describes."""
+    name = fn.mangled_name
     types: dict[str, str] = dict(fn.params)
+    declared, labels = set(types), set()
     copies = []  # copies whose source had no type when they were reached
     for b in fn.blocks:
+        if b.label in labels:
+            diags.append(Diagnostic("DuplicateLabel",
+                                    f"label {b.label} defined twice", name))
+        if b.label in ("true", "false"):  # after a bare `ret` it reads as its operand
+            diags.append(Diagnostic("ReservedLabel",
+                                    f"label {b.label} reads as a literal", name, b.label))
+        if b.role not in _ROLES:
+            diags.append(Diagnostic("UnknownRole", f"unknown block role {b.role!r}",
+                                    name, b.label))
+        labels.add(b.label)
         for ins in b.insts:
-            if ins.dst is None or ins.dst in types:
+            if not isinstance(ins, Instruction):
+                diags.append(Diagnostic("UnknownInstruction",
+                                        f"{ins!r} is not an instruction", name, b.label))
                 continue
+            if (dst := ins.dst) is None or dst in types:  # typed ones are declared
+                continue
+            declared.add(dst)
             if isinstance(ins, BinOp):
-                ty = "int"
+                types[dst] = "int"
             elif isinstance(ins, Cmp):
-                ty = "bool"
+                types[dst] = "bool"
             elif isinstance(ins, Assign):
-                ty = _operand_ty(ins.src, types, module)
-                if ty is None:
+                if (ty := _operand_ty(ins.src, types, global_values)) is None:
                     copies.append(ins)
-            else:
-                sig = _callee_signature(ins.callee, module)
-                ty = sig[1] if sig and sig[1] != "void" else None
-            if ty is not None:
-                types[ins.dst] = ty
+                else:
+                    types[dst] = ty
+            elif (sig := signatures.get(ins.callee)) and sig[1] != "void":
+                types[dst] = sig[1]
+        if b.term is not None and not isinstance(b.term, Terminator):
+            diags.append(Diagnostic("UnknownTerminator",
+                                    f"{b.term!r} is not a terminator", name, b.label))
     pending = True
     while pending:
         pending = False
         for ins in copies:
             if ins.dst not in types:
-                ty = _operand_ty(ins.src, types, module)
+                ty = _operand_ty(ins.src, types, global_values)
                 if ty is not None:
                     types[ins.dst] = ty
                     pending = True
-    return types
+    return labels, declared, types
 
 
-def _operand_ty(op: Operand, types: dict[str, str], module: IrModule) -> str | None:
+def _operand_ty(op: Operand, types: dict[str, str], global_values) -> str | None:
     if isinstance(op, Local):
         return types.get(op.name)
     if isinstance(op, GlobalRef):
-        return "int" if module.global_value(op.name) is not None else None
+        return "int" if global_values.get(op.name) is not None else None
     return operand_type(op)
-
-
-def _callee_signature(name: str, module: IrModule):
-    fn = module.function(name)
-    if fn is not None:
-        return [t for _, t in fn.params], fn.ret_type
-    ext = module.extern(name)
-    if ext is not None:
-        return list(ext.param_types), ext.ret_type
-    return None
 
 
 def validate(m: IrModule) -> list[Diagnostic]:
@@ -150,8 +182,9 @@ def validate(m: IrModule) -> list[Diagnostic]:
             diags.append(Diagnostic("IntOutOfRange",
                                     f"@{g} = {value!r} is not a signed 64-bit integer"))
 
+    lookups = _lookups(m)
     for fn in m.functions:
-        diags.extend(_check_function(fn, m))
+        diags.extend(_check_function(fn, *lookups))
     return diags
 
 
@@ -165,7 +198,7 @@ def _check_types(param_types, ret_type: str, owner: str, function=None) -> list[
     return diags
 
 
-def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
+def _check_function(fn: IrFunction, signatures, global_values) -> list[Diagnostic]:
     name = fn.mangled_name
     if not fn.blocks:
         return [Diagnostic("EmptyFunction", "function has no blocks", name)]
@@ -178,30 +211,9 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                     f"parameter %{pname} repeated", name))
         seen_params.add(pname)
 
-    labels: set[str] = set()
-    for b in fn.blocks:
-        if b.label in labels:
-            diags.append(Diagnostic("DuplicateLabel",
-                                    f"label {b.label} defined twice", name))
-        if b.label in ("true", "false"):  # after a bare `ret` it reads as its operand
-            diags.append(Diagnostic("ReservedLabel",
-                                    f"label {b.label} reads as a literal", name, b.label))
-        if b.role not in _ROLES:
-            diags.append(Diagnostic("UnknownRole", f"unknown block role {b.role!r}",
-                                    name, b.label))
-        labels.add(b.label)
-        for ins in b.insts:
-            if not isinstance(ins, Instruction):
-                diags.append(Diagnostic("UnknownInstruction",
-                                        f"{ins!r} is not an instruction", name, b.label))
-        if b.term is not None and not isinstance(b.term, Terminator):
-            diags.append(Diagnostic("UnknownTerminator",
-                                    f"{b.term!r} is not a terminator", name, b.label))
+    labels, declared, types = _read_blocks(fn, signatures, global_values, diags)
     if any(d.code in ("UnknownInstruction", "UnknownTerminator") for d in diags):
         return diags  # the checks below read instruction and terminator fields
-
-    types = infer_local_types(fn, m)
-    declared = fn.local_names()
 
     def use(op: Operand, block: str, want: str | None = None):
         if isinstance(op, Local):
@@ -217,7 +229,7 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                         name, block))
                 return
         elif isinstance(op, GlobalRef):
-            if m.global_value(op.name) is None:
+            if global_values.get(op.name) is None:
                 diags.append(Diagnostic("UndefinedGlobal",
                                         f"@{op.name} is not a global", name, block))
                 return
@@ -245,8 +257,14 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                 if ins.op not in _BINOPS:
                     diags.append(Diagnostic("UnknownOp", f"unknown operation {ins.op!r}",
                                             name, b.label))
-                use(ins.a, b.label, "int")
-                use(ins.b, b.label, "int")
+                op = ins.a  # an int register or literal needs no `use`
+                if (types.get(op.name) != "int" if type(op) is Local
+                        else type(op) is not int or not INT_MIN <= op <= INT_MAX):
+                    use(op, b.label, "int")
+                op = ins.b  # unrolled: a loop would build a pair per instruction
+                if (types.get(op.name) != "int" if type(op) is Local
+                        else type(op) is not int or not INT_MIN <= op <= INT_MAX):
+                    use(op, b.label, "int")
                 if ins.op in ("sdiv", "srem") and ins.b == 0 and not isinstance(ins.b, bool):
                     diags.append(Diagnostic("DivByZeroConst",
                                             f"{ins.op} by constant zero",
@@ -268,8 +286,8 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                                                 name, b.label))
             elif isinstance(ins, Assign):
                 ty = use(ins.src, b.label)
-            elif isinstance(ins, Call):
-                sig = _callee_signature(ins.callee, m)
+            else:  # a Call
+                sig = signatures.get(ins.callee)
                 if sig is None:
                     diags.append(Diagnostic("UnknownCallee",
                                             f"call to undefined @{ins.callee}",
@@ -299,14 +317,18 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                 clean.add(id(ins))
 
         t = b.term
+        if type(t) is Br and t.label in labels:
+            continue
         if t is None:
             diags.append(Diagnostic("MissingTerminator",
                                     "block has no terminator", name, b.label))
             continue
         if isinstance(t, Cbr):
-            use(Local(t.cond), b.label, "bool")
+            if types.get(t.cond) != "bool":
+                use(Local(t.cond), b.label, "bool")
         elif isinstance(t, Switch):
-            use(Local(t.scrutinee), b.label, "int")
+            if types.get(t.scrutinee) != "int":
+                use(Local(t.scrutinee), b.label, "int")
             lits = set()
             for lit, _ in t.cases:
                 if type(lit) is not int or not INT_MIN <= lit <= INT_MAX:
@@ -325,13 +347,12 @@ def _check_function(fn: IrFunction, m: IrModule) -> list[Diagnostic]:
                     diags.append(Diagnostic("ReturnTypeMismatch",
                                             "void function returns a value",
                                             name, b.label))
+            elif t.value is None:
+                diags.append(Diagnostic("ReturnTypeMismatch",
+                                        f"{fn.ret_type} function returns nothing",
+                                        name, b.label))
             else:
-                if t.value is None:
-                    diags.append(Diagnostic("ReturnTypeMismatch",
-                                            f"{fn.ret_type} function returns nothing",
-                                            name, b.label))
-                else:
-                    use(t.value, b.label, fn.ret_type)
+                use(t.value, b.label, fn.ret_type)
         for lab in targets(t):
             if lab not in labels:
                 diags.append(Diagnostic("UndefinedLabel",

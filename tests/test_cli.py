@@ -648,6 +648,33 @@ def test_main_strips_blanks_around_listed_names(tmp_path, passes, funcs, want):
             for r in report["pass_reports"]] == want
 
 
+def test_main_refuses_funcs_that_name_no_function_before_writing(tmp_path, capsys):
+    """A misspelt `--funcs` name would leave its function unobfuscated."""
+    outputs = [tmp_path / "out.ir", tmp_path / "r.json", tmp_path / "dots"]
+    code = main([str(default_corpus_dir() / "lcm.ir"), "--passes", "flatten",
+                 "--funcs", "gcdHelper,nosuch,lcmm", "-o", str(outputs[0]),
+                 "--report", str(outputs[1]), "--emit-dot", str(outputs[2])])
+    assert code == EXIT_PARAMETER
+    captured = capsys.readouterr()
+    assert captured.err == "error: --funcs names no function: nosuch, lcmm\n"
+    assert captured.out == ""
+    assert not any(path.exists() for path in outputs)
+
+
+def test_main_batch_refuses_funcs_that_name_no_function_before_any_module(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(iobf.cli, "transform_module",
+                        lambda *args: pytest.fail("a module ran"))
+    out_dir, report = tmp_path / "obf", tmp_path / "batch.json"
+    # `lcm` is the base name of a function in lcm.ir only
+    code = main(["--batch", str(default_corpus_dir()), "--passes", "flatten",
+                 "--funcs", "lcm,nosuch", "--out-dir", str(out_dir),
+                 "--report", str(report)])
+    assert code == EXIT_PARAMETER
+    assert capsys.readouterr().err == "error: --funcs names no function: nosuch\n"
+    assert not out_dir.exists() and not report.exists()
+
+
 def test_main_missing_input_is_parameter_error(capsys):
     assert main(["--passes", "flatten"]) == EXIT_PARAMETER
 

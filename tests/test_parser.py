@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iobf import parse_module, print_module, validate
+from iobf import parser
 from iobf.cli import PipelineConfig, run_pipeline
+from iobf.ir import BasicBlock, IrFunction, IrModule
 from iobf.parser import ParseError, ValidationError
 from iobf.validate import infer_local_types
 
@@ -399,3 +401,132 @@ def test_layout_property(m, data):
     expected = parse_module(text)
     assert expected.functions[0] == m.functions[0]
     assert parse_module(reflowed) == expected
+
+
+# ---------------------------------------------------------------------------
+# The body loop that looks statements up by their first line, against the
+# loop that matched every statement and shared nodes by matched text
+
+def _reference_function(text, m, k, shared):
+    name, ret_type = m[k + 1], m[k + 4]
+    base = re.sub(r"\\(.)", r"\1", m[k + 2][1:-1], flags=re.DOTALL)
+    params = tuple(parser._PARAMS.findall(text, *m.span(k + 3)))
+    role, label, pos = m[k + 5], m[k + 6], m.end()
+    blocks, insts = [], []
+    try:
+        while m := parser._BODY_MATCH(text, start := pos):
+            pos = m.end()
+            if (node := shared.get(key := m[0])) is None:
+                node = shared[key] = parser._statement(text, m, m.lastindex)
+            if type(node) is not tuple:
+                insts.append(node)
+            else:
+                blocks.append(BasicBlock(label, tuple(insts), node[0], role or "real"))
+                _, role, label = node
+                insts = []
+                if label is None:
+                    return IrFunction(name, base, params, ret_type, tuple(blocks)), pos
+    except ValueError:
+        pass
+    raise parser._lexical_error(text) or parser._BODY.walk(text, start)
+
+
+def _outcome(text):
+    """The parsed module, or the error as (message, line, column) or as
+    its diagnostics in order."""
+    try:
+        return parse_module(text)
+    except ParseError as err:
+        return str(err), err.line, err.col
+    except ValidationError as err:
+        return [(d.code, d.message, d.function, d.block) for d in err.diagnostics]
+
+
+def _assert_parses_as_before(text):
+    got = _outcome(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_function", _reference_function)
+        want = _outcome(text)
+    assert got == want
+    return got
+
+
+_G = 'func @g src "g" (%x: int) -> int {\n'
+_FIRST_LINE_CASES = {
+    # one terminator line before heads that differ, and again before each
+    "terminator_heads": _F + (
+        "entry:\n  br x\na:\n  br x\nbogus b:\n  br x\nx:\n  br x\n"
+        "dispatcher c:\n  br x\nbogus b2:\n  br x\nd:\n  ret 0\n}\n") + _G + (
+        "entry:\n  br x\na:\n  br x\nbogus b:\n  br x\nx:\n  ret 1\n}\n"),
+    "two_on_a_line": _F + (
+        "entry:\n  %a = 1 %b = 2\n  %a = 1\n  %b = 2\n  %a = 1 %b = 2\n"
+        "  %a = 1\n  ret %a\n}\n"),
+    "trailing_comment": _F + (
+        "entry:\n  %a = 7 ; seven\n  %a = 7\n  %a = 7 ; seven\n  %a = 7\n"
+        "  br x ; on\nx:\n  br x\ny:\n  ret %a ; done\n}\n"),
+    "assignment_over_two_lines": _G + (
+        "entry:\n  %a =\n  add %x, 1\n  %a =\n  add %x, 15\n  %a =\n  add %x, 1\n"
+        "  %a =\n  add %x, 1\n  ret %a\n}\n"),
+    "no_final_newline": _G + "entry:\n  %a = add %x, 1\n  ret %a\n}\n" + _G.replace(
+        "@g", "@h") + "entry:\n  %a = add %x, 1\n  ret %a\n}",
+    "one_line_function": _G + "entry: %a = add %x, 1 ret %a }\n" + _G.replace(
+        "@g", "@h") + "entry: %a = add %x, 1 ret %a }",
+}
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("text", _FIRST_LINE_CASES.values(), ids=_FIRST_LINE_CASES)
+def test_first_line_lookup_parses_as_a_match_per_statement(text, crlf):
+    m = _assert_parses_as_before(text.replace("\n", "\r\n") if crlf else text)
+    assert isinstance(m, IrModule)
+
+
+def test_statements_that_share_a_first_line_stay_apart():
+    m = _assert_parses_as_before(_FIRST_LINE_CASES["assignment_over_two_lines"])
+    a1, a15, a1_again, a1_last = m.functions[0].blocks[0].insts
+    assert (a1.b, a15.b) == (1, 15)
+    # the first line holds one statement at a time: `add %x, 15` took it
+    # from the first `add %x, 1`, which the third then took back
+    assert a1 == a1_again is a1_last
+    f, g = parse_module(_FIRST_LINE_CASES["terminator_heads"]).functions
+    assert [b.label for b in f.blocks] == ["entry", "a", "b", "x", "c", "b2", "d"]
+    assert [b.role for b in f.blocks][1:4] == ["real", "bogus", "real"]
+    assert all(fb.term is gb.term for fb, gb in zip(f.blocks[:3], g.blocks))
+
+
+def test_repeats_in_printed_text_are_one_node(corpus):
+    """In printed text a statement is its line (a terminator, its line and
+    the head's), so every repeat in a module is the node built first."""
+    config = PipelineConfig(["nested", "indeg", "ident-default"], 1)
+    for entry in corpus:
+        m = parse_module(run_pipeline(config, print_module(entry.module)).text)
+        nodes = {}
+        for fn in m.functions:
+            heads = [(b.role, b.label) for b in fn.blocks[1:]] + [None]
+            for b, head in zip(fn.blocks, heads):
+                for node, key in [(ins, repr(ins)) for ins in b.insts] + [
+                        (b.term, (repr(b.term), head))]:
+                    assert nodes.setdefault(key, node) is node, (entry.name, key)
+
+
+@pytest.mark.parametrize("text, line, col", [
+    (_F + "entry:\n  %a = 1\n  %a = 1\n$  ret %a\n}\n", 5, 1),
+    (_F + "entry:\n  %a = 1\n  %a = 1$\n  ret %a\n}\n", 4, 9),
+    (_F + "entry:\n  br x\nx:\n  br x\nx:$\n  ret 0\n}\n", 6, 3),
+], ids=["next_line", "same_line", "after_head"])
+def test_character_after_a_repeated_line_is_reported_where_it_stands(text, line, col):
+    assert _assert_parses_as_before(text)[1:] == (line, col)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_modules(), st.data())
+def test_first_line_lookup_matches_the_reference_on_edited_texts(m, data):
+    """The module printed twice under two names (so every statement
+    repeats), then a character or token put anywhere, parses as the loop
+    that matches every statement parses it, error or not."""
+    text = print_module(m)
+    text += text.replace("@_O1fi", "@_O1gi")
+    at = data.draw(st.integers(0, len(text)))
+    piece = data.draw(st.sampled_from(
+        ["\n", " ", "\r\n", "1", "5", "x", "$", "; c\n", ",", "bogus ", "b0:", "}"]))
+    _assert_parses_as_before(text[:at] + piece + text[at:])

@@ -1,9 +1,19 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iobf import parse_module, validate
-from iobf.cli import PipelineConfig, run_pipeline
+from iobf.cli import PASS_APPLIERS, PipelineConfig, run_pipeline
 from iobf.ir import (
+    BINOPS,
+    CMP_RELS,
+    INT_MAX,
+    INT_MIN,
+    RET_TYPES,
+    ROLES,
+    VALUE_TYPES,
     Assign,
     BasicBlock,
     BinOp,
@@ -13,12 +23,15 @@ from iobf.ir import (
     Cmp,
     ExternDecl,
     GlobalRef,
+    Instruction,
     IrFunction,
     IrModule,
     Local,
     Ret,
     Switch,
+    Terminator,
     operand_type,
+    targets,
 )
 from iobf.parser import ValidationError
 from iobf.validate import Diagnostic, infer_local_types
@@ -445,3 +458,399 @@ def test_untyped_bool_result_passed_on_to_a_bool_parameter_is_rejected():
     assert {d.function for d in err.value.diagnostics} == {"h"}
     assert [(d.code, d.message, d.block) for d in err.value.diagnostics] == _untyped(
         [("v", "entry"), ("u", "entry"), ("u", "entry")])
+
+
+# ---------------------------------------------------------------------------
+# `validate` against its reference copy: the checks as they read each
+# function four times (kinds, inference, register names, operands), with
+# the linear callee and global lookups of `IrModule`
+
+_REF_BINOPS, _REF_CMP_RELS, _REF_ROLES, _REF_VALUE_TYPES, _REF_RET_TYPES = map(
+    frozenset, (BINOPS, CMP_RELS, ROLES, VALUE_TYPES, RET_TYPES))
+
+
+def reference_infer_local_types(fn, module):
+    types = dict(fn.params)
+    copies = []
+    for b in fn.blocks:
+        for ins in b.insts:
+            if ins.dst is None or ins.dst in types:
+                continue
+            if isinstance(ins, BinOp):
+                ty = "int"
+            elif isinstance(ins, Cmp):
+                ty = "bool"
+            elif isinstance(ins, Assign):
+                ty = _reference_operand_ty(ins.src, types, module)
+                if ty is None:
+                    copies.append(ins)
+            else:
+                sig = _reference_callee_signature(ins.callee, module)
+                ty = sig[1] if sig and sig[1] != "void" else None
+            if ty is not None:
+                types[ins.dst] = ty
+    pending = True
+    while pending:
+        pending = False
+        for ins in copies:
+            if ins.dst not in types:
+                ty = _reference_operand_ty(ins.src, types, module)
+                if ty is not None:
+                    types[ins.dst] = ty
+                    pending = True
+    return types
+
+
+def _reference_operand_ty(op, types, module):
+    if isinstance(op, Local):
+        return types.get(op.name)
+    if isinstance(op, GlobalRef):
+        return "int" if module.global_value(op.name) is not None else None
+    return operand_type(op)
+
+
+def _reference_callee_signature(name, module):
+    fn = module.function(name)
+    if fn is not None:
+        return [t for _, t in fn.params], fn.ret_type
+    ext = module.extern(name)
+    if ext is not None:
+        return list(ext.param_types), ext.ret_type
+    return None
+
+
+def reference_validate(m):
+    diags = []
+    seen = {}
+    for fn in m.functions:
+        if fn.mangled_name in seen:
+            diags.append(Diagnostic("DuplicateFunction",
+                                    f"function @{fn.mangled_name} defined twice"))
+        seen[fn.mangled_name] = "func"
+    for e in m.externs:
+        if e.name in seen:
+            diags.append(Diagnostic("NameClash", f"@{e.name} declared twice"))
+        seen[e.name] = "extern"
+        diags.extend(_reference_check_types(e.param_types, e.ret_type, f"extern @{e.name}"))
+        if e.name == "print_int" and (tuple(e.param_types), e.ret_type) != (
+                ("int",), "void"):
+            diags.append(Diagnostic(
+                "PrintIntSignature",
+                f"extern @print_int({', '.join(map(str, e.param_types))}) -> "
+                f"{e.ret_type} is not the builtin printer's (int) -> void"))
+    for g, value in m.globals:
+        if g in seen:
+            diags.append(Diagnostic("NameClash", f"@{g} declared twice"))
+        seen[g] = "global"
+        if type(value) is not int or not INT_MIN <= value <= INT_MAX:
+            diags.append(Diagnostic("IntOutOfRange",
+                                    f"@{g} = {value!r} is not a signed 64-bit integer"))
+    for fn in m.functions:
+        diags.extend(_reference_check_function(fn, m))
+    return diags
+
+
+def _reference_check_types(param_types, ret_type, owner, function=None):
+    diags = [Diagnostic("UnknownType", f"{owner} takes unknown type {ty!r}", function)
+             for ty in param_types if ty not in _REF_VALUE_TYPES]
+    if ret_type not in _REF_RET_TYPES:
+        diags.append(Diagnostic("UnknownType",
+                                f"{owner} returns unknown type {ret_type!r}", function))
+    return diags
+
+
+def _reference_check_function(fn, m):
+    name = fn.mangled_name
+    if not fn.blocks:
+        return [Diagnostic("EmptyFunction", "function has no blocks", name)]
+    diags = _reference_check_types([ty for _, ty in fn.params], fn.ret_type,
+                                   "function", name)
+    seen_params = set()
+    for pname, _ in fn.params:
+        if pname in seen_params:
+            diags.append(Diagnostic("DuplicateParam",
+                                    f"parameter %{pname} repeated", name))
+        seen_params.add(pname)
+    labels = set()
+    for b in fn.blocks:
+        if b.label in labels:
+            diags.append(Diagnostic("DuplicateLabel",
+                                    f"label {b.label} defined twice", name))
+        if b.label in ("true", "false"):
+            diags.append(Diagnostic("ReservedLabel",
+                                    f"label {b.label} reads as a literal", name, b.label))
+        if b.role not in _REF_ROLES:
+            diags.append(Diagnostic("UnknownRole", f"unknown block role {b.role!r}",
+                                    name, b.label))
+        labels.add(b.label)
+        for ins in b.insts:
+            if not isinstance(ins, Instruction):
+                diags.append(Diagnostic("UnknownInstruction",
+                                        f"{ins!r} is not an instruction", name, b.label))
+        if b.term is not None and not isinstance(b.term, Terminator):
+            diags.append(Diagnostic("UnknownTerminator",
+                                    f"{b.term!r} is not a terminator", name, b.label))
+    if any(d.code in ("UnknownInstruction", "UnknownTerminator") for d in diags):
+        return diags
+
+    types = reference_infer_local_types(fn, m)
+    declared = fn.local_names()
+
+    def use(op, block, want=None):
+        if isinstance(op, Local):
+            if op.name not in declared:
+                diags.append(Diagnostic("UndefinedLocal",
+                                        f"%{op.name} is never assigned", name, block))
+                return
+            ty = types.get(op.name)
+            if ty is None:
+                diags.append(Diagnostic("UntypedLocal",
+                                        f"%{op.name} has no inferable type", name, block))
+                return
+        elif isinstance(op, GlobalRef):
+            if m.global_value(op.name) is None:
+                diags.append(Diagnostic("UndefinedGlobal",
+                                        f"@{op.name} is not a global", name, block))
+                return
+            ty = "int"
+        else:
+            ty = operand_type(op)
+            if ty == "int" and not INT_MIN <= op <= INT_MAX:
+                diags.append(Diagnostic("IntOutOfRange",
+                                        f"literal {op} is outside the signed 64-bit range",
+                                        name, block))
+        if want is not None and ty != want:
+            diags.append(Diagnostic("TypeMismatch",
+                                    f"expected {want}, got {ty}", name, block))
+        return ty
+
+    clean = set()
+    for b in fn.blocks:
+        for ins in b.insts:
+            if id(ins) in clean:
+                continue
+            found = len(diags)
+            ty = None
+            if isinstance(ins, BinOp):
+                ty = "int"
+                if ins.op not in _REF_BINOPS:
+                    diags.append(Diagnostic("UnknownOp", f"unknown operation {ins.op!r}",
+                                            name, b.label))
+                use(ins.a, b.label, "int")
+                use(ins.b, b.label, "int")
+                if ins.op in ("sdiv", "srem") and ins.b == 0 and not isinstance(ins.b, bool):
+                    diags.append(Diagnostic("DivByZeroConst",
+                                            f"{ins.op} by constant zero", name, b.label))
+            elif isinstance(ins, Cmp):
+                ty = "bool"
+                if ins.rel not in _REF_CMP_RELS:
+                    diags.append(Diagnostic("UnknownOp", f"unknown comparison {ins.rel!r}",
+                                            name, b.label))
+                if ins.rel in ("lt", "le", "gt", "ge"):
+                    use(ins.a, b.label, "int")
+                    use(ins.b, b.label, "int")
+                else:
+                    ta = use(ins.a, b.label)
+                    tb = use(ins.b, b.label)
+                    if ta is not None and tb is not None and ta != tb:
+                        diags.append(Diagnostic("TypeMismatch",
+                                                f"cmp {ins.rel} on {ta} vs {tb}",
+                                                name, b.label))
+            elif isinstance(ins, Assign):
+                ty = use(ins.src, b.label)
+            elif isinstance(ins, Call):
+                sig = _reference_callee_signature(ins.callee, m)
+                if sig is None:
+                    diags.append(Diagnostic("UnknownCallee",
+                                            f"call to undefined @{ins.callee}",
+                                            name, b.label))
+                else:
+                    ptypes, rty = sig
+                    if len(ptypes) != len(ins.args):
+                        diags.append(Diagnostic(
+                            "CallArityMismatch",
+                            f"@{ins.callee} takes {len(ptypes)} args, got {len(ins.args)}",
+                            name, b.label))
+                    else:
+                        for arg, want in zip(ins.args, ptypes):
+                            use(arg, b.label, want)
+                    if ins.dst is not None and rty == "void":
+                        diags.append(Diagnostic("TypeMismatch",
+                                                f"void call to @{ins.callee} has a result",
+                                                name, b.label))
+                    elif ins.dst is not None:
+                        ty = rty
+            if ty is not None and types.get(ins.dst, ty) != ty:
+                diags.append(Diagnostic("TypeMismatch",
+                                        f"%{ins.dst} is {types[ins.dst]}, assigned {ty}",
+                                        name, b.label))
+            if len(diags) == found:
+                clean.add(id(ins))
+
+        t = b.term
+        if t is None:
+            diags.append(Diagnostic("MissingTerminator",
+                                    "block has no terminator", name, b.label))
+            continue
+        if isinstance(t, Cbr):
+            use(Local(t.cond), b.label, "bool")
+        elif isinstance(t, Switch):
+            use(Local(t.scrutinee), b.label, "int")
+            lits = set()
+            for lit, _ in t.cases:
+                if type(lit) is not int or not INT_MIN <= lit <= INT_MAX:
+                    diags.append(Diagnostic(
+                        "IntOutOfRange",
+                        f"case literal {lit!r} is not a signed 64-bit integer",
+                        name, b.label))
+                if lit in lits:
+                    diags.append(Diagnostic("DuplicateCase",
+                                            f"case literal {lit} repeated", name, b.label))
+                lits.add(lit)
+        elif isinstance(t, Ret):
+            if fn.ret_type == "void":
+                if t.value is not None:
+                    diags.append(Diagnostic("ReturnTypeMismatch",
+                                            "void function returns a value", name, b.label))
+            else:
+                if t.value is None:
+                    diags.append(Diagnostic("ReturnTypeMismatch",
+                                            f"{fn.ret_type} function returns nothing",
+                                            name, b.label))
+                else:
+                    use(t.value, b.label, fn.ret_type)
+        for lab in targets(t):
+            if lab not in labels:
+                diags.append(Diagnostic("UndefinedLabel",
+                                        f"no block named {lab}", name, b.label))
+    return diags
+
+
+def _assert_validate_matches_reference(m):
+    """Equal diagnostics, in order, and equal inferred types wherever every
+    instruction is one (the reference infers only then)."""
+    got = [(d.code, d.message, d.function, d.block) for d in validate(m)]
+    want = [(d.code, d.message, d.function, d.block) for d in reference_validate(m)]
+    assert got == want
+    for fn in m.functions:
+        if all(isinstance(ins, Instruction) for b in fn.blocks for ins in b.insts):
+            assert infer_local_types(fn, m) == reference_infer_local_types(fn, m)
+
+
+@pytest.mark.parametrize("name", sorted(PASS_APPLIERS))
+def test_validate_matches_reference_on_pass_outputs(corpus, name):
+    for seed in range(3):
+        for entry in corpus:
+            out, _ = PASS_APPLIERS[name](entry.module, PipelineConfig([name], seed))
+            _assert_validate_matches_reference(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_modules())
+def test_validate_matches_reference_on_random_modules(m):
+    _assert_validate_matches_reference(m)
+
+
+_MUTATIONS = ("drop", "bool_literal", "big_literal", "missing_label",
+              "duplicate_label", "duplicate_param", "terminator_among_insts",
+              "unknown_op", "unknown_role", "unknown_type", "call_arity",
+              "void_result", "div_by_zero", "undefined_global", "untyped_copies",
+              "share")
+
+
+@st.composite
+def broken_modules(draw):
+    """A `random_modules()` module, which also declares `print_int`, after
+    one to four mutations, each of which can break it. `share`, and in
+    half the modules a last step for an instruction a mutation built, put
+    an instruction object at a second place, so that one node is checked
+    twice in a function, as the parser's shared statements are."""
+    fn = draw(random_modules()).functions[0]
+    params, ret_type = list(fn.params), fn.ret_type
+    labels = [b.label for b in fn.blocks]
+    roles = [b.role for b in fn.blocks]
+    insts = [list(b.insts) for b in fn.blocks]
+    terms = [b.term for b in fn.blocks]
+    made = []  # instruction objects a mutation built
+
+    def place(ins, block=None):
+        i = draw(st.integers(0, len(insts) - 1)) if block is None else block
+        insts[i].insert(draw(st.integers(0, len(insts[i]))), ins)
+        if isinstance(ins, Instruction):
+            made.append(ins)
+
+    def pick(test):
+        """(block, index) of an instruction that passes `test`, or None."""
+        spots = [(i, j) for i, block in enumerate(insts)
+                 for j, ins in enumerate(block) if test(ins)]
+        return draw(st.sampled_from(spots)) if spots else None
+
+    def literal_fields(ins):
+        return [f for f in ("a", "b", "src") if type(getattr(ins, f, None)) is int]
+
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=4)):
+        if kind == "drop" and (spot := pick(lambda ins: True)):
+            del insts[spot[0]][spot[1]]
+        elif kind in ("bool_literal", "big_literal") and (spot := pick(literal_fields)):
+            i, j = spot
+            field = draw(st.sampled_from(literal_fields(insts[i][j])))
+            value = draw(st.booleans() if kind == "bool_literal"
+                         else st.sampled_from([2**63, -2**63 - 1, 2**64]))
+            insts[i][j] = dataclasses.replace(insts[i][j], **{field: value})
+            made.append(insts[i][j])
+        elif kind == "missing_label":
+            i = draw(st.integers(0, len(terms) - 1))
+            t = terms[i]
+            terms[i] = (Cbr(t.cond, t.then_label, "nowhere") if isinstance(t, Cbr)
+                        else Br("nowhere"))
+        elif kind == "duplicate_label" and len(labels) > 1:
+            i = draw(st.integers(1, len(labels) - 1))
+            labels[i] = labels[draw(st.integers(0, i - 1))]
+        elif kind == "duplicate_param":
+            params.append(("x", draw(st.sampled_from(["int", "bool"]))))
+        elif kind == "terminator_among_insts":
+            place(draw(st.sampled_from([Br(labels[0]), Ret(None)])))
+        elif kind == "unknown_op" and (spot := pick(
+                lambda ins: isinstance(ins, (BinOp, Cmp)))):
+            i, j = spot
+            ins = insts[i][j]
+            insts[i][j] = (dataclasses.replace(ins, op="pow") if isinstance(ins, BinOp)
+                           else dataclasses.replace(ins, rel="approx"))
+            made.append(insts[i][j])
+        elif kind == "unknown_role":
+            roles[draw(st.integers(0, len(roles) - 1))] = "ghost"
+        elif kind == "unknown_type":
+            if draw(st.booleans()):
+                params[0] = ("x", "float")
+            else:
+                ret_type = "float"
+        elif kind == "call_arity":
+            place(Call(draw(st.sampled_from([None, "y"])), draw(st.sampled_from(
+                ["print_int", fn.mangled_name])), draw(st.sampled_from(
+                    [(), (Local("x"), 1)]))))
+        elif kind == "void_result":
+            place(Call("y", "print_int", (Local("x"),)))
+        elif kind == "div_by_zero":
+            place(BinOp(draw(st.sampled_from(["x", "y"])),
+                        draw(st.sampled_from(["sdiv", "srem"])), Local("x"), 0))
+        elif kind == "undefined_global":
+            place(BinOp("y", "add", GlobalRef("nowhere"), 1))
+        elif kind == "untyped_copies":
+            place(Assign("u", Local("v")))
+            place(Assign("v", Local("u")))
+            place(BinOp("y", "add", Local("u"), 1))
+        elif kind == "share" and (spot := pick(lambda ins: True)):
+            place(insts[spot[0]][spot[1]])
+    if made and draw(st.booleans()):  # a node built above, at a second place
+        place(draw(st.sampled_from(made)))
+    blocks = tuple(BasicBlock(label, tuple(block), term, role)
+                   for label, block, term, role in zip(labels, insts, terms, roles))
+    return IrModule(functions=(dataclasses.replace(
+        fn, params=tuple(params), ret_type=ret_type, blocks=blocks),),
+        externs=(ExternDecl("print_int", ("int",), "void"),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_modules())
+def test_validate_matches_reference_on_broken_modules(m):
+    _assert_validate_matches_reference(m)
