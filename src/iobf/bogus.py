@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .cfg import build_cfg, in_degree_gap
+from .cfg import Cfg, in_degree_gap, in_degrees
 from .ir import (
     Assign,
     BasicBlock,
@@ -34,8 +34,10 @@ from .ir import (
 
 # Opcode swaps for clone mutation stay inside this set: all are total
 # (no trap on any operand), so a mutation can never introduce a
-# statically detectable division by zero.
+# statically detectable division by zero. `_SWAPS` holds each op's
+# candidates in `_SWAP_OPS` order; any other op may become all six.
 _SWAP_OPS = ("add", "sub", "mul", "and", "or", "xor")
+_SWAPS = {op: tuple(o for o in _SWAP_OPS if o != op) for op in _SWAP_OPS}
 
 MASK16 = 0xFFFF
 
@@ -137,13 +139,19 @@ def mutate_instructions(insts, rng) -> tuple:
     if binop_at:
         i = rng.choice(binop_at)
         ins = out[i]
-        choices = [op for op in _SWAP_OPS if op != ins.op]
-        out[i] = BinOp(ins.dst, rng.choice(choices), ins.a, ins.b)
+        out[i] = BinOp(ins.dst, rng.choice(_SWAPS.get(ins.op, _SWAP_OPS)),
+                       ins.a, ins.b)
 
     spots = _literal_spots(out)
     if spots:
         i, attr = rng.choice(spots)
-        out[i] = replace(out[i], **{attr: wrap64(getattr(out[i], attr) + 1)})
+        ins, new = out[i], wrap64(getattr(out[i], attr) + 1)
+        if attr == "src":
+            out[i] = Assign(ins.dst, new)
+        else:
+            a, b = (new, ins.b) if attr == "a" else (ins.a, new)
+            out[i] = (BinOp(ins.dst, ins.op, a, b) if type(ins) is BinOp
+                      else Cmp(ins.dst, ins.rel, a, b))
     return tuple(out)
 
 
@@ -201,7 +209,8 @@ def _insert_guarded_clones(f: IrFunction, labels, rng, global_names,
     guard_of = {label: guard for label, (guard, _) in names.items()}
     blocks: list[BasicBlock] = []
     for orig in f.blocks:
-        orig = replace(orig, term=retarget(orig.term, guard_of))
+        if (term := retarget(orig.term, guard_of)) is not orig.term:
+            orig = replace(orig, term=term)
         if orig.label not in names:
             blocks.append(orig)
             continue
@@ -240,15 +249,16 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
     """Add never-taken edges until every bogus block has in-degree at least
     `margin` above the highest non-entry real block.
 
-    The pass counts in-degrees once (`build_cfg`) and plans every edge from
-    that count, visiting the needy bogus blocks in block order. When the
-    first needy block needs one edge, a real block ending in `br L` (the
-    clone's origin first) may give it: the block gains an always-true
-    conditional whose false arm targets the bogus block. Every other edge
-    is a dead case of one masked switch (`ir.switch_mask`) whose mask `c`
-    is below 2^30, which leaves room for 31-bit literals above `c`: no such
-    literal ever matches. The pass builds its switch at most once per run,
-    with `sel = x & 1`, from a real block ending in
+    The pass counts in-degrees once (`cfg.in_degrees`, which builds no
+    `Edge`) and plans every edge from that count, visiting the needy bogus
+    blocks in block order. When the first needy block needs one edge, a
+    real block ending in `br L` (the clone's origin first) may give it: the
+    block gains an always-true conditional whose false arm targets the
+    bogus block. Every other edge is a dead case of one masked switch
+    (`ir.switch_mask`) whose mask `c` is below 2^30, which leaves room for
+    31-bit literals above `c`: no such literal ever matches. The pass
+    builds its switch at most once per run, with `sel = x & 1`, from a
+    real block ending in
       * `br L`: no live case, default L;
       * `cbr`: live cases 0 and 1 reach a new block holding the
         conditional, the default feeds the bogus block.
@@ -276,9 +286,9 @@ def indegree_obfuscate(fn: IrFunction, seed: int, margin: int = 1,
             f, [rng.choice(candidates)], rng, global_names, labels_alloc,
             locals_alloc)
 
-    cfg = build_cfg(f)
-    indeg = cfg.indeg
-    target = raised = in_degree_gap(cfg)[0] + margin
+    indeg = in_degrees(f)
+    roles = {b.label: b.role for b in f.blocks}
+    target = raised = in_degree_gap(Cfg(f.entry, roles, indeg=indeg))[0] + margin
     blocks = list(f.blocks)
     guarded = host = None  # the `br` block given a guard; the switch's index
     dead: list = []  # the switch's new cases

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import Br, Cbr, IrFunction, Switch, _escape
+from .ir import Br, Cbr, IrFunction, Switch, _escape, targets
 
 
 @dataclass(frozen=True)
@@ -29,32 +29,33 @@ class Cfg:
 
 
 def build_cfg(fn: IrFunction) -> Cfg:
-    cfg = Cfg(
-        entry=fn.entry,
-        roles={b.label: b.role for b in fn.blocks},
-        indeg={b.label: 0 for b in fn.blocks},
-    )
+    cfg = Cfg(fn.entry, {b.label: b.role for b in fn.blocks}, indeg=in_degrees(fn))
     for b in fn.blocks:
         t = b.term
         if isinstance(t, Br):
-            _add(cfg, Edge(b.label, t.label, "br"))
+            cfg.edges.append(Edge(b.label, t.label, "br"))
         elif isinstance(t, Cbr):
-            _add(cfg, Edge(b.label, t.then_label, "cbr_then"))
-            _add(cfg, Edge(b.label, t.else_label, "cbr_else"))
+            cfg.edges.append(Edge(b.label, t.then_label, "cbr_then"))
+            cfg.edges.append(Edge(b.label, t.else_label, "cbr_else"))
         elif isinstance(t, Switch):
-            for lit, lab in t.cases:
-                _add(cfg, Edge(b.label, lab, "switch_case", lit))
-            _add(cfg, Edge(b.label, t.default, "switch_default"))
+            cfg.edges.extend(Edge(b.label, lab, "switch_case", lit)
+                             for lit, lab in t.cases)
+            cfg.edges.append(Edge(b.label, t.default, "switch_default"))
     return cfg
 
 
-def _add(cfg: Cfg, edge: Edge):
-    cfg.edges.append(edge)
-    cfg.indeg[edge.dst] += 1
+def in_degrees(fn: IrFunction) -> dict[str, int]:
+    """Each block's in-degree: one per edge `ir.targets` lists into it."""
+    indeg = {b.label: 0 for b in fn.blocks}
+    for b in fn.blocks:
+        for lab in targets(b.term):
+            indeg[lab] += 1
+    return indeg
 
 
 def in_degree_gap(cfg: Cfg) -> tuple[int, int | None]:
-    """(max in-degree over non-entry real blocks, min over bogus blocks).
+    """(max in-degree over non-entry real blocks, min over bogus blocks),
+    read from `cfg.entry`, `cfg.roles` and `cfg.indeg` only.
 
     The entry block is excluded from the real maximum: its in-degree is
     structural, not evidence an analyst can use. With no bogus blocks the

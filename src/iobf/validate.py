@@ -82,8 +82,8 @@ def infer_local_types(fn: IrFunction, module: IrModule) -> dict[str, str]:
 
 def _lookups(m: IrModule):
     """Callee name -> (parameter types, return type), and global name ->
-    value, as `IrModule.function`, `extern` and `global_value` find them:
-    the first of a name wins, and a function over an extern."""
+    value, as a scan in module order finds them: the first of a name
+    wins, and a function over an extern."""
     signatures = {e.name: (e.param_types, e.ret_type) for e in reversed(m.externs)}
     signatures.update((f.mangled_name, (tuple(t for _, t in f.params), f.ret_type))
                       for f in reversed(m.functions))

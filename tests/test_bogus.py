@@ -189,6 +189,11 @@ _LITERALS = st.one_of(st.booleans(), st.integers(-3, 3),
 _OPERANDS = st.one_of(_LITERALS, st.sampled_from([Local("x"), GlobalRef("g")]))
 _INSTS = st.one_of(
     st.builds(BinOp, st.just("x"), st.sampled_from(BINOPS), _OPERANDS, _OPERANDS),
+    # ops outside ir.BINOPS: `transform_module` does not validate, so a
+    # module built in Python reaches the passes with whatever op it holds
+    st.builds(BinOp, st.just("x"),
+              st.one_of(st.sampled_from(("udiv", "ADD", "")), st.text(max_size=3)),
+              _OPERANDS, _OPERANDS),
     # a bump would make these divisors 0
     st.builds(BinOp, st.just("q"), st.sampled_from(("sdiv", "srem")), _OPERANDS,
               st.sampled_from([-1, (1 << 64) - 1])),

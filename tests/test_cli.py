@@ -110,6 +110,26 @@ PINNED_OUTPUT_DIGESTS = [
 ]
 
 
+# The same at non-default settings: `bcf` at `--prob 1.0` gives every
+# non-entry block a twin, and `nested` at `--bogus-count 1`. With these
+# every caller of clone mutation is pinned at a non-default setting too.
+PINNED_SETTING_DIGESTS = [
+    ("bcf", 7, {"prob": 1.0},
+     "71bbff6de2e3bf8c482537c7f603fdfe9f22cf2c024e54796d81c54f5f6a10f5"),
+    ("nested", 7, {"bogus_count": 1},
+     "bdd163f66da4408177feccc5d4433ca0f4624b827dc28685b8f54e8aeab6edf9"),
+]
+
+
+def corpus_digest(corpus, config) -> str:
+    assert len(corpus) == 26
+    h = hashlib.sha256()
+    for entry in corpus:
+        text = entry.ir_path.read_text(encoding="utf-8")
+        h.update(f"{entry.name}\n{run_pipeline(config, text).text}".encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("passes, seed, digest", PINNED_OUTPUT_DIGESTS)
 def test_corpus_outputs_match_pinned_digests(passes, seed, digest, corpus):
     """The printed outputs of the 26 corpus programs are byte for byte
@@ -117,13 +137,14 @@ def test_corpus_outputs_match_pinned_digests(passes, seed, digest, corpus):
     random draw or the order of draws. A change to what the passes or the
     printer emit must re-pin these digests and say why: ROADMAP item 1
     (the release form) is expected to."""
-    assert len(corpus) == 26
-    h = hashlib.sha256()
-    for entry in corpus:
-        text = entry.ir_path.read_text(encoding="utf-8")
-        out = run_pipeline(cfg_of(passes.split(","), seed=seed), text).text
-        h.update(f"{entry.name}\n{out}".encode())
-    assert h.hexdigest() == digest
+    assert corpus_digest(corpus, cfg_of(passes.split(","), seed=seed)) == digest
+
+
+@pytest.mark.parametrize("passes, seed, settings, digest", PINNED_SETTING_DIGESTS)
+def test_corpus_outputs_match_pinned_digests_at_settings(
+        passes, seed, settings, digest, corpus):
+    config = cfg_of(passes.split(","), seed=seed, **settings)
+    assert corpus_digest(corpus, config) == digest
 
 
 def test_function_filter_limits_control_flow_passes(corpus):

@@ -309,6 +309,17 @@ def test_validation_soundness_on_corpus(corpus):
         assert validate(entry.module) == [], entry.name
 
 
+def _first_extern(module, name):
+    """The first extern named `name`, or None (the reference copies'
+    lookup, as `IrModule` once had it)."""
+    return next((e for e in module.externs if e.name == name), None)
+
+
+def _first_global(module, name):
+    """The value of the first global named `name`, or None."""
+    return next((v for g, v in module.globals if g == name), None)
+
+
 def _reference_local_types(fn, module):
     """The earlier inference, kept as the reference: whole-function rounds
     in text order until none adds a type; the first type found wins."""
@@ -317,11 +328,11 @@ def _reference_local_types(fn, module):
         if isinstance(op, Local):
             return types.get(op.name)
         if isinstance(op, GlobalRef):
-            return "int" if module.global_value(op.name) is not None else None
+            return "int" if _first_global(module, op.name) is not None else None
         return operand_type(op)
 
     def returns(name):
-        callee = module.function(name) or module.extern(name)
+        callee = module.function(name) or _first_extern(module, name)
         return None if callee is None else callee.ret_type
 
     types = dict(fn.params)
@@ -505,7 +516,7 @@ def _reference_operand_ty(op, types, module):
     if isinstance(op, Local):
         return types.get(op.name)
     if isinstance(op, GlobalRef):
-        return "int" if module.global_value(op.name) is not None else None
+        return "int" if _first_global(module, op.name) is not None else None
     return operand_type(op)
 
 
@@ -513,7 +524,7 @@ def _reference_callee_signature(name, module):
     fn = module.function(name)
     if fn is not None:
         return [t for _, t in fn.params], fn.ret_type
-    ext = module.extern(name)
+    ext = _first_extern(module, name)
     if ext is not None:
         return list(ext.param_types), ext.ret_type
     return None
@@ -608,7 +619,7 @@ def _reference_check_function(fn, m):
                                         f"%{op.name} has no inferable type", name, block))
                 return
         elif isinstance(op, GlobalRef):
-            if m.global_value(op.name) is None:
+            if _first_global(m, op.name) is None:
                 diags.append(Diagnostic("UndefinedGlobal",
                                         f"@{op.name} is not a global", name, block))
                 return
