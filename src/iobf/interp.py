@@ -82,8 +82,9 @@ module that runs little pays no code generation even where one loop
 takes most of its steps. That function holds the ops inline: registers
 in locals, known values folded, the `operator` calls as Python
 operators, and an sdiv or srem as Python's `//` or `%` where the
-dividend is at least 0 and the divisor above 0, else `_sdiv`/`_srem`,
-which trap and take the other signs.
+dividend is at least 0 and the divisor above 0 (a divisor known to be
+above 0 is not tested), else `_sdiv`/`_srem`, which trap and take the
+other signs.
 A local may hold a value not yet reduced to the signed 64-bit range. On
 Python ints, wrap64 commutes with add, sub, mul, and, or, xor and a shl
 by its masked amount: the low 64 bits of their results depend only on
@@ -95,8 +96,18 @@ store to the frame's registers where the region leaves, and a carried
 register where a trip loops back to the head. Generation keeps a bound
 on each unreduced local's bits: 64 for a reduced value, one more after
 add, sub or sdiv (`INT_MIN / -1`), the shift more after shl (63 when
-unknown), the sum after mul. A result past REDUCE_PAST_BITS (a constant)
-is reduced at once, so no value grows without limit.
+unknown), the sum after mul, its operand's after shr, and 64 after an
+`and` with a known operand at least 0. A result past REDUCE_PAST_BITS (a
+constant) is reduced at once, so no value grows without limit.
+A shr by a known amount k also takes its operand unreduced when its
+result is dead but for `and`s whose other operand is known, at that
+`and`, to lie in [0, 2**(64 - k)) (`_masked_shifts`): until the part
+writes the result again, no other op reads it, and at the part's end no
+part carries it and the terminator does not read it. The unreduced v and
+the tuple tier's r = wrap64(v) differ by t * 2**64, so v >> k is
+(r >> k) + t * 2**(64 - k), and the mask clears the difference. LLVM's
+DemandedBits analysis skips the bits that no later instruction uses in
+the same way.
 
 The function runs the part's region, not the part alone: Dynamo's linked
 fragments grown into a tree, as trace trees grow them (Gal & Franz,
@@ -130,22 +141,24 @@ without being built: a register that only a decoy writes is never folded
 as a constant, and a hot function's decoys stay unbuilt.
 
 A call to a function the module defines does not end a region: the trace
-tree goes on through the call, as tracing JITs inline through calls (Bolz
-et al., "Tracing the Meta-Level: PyPy's Tracing JIT Compiler", ICOOOLPS
-2009). The region looks the callee up in the table when the call runs,
-so a callee still compiles at its first call, and calls the callee's
-`enter`: the function generated, at the first such call, for the
-callee's entry region, which takes the arguments as Python parameters
-and returns the fuel left and the value at its ret. The caller's
-registers stay in locals across the call, and the region goes on with
-the part after it. Fuel is charged in execution order: the caller pays
-its path up to the call before the callee runs, and once the call
-returns the region runs on only while the fuel covers the costliest path
-after it; otherwise it stores back its registers and leaves for the
-driver at the part after the call. Where the callee's own region leaves
-before a ret, `enter` hands the rest of its frame to a nested `_drive`. A
-trap in a callee keeps the fuel that its own part reported, and fuel
-that runs out inside a callee ends the run at once, with what it printed.
+tree goes on through the call, as tracing JITs inline through calls
+(Bolz et al., "Tracing the Meta-Level: PyPy's Tracing JIT Compiler",
+ICOOOLPS 2009). The region binds a callee that is compiled when the
+region is generated (`enter` calls itself by name) and looks any other
+callee up in the table when the call runs, so a callee still compiles at
+its first call. It calls the callee's `enter`: the function generated,
+at the first such call, for the callee's entry region, which takes the
+arguments as Python parameters and returns the fuel left and the value
+at its ret. The caller's registers stay in locals across the call, and
+the region goes on with the part after it. Fuel is charged in execution
+order: the caller pays its path up to the call before the callee runs,
+and once the call returns the region runs on only while the fuel covers
+the costliest path after it; otherwise it stores back its registers and
+leaves for the driver at the part after the call. Where the callee's own
+region leaves before a ret, `enter` hands the rest of its frame to a
+nested `_drive`. A trap in a callee keeps the fuel that its own part
+reported, and fuel that runs out inside a callee ends the run at once,
+with what it printed.
 
 Direct calls nest on the Python stack, so a run's direct calls, and the
 drivers they nest, stack at most NESTED_FRAMES (a constant, not an
@@ -593,20 +606,59 @@ _LAZY = {operator.add, operator.sub, operator.mul, operator.and_, operator.or_,
 _WRAP = ("if not -9223372036854775808 <= {0} <= 9223372036854775807: "
          "{0} = (({0} + 9223372036854775808) & 18446744073709551615)"
          " - 9223372036854775808")
+# sdiv and srem by a divisor known to be above 0: CPython does not fold `4 > 0`
+_BY_POSITIVE = {
+    _sdiv: "({0} // {1} if {0} >= 0 else _sdiv({0}, {1}))",
+    _srem: "({0} % {1} if {0} >= 0 else _srem({0}, {1}))",
+}
 _UNKNOWN = object()
 
 
-def _bits(fn, a: int, b: int, shift) -> int:
+def _bits(fn, a: int, b: int, known_a, known_b) -> int:
     """A bound on the bits of `fn`'s result from its operands' (a value in
-    the signed 64-bit range has 64), with `shift` the known value of the
-    second operand or _UNKNOWN; an op outside _LAZY has reduced operands."""
+    the signed 64-bit range has 64), with `known_a` and `known_b` their
+    known values or _UNKNOWN; an op outside _LAZY but shr has reduced
+    operands. An `and` with a known operand at least 0 lies in [0, 2**63),
+    as every known value is reduced."""
     if fn is operator.mul:
         return a + b
     if fn is _shl:
-        return a + (63 if shift is _UNKNOWN else shift & 63)
+        return a + (63 if known_b is _UNKNOWN else known_b & 63)
     if fn in (operator.add, operator.sub, _sdiv):  # _sdiv(INT_MIN, -1) is 2**63
         return max(a, b) + 1
-    return max(a, b) if fn in _LAZY else 64
+    if fn is operator.and_ and any(v is not _UNKNOWN and v >= 0
+                                   for v in (known_a, known_b)):
+        return 64
+    return a if fn is _shr else max(a, b) if fn in _LAZY else 64
+
+
+def _masked_shifts(part: _Part, before, carried) -> set:
+    """The positions in `part.ops` of the shr ops whose operand a region
+    may leave unreduced (see the module docstring), with `before` the
+    values known where the part starts and `carried` the slots that some
+    part reads before writing: the amount k is known, and the result is
+    dead except as an operand of `and`s whose other operand is known there
+    to lie in [0, 2**(64 - k)). It is dead where the part writes it again,
+    or at the part's end when it is not in `carried` and the terminator
+    does not read it."""
+    consts, pending, masked = _Consts(before), {}, set()  # pending: dst -> (i, k)
+    for i, op in enumerate(part.ops):
+        for slot in pending.keys() & _op_reads(op):
+            mask = _UNKNOWN
+            if op[0] == _BIN and op[2] is operator.and_ and op[3] != op[4]:
+                mask = consts.value(op[4] if op[3] == slot else op[3])
+            if mask is _UNKNOWN or not 0 <= mask < 1 << 64 - pending[slot][1]:
+                del pending[slot]
+        if op[0] != _PRINT and op[1] in pending:
+            masked.add(pending.pop(op[1])[0])
+        if op[0] == _BIN and op[2] is _shr and op[1] not in carried:
+            amount = consts.value(op[4])
+            if amount is not _UNKNOWN:
+                pending[op[1]] = i, amount & 63
+        consts.apply(op)
+    taken = _term_reads(part.term)
+    masked.update(i for slot, (i, _) in pending.items() if slot not in taken)
+    return masked
 
 
 class _Consts(dict):
@@ -772,9 +824,9 @@ def _fuse_region(table, head: _Part, entry=False):
     back to the head a trip of a `while` loop: the registers those paths
     read are loaded before it, and a trip that leaves less fuel than the
     costliest path returns to the head instead. A call to a function the
-    module defines looks the callee up in `table` and runs it through its
-    `enter`, which
-    returns the fuel left and the value of its ret; while the fuel covers
+    module defines runs the callee through its `enter` (bound where the
+    callee is compiled by now, else looked up in `table`), which returns
+    the fuel left and the value of its ret; while the fuel covers
     the costliest path of the segment after the call, the region runs on,
     else it leaves at the part after the call. With no room left, it
     leaves at the call. Where a path leaves, it stores back the registers
@@ -870,7 +922,8 @@ def _fuse_region(table, head: _Part, entry=False):
                     body.append(pad + _WRAP.format(f"v{slot}"))
 
         spent = False
-        for op in node.part.ops:
+        masked = _masked_shifts(node.part, node.before, carried)
+        for i, op in enumerate(node.part.ops):
             if op[0] == _PRINT:
                 reduce(op[1])
                 body.append(f"{pad}emit(int({read(op[1])}))")
@@ -878,15 +931,20 @@ def _fuse_region(table, head: _Part, entry=False):
             if op[0] == _BIN:
                 _, dst, fn, a, b = op
                 if fn is _shr:
-                    reduce(a)
+                    if i not in masked:
+                        reduce(a)
                 elif fn not in _LAZY:
                     reduce(a, b)
+                known_b = consts.value(b)
                 if (not spent and fn in (_sdiv, _srem)
-                        and consts.value(b) in (_UNKNOWN, 0)):
+                        and known_b in (_UNKNOWN, 0)):
                     body.append(f"{pad}spent = {node.total}")
                     spent = True
-                bits = _bits(fn, wide.get(a, 64), wide.get(b, 64), consts.value(b))
-                value = _EXPR[fn].format(read(a), read(b))
+                bits = _bits(fn, wide.get(a, 64), wide.get(b, 64),
+                             consts.value(a), known_b)
+                template = (_BY_POSITIVE[fn] if fn in _BY_POSITIVE and known_b
+                            is not _UNKNOWN and known_b > 0 else _EXPR[fn])
+                value = template.format(read(a), read(b))
             else:
                 dst, value, bits = op[1], read(op[2]), wide.get(op[2], 64)
             consts.apply(op)
@@ -915,8 +973,13 @@ def _fuse_region(table, head: _Part, entry=False):
             args = "".join(f"{read(slot)}, " for slot in arg_slots)
             body.append(f"{pad}if room < 1:")
             leave(term, node.total, stored, wide, pad + " ", read)
-            call = (f"table[{cell(callee)}].enter({args}emit, "
-                    f"fuel - {node.total}, depth + 1, room - 1)")
+            # a callee compiled by now is bound; the others compile at the call
+            bound = table.get(callee)
+            target = ("enter" if entry and bound is cfn
+                      else f"table[{cell(callee)}].enter" if bound is None
+                      else f"{cell(bound)}.enter")
+            call = (f"{target}({args}emit, fuel - {node.total}, depth + 1, "
+                    "room - 1)")
             if dst is None:
                 body.append(f"{pad}fuel = {call}[0]")
             else:

@@ -111,7 +111,7 @@ _TOKEN = re.compile(_BLANKS + r"""
 # a string's text from between its quotes: `sub` calls a function only per
 # escape, where the template `\1` costs a Python-level call on every `sub`
 _UNESCAPE = functools.partial(re.compile(r"\\(.)", re.DOTALL).sub, operator.itemgetter(1))
-_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+_ASCII_RUNS = re.compile(r"[\x00-\x7f]+")
 # a `"` that starts no string has no closing quote; a `-` that starts no
 # integer and no `->` stands alone
 _BAD_START = {'"': "unterminated string", "-": "stray '-'"}
@@ -468,7 +468,7 @@ def parse_module(text: str) -> IrModule:
     # only the lexer rejects them, so it runs only when one is there
     if not text.isascii() and any(
             c.isalnum() and not (c.isalpha() or c.isdecimal())
-            for c in set(_NON_ASCII.findall(text))):
+            for c in set(_ASCII_RUNS.sub("", text))):
         if lexical := _lexical_error(text):
             raise lexical
     if diags := validate(module):

@@ -35,7 +35,7 @@ from iobf.interp import (
 )
 from iobf.ir import (Assign, BasicBlock, BinOp, Br, Cbr, Cmp, INT_MAX, INT_MIN, IrFunction,
                      IrModule, Local, Ret, switch_mask, wrap64)
-from iobf.parser import ValidationError
+from iobf.parser import ValidationError, _module as parse_unvalidated
 from iobf.rename import obfuscate_identifiers_default
 
 from conftest import GCD_TEXT, random_modules, random_programs
@@ -826,6 +826,124 @@ def test_unreduced_ring_chains_match_the_tuple_tier_at_every_fuel_cut(text, x, n
     hot = _assert_tiers_agree(m, "f", [([x, n], fuel) for fuel in
                                        (*range(1, full.steps + 1), DEFAULT_FUEL)])
     assert _generated(hot)
+
+
+# A region's shr by a known k may read an unreduced operand v when its
+# result is dead but for `and`s with a mask known there to lie in
+# [0, 2**(64 - k)): v >> k and the tuple tier's wrap64(v) >> k differ by a
+# multiple of 2**(64 - k), which the mask clears. Any other read of the
+# result, a register that carries it into the next trip, or a mask that is
+# wide, negative or unknown where the `and` runs must keep the reduction.
+
+_SHIFT_TAILS = {
+    "none": "  br latch\n",
+    "op": "  %o = sub %s, %x\n  %acc = add %acc, %o\n  br latch\n",
+    "print": "  call @print_int(%s)\n  br latch\n",
+    "call": "  %o = call @g(%s)\n  %acc = xor %acc, %o\n  br latch\n",
+    "switch": "  switch %s [-2 -> w0, -1 -> w1, 0 -> w2, 1 -> w3] default latch\n"
+              + "".join(f"w{j}:\n  %acc = add %acc, {j + 1}\n  br latch\n" for j in range(4)),
+    "cbr": "  cbr %s, odd, latch\nodd:\n  %acc = add %acc, 1\n  br latch\n",
+    "ret": "  ret %s\n",
+    "carried": "  br latch\n",
+}
+# a multiplier that spreads every input over the high bits, so that the
+# unreduced value differs from its reduction in bit 64 about half the time
+_SPREAD = f"  %v = mul %v, {wrap64(0x9E3779B97F4A7C15)}\n"
+
+
+def _shift_case(widen, amount, mask, reader, mask_first=False, again=None):
+    """(text, whether the rule applies, whether the text validates) of
+    `f(%x, %y, %n)`, which loops `%n` trips over a part that sets `%v` to
+    `%x + %i` through `_SPREAD` and the lines `widen`, shifts it right into
+    `%s` by `amount` (a literal or `%y`) and xors `%s & mask` into `%acc`.
+    `mask` is a literal, `%y`, or a tuple of the values written to `%mr`,
+    the first before the shift and the rest between it and the `and`.
+    `reader` reads `%s` once more (`_SHIFT_TAILS`; the cbr on the int
+    itself is in an unvalidated module), or at the next trip's start
+    ("carried"); with `again`, `%s` is set to `%x + again` before that."""
+    before = between = ""
+    operand = at_and = mask
+    if isinstance(mask, tuple):
+        before = f"  %mr = {mask[0]}\n"
+        between = "".join(f"  %mr = {value}\n" for value in mask[1:])
+        operand, at_and = "%mr", mask[-1]
+    applies = (amount != "%y" and at_and != "%y"
+               and 0 <= at_and < 2**(64 - (amount & 63))
+               and (reader == "none" or again is not None and reader != "carried"))
+    masking = f"{operand}, %s" if mask_first else f"%s, {operand}"
+    text = (
+        "extern @print_int(int) -> void\n\n"
+        'func @g src "g" (%a: int) -> int {\nentry:\n  ret %a\n}\n\n'
+        'func @f src "f" (%x: int, %y: int, %n: int) -> int {\n'
+        "entry:\n  %acc = 0\n  %s = 0\n  %i = 0\n  br body\nbody:\n"
+        + ("  %acc = xor %acc, %s\n" if reader == "carried" else "")
+        + f"  %v = add %x, %i\n{_SPREAD}{widen}{before}  %s = shr %v, {amount}\n"
+        + f"{between}  %r = and {masking}\n  %acc = xor %acc, %r\n"
+        + ("" if again is None else f"  %s = add %x, {again}\n")
+        + _SHIFT_TAILS[reader]
+        + "latch:\n  %i = add %i, 1\n  %c = cmp lt %i, %n\n  cbr %c, body, done\n"
+        "done:\n  ret %acc\n}\n")
+    return text, applies, reader != "cbr"
+
+
+@st.composite
+def _shift_cases(draw):
+    """Shifts of a value widened by shl, xor, add and or, by literal
+    amounts 0-63, 64 and above, or an unknown one; masks just below and at
+    2**(64 - k), inside that range or negative, as literals, registers
+    written before the shift and maybe again before the `and`, or unknown;
+    and every reader of the result."""
+    def widen():
+        op = draw(st.sampled_from(("shl", "xor", "add", "or")))
+        if op == "shl":
+            return f"  %v = shl %v, {draw(st.integers(1, 63))}\n"
+        return f"  %v = {op} %v, {draw(st.sampled_from(['%x', str(draw(_CHAIN_WORDS))]))}\n"
+
+    lines = f"  %v = shl %v, {draw(st.integers(1, 63))}\n" + "".join(
+        widen() for _ in range(draw(st.integers(0, 2))))
+    amount = draw(st.one_of(st.integers(0, 63), st.sampled_from([57, 60, 63]),
+                            st.integers(64, INT_MAX), st.just("%y")))
+    k = draw(st.integers(0, 63)) if amount == "%y" else amount & 63
+    values = st.one_of(st.just(2**(64 - k) - 1), st.just(2**(64 - k)),
+                       st.integers(0, 2**(64 - k) - 1),
+                       st.integers(INT_MIN, -1)).map(wrap64)
+    kind = draw(st.sampled_from(("literal", "register", "rewritten", "unknown")))
+    mask = ("%y" if kind == "unknown" else draw(values) if kind == "literal"
+            else (draw(values),) if kind == "register"
+            else (draw(values), draw(st.one_of(values, st.just("%y")))))
+    reader = draw(st.one_of(st.just("none"), st.sampled_from(list(_SHIFT_TAILS))))
+    again = draw(st.one_of(st.none(), _CHAIN_WORDS))
+    return _shift_case(lines, amount, mask, reader, draw(st.booleans()), again)
+
+
+def _with_shift_examples(test):
+    """The cases each part of the rule is there for, on an input whose
+    unreduced shift operand differs from its reduction in bit 64 on the
+    first trip: the mask at 2**(64 - k) and a mask register rewritten to it
+    after the shift;
+    a result carried into the next trip; read by a switch, a ret or a call
+    argument after the `and`; and read by another op or a print."""
+    widen = "  %v = shl %v, 13\n"
+    for amount, mask, reader in ((7, 2**57, "none"), (7, (2**57 - 1, 2**57), "none"),
+                                 (7, 2**57 - 1, "carried"), (60, 15, "switch"),
+                                 (7, 2**57 - 1, "ret"), (7, 2**57 - 1, "call"),
+                                 (7, 2**57 - 1, "op"), (7, 2**57 - 1, "print")):
+        test = example(_shift_case(widen, amount, mask, reader), 1, 0, 2)(test)
+    return test
+
+
+@_with_shift_examples
+@settings(max_examples=200, deadline=None)
+@given(_shift_cases(), _CHAIN_WORDS, _CHAIN_WORDS, st.integers(1, 3))
+def test_masked_shifts_match_the_tuple_tier_at_every_fuel_cut(case, x, y, n):
+    text, applies, valid = case
+    m = parse_module(text) if valid else parse_unvalidated(text)
+    full = _tuple_run(m, "f", [x, y, n])
+    hot = _assert_tiers_agree(m, "f", [([x, y, n], fuel) for fuel in
+                                       (*range(1, full.steps + 1), DEFAULT_FUEL)])
+    constants, carried = _compiled(hot)["f"].flow()
+    body = _parts_by_label(hot, "f")["body"]
+    assert bool(interp._masked_shifts(body, interp._Consts(constants), carried)) == applies
 
 
 DIVIDE_LOOP = """\
